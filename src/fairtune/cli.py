@@ -373,8 +373,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.result)
     if not path.exists():
         raise DataError(f"no such result file: {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    result = TunerResult.from_dict(payload["result"])
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        result = TunerResult.from_dict(payload["result"])
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise DataError(f"malformed result file {path}: {type(exc).__name__}: {exc}") from None
     if args.format == "json":
         sys.stdout.write(_json_text(payload))
     else:

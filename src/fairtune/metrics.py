@@ -1,6 +1,8 @@
 """Group fairness metrics and pseudo-label quality scores.
 
-All functions are pure and operate on aligned 1-d arrays of binary values.
+All functions are pure and operate on aligned 1-d arrays of binary values,
+except `report_from_counts`, which takes their counts n[y, a, yhat] from
+`confusion_counts`.
 Gaps are reported as absolute values; the *_signed variants keep the sign
 (group 1 rate minus group 0 rate), which the noise laboratory needs.
 """
@@ -207,26 +209,51 @@ class FairnessReport:
         )
 
 
-def report_from_predictions(
-    predictions,
-    targets,
-    sensitive,
-    sensitive_source: str = "ground_truth",
-    require: tuple[str, ...] = METRIC_NAMES,
-) -> FairnessReport:
-    """Assemble a FairnessReport from precomputed predictions.
-
-    Metrics listed in `require` propagate EmptyGroupError; the rest fall back
-    to None when their groups are empty.
-    """
+def confusion_counts(predictions, targets, sensitive) -> np.ndarray:
+    """Row counts n[y, a, yhat] of every (target, sensitive, prediction) cell."""
     preds, targ, sens = _aligned(
         (predictions, "predictions"), (targets, "targets"), (sensitive, "sensitive")
     )
+    return np.bincount(4 * targ + 2 * sens + preds, minlength=8).reshape(2, 2, 2)
+
+
+def report_from_counts(
+    counts,
+    sensitive_source: str = "ground_truth",
+    require: tuple[str, ...] = METRIC_NAMES,
+) -> FairnessReport:
+    """Assemble a FairnessReport from the counts of `confusion_counts`.
+
+    Every rate is a count over a count, which equals the mean over the 0/1
+    values it counts exactly. Metrics listed in `require` propagate
+    EmptyGroupError; the rest fall back to None when their groups are empty.
+    """
+    n = np.asarray(counts).reshape(2, 2, 2)
+
+    def rate(hits, total, empty: str) -> float:
+        if total == 0:
+            raise EmptyGroupError(empty)
+        return int(hits) / int(total)
+
+    def gap(cells, empty: str) -> float:
+        """|P[yhat=1 | a=1] - P[yhat=1 | a=0]| over the counts cells[a, yhat]."""
+        r1, r0 = (rate(cells[a, 1], cells[a].sum(), empty.format(a=a)) for a in (1, 0))
+        return abs(r1 - r0)
+
+    sizes = {g: int(n[g].sum()) for g in SUBGROUPS}
+    accs = {g: int(n[g][g[0]]) / sizes[g] for g in SUBGROUPS if sizes[g]}
+    missing = [g for g in SUBGROUPS if g not in accs]
+
+    def worst() -> float:
+        if missing:
+            raise EmptyGroupError(f"empty subgroups (y, a): {missing}")
+        return min(accs.values())
+
     values: dict[str, float | None] = {}
     for name, fn in (
-        ("dp_gap", lambda: dp_gap(preds, sens)),
-        ("eo_gap", lambda: eo_gap(preds, targ, sens)),
-        ("wga", lambda: wga(preds, targ, sens)),
+        ("dp_gap", lambda: gap(n.sum(axis=0), "no rows with sensitive attribute a={a}")),
+        ("eo_gap", lambda: gap(n[1], "no rows in positive subgroup (y=1, a={a})")),
+        ("wga", worst),
     ):
         try:
             values[name] = fn()
@@ -234,16 +261,27 @@ def report_from_predictions(
             if name in require:
                 raise
             values[name] = None
-    accs = subgroup_accuracies(preds, targ, sens)
     return FairnessReport(
-        avg_accuracy=accuracy(preds, targ),
+        avg_accuracy=rate(n[0, :, 0].sum() + n[1, :, 1].sum(), n.sum(), "no rows"),
         dp_gap=values["dp_gap"],
         eo_gap=values["eo_gap"],
         wga=values["wga"],
-        subgroup_accuracy={g: acc for g, (acc, _) in accs.items()},
-        subgroup_counts={g: n for g, (_, n) in accs.items()},
+        subgroup_accuracy=accs,
+        subgroup_counts={g: sizes[g] for g in accs},
         sensitive_source=sensitive_source,
     )
+
+
+def report_from_predictions(
+    predictions,
+    targets,
+    sensitive,
+    sensitive_source: str = "ground_truth",
+    require: tuple[str, ...] = METRIC_NAMES,
+) -> FairnessReport:
+    """`report_from_counts` over the confusion counts of these predictions."""
+    counts = confusion_counts(predictions, targets, sensitive)
+    return report_from_counts(counts, sensitive_source=sensitive_source, require=require)
 
 
 def full_report(

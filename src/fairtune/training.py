@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -262,12 +262,22 @@ def train_erm(train: TabularDataset, hp: HyperParams) -> list[ModelParams]:
     return _train_loop(train.features, train.targets.astype(np.float64), hp)
 
 
-def upsampled_index(train: TabularDataset, repeat_ids: Iterable[int], lam: int) -> np.ndarray:
+def upsampled_positions(n_rows: int, repeat_pos: Sequence[int], lam: int) -> np.ndarray:
     """Positional index of the virtual training set.
 
-    All original rows in order, then lam - 1 extra copies of each repeated row
-    (in dataset order). With lam == 1 the virtual set equals the original.
+    All n_rows original rows in order, then lam - 1 extra copies of each
+    repeated position (in the given order). With lam == 1 or no repeated
+    position the virtual set equals the original.
     """
+    base = np.arange(n_rows)
+    if lam == 1 or len(repeat_pos) == 0:
+        return base
+    return np.concatenate([base, np.repeat(np.asarray(repeat_pos, dtype=np.intp), lam - 1)])
+
+
+def upsampled_index(train: TabularDataset, repeat_ids: Iterable[int], lam: int) -> np.ndarray:
+    """`upsampled_positions` of the rows whose row ids are repeated, in
+    dataset order."""
     if lam < 1:
         raise TrainingError("lambda must be >= 1")
     repeat = set(int(r) for r in repeat_ids)
@@ -275,11 +285,8 @@ def upsampled_index(train: TabularDataset, repeat_ids: Iterable[int], lam: int) 
     unknown = repeat - known
     if unknown:
         raise TrainingError(f"unknown row_ids in repeat set: {sorted(unknown)[:5]}")
-    base = np.arange(train.n_rows)
-    if lam == 1 or not repeat:
-        return base
     hits = np.flatnonzero(np.isin(train.row_ids, sorted(repeat)))
-    return np.concatenate([base, np.repeat(hits, lam - 1)])
+    return upsampled_positions(train.n_rows, hits, lam)
 
 
 def train_upsampled(

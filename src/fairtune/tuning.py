@@ -6,13 +6,15 @@ lambda times. The tuner sweeps every (stage-1 point, T, lambda, stage-2
 point, stage-2 epoch) combination, buckets candidates into half-open average
 validation-accuracy bins, and picks the candidate per bin that optimizes a
 fairness objective measured on the validation set's (pseudo or ground-truth)
-sensitive labels. Winners are re-scored on the test split with ground truth.
+sensitive labels. Each stage-2 run counts every epoch's predictions on
+validation and on the test split's ground truth; all selection reads the
+validation counts, and the test counts feed only the winners' test reports.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,10 +25,8 @@ from .metrics import (
     METRIC_NAMES,
     EmptyGroupError,
     FairnessReport,
-    dp_gap,
-    eo_gap,
-    report_from_predictions,
-    wga,
+    confusion_counts,
+    report_from_counts,
 )
 from .training import (
     HyperParams,
@@ -36,7 +36,11 @@ from .training import (
     predict,
     train_erm,
     train_upsampled,
+    upsampled_positions,
 )
+
+# Unused here, but perfbench/spans.py traces these names on this module.
+from .metrics import dp_gap, eo_gap, report_from_predictions, wga  # noqa: F401
 
 GROUND_TRUTH = "ground_truth"
 PSEUDO = "pseudo"
@@ -108,7 +112,9 @@ class JttConfig:
 
 @dataclass(frozen=True)
 class CandidateRef:
-    """Identifies one evaluated candidate; enough to retrain it exactly."""
+    """Grid point and epoch of one evaluated candidate; together they
+    determine its model exactly, so a winner can be retrained outside the
+    tuner."""
 
     kind: str  # "jtt" or "erm"
     stage2: HyperParams
@@ -187,9 +193,10 @@ def jtt_train(
 #
 # A *task* is one stage-2 training run; a *candidate* is one task epoch.
 # Tasks are deduplicated (lambda == 1 or an empty repeat set collapse to the
-# plain run of their stage-2 point) and may be evaluated in parallel; the
-# selection pass is a sequential reduction in canonical grid order, so the
-# winners never depend on the degree of parallelism.
+# plain run of their stage-2 point) and may be evaluated in parallel; each
+# returns the confusion counts of every epoch. The selection pass is a
+# sequential reduction in canonical grid order, so the winners never depend
+# on the degree of parallelism.
 # ----------------------------------------------------------------------------
 
 
@@ -223,38 +230,32 @@ def _worker_init(ctx: dict) -> None:
     _WORKER_CTX = ctx
 
 
-def _objective_value(objective: str, preds, targets, sens) -> float:
-    if objective == "dp_gap":
-        return dp_gap(preds, sens)
-    if objective == "eo_gap":
-        return eo_gap(preds, targets, sens)
-    return wga(preds, targets, sens)
-
-
-def _evaluate_task(ctx: dict, task: _Task) -> list[tuple[int, float, float]]:
-    """Train one stage-2 run and score every epoch checkpoint on validation."""
+def _evaluate_task(ctx: dict, task: _Task) -> np.ndarray:
+    """Train one stage-2 run and count every epoch checkpoint's predictions:
+    counts[epoch - 1, split, y, a, yhat], split 0 on validation (selection
+    labels) and split 1 on test (ground truth)."""
     X, y = ctx["train_X"], ctx["train_y"]
     if task.err_pos:
-        idx = np.concatenate(
-            [np.arange(X.shape[0]), np.repeat(np.asarray(task.err_pos), task.lam - 1)]
-        )
+        idx = upsampled_positions(X.shape[0], task.err_pos, task.lam)
         X, y = X[idx], y[idx]
     ckpts = _train_loop(X, y.astype(np.float64), task.stage2)
-    val_X, val_y, val_sens = ctx["val_X"], ctx["val_y"], ctx["val_sens"]
-    objective = ctx["objective"]
-    records = []
-    for ckpt in ckpts:
-        preds = predict(ckpt, val_X)
-        acc = float(np.mean(preds == val_y))
-        records.append((ckpt.trained_epochs, acc, _objective_value(objective, preds, val_y, val_sens)))
-    return records
+    del X, y  # release the upsampled copy before scoring
+    return np.array(
+        [
+            [
+                confusion_counts(predict(ckpt, ctx["val_X"]), ctx["val_y"], ctx["val_sens"]),
+                confusion_counts(predict(ckpt, ctx["test_X"]), ctx["test_y"], ctx["test_sens"]),
+            ]
+            for ckpt in ckpts
+        ]
+    )
 
 
-def _worker_run(task: _Task) -> list[tuple[int, float, float]]:
+def _worker_run(task: _Task) -> np.ndarray:
     return _evaluate_task(_WORKER_CTX, task)
 
 
-def _run_tasks(ctx: dict, tasks: Sequence[_Task], jobs: int) -> dict[tuple, list]:
+def _run_tasks(ctx: dict, tasks: Sequence[_Task], jobs: int) -> dict[tuple, np.ndarray]:
     if jobs <= 1 or len(tasks) <= 1:
         return {t.key: _evaluate_task(ctx, t) for t in tasks}
     with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init, initargs=(ctx,)) as pool:
@@ -269,24 +270,29 @@ def _bin_of(acc: float, bins: Sequence[tuple[float, float]]) -> int | None:
     return None
 
 
-def _validation_sensitive(
+def _selection_labels(
     validation: TabularDataset,
+    test: TabularDataset,
+    objective: str,
     sensitive_source: str,
     pseudo: PseudoLabelledValidation | None,
 ) -> np.ndarray:
+    """Validation sensitive labels to select on, once the objective and the
+    test reports are known to be computable."""
     if sensitive_source == PSEUDO:
         if pseudo is None:
             raise ValueError("sensitive_source 'pseudo' needs a PseudoLabelledValidation")
-        return pseudo.aligned_to(validation)
-    if validation.sensitive is None:
+        val_sens = pseudo.aligned_to(validation)
+    elif validation.sensitive is None:
         raise EmptyGroupError("validation set has no ground-truth sensitive attributes")
-    return validation.sensitive
-
-
-def _check_objective_feasible(objective: str, targets: np.ndarray, sens: np.ndarray) -> None:
+    else:
+        val_sens = validation.sensitive
     # Group emptiness depends only on the fixed labels, not on the candidate.
-    probe = np.zeros(len(targets), dtype=np.int8)
-    _objective_value(objective, probe, targets, sens)
+    probe = np.zeros(validation.n_rows, dtype=np.int8)
+    report_from_counts(confusion_counts(probe, validation.targets, val_sens), require=(objective,))
+    if test.sensitive is None:
+        raise EmptyGroupError("test set has no ground-truth sensitive attributes")
+    return val_sens
 
 
 @dataclass(frozen=True)
@@ -350,57 +356,25 @@ class TunerResult:
         )
 
 
-def _rebuild_model(train: TabularDataset, key: tuple, epoch: int) -> ModelParams:
-    """Retrain a task deterministically and return the epoch checkpoint."""
-    if key[0] == "erm":
-        _, hp = key
-        return train_erm(train, hp)[epoch - 1]
-    _, err_ids, lam, hp = key
-    return train_upsampled(train, err_ids, lam, hp)[epoch - 1]
-
-
-def _task_key(err_ids: tuple[int, ...], lam: int, stage2: HyperParams) -> tuple:
-    if lam == 1 or not err_ids:
+def _task_key(err_pos: tuple[int, ...], lam: int, stage2: HyperParams) -> tuple:
+    if lam == 1 or not err_pos:
         return ("erm", stage2)
-    return ("jtt", err_ids, lam, stage2)
+    return ("jtt", err_pos, lam, stage2)
 
 
-def _outcome_for(
-    train: TabularDataset,
-    validation: TabularDataset,
-    test: TabularDataset,
-    best: _Best | None,
-    bin_: tuple[float, float],
-    val_sens: np.ndarray,
-    sensitive_source: str,
-    objective: str,
-    model_cache: dict,
-) -> BinOutcome:
-    if best is None:
-        return BinOutcome(bin=bin_, winner=None, validation=None, test=None)
-    cache_key = (best.task_key, best.ref.epoch)
-    if cache_key not in model_cache:
-        model_cache[cache_key] = _rebuild_model(train, best.task_key, best.ref.epoch)
-    model = model_cache[cache_key]
-    val_report = report_from_predictions(
-        predict(model, validation),
-        validation.targets,
-        val_sens,
-        sensitive_source=sensitive_source,
-        require=(objective,),
-    )
-    if test.sensitive is None:
-        raise EmptyGroupError("test set has no ground-truth sensitive attributes")
-    test_report = report_from_predictions(
-        predict(model, test), test.targets, test.sensitive,
-        sensitive_source=GROUND_TRUTH, require=(),
-    )
-    return BinOutcome(bin=bin_, winner=best.ref, validation=val_report, test=test_report)
+def _erm_combos(grid: Sequence[HyperParams], tasks: dict[tuple, _Task]) -> list[_Combo]:
+    """Plain-training candidates of every grid point, adding their tasks."""
+    combos = []
+    for hp in grid:
+        key = ("erm", hp)
+        tasks.setdefault(key, _Task(key=key, err_pos=(), lam=1, stage2=hp))
+        combos.append(_Combo(ref_base=CandidateRef(kind="erm", stage2=hp, epoch=0), task_key=key))
+    return combos
 
 
 def _reduce_candidates(
     combos: Sequence[_Combo],
-    results: Mapping[tuple, list],
+    scores: Mapping[tuple, list[tuple[float, float]]],
     bins: Sequence[tuple[float, float]],
     minimize: bool,
 ) -> tuple[list[_Best | None], _Best | None]:
@@ -409,16 +383,8 @@ def _reduce_candidates(
     best_per_bin: list[_Best | None] = [None] * len(bins)
     best_acc: _Best | None = None
     for combo in combos:
-        for epoch, acc, obj in results[combo.task_key]:
-            ref = CandidateRef(
-                kind=combo.ref_base.kind,
-                stage2=combo.ref_base.stage2,
-                epoch=epoch,
-                stage1=combo.ref_base.stage1,
-                t=combo.ref_base.t,
-                lam=combo.ref_base.lam,
-                plain_fallback=combo.ref_base.plain_fallback,
-            )
+        for epoch, (acc, obj) in enumerate(scores[combo.task_key], start=1):
+            ref = replace(combo.ref_base, epoch=epoch)
             if best_acc is None or acc > best_acc.acc:
                 best_acc = _Best(obj=obj, acc=acc, ref=ref, task_key=combo.task_key)
             b = _bin_of(acc, bins)
@@ -428,6 +394,63 @@ def _reduce_candidates(
             if cur is None or (obj < cur.obj if minimize else obj > cur.obj):
                 best_per_bin[b] = _Best(obj=obj, acc=acc, ref=ref, task_key=combo.task_key)
     return best_per_bin, best_acc
+
+
+def _sweep(
+    train: TabularDataset,
+    validation: TabularDataset,
+    test: TabularDataset,
+    val_sens: np.ndarray,
+    tasks: Mapping[tuple, _Task],
+    jtt_combos: Sequence[_Combo] | None,
+    erm_combos: Sequence[_Combo],
+    bins: Sequence[tuple[float, float]],
+    objective: str,
+    sensitive_source: str,
+    jobs: int,
+) -> TunerResult:
+    """Run every task, then select per bin among the two-stage candidates
+    (none for a plain sweep) and among the plain ones."""
+    ctx = {
+        "train_X": train.features,
+        "train_y": train.targets,
+        "val_X": validation.features,
+        "val_y": validation.targets,
+        "val_sens": val_sens,
+        "test_X": test.features,
+        "test_y": test.targets,
+        "test_sens": test.sensitive,
+    }
+    counts = _run_tasks(ctx, list(tasks.values()), jobs)
+
+    def validation_report(val_counts: np.ndarray) -> FairnessReport:
+        return report_from_counts(val_counts, sensitive_source, require=(objective,))
+
+    scores = {
+        key: [(r.avg_accuracy, r.metric(objective)) for r in map(validation_report, task_counts[:, 0])]
+        for key, task_counts in counts.items()
+    }
+
+    def outcome(best: _Best | None, bin_: tuple[float, float]) -> BinOutcome:
+        if best is None:
+            return BinOutcome(bin=bin_, winner=None, validation=None, test=None)
+        val_counts, test_counts = counts[best.task_key][best.ref.epoch - 1]
+        test_report = report_from_counts(test_counts, GROUND_TRUTH, require=())
+        return BinOutcome(bin=bin_, winner=best.ref, validation=validation_report(val_counts), test=test_report)
+
+    minimize = _MINIMIZED[objective]
+    erm_best, erm_overall = _reduce_candidates(erm_combos, scores, bins, minimize)
+    jtt_bins = ()
+    if jtt_combos is not None:
+        jtt_best, _ = _reduce_candidates(jtt_combos, scores, bins, minimize)
+        jtt_bins = tuple(outcome(b, bn) for b, bn in zip(jtt_best, bins))
+    return TunerResult(
+        objective=objective,
+        sensitive_source=sensitive_source,
+        bins=jtt_bins,
+        erm_bins=tuple(outcome(b, bn) for b, bn in zip(erm_best, bins)),
+        erm_baseline=None if erm_overall is None else outcome(erm_overall, (0.0, 1.0 + 1e-12)),
+    )
 
 
 def grid_search(
@@ -440,94 +463,32 @@ def grid_search(
 ) -> TunerResult:
     """Sweep the two-stage grid plus a plain baseline sweep of the stage-2
     grid, selecting per accuracy bin by the configured fairness objective."""
-    val_sens = _validation_sensitive(validation, config.sensitive_source, pseudo)
-    _check_objective_feasible(config.objective, validation.targets, val_sens)
-
+    val_sens = _selection_labels(validation, test, config.objective, config.sensitive_source, pseudo)
+    combos: list[_Combo] = []
+    tasks: dict[tuple, _Task] = {}
     # Stage 1: one training run per grid point, reused across T values.
-    stage1_errors: dict[tuple[int, int], tuple[int, ...]] = {}
-    for i1, s1 in enumerate(config.stage1_grid):
+    for s1 in config.stage1_grid:
         ckpts = train_erm(train, s1)
         for t in config.t_grid:
             if t > s1.epochs:
                 continue
             preds = predict(ckpts[t - 1], train)
-            pos = np.flatnonzero(preds != train.targets)
-            stage1_errors[(i1, t)] = tuple(int(p) for p in pos)
-        del ckpts
-
-    combos: list[_Combo] = []
-    tasks: dict[tuple, _Task] = {}
-    for i1, s1 in enumerate(config.stage1_grid):
-        for t in config.t_grid:
-            if (i1, t) not in stage1_errors:
-                continue
-            err_pos = stage1_errors[(i1, t)]
-            err_ids = tuple(int(r) for r in np.asarray(train.row_ids)[list(err_pos)]) if err_pos else ()
+            err_pos = tuple(int(p) for p in np.flatnonzero(preds != train.targets))
             for lam in config.lambda_grid:
                 for s2 in config.stage2_grid:
-                    key = _task_key(err_ids, lam, s2)
+                    key = _task_key(err_pos, lam, s2)
                     if key not in tasks:
-                        tasks[key] = _Task(
-                            key=key,
-                            err_pos=() if key[0] == "erm" else err_pos,
-                            lam=1 if key[0] == "erm" else lam,
-                            stage2=s2,
-                        )
-                    combos.append(
-                        _Combo(
-                            ref_base=CandidateRef(
-                                kind="jtt",
-                                stage2=s2,
-                                epoch=0,
-                                stage1=s1,
-                                t=t,
-                                lam=lam,
-                                plain_fallback=not err_ids,
-                            ),
-                            task_key=key,
-                        )
+                        plain = key[0] == "erm"
+                        tasks[key] = _Task(key, () if plain else err_pos, 1 if plain else lam, s2)
+                    ref = CandidateRef(
+                        kind="jtt", stage2=s2, epoch=0, stage1=s1, t=t, lam=lam, plain_fallback=not err_pos
                     )
-
-    erm_combos: list[_Combo] = []
-    for s2 in config.stage2_grid:
-        key = ("erm", s2)
-        if key not in tasks:
-            tasks[key] = _Task(key=key, err_pos=(), lam=1, stage2=s2)
-        erm_combos.append(
-            _Combo(ref_base=CandidateRef(kind="erm", stage2=s2, epoch=0), task_key=key)
-        )
-
-    ctx = {
-        "train_X": train.features,
-        "train_y": train.targets,
-        "val_X": validation.features,
-        "val_y": validation.targets,
-        "val_sens": val_sens,
-        "objective": config.objective,
-    }
-    ordered_tasks = list(tasks.values())
-    results = _run_tasks(ctx, ordered_tasks, jobs)
-
-    minimize = _MINIMIZED[config.objective]
-    jtt_best, _ = _reduce_candidates(combos, results, config.accuracy_bins, minimize)
-    erm_best, erm_overall = _reduce_candidates(erm_combos, results, config.accuracy_bins, minimize)
-
-    model_cache: dict = {}
-    outcome = lambda best, bin_: _outcome_for(
-        train, validation, test, best, bin_, val_sens,
-        config.sensitive_source, config.objective, model_cache,
-    )
-    bins_out = tuple(outcome(b, bn) for b, bn in zip(jtt_best, config.accuracy_bins))
-    erm_bins_out = tuple(outcome(b, bn) for b, bn in zip(erm_best, config.accuracy_bins))
-    baseline = None
-    if erm_overall is not None:
-        baseline = outcome(erm_overall, (0.0, 1.0 + 1e-12))
-    return TunerResult(
-        objective=config.objective,
-        sensitive_source=config.sensitive_source,
-        bins=bins_out,
-        erm_bins=erm_bins_out,
-        erm_baseline=baseline,
+                    combos.append(_Combo(ref_base=ref, task_key=key))
+        del ckpts
+    erm_combos = _erm_combos(config.stage2_grid, tasks)
+    return _sweep(
+        train, validation, test, val_sens, tasks, combos, erm_combos,
+        config.accuracy_bins, config.objective, config.sensitive_source, jobs,
     )
 
 
@@ -546,39 +507,12 @@ def erm_sweep(
     (every epoch checkpoint of every grid point)."""
     if not grid:
         raise ValueError("grid must be nonempty")
-    val_sens = _validation_sensitive(validation, sensitive_source, pseudo)
-    _check_objective_feasible(objective, validation.targets, val_sens)
+    val_sens = _selection_labels(validation, test, objective, sensitive_source, pseudo)
     tasks: dict[tuple, _Task] = {}
-    erm_combos: list[_Combo] = []
-    for hp in grid:
-        key = ("erm", hp)
-        if key not in tasks:
-            tasks[key] = _Task(key=key, err_pos=(), lam=1, stage2=hp)
-        erm_combos.append(_Combo(ref_base=CandidateRef(kind="erm", stage2=hp, epoch=0), task_key=key))
-    ctx = {
-        "train_X": train.features,
-        "train_y": train.targets,
-        "val_X": validation.features,
-        "val_y": validation.targets,
-        "val_sens": val_sens,
-        "objective": objective,
-    }
-    results = _run_tasks(ctx, list(tasks.values()), jobs)
-    minimize = _MINIMIZED[objective]
+    erm_combos = _erm_combos(grid, tasks)
     bins = tuple((float(lo), float(hi)) for lo, hi in bins)
-    erm_best, erm_overall = _reduce_candidates(erm_combos, results, bins, minimize)
-    model_cache: dict = {}
-    outcome = lambda best, bin_: _outcome_for(
-        train, validation, test, best, bin_, val_sens, sensitive_source, objective, model_cache
-    )
-    erm_bins_out = tuple(outcome(b, bn) for b, bn in zip(erm_best, bins))
-    baseline = outcome(erm_overall, (0.0, 1.0 + 1e-12)) if erm_overall is not None else None
-    return TunerResult(
-        objective=objective,
-        sensitive_source=sensitive_source,
-        bins=(),
-        erm_bins=erm_bins_out,
-        erm_baseline=baseline,
+    return _sweep(
+        train, validation, test, val_sens, tasks, None, erm_combos, bins, objective, sensitive_source, jobs
     )
 
 

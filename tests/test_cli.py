@@ -98,6 +98,31 @@ def test_report_table_and_json(pipeline, capsys):
     assert TunerResult.from_dict(payload["result"]) is not None
 
 
+
+def report_exit_and_stderr(path, capsys):
+    code = main(["report", str(path)])
+    return code, capsys.readouterr().err
+
+
+def test_report_truncated_result_is_a_data_error(pipeline, tmp_path, capsys):
+    _, out = pipeline
+    text = (out / "tuner_result.json").read_text()
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(text[: len(text) // 2])
+    code, err = report_exit_and_stderr(truncated, capsys)
+    assert code == 3
+    assert err.startswith("data error: ") and "JSONDecodeError" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_report_wrong_schema_result_is_a_data_error(tmp_path, capsys):
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text(json.dumps({"result": {}}))
+    code, err = report_exit_and_stderr(wrong, capsys)
+    assert code == 3
+    assert err.startswith("data error: ") and "'objective'" in err
+    assert len(err.splitlines()) == 1
+
 def test_render_table_one_row_per_bin():
     raw = {
         "objective": "dp_gap",

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairtune.metrics import (
+    METRIC_NAMES,
     EmptyGroupError,
     FairnessReport,
     accuracy,
+    confusion_counts,
     dp_gap,
     dp_gap_signed,
     eo_gap,
     full_report,
     pseudo_label_quality,
+    report_from_counts,
     report_from_predictions,
     subgroup_accuracies,
     wga,
@@ -317,3 +322,67 @@ def test_metrics_within_unit_interval():
             continue
         for value in (rep.avg_accuracy, rep.dp_gap, rep.eo_gap, rep.wga):
             assert 0.0 <= value <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Counts -> report equals the per-row metric functions exactly.
+# ---------------------------------------------------------------------------
+
+def report_from_metric_functions(preds, targets, sens, require):
+    """FairnessReport assembled from the per-row metric functions alone."""
+    values = {}
+    for name, fn in (
+        ("dp_gap", lambda: dp_gap(preds, sens)),
+        ("eo_gap", lambda: eo_gap(preds, targets, sens)),
+        ("wga", lambda: wga(preds, targets, sens)),
+    ):
+        try:
+            values[name] = fn()
+        except EmptyGroupError:
+            if name in require:
+                raise
+            values[name] = None
+    accs = subgroup_accuracies(preds, targets, sens)
+    return FairnessReport(
+        avg_accuracy=accuracy(preds, targets),
+        subgroup_accuracy={g: acc for g, (acc, _) in accs.items()},
+        subgroup_counts={g: n for g, (_, n) in accs.items()},
+        **values,
+    )
+
+
+def report_or_error(build):
+    try:
+        return build()
+    except EmptyGroupError as exc:
+        return ("EmptyGroupError", str(exc))
+
+
+# Short columns make empty groups, empty cells and zero rows common.
+binary_columns = st.integers(0, 24).flatmap(
+    lambda n: st.tuples(*(st.lists(st.integers(0, 1), min_size=n, max_size=n) for _ in range(3)))
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(binary_columns, st.sets(st.sampled_from(METRIC_NAMES)))
+def test_report_from_counts_equals_report_from_predictions(columns, require):
+    preds, targets, sens = (np.array(c, dtype=np.int64) for c in columns)
+    require = tuple(sorted(require))
+    counts = confusion_counts(preds, targets, sens)
+    assert counts.shape == (2, 2, 2) and counts.sum() == len(preds)
+    from_counts = report_or_error(lambda: report_from_counts(counts, require=require))
+    assert from_counts == report_or_error(
+        lambda: report_from_predictions(preds, targets, sens, require=require)
+    )
+    assert from_counts == report_or_error(
+        lambda: report_from_metric_functions(preds, targets, sens, require)
+    )
+
+
+def test_confusion_counts_cells():
+    counts = confusion_counts([1, 0, 1, 1], [1, 1, 0, 1], [0, 0, 1, 0])
+    assert counts[1, 0, 1] == 2 and counts[1, 0, 0] == 1 and counts[0, 1, 1] == 1
+    assert counts.sum() == 4
+    with pytest.raises(ValueError, match="0 or 1"):
+        confusion_counts([2], [1], [0])

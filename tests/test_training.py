@@ -18,6 +18,7 @@ from fairtune.training import (
     train_erm,
     train_upsampled,
     upsampled_index,
+    upsampled_positions,
 )
 
 
@@ -210,6 +211,21 @@ def test_upsampled_index_construction():
     assert list(idx) == [0, 1, 2, 3, 2, 2]
     assert list(upsampled_index(train, set(), 5)) == [0, 1, 2, 3]
 
+
+
+def test_upsampled_index_maps_row_ids_to_shared_positions():
+    train = TabularDataset(
+        features=np.zeros((5, 2)),
+        targets=np.array([0, 1, 0, 1, 0]),
+        row_ids=np.array([40, 10, 30, 20, 50]),
+        split="train",
+    )
+    idx = upsampled_index(train, [20, 40], 3)
+    assert idx.tolist() == [0, 1, 2, 3, 4, 0, 0, 3, 3]
+    assert np.array_equal(idx, upsampled_positions(5, (0, 3), 3))
+    assert upsampled_positions(5, (0, 3), 1).tolist() == [0, 1, 2, 3, 4]
+    with pytest.raises(TrainingError, match="unknown row_ids"):
+        upsampled_index(train, [99], 2)
 
 def test_upsampled_matches_weighted_loss_oracle():
     # One full-batch step with lambda=2 on repeat set R equals a gradient step

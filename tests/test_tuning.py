@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from fairtune.data import TabularDataset
 from fairtune.labelling import PseudoLabelledValidation
-from fairtune.metrics import EmptyGroupError, dp_gap, eo_gap, wga
+from fairtune.metrics import EmptyGroupError, dp_gap, eo_gap, full_report, wga
 from fairtune.training import HyperParams, models_equal, predict, train_erm, train_upsampled
 from fairtune.tuning import (
     CandidateRef,
@@ -91,8 +92,6 @@ def test_jtt_stage1_errors_overrepresent_the_minority(planted):
 
 def test_jtt_perfect_stage1_flags_plain_result():
     rng = np.random.default_rng(0)
-    from fairtune.data import TabularDataset
-
     X = np.vstack([rng.normal(5.0, 0.3, (40, 2)), rng.normal(-5.0, 0.3, (40, 2))])
     y = np.array([1] * 40 + [0] * 40)
     train = TabularDataset(features=X, targets=y, row_ids=np.arange(80), split="train")
@@ -264,6 +263,57 @@ def test_erm_on_planted_data_has_low_wga(planted):
     assert baseline is not None
     assert baseline.test.wga < baseline.test.avg_accuracy - 0.3
 
+
+
+def outcomes_of(result):
+    return [*result.bins, *result.erm_bins, result.erm_baseline]
+
+
+FINE_BINS = tuple((round(0.5 + 0.02 * i, 2), round(0.52 + 0.02 * i, 2)) for i in range(25))
+
+
+@pytest.mark.parametrize(
+    "source, lambda_grid, bins",
+    [("ground_truth", (1, 3), None), ("pseudo", (1, 3), None), ("ground_truth", (3, 5), FINE_BINS)],
+)
+def test_winner_reports_equal_retrained_winners(source, lambda_grid, bins, planted):
+    # The tuner reports winners from the counts taken during the sweep; a
+    # winner retrained from its CandidateRef must score exactly the same.
+    train, validation, test = planted
+    pseudo = flipped_pseudo(validation, 0.2, seed=3) if source == "pseudo" else None
+    val_sens = validation.sensitive if pseudo is None else pseudo.pseudo
+    config = small_config(source=source, lambda_grid=lambda_grid, bins=bins)
+    result = grid_search(train, validation, test, config, pseudo=pseudo)
+    populated = [o for o in outcomes_of(result) if not o.empty]
+    assert {o.winner.kind for o in populated} == {"jtt", "erm"}
+    if min(lambda_grid) > 1:  # winners trained on an upsampled set
+        assert any(o.winner.kind == "jtt" and not o.winner.plain_fallback for o in populated)
+    for outcome in populated:
+        model = rebuild_winner(train, outcome.winner)
+        validation_report = full_report(
+            model, validation, sensitive=val_sens, sensitive_source=source, require=("dp_gap",)
+        )
+        assert validation_report == outcome.validation
+        assert full_report(model, test, require=()) == outcome.test
+
+
+def test_test_labels_feed_only_the_winners_test_reports(planted):
+    train, validation, test = planted
+    rng = np.random.default_rng(4)
+    shuffled = TabularDataset(
+        features=test.features,
+        targets=rng.permutation(test.targets),
+        row_ids=test.row_ids,
+        split=test.split,
+        sensitive=rng.permutation(test.sensitive),
+    )
+    config = small_config()
+    result = grid_search(train, validation, test, config)
+    leaked = grid_search(train, validation, shuffled, config)
+    for a, b in zip(outcomes_of(result), outcomes_of(leaked)):
+        assert a.winner == b.winner
+        assert a.validation == b.validation
+    assert any(a.test != b.test for a, b in zip(outcomes_of(result), outcomes_of(leaked)) if not a.empty)
 
 def test_grid_search_with_pseudo_source_requires_labels(planted):
     train, validation, test = planted
