@@ -4,7 +4,8 @@ One experiment is described by one JSON config; each subcommand consumes the
 artifacts of the previous one:
 
     prepare     build, split and standardize the dataset
-    train-grid  train the labeller grid, storing every epoch checkpoint
+    train-grid  train the labeller grid, storing every epoch checkpoint's
+                validation predictions
     label       select the pseudo labeller and label the validation split
     mc-sweep    run the contamination-noise sweep on the clean groups
     tune        run the accuracy-constrained two-stage search
@@ -22,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -41,12 +41,7 @@ from .data import (
     split,
     write_dataset,
 )
-from .labelling import (
-    LabellerCandidate,
-    PseudoLabelledValidation,
-    SelectionError,
-    select_labeller,
-)
+from .labelling import PseudoLabelledValidation, SelectionError, select_from_predictions
 from .metrics import EmptyGroupError
 from .noise import (
     NoiseSpec,
@@ -55,8 +50,12 @@ from .noise import (
     verify_proportionality,
     write_sweep_csv,
 )
-from .training import TrainingError, _train_loop, load_model, save_model
+from .training import HyperParams, TrainingError, _train_loop, pool_map, predict
 from .tuning import TunerResult, grid_search
+
+# Unused here, but perfbench/spans.py traces these names on this module.
+from .labelling import select_labeller  # noqa: F401
+from .training import load_model, save_model  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
@@ -65,17 +64,25 @@ EXIT_SELECTION_FAILURE = 4
 
 
 class _Outputs:
-    """Atomic output writing with cleanup of everything written on failure."""
+    """Atomic output writing; leaving the `with` block on an exception
+    removes everything written in it."""
 
     def __init__(self) -> None:
         self.written: list[Path] = []
 
+    def __enter__(self) -> "_Outputs":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            for path in self.written:
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+
     def text(self, path: Path, content: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(content, encoding="utf-8")
-        os.replace(tmp, path)
-        self.written.append(path)
+        self.via(path, lambda p: p.write_text(content, encoding="utf-8"))
 
     def via(self, path: Path, writer) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -83,13 +90,6 @@ class _Outputs:
         writer(tmp)
         os.replace(tmp, path)
         self.written.append(path)
-
-    def cleanup(self) -> None:
-        for path in self.written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
 
 
 def _json_text(payload: dict) -> str:
@@ -132,8 +132,7 @@ def _build_dataset(config: ExperimentConfig) -> TabularDataset:
 
 def cmd_prepare(config: ExperimentConfig, args: argparse.Namespace) -> int:
     out = _out_dir(config)
-    outputs = _Outputs()
-    try:
+    with _Outputs() as outputs:
         data = _build_dataset(config)
         train, validation, test = split(data, config.split_fractions, config.split_seed)
         std = fit_standardizer(train)
@@ -152,90 +151,83 @@ def cmd_prepare(config: ExperimentConfig, args: argparse.Namespace) -> int:
                 }
             ),
         )
-    except BaseException:
-        outputs.cleanup()
-        raise
     print(f"prepared {data.n_rows} rows -> {out / 'datasets'}")
     return EXIT_OK
 
 
-_GRID_CTX: dict | None = None
+def _grid_predictions(ctx: dict, hp: HyperParams) -> np.ndarray:
+    """Validation predictions of one grid point, one row per epoch checkpoint."""
+    return np.stack([predict(m, ctx["val_X"]) for m in _train_loop(ctx["X"], ctx["y"], hp)])
 
 
-def _grid_worker_init(ctx: dict) -> None:
-    global _GRID_CTX
-    _GRID_CTX = ctx
-
-
-def _grid_worker_run(hp) -> list:
-    return _train_loop(_GRID_CTX["X"], _GRID_CTX["y"], hp)
+def _write_npy(path: Path, array: np.ndarray) -> None:
+    # np.save appends ".npy" to a path that lacks it, but not to an open file.
+    with open(path, "wb") as fh:
+        np.save(fh, array, allow_pickle=False)
 
 
 def cmd_train_grid(config: ExperimentConfig, args: argparse.Namespace) -> int:
     out = _out_dir(config)
     train = _read_split(out, "train", config)
-    meta = _meta(config)
-    outputs = _Outputs()
-    jobs = max(1, args.jobs)
-    try:
-        X, y = train.features, train.targets.astype(np.float64)
-        if jobs == 1 or len(config.labeller_grid) == 1:
-            runs = [_train_loop(X, y, hp) for hp in config.labeller_grid]
-        else:
-            ctx = {"X": X, "y": y}
-            with ProcessPoolExecutor(
-                max_workers=jobs, initializer=_grid_worker_init, initargs=(ctx,)
-            ) as pool:
-                runs = list(pool.map(_grid_worker_run, config.labeller_grid, chunksize=1))
-        index = []
-        for gi, (hp, ckpts) in enumerate(zip(config.labeller_grid, runs)):
-            for ckpt in ckpts:
-                fname = f"g{gi:03d}_e{ckpt.trained_epochs:03d}.json"
-                outputs.via(
-                    out / "checkpoints" / fname,
-                    lambda p, m=ckpt: save_model(m, p, meta=meta),
-                )
-                index.append(
-                    {
-                        "grid_index": gi,
-                        "hyperparams": hp.to_dict(),
-                        "epoch": ckpt.trained_epochs,
-                        "file": fname,
-                    }
-                )
-        outputs.text(out / "checkpoints" / "index.json", _json_text({"checkpoints": index, **meta}))
-    except BaseException:
-        outputs.cleanup()
-        raise
-    print(f"stored {len(outputs.written) - 1} checkpoints -> {out / 'checkpoints'}")
+    validation = _read_split(out, "validation", config)
+    ctx = {"X": train.features, "y": train.targets.astype(np.float64), "val_X": validation.features}
+    predictions = np.concatenate(pool_map(_grid_predictions, ctx, config.labeller_grid, args.jobs))
+    index = [
+        {"grid_index": gi, "hyperparams": hp.to_dict(), "epoch": epoch}
+        for gi, hp in enumerate(config.labeller_grid)
+        for epoch in range(1, hp.epochs + 1)
+    ]
+    with _Outputs() as outputs:
+        outputs.via(out / "checkpoints" / "predictions.npy", lambda p: _write_npy(p, predictions))
+        outputs.text(out / "checkpoints" / "index.json", _json_text({"candidates": index, **_meta(config)}))
+    print(f"stored validation predictions of {len(index)} candidates -> {out / 'checkpoints'}")
     return EXIT_OK
 
 
-def _load_candidates(out: Path, config: ExperimentConfig) -> list[LabellerCandidate]:
+def _parse_artifact(path: Path, what: str, parse):
+    """parse(payload) of a JSON artifact; a syntax or schema fault is a DataError."""
+    try:
+        return parse(json.loads(path.read_text(encoding="utf-8")))
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise DataError(f"malformed {what} {path}: {type(exc).__name__}: {exc}") from None
+
+
+def _candidate_index(index: dict) -> tuple[str | None, list[tuple[HyperParams, int]]]:
+    candidates = [(HyperParams.from_dict(e["hyperparams"]), int(e["epoch"])) for e in index["candidates"]]
+    return index.get("config_sha256"), candidates
+
+
+def _load_predictions(
+    out: Path, config: ExperimentConfig, n_rows: int
+) -> tuple[np.ndarray, list[tuple[HyperParams, int]]]:
+    """The stored candidate predictions and each row's (hyper-params, epoch),
+    restricted to the candidates the labelling policy admits."""
     index_path = _require_artifact(out / "checkpoints" / "index.json", "train-grid")
-    index = json.loads(index_path.read_text(encoding="utf-8"))
-    _check_provenance(index_path, config, index.get("config_sha256"))
-    entries = index["checkpoints"]
+    matrix_path = _require_artifact(out / "checkpoints" / "predictions.npy", "train-grid")
+    stored_hash, candidates = _parse_artifact(index_path, "candidate index", _candidate_index)
+    _check_provenance(index_path, config, stored_hash)
+    try:
+        predictions = np.load(matrix_path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise DataError(f"malformed prediction matrix {matrix_path}: {type(exc).__name__}: {exc}") from None
+    if predictions.dtype != np.int8 or predictions.shape != (len(candidates), n_rows):
+        raise DataError(
+            f"{matrix_path} holds {predictions.dtype} {predictions.shape}, expected int8 "
+            f"({len(candidates)}, {n_rows}) for {len(candidates)} candidates and {n_rows} validation rows"
+        )
     if config.labelling_policy == "final_epoch":
-        last_epoch: dict[int, int] = {}
-        for e in entries:
-            last_epoch[e["grid_index"]] = max(last_epoch.get(e["grid_index"], 0), e["epoch"])
-        entries = [e for e in entries if e["epoch"] == last_epoch[e["grid_index"]]]
-    candidates = []
-    for e in entries:
-        model = load_model(out / "checkpoints" / e["file"])
-        candidates.append(LabellerCandidate(hp=model.hp, epoch=e["epoch"], model=model))
-    return candidates
+        keep = [i for i, (hp, epoch) in enumerate(candidates) if epoch == hp.epochs]
+        predictions, candidates = predictions[keep], [candidates[i] for i in keep]
+    return predictions, candidates
 
 
 def cmd_label(config: ExperimentConfig, args: argparse.Namespace) -> int:
     out = _out_dir(config)
     validation = _read_split(out, "validation", config)
-    candidates = _load_candidates(out, config)
-    labelled = select_labeller(candidates, validation)
+    predictions, candidates = _load_predictions(out, config, validation.n_rows)
+    labelled = select_from_predictions(predictions, candidates, validation)
     meta = _meta(config)
-    outputs = _Outputs()
-    try:
+    with _Outputs() as outputs:
         outputs.via(
             out / "labelled_validation.csv",
             lambda p: write_dataset(validation.with_sensitive(labelled.pseudo), p, meta=meta),
@@ -251,9 +243,6 @@ def cmd_label(config: ExperimentConfig, args: argparse.Namespace) -> int:
                 }
             ),
         )
-    except BaseException:
-        outputs.cleanup()
-        raise
     for y in (0, 1):
         sel = labelled.by_class[y]
         print(f"class {y}: picked candidate {sel.candidate_index} (epoch {sel.epoch}, edm {sel.edm_score:.4f})")
@@ -282,15 +271,11 @@ def cmd_mc_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
         )
         for i, (a, b) in enumerate(mc.grid)
     ]
-    outputs = _Outputs()
-    try:
+    with _Outputs() as outputs:
         outputs.via(
             out / "mc_sweep.csv",
             lambda p: write_sweep_csv(p, edm_records, dp_records, meta=_meta(config)),
         )
-    except BaseException:
-        outputs.cleanup()
-        raise
     print(f"swept {len(mc.grid)} noise cells -> {out / 'mc_sweep.csv'}")
     return EXIT_OK
 
@@ -309,16 +294,14 @@ def cmd_tune(config: ExperimentConfig, args: argparse.Namespace) -> int:
         labelled = read_dataset(path)
         if labelled.sensitive is None:
             raise DataError(f"{path} carries no pseudo labels")
+        if not np.array_equal(labelled.row_ids, validation.row_ids):
+            raise DataError(f"{path} does not label the rows of the validation split")
         pseudo = PseudoLabelledValidation(
             row_ids=labelled.row_ids.copy(), pseudo=labelled.sensitive.copy(), by_class={}
         )
-    result = grid_search(train, validation, test, config.jtt, pseudo=pseudo, jobs=max(1, args.jobs))
-    outputs = _Outputs()
-    try:
+    result = grid_search(train, validation, test, config.jtt, pseudo=pseudo, jobs=args.jobs)
+    with _Outputs() as outputs:
         outputs.text(out / "tuner_result.json", _json_text({"result": result.to_dict(), **_meta(config)}))
-    except BaseException:
-        outputs.cleanup()
-        raise
     filled = sum(1 for b in result.bins if not b.empty)
     print(f"tuned: {filled}/{len(result.bins)} bins populated -> {out / 'tuner_result.json'}")
     return EXIT_OK
@@ -373,11 +356,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.result)
     if not path.exists():
         raise DataError(f"no such result file: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        result = TunerResult.from_dict(payload["result"])
-    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
-        raise DataError(f"malformed result file {path}: {type(exc).__name__}: {exc}") from None
+    payload, result = _parse_artifact(path, "result file", lambda p: (p, TunerResult.from_dict(p["result"])))
     if args.format == "json":
         sys.stdout.write(_json_text(payload))
     else:
@@ -385,11 +364,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", default=None, help="override the output directory")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker cap")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker cap")
 
 
 def build_parser() -> argparse.ArgumentParser:

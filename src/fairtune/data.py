@@ -558,28 +558,36 @@ def read_dataset(path: str | Path) -> TabularDataset:
     """Read a canonical dataset CSV back; inverse of write_dataset."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    if not lines:
+        numbered = [(i, ln) for i, ln in enumerate(fh, start=1) if not ln.startswith("#")]
+    if not numbered:
         raise DataError(f"{path}: empty dataset file")
-    reader = csv.reader(lines)
+    if not numbered[-1][1].endswith("\n"):
+        # write_dataset ends every line with one: the file was cut short.
+        raise DataError(f"{path}:{numbered[-1][0]}: last line lacks its newline (truncated file?)")
+    reader = csv.reader(ln for _, ln in numbered)
     header = next(reader)
     if tuple(header[: len(_RESERVED)]) != _RESERVED:
         raise DataError(f"{path}: not a canonical dataset file (bad reserved columns)")
     names = tuple(header[len(_RESERVED) :])
     row_ids: list[int] = []
     targets: list[int] = []
-    sens: list[str] = []
+    sens: list[int | None] = []
     splits: set[str] = set()
     feats: list[list[float]] = []
     for row in reader:
-        row_ids.append(int(row[0]))
-        targets.append(int(row[1]))
-        sens.append(row[2])
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, expected {len(header)}")
+            row_ids.append(int(row[0]))
+            targets.append(int(row[1]))
+            sens.append(None if row[2] == "" else int(row[2]))
+            feats.append([float(c) for c in row[len(_RESERVED) :]])
+        except ValueError as exc:
+            raise DataError(f"{path}:{numbered[reader.line_num - 1][0]}: {exc}") from None
         splits.add(row[3])
-        feats.append([float(c) for c in row[len(_RESERVED) :]])
     if len(splits) != 1:
         raise DataError(f"{path}: mixed split tags {sorted(splits)}")
-    blank = [s == "" for s in sens]
+    blank = [s is None for s in sens]
     if any(blank) and not all(blank):
         raise DataError(f"{path}: sensitive column is partially blank")
     return TabularDataset(
@@ -587,7 +595,7 @@ def read_dataset(path: str | Path) -> TabularDataset:
         targets=np.asarray(targets, dtype=np.int8),
         row_ids=np.asarray(row_ids, dtype=np.int64),
         split=splits.pop(),
-        sensitive=None if all(blank) else np.asarray([int(s) for s in sens], dtype=np.int8),
+        sensitive=None if all(blank) else np.asarray(sens, dtype=np.int8),
         feature_names=names if names else None,
     )
 

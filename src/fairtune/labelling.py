@@ -10,7 +10,7 @@ expected to be standardized so no single column dominates the distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -145,7 +145,7 @@ def select_from_labels(
     Ties keep the earliest candidate. Each row receives the label produced by
     the winner of its own target class.
     """
-    if not label_sets:
+    if len(label_sets) == 0:
         raise SelectionError("no candidates to select from")
     for y in (0, 1):
         if not (validation.targets == y).any():
@@ -182,15 +182,25 @@ def select_labeller(
     """
     if not candidates:
         raise SelectionError("no candidates to select from")
-    label_sets = [pseudo_label(c.model, validation) for c in candidates]
+    predictions = np.stack([predict(c.model, validation) for c in candidates])
+    return select_from_predictions(predictions, [(c.hp, c.epoch) for c in candidates], validation)
+
+
+def select_from_predictions(
+    predictions: np.ndarray,
+    candidates: Sequence[tuple[HyperParams, int]],
+    validation: TabularDataset,
+) -> PseudoLabelledValidation:
+    """Select per target class from every candidate's validation predictions.
+
+    predictions holds one row per candidate, in tie-break order, and one
+    column per validation row; candidates gives each row's hyper-params and
+    stop epoch. Row i's pseudo labels are pseudo_label of candidate i.
+    """
+    label_sets = (np.asarray(predictions) == validation.targets).astype(np.int8)
     winners, merged = select_from_labels(label_sets, validation)
     enriched = {
-        y: ClassSelection(
-            candidate_index=sel.candidate_index,
-            edm_score=sel.edm_score,
-            hp=candidates[sel.candidate_index].hp,
-            epoch=candidates[sel.candidate_index].epoch,
-        )
+        y: replace(sel, hp=candidates[sel.candidate_index][0], epoch=candidates[sel.candidate_index][1])
         for y, sel in winners.items()
     }
     return PseudoLabelledValidation(

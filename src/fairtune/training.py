@@ -10,9 +10,10 @@ after epoch k of a long run equals the final checkpoint of a k-epoch run.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -251,6 +252,30 @@ def _train_loop(X: np.ndarray, y: np.ndarray, hp: HyperParams) -> list[ModelPara
             )
         )
     return checkpoints
+
+
+# (fn, ctx) of pool_map, set in its worker processes only: ctx is sent once
+# per worker, not once per item.
+_POOL_STATE: tuple[Callable, object] | None = None
+
+
+def _pool_init(fn: Callable, ctx: object) -> None:
+    global _POOL_STATE
+    _POOL_STATE = (fn, ctx)
+
+
+def _pool_call(item):
+    fn, ctx = _POOL_STATE
+    return fn(ctx, item)
+
+
+def pool_map(fn: Callable, ctx: object, items: Sequence, jobs: int) -> list:
+    """[fn(ctx, item) for item in items]; with jobs > 1 and more than one item
+    the calls run in `jobs` worker processes (fn must then be module-level)."""
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(ctx, item) for item in items]
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init, initargs=(fn, ctx)) as pool:
+        return list(pool.map(_pool_call, items, chunksize=1))
 
 
 def train_erm(train: TabularDataset, hp: HyperParams) -> list[ModelParams]:

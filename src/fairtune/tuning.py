@@ -13,7 +13,6 @@ validation counts, and the test counts feed only the winners' test reports.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -33,6 +32,7 @@ from .training import (
     ModelParams,
     TrainingError,
     _train_loop,
+    pool_map,
     predict,
     train_erm,
     train_upsampled,
@@ -222,14 +222,6 @@ class _Best:
     task_key: tuple
 
 
-_WORKER_CTX: dict | None = None
-
-
-def _worker_init(ctx: dict) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-
-
 def _evaluate_task(ctx: dict, task: _Task) -> np.ndarray:
     """Train one stage-2 run and count every epoch checkpoint's predictions:
     counts[epoch - 1, split, y, a, yhat], split 0 on validation (selection
@@ -251,16 +243,8 @@ def _evaluate_task(ctx: dict, task: _Task) -> np.ndarray:
     )
 
 
-def _worker_run(task: _Task) -> np.ndarray:
-    return _evaluate_task(_WORKER_CTX, task)
-
-
 def _run_tasks(ctx: dict, tasks: Sequence[_Task], jobs: int) -> dict[tuple, np.ndarray]:
-    if jobs <= 1 or len(tasks) <= 1:
-        return {t.key: _evaluate_task(ctx, t) for t in tasks}
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init, initargs=(ctx,)) as pool:
-        results = list(pool.map(_worker_run, tasks, chunksize=1))
-    return {t.key: r for t, r in zip(tasks, results)}
+    return {t.key: r for t, r in zip(tasks, pool_map(_evaluate_task, ctx, tasks, jobs))}
 
 
 def _bin_of(acc: float, bins: Sequence[tuple[float, float]]) -> int | None:

@@ -1,6 +1,9 @@
+import io
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairtune.cli import main, render_table
@@ -213,18 +216,155 @@ def test_mc_sweep_csv_columns(pipeline):
 
 
 def test_train_grid_parallel_matches_sequential(tmp_path):
-    config1, out1 = load_synthetic_config(tmp_path, out_name="seq")
-    assert main(["prepare", "--config", str(config1)]) == 0
-    assert main(["train-grid", "--config", str(config1)]) == 0
-    config2, out2 = load_synthetic_config(tmp_path, out_name="par")
-    raw = json.loads(config2.read_text())
-    raw["output_dir"] = str(out2)
-    config2.write_text(json.dumps(raw))
-    assert main(["prepare", "--config", str(config2), "--out", str(out2)]) == 0
-    assert main(["train-grid", "--config", str(config2), "--out", str(out2), "--jobs", "2"]) == 0
-    files = sorted((out1 / "checkpoints").glob("g*.json"))
-    assert files
-    for f in files:
-        a = json.loads(f.read_text())
-        b = json.loads((out2 / "checkpoints" / f.name).read_text())
-        assert a["tensors"] == b["tensors"], f.name
+    config, _ = load_synthetic_config(tmp_path)
+    outs = [tmp_path / "seq", tmp_path / "par"]
+    for out, jobs in zip(outs, ("1", "2")):
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["train-grid", "--config", str(config), "--out", str(out), "--jobs", jobs]) == 0
+    assert sorted(p.name for p in (outs[0] / "checkpoints").iterdir()) == ["index.json", "predictions.npy"]
+    for name in ("index.json", "predictions.npy"):
+        assert (outs[0] / "checkpoints" / name).read_bytes() == (outs[1] / "checkpoints" / name).read_bytes()
+
+
+def test_failed_command_removes_what_it_wrote(tmp_path, monkeypatch):
+    import fairtune.cli as cli
+    from fairtune.data import DataError
+
+    config, out = load_synthetic_config(tmp_path)
+    assert main(["prepare", "--config", str(config)]) == 0
+
+    def failing_json_text(payload):
+        raise DataError("disk full")
+
+    monkeypatch.setattr(cli, "_json_text", failing_json_text)
+    assert main(["train-grid", "--config", str(config)]) == 3
+    assert list((out / "checkpoints").iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    config, _ = load_synthetic_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["train-grid", "--config", str(config), "--jobs", jobs])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "--jobs" in err
+
+
+@pytest.mark.parametrize("policy", ["every_epoch", "final_epoch"])
+def test_label_matches_library_selection(tmp_path, policy):
+    from fairtune.config import load_config
+    from fairtune.data import read_dataset
+    from fairtune.labelling import enumerate_candidates, select_labeller
+
+    config, out = load_synthetic_config(tmp_path, labelling={"policy": policy})
+    for command in ("prepare", "train-grid", "label"):
+        assert main([command, "--config", str(config)]) == 0
+    train = read_dataset(out / "datasets" / "train.csv")
+    validation = read_dataset(out / "datasets" / "validation.csv")
+    candidates = enumerate_candidates(train, load_config(config).labeller_grid)
+    if policy == "final_epoch":
+        candidates = [c for c in candidates if c.epoch == c.hp.epochs]
+    expected = select_labeller(candidates, validation)
+    labelled = read_dataset(out / "labelled_validation.csv")
+    np.testing.assert_array_equal(labelled.sensitive, expected.pseudo)
+    labelling = json.loads((out / "labelling.json").read_text())
+    assert labelling["n_candidates"] == len(candidates)
+    assert labelling["by_class"] == json.loads(
+        json.dumps({str(y): sel.to_dict() for y, sel in expected.by_class.items()})
+    )
+
+
+@pytest.fixture(scope="module")
+def labeller_grid_run(tmp_path_factory):
+    """prepare and train-grid on the bundled synthetic config (copied per test)."""
+    tmp_path = tmp_path_factory.mktemp("grid")
+    config, out = load_synthetic_config(tmp_path)
+    for command in ("prepare", "train-grid"):
+        assert main([command, "--config", str(config)]) == 0
+    return config, out
+
+
+def _npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def _damage_index(edit):
+    def damage(ckpt):
+        path = ckpt / "index.json"
+        path.write_text(edit(path.read_text()))
+
+    return damage
+
+
+def _damage_matrix(edit):
+    def damage(ckpt):
+        path = ckpt / "predictions.npy"
+        path.write_bytes(edit(path.read_bytes(), np.load(path)))
+
+    return damage
+
+
+def _shorten_index(text):
+    payload = json.loads(text)
+    payload["candidates"].pop()
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _damage_index(lambda t: t[: len(t) // 2]),
+        _damage_index(lambda t: ""),
+        _damage_index(lambda t: json.dumps({"x": 1})),
+        _damage_index(lambda t: json.dumps({"candidates": [{"grid_index": 0, "epoch": 1}]})),
+        _damage_index(lambda t: json.dumps({"candidates": [1, 2]})),
+        _damage_index(lambda t: json.dumps([1])),
+        _damage_index(_shorten_index),
+        _damage_matrix(lambda raw, m: raw[: len(raw) // 2]),
+        _damage_matrix(lambda raw, m: b""),
+        _damage_matrix(lambda raw, m: b'{"x": 1}\n'),
+        _damage_matrix(lambda raw, m: _npy_bytes(m.astype(np.float64))),
+        _damage_matrix(lambda raw, m: _npy_bytes(m[:, :-1])),
+        _damage_matrix(lambda raw, m: _npy_bytes(m[:-1])),
+        _damage_matrix(lambda raw, m: _npy_bytes(m[0])),
+    ],
+    ids=[
+        "index-truncated", "index-empty", "index-no-candidates", "index-entry-missing-key",
+        "index-entry-not-object", "index-not-object", "index-shorter-than-matrix",
+        "matrix-truncated", "matrix-empty", "matrix-not-npy", "matrix-float64",
+        "matrix-short-rows", "matrix-missing-row", "matrix-1d",
+    ],
+)
+def test_label_damaged_grid_artifacts_are_data_errors(labeller_grid_run, tmp_path, capsys, damage):
+    config, out = labeller_grid_run
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    damage(copy / "checkpoints")
+    assert main(["label", "--config", str(config), "--out", str(copy)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and len(err.splitlines()) == 1
+    assert not (copy / "labelled_validation.csv").exists()
+
+
+def _cut_mid_row(text):
+    return text[: len(text) // 2]
+
+
+def _cut_at_line_end(text):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[: len(lines) // 2])
+
+
+@pytest.mark.parametrize("cut", [_cut_mid_row, _cut_at_line_end])
+@pytest.mark.parametrize("command, path", [("label", "datasets/validation.csv"), ("tune", "labelled_validation.csv")])
+def test_truncated_dataset_is_a_data_error(pipeline, tmp_path, capsys, command, path, cut):
+    config, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    (copy / path).write_text(cut((copy / path).read_text()))
+    assert main([command, "--config", str(config), "--out", str(copy)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and len(err.splitlines()) == 1

@@ -344,3 +344,41 @@ def test_write_is_deterministic(tmp_path, planted):
     write_dataset(train, p1, meta={"k": "v"})
     write_dataset(train, p2, meta={"k": "v"})
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _cut_in_half(text):
+    return text[: len(text) // 2]
+
+
+def _drop_last_newline(text):
+    return text[:-1]
+
+
+def _short_row(text):
+    lines = text.splitlines(keepends=True)
+    lines[4] = lines[4].rsplit(",", 1)[0] + "\n"
+    return "".join(lines)
+
+
+def _garbled_float(text):
+    lines = text.splitlines(keepends=True)
+    lines[4] = lines[4].rsplit(",", 1)[0] + ",1.2.3\n"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_cut_in_half, r"ds\.csv:5: last line lacks its newline"),
+        (_drop_last_newline, r"ds\.csv:10: last line lacks its newline"),
+        (_short_row, r"ds\.csv:5: 4 fields, expected 5"),
+        (_garbled_float, r"ds\.csv:5: could not convert string to float: '1\.2\.3'"),
+    ],
+)
+def test_read_rejects_damaged_rows_with_their_line(tmp_path, corrupt, message):
+    ds = make_dataset([[i + 0.25] for i in range(8)], [0, 1] * 4)
+    path = tmp_path / "ds.csv"
+    write_dataset(ds, path, meta={"config_sha256": "abc"})
+    path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        read_dataset(path)
