@@ -38,6 +38,7 @@ from .data import (
     generate_synthetic,
     load_csv,
     read_dataset,
+    read_labels,
     split,
     write_dataset,
 )
@@ -100,6 +101,13 @@ def _meta(config: ExperimentConfig) -> dict[str, str]:
     return {"config_sha256": config.canonical_hash(), "tool_version": __version__}
 
 
+def _write_split(outputs: _Outputs, path: Path, data: TabularDataset, config: ExperimentConfig) -> None:
+    """Write a dataset CSV that records its row count, so that readers reject
+    a copy cut at a line end."""
+    meta = {**_meta(config), "n_rows": str(data.n_rows)}
+    outputs.via(path, lambda p: write_dataset(data, p, meta=meta))
+
+
 def _out_dir(config: ExperimentConfig) -> Path:
     return Path(config.output_dir)
 
@@ -136,10 +144,8 @@ def cmd_prepare(config: ExperimentConfig, args: argparse.Namespace) -> int:
         data = _build_dataset(config)
         train, validation, test = split(data, config.split_fractions, config.split_seed)
         std = fit_standardizer(train)
-        meta = _meta(config)
         for name, ds in (("train", train), ("validation", validation), ("test", test)):
-            ds = apply_standardizer(std, ds)
-            outputs.via(out / "datasets" / f"{name}.csv", lambda p, d=ds: write_dataset(d, p, meta=meta))
+            _write_split(outputs, out / "datasets" / f"{name}.csv", apply_standardizer(std, ds), config)
         outputs.text(
             out / "standardizer.json",
             _json_text(
@@ -147,7 +153,7 @@ def cmd_prepare(config: ExperimentConfig, args: argparse.Namespace) -> int:
                     "mean": [float(v) for v in std.mean],
                     "scale": [float(v) for v in std.scale],
                     "apply_mask": [bool(v) for v in std.apply_mask],
-                    **meta,
+                    **_meta(config),
                 }
             ),
         )
@@ -228,10 +234,7 @@ def cmd_label(config: ExperimentConfig, args: argparse.Namespace) -> int:
     labelled = select_from_predictions(predictions, candidates, validation)
     meta = _meta(config)
     with _Outputs() as outputs:
-        outputs.via(
-            out / "labelled_validation.csv",
-            lambda p: write_dataset(validation.with_sensitive(labelled.pseudo), p, meta=meta),
-        )
+        _write_split(outputs, out / "labelled_validation.csv", validation.with_sensitive(labelled.pseudo), config)
         outputs.text(
             out / "labelling.json",
             _json_text(
@@ -291,7 +294,7 @@ def cmd_tune(config: ExperimentConfig, args: argparse.Namespace) -> int:
     if config.jtt.sensitive_source == "pseudo":
         path = _require_artifact(out / "labelled_validation.csv", "label")
         _check_provenance(path, config, dataset_file_meta(path).get("config_sha256"))
-        labelled = read_dataset(path)
+        labelled = read_labels(path)
         if labelled.sensitive is None:
             raise DataError(f"{path} carries no pseudo labels")
         if not np.array_equal(labelled.row_ids, validation.row_ids):

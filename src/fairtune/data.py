@@ -533,80 +533,147 @@ def write_dataset(data: TabularDataset, path: str | Path, meta: Mapping[str, str
     Reserved columns __row_id, __target, __sensitive (blank when absent) and
     __split come first, then the feature columns. Floats are written in
     shortest round-trip form, so read_dataset reproduces them bit-exactly.
-    Optional metadata is stored as leading '#key=value' lines.
+    Optional metadata is stored as leading '#key=value' lines; an `n_rows`
+    entry makes readers reject a file holding any other number of rows.
     """
     path = Path(path)
     names = data.feature_names or tuple(f"x{j}" for j in range(data.n_features))
+    sens = [""] * data.n_rows if data.sensitive is None else data.sensitive.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if meta:
             for key in sorted(meta):
                 fh.write(f"#{key}={meta[key]}\n")
         fh.write(",".join(_RESERVED + names) + "\n")
-        sens = data.sensitive
-        for i in range(data.n_rows):
-            cells = [
-                str(int(data.row_ids[i])),
-                str(int(data.targets[i])),
-                "" if sens is None else str(int(sens[i])),
-                data.split,
-            ]
-            cells.extend(repr(float(v)) for v in data.features[i])
-            fh.write(",".join(cells) + "\n")
+        for row_id, target, s, row in zip(
+            data.row_ids.tolist(), data.targets.tolist(), sens, data.features.tolist()
+        ):
+            fh.write(",".join((f"{row_id},{target},{s},{data.split}", *map(repr, row))) + "\n")
+
+
+def _meta_lines(lines) -> dict[str, str]:
+    meta: dict[str, str] = {}
+    for line in lines:
+        if not line.startswith("#"):
+            break
+        key, _, value = line[1:].rstrip("\r\n").partition("=")
+        meta[key] = value
+    return meta
+
+
+def _scan_dataset(path: Path) -> tuple[tuple[str, ...], list[str], list[int], dict]:
+    """The line scan of a canonical dataset file: everything but the features.
+
+    Returns the feature names, the data lines with their file line numbers,
+    and the parsed reserved columns as TabularDataset keyword arguments.
+    '#' lines are skipped wherever they are; the leading ones are metadata.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    numbers: list[int] = []
+    rows: list[str] = []
+    for number, line in enumerate(lines, start=1):
+        if not line.startswith("#"):
+            numbers.append(number)
+            rows.append(line)
+    if not rows:
+        raise DataError(f"{path}: empty dataset file")
+    if not rows[-1].endswith("\n"):
+        # write_dataset ends every line with one: the file was cut short.
+        raise DataError(f"{path}:{numbers[-1]}: last line lacks its newline (truncated file?)")
+    header = tuple(rows[0].rstrip("\r\n").split(","))
+    if header[: len(_RESERVED)] != _RESERVED:
+        raise DataError(f"{path}: not a canonical dataset file (bad reserved columns)")
+    del numbers[0], rows[0]
+    recorded = _meta_lines(lines).get("n_rows")
+    if recorded is not None and recorded != str(len(rows)):
+        raise DataError(f"{path}: {len(rows)} data rows, but the file records n_rows={recorded} (truncated file?)")
+    commas = len(header) - 1
+    row_ids: list[int] = []
+    targets: list[int] = []
+    sens: list[int | None] = []
+    splits: set[str] = set()
+    for number, line in zip(numbers, rows):
+        try:
+            if line.count(",") != commas:
+                fields = line.count(",") + 1 if line.strip("\r\n") else 0
+                raise ValueError(f"{fields} fields, expected {len(header)}")
+            row_id, target, s, tag = line.split(",", len(_RESERVED))[: len(_RESERVED)]
+            row_ids.append(int(row_id))
+            targets.append(int(target))
+            sens.append(None if s == "" else int(s))
+        except ValueError as exc:
+            raise DataError(f"{path}:{number}: {exc}") from None
+        splits.add(tag)
+    # With no feature columns the split tag ends the line.
+    splits = {tag.rstrip("\r\n") for tag in splits}
+    if len(splits) != 1:
+        raise DataError(f"{path}: mixed split tags {sorted(splits)}")
+    blank = sens.count(None)
+    if blank and blank != len(sens):
+        raise DataError(f"{path}: sensitive column is partially blank")
+    reserved = {
+        "targets": np.asarray(targets, dtype=np.int8),
+        "row_ids": np.asarray(row_ids, dtype=np.int64),
+        "split": splits.pop(),
+        "sensitive": None if blank else np.asarray(sens, dtype=np.int8),
+    }
+    return header[len(_RESERVED) :], rows, numbers, reserved
+
+
+def _parse_features(path: Path, rows: list[str], numbers: list[int], n_features: int) -> np.ndarray:
+    """The feature cells of the data lines as one float64 matrix.
+
+    numpy's parser rounds decimal text as float() does. A cell it rejects
+    sends the rows through float() one by one, which names the first row
+    float() rejects, or accepts what float() accepts.
+    """
+    first = len(_RESERVED)
+    if not n_features:
+        return np.empty((len(rows), 0))
+    try:
+        return np.loadtxt(
+            rows,
+            delimiter=",",
+            comments=None,
+            usecols=range(first, first + n_features),
+            dtype=np.float64,
+            ndmin=2,
+        )
+    except ValueError:
+        pass
+    feats: list[list[float]] = []
+    for number, line in zip(numbers, rows):
+        try:
+            feats.append([float(c) for c in line.rstrip("\r\n").split(",")[first:]])
+        except ValueError as exc:
+            raise DataError(f"{path}:{number}: {exc}") from None
+    return np.asarray(feats, dtype=np.float64)
 
 
 def read_dataset(path: str | Path) -> TabularDataset:
     """Read a canonical dataset CSV back; inverse of write_dataset."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        numbered = [(i, ln) for i, ln in enumerate(fh, start=1) if not ln.startswith("#")]
-    if not numbered:
-        raise DataError(f"{path}: empty dataset file")
-    if not numbered[-1][1].endswith("\n"):
-        # write_dataset ends every line with one: the file was cut short.
-        raise DataError(f"{path}:{numbered[-1][0]}: last line lacks its newline (truncated file?)")
-    reader = csv.reader(ln for _, ln in numbered)
-    header = next(reader)
-    if tuple(header[: len(_RESERVED)]) != _RESERVED:
-        raise DataError(f"{path}: not a canonical dataset file (bad reserved columns)")
-    names = tuple(header[len(_RESERVED) :])
-    row_ids: list[int] = []
-    targets: list[int] = []
-    sens: list[int | None] = []
-    splits: set[str] = set()
-    feats: list[list[float]] = []
-    for row in reader:
-        try:
-            if len(row) != len(header):
-                raise ValueError(f"{len(row)} fields, expected {len(header)}")
-            row_ids.append(int(row[0]))
-            targets.append(int(row[1]))
-            sens.append(None if row[2] == "" else int(row[2]))
-            feats.append([float(c) for c in row[len(_RESERVED) :]])
-        except ValueError as exc:
-            raise DataError(f"{path}:{numbered[reader.line_num - 1][0]}: {exc}") from None
-        splits.add(row[3])
-    if len(splits) != 1:
-        raise DataError(f"{path}: mixed split tags {sorted(splits)}")
-    blank = [s is None for s in sens]
-    if any(blank) and not all(blank):
-        raise DataError(f"{path}: sensitive column is partially blank")
+    names, rows, numbers, reserved = _scan_dataset(path)
     return TabularDataset(
-        features=np.asarray(feats, dtype=np.float64),
-        targets=np.asarray(targets, dtype=np.int8),
-        row_ids=np.asarray(row_ids, dtype=np.int64),
-        split=splits.pop(),
-        sensitive=None if all(blank) else np.asarray(sens, dtype=np.int8),
+        features=_parse_features(path, rows, numbers, len(names)),
         feature_names=names if names else None,
+        **reserved,
     )
+
+
+def read_labels(path: str | Path) -> TabularDataset:
+    """Read the reserved columns of a canonical dataset CSV (row ids, targets,
+    sensitive values, split) without parsing its features.
+
+    The result has a zero-column feature matrix. A file read_dataset rejects
+    for its layout, row count or reserved cells is rejected here too.
+    """
+    path = Path(path)
+    _, rows, _, reserved = _scan_dataset(path)
+    return TabularDataset(features=np.empty((len(rows), 0)), **reserved)
 
 
 def dataset_file_meta(path: str | Path) -> dict[str, str]:
     """Metadata key/value pairs stored in a canonical dataset file."""
-    meta: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            key, _, value = line[1:].rstrip("\n").partition("=")
-            meta[key] = value
-    return meta
+        return _meta_lines(fh)

@@ -359,12 +359,48 @@ def _cut_at_line_end(text):
 
 
 @pytest.mark.parametrize("cut", [_cut_mid_row, _cut_at_line_end])
-@pytest.mark.parametrize("command, path", [("label", "datasets/validation.csv"), ("tune", "labelled_validation.csv")])
+@pytest.mark.parametrize(
+    "command, path",
+    [("label", "datasets/validation.csv"), ("tune", "labelled_validation.csv"), ("train-grid", "datasets/train.csv")],
+)
 def test_truncated_dataset_is_a_data_error(pipeline, tmp_path, capsys, command, path, cut):
     config, out = pipeline
     copy = tmp_path / "out"
     shutil.copytree(out, copy)
     (copy / path).write_text(cut((copy / path).read_text()))
     assert main([command, "--config", str(config), "--out", str(copy)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and len(err.splitlines()) == 1
+
+
+def _damage_row(edit):
+    def damage(text):
+        lines = text.splitlines(keepends=True)
+        lines[10] = edit(lines[10])
+        return "".join(lines)
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _damage_row(lambda ln: "\n"),
+        _damage_row(lambda ln: ln[:-1] + ",\n"),
+        _damage_row(lambda ln: "x" + ln),
+        _damage_row(lambda ln: ln.replace(",validation,", ",test,")),
+        _damage_row(lambda ln: ln.replace(",validation,", ",,validation,", 1)),
+        lambda text: text + text.splitlines(keepends=True)[-1],
+        lambda text: text.replace("#n_rows=", "#n_rows=1"),
+    ],
+    ids=["blank-line", "trailing-comma", "bad-row-id", "mixed-split", "shifted-cells", "duplicate-row", "bad-count"],
+)
+def test_tune_damaged_labelled_validation_is_a_data_error(pipeline, tmp_path, capsys, damage):
+    config, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    path = copy / "labelled_validation.csv"
+    path.write_text(damage(path.read_text()))
+    assert main(["tune", "--config", str(config), "--out", str(copy)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and len(err.splitlines()) == 1

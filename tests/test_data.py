@@ -1,7 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairtune.data import (
     BlockSpec,
@@ -19,6 +22,7 @@ from fairtune.data import (
     generate_synthetic,
     load_csv,
     read_dataset,
+    read_labels,
     split,
     write_dataset,
 )
@@ -382,3 +386,172 @@ def test_read_rejects_damaged_rows_with_their_line(tmp_path, corrupt, message):
     path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
     with pytest.raises(DataError, match=message):
         read_dataset(path)
+
+
+# Floats whose text form stresses a parser: subnormals, signed zeros, the
+# extremes of the exponent range and reprs in exponent form.
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e308, 1e-308, 1e-05, -1e-05,
+    1e16, 1e22, 0.1, 1.0, float("inf"), float("-inf"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 40),
+    d=st.integers(1, 8),
+    with_sensitive=st.booleans(),
+    tag=st.sampled_from(("train", "validation", "test", "all")),
+    meta=st.sampled_from((None, {"n_rows"}, {"config_sha256", "n_rows"})),
+)
+def test_round_trip_property(tmp_path_factory, data, n, d, with_sensitive, tag, meta):
+    cell = st.one_of(st.floats(allow_nan=False), st.sampled_from(EDGE_FLOATS))
+    features = np.array(data.draw(st.lists(cell, min_size=n * d, max_size=n * d)), dtype=np.float64)
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    ds = TabularDataset(
+        features=features.reshape(n, d),
+        targets=data.draw(bits),
+        row_ids=data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n, unique=True)),
+        split=tag,
+        sensitive=data.draw(bits) if with_sensitive else None,
+    )
+    path = tmp_path_factory.mktemp("rt") / "ds.csv"
+    write_dataset(ds, path, meta=meta and {key: str(n) if key == "n_rows" else "x" for key in meta})
+    back = read_dataset(path)
+    labels = read_labels(path)
+    np.testing.assert_array_equal(back.features.view(np.int64), ds.features.view(np.int64))
+    for read in (back, labels):
+        np.testing.assert_array_equal(read.row_ids, ds.row_ids)
+        np.testing.assert_array_equal(read.targets, ds.targets)
+        if with_sensitive:
+            np.testing.assert_array_equal(read.sensitive, ds.sensitive)
+        else:
+            assert read.sensitive is None
+        assert read.split == tag
+    assert labels.features.shape == (n, 0)
+    assert back.feature_names == tuple(f"x{j}" for j in range(d))
+
+
+def _reference_read(path):
+    """Per-cell float() parse of a canonical dataset file: the oracle."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+    body = rows[1:]
+    return (
+        np.array([[float(c) for c in row[4:]] for row in body], dtype=np.float64),
+        np.array([int(row[0]) for row in body]),
+        np.array([int(row[1]) for row in body]),
+        np.array([int(row[2]) for row in body]),
+        {row[3] for row in body},
+    )
+
+
+def test_read_matches_per_cell_float_oracle(tmp_path):
+    """Census-shaped file: 100 columns of standardized numerics, one-hot
+    indicators and values with long or exponent-form reprs."""
+    rng = np.random.default_rng(5)
+    n = 400
+    numeric = rng.standard_normal((n, 40)) * 10.0 ** rng.integers(-12, 12, (n, 40))
+    onehot = (rng.random((n, 50)) < 0.2).astype(np.float64)
+    edges = rng.choice(np.array(EDGE_FLOATS[:-2]), size=(n, 10))
+    ds = TabularDataset(
+        features=np.hstack([numeric, onehot, edges]),
+        targets=rng.integers(0, 2, n),
+        row_ids=rng.permutation(10 * n)[:n],
+        split="validation",
+        sensitive=rng.integers(0, 2, n),
+    )
+    path = tmp_path / "census.csv"
+    write_dataset(ds, path, meta={"n_rows": str(n)})
+    features, row_ids, targets, sensitive, splits = _reference_read(path)
+    back = read_dataset(path)
+    assert back.features.shape == (n, 100)
+    np.testing.assert_array_equal(back.features.view(np.int64), features.view(np.int64))
+    np.testing.assert_array_equal(back.features.view(np.int64), ds.features.view(np.int64))
+    np.testing.assert_array_equal(back.row_ids, row_ids)
+    np.testing.assert_array_equal(back.targets, targets)
+    np.testing.assert_array_equal(back.sensitive, sensitive)
+    assert {back.split} == splits
+
+
+def _edit_line(k, edit):
+    """Apply edit to the k-th data row (1-based) of a file with two metadata lines."""
+
+    def corrupt(text):
+        lines = text.splitlines(keepends=True)
+        lines[2 + k] = edit(lines[2 + k])
+        return "".join(lines)
+
+    return corrupt
+
+
+def _cut_at_line_end(text):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[: len(lines) // 2])
+
+
+# Line numbers: 1-2 metadata, 3 header, 4-11 the eight data rows.
+@pytest.mark.parametrize(
+    "corrupt, message, labels_read",
+    [
+        (_edit_line(3, lambda ln: "\n"), r"ds\.csv:6: 0 fields, expected 5", False),
+        (_edit_line(3, lambda ln: ln[:-1] + ",\n"), r"ds\.csv:6: 6 fields, expected 5", False),
+        (_edit_line(2, lambda ln: "1.5" + ln[1:]), r"ds\.csv:5: invalid literal for int\(\)", False),
+        (_edit_line(2, lambda ln: ln[ln.index(","):]), r"ds\.csv:5: invalid literal for int\(\)", False),
+        (
+            _edit_line(8, lambda ln: ln.rsplit(",", 1)[0] + ",0.5e\n"),
+            r"ds\.csv:11: could not convert string to float: '0\.5e'",
+            True,
+        ),
+        (_cut_at_line_end, r"ds\.csv: 2 data rows, but the file records n_rows=8", False),
+        (lambda text: text + "8,0,1,train,1.0\n", r"ds\.csv: 9 data rows, but the file records n_rows=8", False),
+        (lambda text: text[: len(text) // 2], r"ds\.csv:5: last line lacks its newline", False),
+    ],
+    ids=[
+        "blank-line", "trailing-comma", "float-row-id", "empty-row-id", "bad-float-last-row",
+        "cut-at-line-end", "extra-row", "cut-mid-row",
+    ],
+)
+def test_reader_fault_injection(tmp_path, corrupt, message, labels_read):
+    ds = make_dataset([[i + 0.25] for i in range(8)], [0, 1] * 4, sensitive=[1, 0] * 4)
+    path = tmp_path / "ds.csv"
+    write_dataset(ds, path, meta={"config_sha256": "abc", "n_rows": "8"})
+    path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        read_dataset(path)
+    if labels_read:
+        # read_labels does not parse the features it skips.
+        np.testing.assert_array_equal(read_labels(path).row_ids, ds.row_ids)
+    else:
+        with pytest.raises(DataError, match=message):
+            read_labels(path)
+
+
+def test_comment_lines_between_rows_are_skipped(tmp_path):
+    ds = make_dataset([[i + 0.25, -i * 1e-5] for i in range(6)], [0, 1] * 3)
+    path = tmp_path / "ds.csv"
+    write_dataset(ds, path, meta={"n_rows": "6"})
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.insert(4, "# a note\n")
+    lines.append("#trailer\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    back = read_dataset(path)
+    np.testing.assert_array_equal(back.features.view(np.int64), ds.features.view(np.int64))
+    np.testing.assert_array_equal(read_labels(path).row_ids, ds.row_ids)
+    # A damaged row after the note is still reported at its file line.
+    lines[6] = lines[6].rsplit(",", 1)[0] + ",x\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(DataError, match=r"ds\.csv:7: could not convert string to float: 'x'"):
+        read_dataset(path)
+
+
+def test_files_without_a_row_count_still_read(tmp_path):
+    ds = make_dataset([[1.5], [2.5], [3.5]], [0, 1, 0])
+    path = tmp_path / "ds.csv"
+    write_dataset(ds, path, meta={"config_sha256": "abc"})
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]), encoding="utf-8")
+    assert read_dataset(path).n_rows == 2
+    assert read_labels(path).n_rows == 2
