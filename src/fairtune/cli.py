@@ -88,8 +88,11 @@ class _Outputs:
     def via(self, path: Path, writer) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + ".tmp")
-        writer(tmp)
-        os.replace(tmp, path)
+        try:
+            writer(tmp)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         self.written.append(path)
 
 
@@ -232,9 +235,17 @@ def cmd_label(config: ExperimentConfig, args: argparse.Namespace) -> int:
     validation = _read_split(out, "validation", config)
     predictions, candidates = _load_predictions(out, config, validation.n_rows)
     labelled = select_from_predictions(predictions, candidates, validation)
+    # The readers of labelled_validation.csv take the reserved columns only.
+    labels = TabularDataset(
+        features=np.empty((validation.n_rows, 0)),
+        targets=validation.targets,
+        row_ids=validation.row_ids,
+        split=validation.split,
+        sensitive=labelled.pseudo,
+    )
     meta = _meta(config)
     with _Outputs() as outputs:
-        _write_split(outputs, out / "labelled_validation.csv", validation.with_sensitive(labelled.pseudo), config)
+        _write_split(outputs, out / "labelled_validation.csv", labels, config)
         outputs.text(
             out / "labelling.json",
             _json_text(

@@ -195,13 +195,23 @@ def regularized_loss(model: ModelParams, X: np.ndarray, y: np.ndarray, weight_de
     return float(np.mean(bce_with_logits(z, y))) + weight_decay * penalty
 
 
+def _hidden_workspace(m: int, d: int, h: int) -> tuple[np.ndarray, ...]:
+    """Hidden-layer step buffers for batches of up to m rows: z1, the ReLU
+    output and dz1 (m x h each), and gw1 (d x h)."""
+    return (np.empty((m, h)), np.empty((m, h)), np.empty((m, h)), np.empty((d, h)))
+
+
 def _gradients(
     tensors: tuple[np.ndarray, ...],
     is_mlp: bool,
     X: np.ndarray,
     y: np.ndarray,
     weight_decay: float,
+    workspace: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, ...]:
+    """Gradients of one batch. The hidden-layer step writes its intermediates
+    and gw1 into `workspace` (from `_hidden_workspace`, at least X.shape[0]
+    rows); the returned gw1 is then that buffer, valid until the next call."""
     m = X.shape[0]
     if not is_mlp:
         w, b = tensors
@@ -209,15 +219,21 @@ def _gradients(
         dz = (_expit(z) - y) / m
         return (X.T @ dz + 2.0 * weight_decay * w, np.asarray(dz.sum()))
     w1, b1, w2, b2 = tensors
-    z1 = X @ w1 + b1
-    hidden = np.maximum(z1, 0.0)
+    if workspace is None:
+        workspace = _hidden_workspace(m, *w1.shape)
+    z1, hidden, dz1, gw1 = workspace
+    z1, hidden, dz1 = z1[:m], hidden[:m], dz1[:m]
+    np.matmul(X, w1, out=z1)
+    z1 += b1
+    np.maximum(z1, 0.0, out=hidden)
     z = hidden @ w2 + b2
     dz = (_expit(z) - y) / m
     gw2 = hidden.T @ dz + 2.0 * weight_decay * w2
     gb2 = np.asarray(dz.sum())
-    dh = np.outer(dz, w2)
-    dz1 = dh * (z1 > 0.0)
-    gw1 = X.T @ dz1 + 2.0 * weight_decay * w1
+    np.multiply.outer(dz, w2, out=dz1)
+    dz1 *= z1 > 0.0
+    np.matmul(X.T, dz1, out=gw1)
+    gw1 += 2.0 * weight_decay * w1
     gb1 = dz1.sum(axis=0)
     return (gw1, gb1, gw2, gb2)
 
@@ -227,21 +243,45 @@ def gradients(model: ModelParams, X: np.ndarray, y: np.ndarray, weight_decay: fl
     return _gradients(model.tensors, model.is_mlp, np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64), weight_decay)
 
 
-def _train_loop(X: np.ndarray, y: np.ndarray, hp: HyperParams) -> list[ModelParams]:
-    n, d = X.shape
+def _train_loop(
+    X: np.ndarray, y: np.ndarray, hp: HyperParams, rows: np.ndarray | None = None
+) -> list[ModelParams]:
+    """Train on the rows of X (float64 features) and y (float64 targets),
+    returning the checkpoint after every epoch.
+
+    `rows` lists the positions in X and y of the training set's rows, in
+    order and with repeats (an upsampled set); None means each row once.
+    Each epoch shuffles that list, and each batch is gathered from X and y
+    into a buffer reused across steps, so the set is never materialized.
+    """
+    n_all, d = X.shape
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.size and (rows.min() < 0 or rows.max() >= n_all):
+            raise TrainingError(f"row positions outside 0..{n_all - 1}")
+    n = n_all if rows is None else len(rows)
     model = init_params(hp, d)
-    tensors = model.tensors
+    tensors = tuple(t.copy() for t in model.tensors)
     is_mlp = model.is_mlp
     lr = hp.learning_rate
+    m = min(hp.batch_size, n)
+    X_batch, y_batch = np.empty((m, d)), np.empty(m)
+    workspace = _hidden_workspace(m, d, hp.hidden_units) if is_mlp else None
     checkpoints: list[ModelParams] = []
     for epoch in range(hp.epochs):
         order = np.random.default_rng(hp.seed + epoch).permutation(n)
+        if rows is not None:
+            order = rows[order]
         for bi, start in enumerate(range(0, n, hp.batch_size)):
             idx = order[start : start + hp.batch_size]
-            grads = _gradients(tensors, is_mlp, X[idx], y[idx], hp.weight_decay)
+            # Positions are in range, so "clip" only skips numpy's buffered check.
+            Xb = np.take(X, idx, axis=0, out=X_batch[: len(idx)], mode="clip")
+            yb = np.take(y, idx, out=y_batch[: len(idx)], mode="clip")
+            grads = _gradients(tensors, is_mlp, Xb, yb, hp.weight_decay, workspace)
             if not all(np.isfinite(g).all() for g in grads):
                 raise TrainingError(f"non-finite gradient at epoch {epoch}, batch {bi}")
-            tensors = tuple(t - lr * g for t, g in zip(tensors, grads))
+            for t, g in zip(tensors, grads):
+                t -= lr * g
         checkpoints.append(
             ModelParams(
                 tensors=tuple(t.copy() for t in tensors),
@@ -271,10 +311,11 @@ def _pool_call(item):
 
 def pool_map(fn: Callable, ctx: object, items: Sequence, jobs: int) -> list:
     """[fn(ctx, item) for item in items]; with jobs > 1 and more than one item
-    the calls run in `jobs` worker processes (fn must then be module-level)."""
+    the calls run in min(jobs, len(items)) worker processes (fn must then be
+    module-level)."""
     if jobs <= 1 or len(items) <= 1:
         return [fn(ctx, item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init, initargs=(fn, ctx)) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items)), initializer=_pool_init, initargs=(fn, ctx)) as pool:
         return list(pool.map(_pool_call, items, chunksize=1))
 
 
@@ -321,12 +362,10 @@ def train_upsampled(
     hp: HyperParams,
 ) -> list[ModelParams]:
     """train_erm on the virtual set where each repeated row appears lam times."""
-    idx = upsampled_index(train, repeat_ids, lam)
-    X = train.features[idx]
-    y = train.targets[idx].astype(np.float64)
-    if not np.isfinite(X).all():
+    rows = upsampled_index(train, repeat_ids, lam)
+    if not np.isfinite(train.features).all():
         raise TrainingError("training features contain non-finite values")
-    return _train_loop(X, y, hp)
+    return _train_loop(train.features, train.targets.astype(np.float64), hp, rows)
 
 
 _FORMAT_VERSION = 1

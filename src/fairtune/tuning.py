@@ -7,14 +7,15 @@ point, stage-2 epoch) combination, buckets candidates into half-open average
 validation-accuracy bins, and picks the candidate per bin that optimizes a
 fairness objective measured on the validation set's (pseudo or ground-truth)
 sensitive labels. Each stage-2 run counts every epoch's predictions on
-validation and on the test split's ground truth; all selection reads the
-validation counts, and the test counts feed only the winners' test reports.
+validation, and all selection reads those counts. The run predicts the test
+split's ground truth only at the few epochs that can win a bin or the
+unconstrained baseline; those counts feed only the winners' test reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -194,9 +195,10 @@ def jtt_train(
 # A *task* is one stage-2 training run; a *candidate* is one task epoch.
 # Tasks are deduplicated (lambda == 1 or an empty repeat set collapse to the
 # plain run of their stage-2 point) and may be evaluated in parallel; each
-# returns the confusion counts of every epoch. The selection pass is a
-# sequential reduction in canonical grid order, so the winners never depend
-# on the degree of parallelism.
+# returns every epoch's validation score and the confusion counts of the
+# epochs that can win. The selection pass is a sequential reduction in
+# canonical grid order, so the winners never depend on the degree of
+# parallelism.
 # ----------------------------------------------------------------------------
 
 
@@ -214,37 +216,10 @@ class _Combo:
     task_key: tuple
 
 
-@dataclass
-class _Best:
-    obj: float
-    acc: float
-    ref: CandidateRef
-    task_key: tuple
-
-
-def _evaluate_task(ctx: dict, task: _Task) -> np.ndarray:
-    """Train one stage-2 run and count every epoch checkpoint's predictions:
-    counts[epoch - 1, split, y, a, yhat], split 0 on validation (selection
-    labels) and split 1 on test (ground truth)."""
-    X, y = ctx["train_X"], ctx["train_y"]
-    if task.err_pos:
-        idx = upsampled_positions(X.shape[0], task.err_pos, task.lam)
-        X, y = X[idx], y[idx]
-    ckpts = _train_loop(X, y.astype(np.float64), task.stage2)
-    del X, y  # release the upsampled copy before scoring
-    return np.array(
-        [
-            [
-                confusion_counts(predict(ckpt, ctx["val_X"]), ctx["val_y"], ctx["val_sens"]),
-                confusion_counts(predict(ckpt, ctx["test_X"]), ctx["test_y"], ctx["test_sens"]),
-            ]
-            for ckpt in ckpts
-        ]
-    )
-
-
-def _run_tasks(ctx: dict, tasks: Sequence[_Task], jobs: int) -> dict[tuple, np.ndarray]:
-    return {t.key: r for t, r in zip(tasks, pool_map(_evaluate_task, ctx, tasks, jobs))}
+@dataclass(frozen=True)
+class _TaskResult:
+    scores: tuple[tuple[float, float], ...]  # (accuracy, objective) per epoch on validation
+    counts: Mapping[int, tuple[np.ndarray, np.ndarray]]  # candidate epoch -> (validation, test) counts
 
 
 def _bin_of(acc: float, bins: Sequence[tuple[float, float]]) -> int | None:
@@ -252,6 +227,65 @@ def _bin_of(acc: float, bins: Sequence[tuple[float, float]]) -> int | None:
         if lo <= acc < hi:
             return i
     return None
+
+
+def _select(candidates: Iterable[tuple], bins: Sequence[tuple[float, float]], minimize: bool) -> tuple[list, tuple | None]:
+    """Sequential selection over (item, accuracy, objective) triples in the
+    given order. A bin's best is replaced only on a strict improvement of the
+    objective, and the overall best only on a strictly higher accuracy, so
+    each winner is the first triple with its bin's best objective (the top
+    accuracy). Returns the per-bin winners (None for an empty bin) and the
+    overall one."""
+    best_per_bin: list[tuple | None] = [None] * len(bins)
+    best_acc: tuple | None = None
+    for cand in candidates:
+        _, acc, obj = cand
+        if best_acc is None or acc > best_acc[1]:
+            best_acc = cand
+        b = _bin_of(acc, bins)
+        if b is None:
+            continue
+        cur = best_per_bin[b]
+        if cur is None or (obj < cur[2] if minimize else obj > cur[2]):
+            best_per_bin[b] = cand
+    return best_per_bin, best_acc
+
+
+def _candidate_epochs(
+    scores: Sequence[tuple[float, float]], bins: Sequence[tuple[float, float]], minimize: bool
+) -> list[int]:
+    """The epochs of one task that can win in a sweep: its own `_select`
+    winners. Every combo of a task sees the same scores in epoch order, and
+    objectives are finite, so an epoch of the task that wins among all
+    candidates also wins among the task's own; at most len(bins) + 1."""
+    per_bin, top = _select(((e, acc, obj) for e, (acc, obj) in enumerate(scores, start=1)), bins, minimize)
+    return sorted({cand[0] for cand in (*per_bin, top) if cand is not None})
+
+
+def _evaluate_task(ctx: dict, task: _Task) -> _TaskResult:
+    """Train one stage-2 run, score every epoch checkpoint on validation
+    (selection labels), and predict the test split (ground truth) only at
+    the candidate epochs. Returns the validation (accuracy, objective) of
+    every epoch and, per candidate epoch, the validation and the test
+    confusion counts."""
+    X = ctx["train_X"]
+    rows = upsampled_positions(X.shape[0], task.err_pos, task.lam)
+    ckpts = _train_loop(X, ctx["train_y"], task.stage2, rows)
+    val_counts = [confusion_counts(predict(ckpt, ctx["val_X"]), ctx["val_y"], ctx["val_sens"]) for ckpt in ckpts]
+    reports = [report_from_counts(c, ctx["source"], require=(ctx["objective"],)) for c in val_counts]
+    scores = tuple((r.avg_accuracy, r.metric(ctx["objective"])) for r in reports)
+    counts = {
+        epoch: (
+            val_counts[epoch - 1],
+            confusion_counts(predict(ckpts[epoch - 1], ctx["test_X"]), ctx["test_y"], ctx["test_sens"]),
+        )
+        for epoch in _candidate_epochs(scores, ctx["bins"], _MINIMIZED[ctx["objective"]])
+    }
+    return _TaskResult(scores=scores, counts=counts)
+
+
+def _run_tasks(ctx: dict, tasks: Sequence[_Task], jobs: int) -> dict[tuple, _TaskResult]:
+    return {t.key: r for t, r in zip(tasks, pool_map(_evaluate_task, ctx, tasks, jobs))}
 
 
 def _selection_labels(
@@ -356,30 +390,6 @@ def _erm_combos(grid: Sequence[HyperParams], tasks: dict[tuple, _Task]) -> list[
     return combos
 
 
-def _reduce_candidates(
-    combos: Sequence[_Combo],
-    scores: Mapping[tuple, list[tuple[float, float]]],
-    bins: Sequence[tuple[float, float]],
-    minimize: bool,
-) -> tuple[list[_Best | None], _Best | None]:
-    """Sequential selection in canonical order; returns per-bin bests and the
-    unconstrained best-accuracy candidate."""
-    best_per_bin: list[_Best | None] = [None] * len(bins)
-    best_acc: _Best | None = None
-    for combo in combos:
-        for epoch, (acc, obj) in enumerate(scores[combo.task_key], start=1):
-            ref = replace(combo.ref_base, epoch=epoch)
-            if best_acc is None or acc > best_acc.acc:
-                best_acc = _Best(obj=obj, acc=acc, ref=ref, task_key=combo.task_key)
-            b = _bin_of(acc, bins)
-            if b is None:
-                continue
-            cur = best_per_bin[b]
-            if cur is None or (obj < cur.obj if minimize else obj > cur.obj):
-                best_per_bin[b] = _Best(obj=obj, acc=acc, ref=ref, task_key=combo.task_key)
-    return best_per_bin, best_acc
-
-
 def _sweep(
     train: TabularDataset,
     validation: TabularDataset,
@@ -397,36 +407,41 @@ def _sweep(
     (none for a plain sweep) and among the plain ones."""
     ctx = {
         "train_X": train.features,
-        "train_y": train.targets,
+        "train_y": train.targets.astype(np.float64),
         "val_X": validation.features,
         "val_y": validation.targets,
         "val_sens": val_sens,
         "test_X": test.features,
         "test_y": test.targets,
         "test_sens": test.sensitive,
+        "bins": bins,
+        "objective": objective,
+        "source": sensitive_source,
     }
-    counts = _run_tasks(ctx, list(tasks.values()), jobs)
+    results = _run_tasks(ctx, list(tasks.values()), jobs)
 
-    def validation_report(val_counts: np.ndarray) -> FairnessReport:
-        return report_from_counts(val_counts, sensitive_source, require=(objective,))
+    def candidates(combos: Sequence[_Combo]):
+        for combo in combos:
+            for epoch, (acc, obj) in enumerate(results[combo.task_key].scores, start=1):
+                yield (combo, epoch), acc, obj
 
-    scores = {
-        key: [(r.avg_accuracy, r.metric(objective)) for r in map(validation_report, task_counts[:, 0])]
-        for key, task_counts in counts.items()
-    }
-
-    def outcome(best: _Best | None, bin_: tuple[float, float]) -> BinOutcome:
+    def outcome(best: tuple | None, bin_: tuple[float, float]) -> BinOutcome:
         if best is None:
             return BinOutcome(bin=bin_, winner=None, validation=None, test=None)
-        val_counts, test_counts = counts[best.task_key][best.ref.epoch - 1]
-        test_report = report_from_counts(test_counts, GROUND_TRUTH, require=())
-        return BinOutcome(bin=bin_, winner=best.ref, validation=validation_report(val_counts), test=test_report)
+        (combo, epoch), _, _ = best
+        val_counts, test_counts = results[combo.task_key].counts[epoch]
+        return BinOutcome(
+            bin=bin_,
+            winner=replace(combo.ref_base, epoch=epoch),
+            validation=report_from_counts(val_counts, sensitive_source, require=(objective,)),
+            test=report_from_counts(test_counts, GROUND_TRUTH, require=()),
+        )
 
     minimize = _MINIMIZED[objective]
-    erm_best, erm_overall = _reduce_candidates(erm_combos, scores, bins, minimize)
+    erm_best, erm_overall = _select(candidates(erm_combos), bins, minimize)
     jtt_bins = ()
     if jtt_combos is not None:
-        jtt_best, _ = _reduce_candidates(jtt_combos, scores, bins, minimize)
+        jtt_best, _ = _select(candidates(jtt_combos), bins, minimize)
         jtt_bins = tuple(outcome(b, bn) for b, bn in zip(jtt_best, bins))
     return TunerResult(
         objective=objective,

@@ -215,6 +215,32 @@ def test_mc_sweep_csv_columns(pipeline):
     ]
 
 
+def test_labelled_validation_holds_the_reserved_columns_only(pipeline):
+    from fairtune.data import read_dataset
+
+    _, out = pipeline
+    labelled = read_dataset(out / "labelled_validation.csv")
+    validation = read_dataset(out / "datasets" / "validation.csv")
+    assert labelled.n_features == 0
+    assert labelled.split == validation.split
+    np.testing.assert_array_equal(labelled.row_ids, validation.row_ids)
+    np.testing.assert_array_equal(labelled.targets, validation.targets)
+    header = next(l for l in (out / "labelled_validation.csv").read_text().splitlines() if not l.startswith("#"))
+    assert header == "__row_id,__target,__sensitive,__split"
+
+
+def test_tune_and_train_grid_outputs_do_not_depend_on_jobs(tmp_path):
+    config, _ = load_synthetic_config(tmp_path)
+    outs = {}
+    for jobs in ("1", "3"):
+        out = tmp_path / f"jobs{jobs}"
+        for command in ("prepare", "train-grid", "label", "tune"):
+            assert main([command, "--config", str(config), "--out", str(out), "--jobs", jobs]) == 0
+        outs[jobs] = out
+    for rel in ("checkpoints/index.json", "checkpoints/predictions.npy", "labelled_validation.csv", "tuner_result.json"):
+        assert (outs["1"] / rel).read_bytes() == (outs["3"] / rel).read_bytes(), rel
+
+
 def test_train_grid_parallel_matches_sequential(tmp_path):
     config, _ = load_synthetic_config(tmp_path)
     outs = [tmp_path / "seq", tmp_path / "par"]
@@ -239,6 +265,23 @@ def test_failed_command_removes_what_it_wrote(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_json_text", failing_json_text)
     assert main(["train-grid", "--config", str(config)]) == 3
     assert list((out / "checkpoints").iterdir()) == []
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    import fairtune.cli as cli
+    from fairtune.data import DataError
+
+    config, out = load_synthetic_config(tmp_path)
+
+    def failing_write_dataset(data, path, meta=None):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("__row_id,__target,__sensitive,__split\n1,0,")
+        raise DataError("disk full")
+
+    monkeypatch.setattr(cli, "write_dataset", failing_write_dataset)
+    assert main(["prepare", "--config", str(config)]) == 3
+    assert list(out.rglob("*.tmp")) == []
+    assert list((out / "datasets").iterdir()) == []
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
@@ -388,8 +431,8 @@ def _damage_row(edit):
         _damage_row(lambda ln: "\n"),
         _damage_row(lambda ln: ln[:-1] + ",\n"),
         _damage_row(lambda ln: "x" + ln),
-        _damage_row(lambda ln: ln.replace(",validation,", ",test,")),
-        _damage_row(lambda ln: ln.replace(",validation,", ",,validation,", 1)),
+        _damage_row(lambda ln: ln.replace(",validation\n", ",test\n")),
+        _damage_row(lambda ln: ln.replace(",validation\n", ",,validation\n")),
         lambda text: text + text.splitlines(keepends=True)[-1],
         lambda text: text.replace("#n_rows=", "#n_rows=1"),
     ],
@@ -400,7 +443,10 @@ def test_tune_damaged_labelled_validation_is_a_data_error(pipeline, tmp_path, ca
     copy = tmp_path / "out"
     shutil.copytree(out, copy)
     path = copy / "labelled_validation.csv"
-    path.write_text(damage(path.read_text()))
+    text = path.read_text()
+    damaged = damage(text)
+    assert damaged != text
+    path.write_text(damaged)
     assert main(["tune", "--config", str(config), "--out", str(copy)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and len(err.splitlines()) == 1

@@ -6,11 +6,14 @@ from fairtune.training import (
     HyperParams,
     ModelParams,
     TrainingError,
+    _expit,
+    _train_loop,
     bce_with_logits,
     gradients,
     init_params,
     load_model,
     models_equal,
+    pool_map,
     predict,
     predict_proba,
     regularized_loss,
@@ -294,3 +297,98 @@ def test_checkpoint_round_trip(tmp_path, hidden):
     path2 = tmp_path / "model2.json"
     save_model(model, path2, meta={"config_sha256": "deadbeef"})
     assert path.read_bytes() == path2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Reference training loop: materializes the (upsampled) training set and
+# allocates every intermediate, as the loop did before batches were gathered
+# into reused buffers. The buffered loop must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+def reference_gradients(tensors, is_mlp, X, y, weight_decay):
+    m = X.shape[0]
+    if not is_mlp:
+        w, b = tensors
+        z = X @ w + b
+        dz = (_expit(z) - y) / m
+        return (X.T @ dz + 2.0 * weight_decay * w, np.asarray(dz.sum()))
+    w1, b1, w2, b2 = tensors
+    z1 = X @ w1 + b1
+    hidden = np.maximum(z1, 0.0)
+    z = hidden @ w2 + b2
+    dz = (_expit(z) - y) / m
+    gw2 = hidden.T @ dz + 2.0 * weight_decay * w2
+    gb2 = np.asarray(dz.sum())
+    dh = np.outer(dz, w2)
+    dz1 = dh * (z1 > 0.0)
+    gw1 = X.T @ dz1 + 2.0 * weight_decay * w1
+    gb1 = dz1.sum(axis=0)
+    return (gw1, gb1, gw2, gb2)
+
+
+def reference_train_loop(X, y, hp, rows=None):
+    if rows is not None:
+        X, y = X[rows], y[rows]
+    n, d = X.shape
+    model = init_params(hp, d)
+    tensors = model.tensors
+    checkpoints = []
+    for epoch in range(hp.epochs):
+        order = np.random.default_rng(hp.seed + epoch).permutation(n)
+        for start in range(0, n, hp.batch_size):
+            idx = order[start : start + hp.batch_size]
+            grads = reference_gradients(tensors, model.is_mlp, X[idx], y[idx], hp.weight_decay)
+            tensors = tuple(t - hp.learning_rate * g for t, g in zip(tensors, grads))
+        checkpoints.append(tuple(t.copy() for t in tensors))
+    return checkpoints
+
+
+@pytest.mark.parametrize("hidden", [0, 5])
+@pytest.mark.parametrize("upsampled", [False, True])
+@pytest.mark.parametrize(
+    "n, batch_size",
+    [(96, 16), (100, 32), (37, 64)],
+    ids=["even-batches", "ragged-last-batch", "batch-above-n"],
+)
+def test_buffered_loop_matches_allocating_reference_bit_for_bit(hidden, upsampled, n, batch_size):
+    rng = np.random.default_rng(n + hidden)
+    X = rng.normal(size=(n, 3))
+    y = rng.integers(0, 2, n).astype(np.float64)
+    rows = upsampled_positions(n, rng.choice(n, n // 4, replace=False), 3) if upsampled else None
+    hp = HyperParams(
+        learning_rate=0.3, weight_decay=0.01, epochs=4, batch_size=batch_size, seed=n, hidden_units=hidden
+    )
+    got = _train_loop(X, y, hp, rows)
+    expected = reference_train_loop(X, y, hp, rows)
+    assert len(got) == len(expected) == hp.epochs
+    for ckpt, ref in zip(got, expected):
+        for t, r in zip(ckpt.tensors, ref):
+            assert t.shape == r.shape
+            assert np.array_equal(t.view(np.int64), r.view(np.int64))
+
+
+def test_train_loop_rejects_row_positions_out_of_range():
+    X, y = np.zeros((4, 2)), np.zeros(4)
+    hp = HyperParams(learning_rate=0.1)
+    for rows in ([0, 4], [-1, 2]):
+        with pytest.raises(TrainingError, match="row positions"):
+            _train_loop(X, y, hp, np.array(rows))
+
+
+def _add(ctx, item):
+    return ctx + item
+
+
+def test_pool_map_starts_no_more_workers_than_items(monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    spawned = []
+    spawn = ProcessPoolExecutor._spawn_process
+
+    def counting_spawn(self):
+        spawned.append(1)
+        spawn(self)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counting_spawn)
+    assert pool_map(_add, 10, [1, 2], jobs=4) == [11, 12]
+    assert 1 <= len(spawned) <= 2

@@ -1,14 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairtune.data import TabularDataset
 from fairtune.labelling import PseudoLabelledValidation
 from fairtune.metrics import EmptyGroupError, dp_gap, eo_gap, full_report, wga
-from fairtune.training import HyperParams, models_equal, predict, train_erm, train_upsampled
+from fairtune.training import HyperParams, models_equal, predict, train_erm, train_upsampled, upsampled_positions
 from fairtune.tuning import (
     CandidateRef,
     JttConfig,
     TunerResult,
+    _candidate_epochs,
+    _evaluate_task,
+    _select,
+    _Task,
     erm_sweep,
     grid_search,
     jtt_train,
@@ -371,3 +379,67 @@ def test_summarize_runs(planted):
     assert populated
     assert populated[0]["test_accuracy"]["n"] == 2
     assert populated[0]["test_accuracy"]["std"] == 0.0
+
+
+# Levels shared by accuracies and bin edges, so that ties and accuracies on
+# a bin edge are common.
+LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_candidate_epochs_keep_every_winner_and_the_baseline(data):
+    # A task predicts the test split only at its candidate epochs; selecting
+    # over those alone must pick the very winners and baseline that selecting
+    # over every epoch (full test counts) picks, whatever the combo order.
+    minimize = data.draw(st.booleans())
+    edges = sorted(data.draw(st.sets(st.sampled_from(LEVELS), min_size=2)))
+    bins = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if data.draw(st.booleans())] or [(edges[0], edges[1])]
+    score = st.tuples(st.sampled_from(LEVELS), st.sampled_from((0.0, 0.1, 0.2)))
+    tables = data.draw(st.lists(st.lists(score, min_size=1, max_size=6), min_size=1, max_size=4))
+    combos = data.draw(st.lists(st.integers(0, len(tables) - 1), min_size=1, max_size=8))
+    kept = {t: set(_candidate_epochs(table, bins, minimize)) for t, table in enumerate(tables)}
+
+    def candidates(keep):
+        for c, t in enumerate(combos):
+            for epoch, (acc, obj) in enumerate(tables[t], start=1):
+                if keep(t, epoch):
+                    yield (c, t, epoch), acc, obj
+
+    full = _select(candidates(lambda t, epoch: True), bins, minimize)
+    restricted = _select(candidates(lambda t, epoch: epoch in kept[t]), bins, minimize)
+    assert restricted == full
+    per_bin, top = full
+    for (_, t, epoch), _, _ in [w for w in (*per_bin, top) if w is not None]:
+        assert epoch in kept[t]
+    assert all(len(epochs) <= len(bins) + 1 for epochs in kept.values())
+
+
+def test_upsampled_task_does_not_materialize_its_training_set():
+    rng = np.random.default_rng(0)
+    n, d, lam = 2000, 40, 20
+    err_pos = tuple(range(0, n, 2))
+    upsampled_bytes = len(upsampled_positions(n, err_pos, lam)) * d * 8
+
+    def split(rows):
+        return rng.normal(size=(rows, d)), rng.integers(0, 2, rows).astype(np.int8), rng.integers(0, 2, rows).astype(np.int8)
+
+    train_X, train_y, _ = split(n)
+    val_X, val_y, val_sens = split(300)
+    test_X, test_y, test_sens = split(300)
+    ctx = {
+        "train_X": train_X, "train_y": train_y.astype(np.float64),
+        "val_X": val_X, "val_y": val_y, "val_sens": val_sens,
+        "test_X": test_X, "test_y": test_y, "test_sens": test_sens,
+        "bins": ((0.0, 0.5), (0.5, 1.0)), "objective": "dp_gap", "source": "ground_truth",
+    }
+    stage2 = HyperParams(learning_rate=0.1, epochs=2, batch_size=256, seed=1, hidden_units=8)
+    task = _Task(key=("jtt", err_pos, lam, stage2), err_pos=err_pos, lam=lam, stage2=stage2)
+    tracemalloc.start()
+    try:
+        result = _evaluate_task(ctx, task)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.scores) == 2
+    assert peak < upsampled_bytes / 2
