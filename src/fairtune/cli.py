@@ -22,7 +22,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -86,14 +88,18 @@ class _Outputs:
         self.via(path, lambda p: p.write_text(content, encoding="utf-8"))
 
     def via(self, path: Path, writer) -> None:
+        """writer(p) writes `path` as p, in a staging directory; then every
+        file it wrote there (a dataset CSV's features matrix too) is moved
+        next to `path`."""
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
+        stage = Path(tempfile.mkdtemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent))
         try:
-            writer(tmp)
-            os.replace(tmp, path)
+            writer(stage / path.name)
+            for staged in stage.iterdir():
+                os.replace(staged, path.parent / staged.name)
+                self.written.append(path.parent / staged.name)
         finally:
-            tmp.unlink(missing_ok=True)
-        self.written.append(path)
+            shutil.rmtree(stage, ignore_errors=True)
 
 
 def _json_text(payload: dict) -> str:
@@ -105,8 +111,8 @@ def _meta(config: ExperimentConfig) -> dict[str, str]:
 
 
 def _write_split(outputs: _Outputs, path: Path, data: TabularDataset, config: ExperimentConfig) -> None:
-    """Write a dataset CSV that records its row count, so that readers reject
-    a copy cut at a line end."""
+    """Write a dataset CSV (and its features matrix) that records its row
+    count, so that readers reject a copy cut at a line end."""
     meta = {**_meta(config), "n_rows": str(data.n_rows)}
     outputs.via(path, lambda p: write_dataset(data, p, meta=meta))
 

@@ -171,7 +171,7 @@ def parse_config(
                 p = base_dir / p
             if not p.exists():
                 _fail("dataset.csv.schema_path", f"no such file: {p}")
-            schema_raw = json.loads(p.read_text(encoding="utf-8"))
+            schema_raw = _read_json(p)
         try:
             schema = DatasetSchema.from_dict(schema_raw)
         except SchemaError as exc:
@@ -251,6 +251,15 @@ def parse_config(
     )
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+
+
 def load_config(
     path: str | Path,
     seed_override: int | None = None,
@@ -259,10 +268,6 @@ def load_config(
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return parse_config(
-        raw, base_dir=path.parent, seed_override=seed_override, out_override=out_override
+        _read_json(path), base_dir=path.parent, seed_override=seed_override, out_override=out_override
     )

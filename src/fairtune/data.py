@@ -1,4 +1,6 @@
-"""Tabular datasets: ingestion, preprocessing, splitting, synthetic generation.
+"""Tabular datasets: ingestion, preprocessing, splitting, synthetic generation,
+and the canonical dataset files (write_dataset / read_dataset): a CSV of the
+reserved columns plus, for data with features, a binary float64 matrix.
 
 All datasets are immutable after construction (arrays are frozen) and safe to
 share between threads. Every source of randomness is an explicit integer seed.
@@ -7,7 +9,10 @@ share between threads. Every source of randomness is an explicit integer seed.
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -49,6 +54,15 @@ def _check_binary(values: np.ndarray, what: str) -> np.ndarray:
     if not np.array_equal(out, values) or not np.isin(out, (0, 1)).all():
         raise DataError(f"{what} values must be exactly 0 or 1")
     return out
+
+
+@contextmanager
+def _utf8(path: Path):
+    """Reports text that is not UTF-8, read inside the block, as a DataError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
 
 
 @dataclass(frozen=True)
@@ -250,7 +264,7 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> TabularDataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _utf8(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -324,7 +338,7 @@ def fit_categorical_vocab(path: str | Path, columns: Sequence[str]) -> dict[str,
     """Scan a headered CSV and collect the sorted category list per column."""
     path = Path(path)
     seen: dict[str, set[str]] = {c: set() for c in columns}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _utf8(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -528,26 +542,34 @@ def generate_synthetic(spec: SyntheticSpec) -> TabularDataset:
 
 
 def write_dataset(data: TabularDataset, path: str | Path, meta: Mapping[str, str] | None = None) -> None:
-    """Write the canonical dataset CSV.
-
-    Reserved columns __row_id, __target, __sensitive (blank when absent) and
-    __split come first, then the feature columns. Floats are written in
-    shortest round-trip form, so read_dataset reproduces them bit-exactly.
-    Optional metadata is stored as leading '#key=value' lines; an `n_rows`
+    """Write the canonical dataset CSV of the reserved columns __row_id,
+    __target, __sensitive (blank when absent) and __split; with feature
+    columns, also their float64 (n_rows, d) matrix as `<stem>.features.npy`
+    next to it, whose name, sha256 and feature names the CSV records, so
+    read_dataset restores the features bit-exactly and rejects any other
+    matrix. Metadata is stored as leading '#key=value' lines; an `n_rows`
     entry makes readers reject a file holding any other number of rows.
     """
     path = Path(path)
-    names = data.feature_names or tuple(f"x{j}" for j in range(data.n_features))
+    meta = dict(meta or {})
+    if data.n_features:
+        matrix = path.with_name(path.stem + ".features.npy")
+        with open(matrix, "wb") as fh:
+            np.save(fh, data.features, allow_pickle=False)
+        names = data.feature_names or tuple(f"x{j}" for j in range(data.n_features))
+        meta.update(
+            feature_names=json.dumps(list(names)),
+            features_file=matrix.name,
+            features_sha256=hashlib.sha256(data.features).hexdigest(),
+        )
     sens = [""] * data.n_rows if data.sensitive is None else data.sensitive.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if meta:
-            for key in sorted(meta):
-                fh.write(f"#{key}={meta[key]}\n")
-        fh.write(",".join(_RESERVED + names) + "\n")
-        for row_id, target, s, row in zip(
-            data.row_ids.tolist(), data.targets.tolist(), sens, data.features.tolist()
-        ):
-            fh.write(",".join((f"{row_id},{target},{s},{data.split}", *map(repr, row))) + "\n")
+        fh.writelines(f"#{key}={meta[key]}\n" for key in sorted(meta))
+        fh.write(",".join(_RESERVED) + "\n")
+        fh.writelines(
+            f"{row_id},{target},{s},{data.split}\n"
+            for row_id, target, s in zip(data.row_ids.tolist(), data.targets.tolist(), sens)
+        )
 
 
 def _meta_lines(lines) -> dict[str, str]:
@@ -560,14 +582,12 @@ def _meta_lines(lines) -> dict[str, str]:
     return meta
 
 
-def _scan_dataset(path: Path) -> tuple[tuple[str, ...], list[str], list[int], dict]:
-    """The line scan of a canonical dataset file: everything but the features.
-
-    Returns the feature names, the data lines with their file line numbers,
-    and the parsed reserved columns as TabularDataset keyword arguments.
-    '#' lines are skipped wherever they are; the leading ones are metadata.
+def _scan_dataset(path: Path) -> tuple[dict[str, str], dict]:
+    """The line scan of a canonical dataset CSV: its metadata and its
+    reserved columns as TabularDataset keyword arguments. '#' lines are
+    skipped wherever they are; the leading ones are metadata.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _utf8(path), open(path, newline="", encoding="utf-8") as fh:
         lines = fh.readlines()
     numbers: list[int] = []
     rows: list[str] = []
@@ -583,28 +603,29 @@ def _scan_dataset(path: Path) -> tuple[tuple[str, ...], list[str], list[int], di
     header = tuple(rows[0].rstrip("\r\n").split(","))
     if header[: len(_RESERVED)] != _RESERVED:
         raise DataError(f"{path}: not a canonical dataset file (bad reserved columns)")
+    if header != _RESERVED:
+        raise DataError(f"{path}: feature columns stored as text, an older layout; re-run 'prepare'")
     del numbers[0], rows[0]
-    recorded = _meta_lines(lines).get("n_rows")
+    meta = _meta_lines(lines)
+    recorded = meta.get("n_rows")
     if recorded is not None and recorded != str(len(rows)):
         raise DataError(f"{path}: {len(rows)} data rows, but the file records n_rows={recorded} (truncated file?)")
-    commas = len(header) - 1
     row_ids: list[int] = []
     targets: list[int] = []
     sens: list[int | None] = []
     splits: set[str] = set()
     for number, line in zip(numbers, rows):
         try:
-            if line.count(",") != commas:
+            if line.count(",") != len(_RESERVED) - 1:
                 fields = line.count(",") + 1 if line.strip("\r\n") else 0
-                raise ValueError(f"{fields} fields, expected {len(header)}")
-            row_id, target, s, tag = line.split(",", len(_RESERVED))[: len(_RESERVED)]
+                raise ValueError(f"{fields} fields, expected {len(_RESERVED)}")
+            row_id, target, s, tag = line.split(",")
             row_ids.append(int(row_id))
             targets.append(int(target))
             sens.append(None if s == "" else int(s))
         except ValueError as exc:
             raise DataError(f"{path}:{number}: {exc}") from None
         splits.add(tag)
-    # With no feature columns the split tag ends the line.
     splits = {tag.rstrip("\r\n") for tag in splits}
     if len(splits) != 1:
         raise DataError(f"{path}: mixed split tags {sorted(splits)}")
@@ -617,63 +638,47 @@ def _scan_dataset(path: Path) -> tuple[tuple[str, ...], list[str], list[int], di
         "split": splits.pop(),
         "sensitive": None if blank else np.asarray(sens, dtype=np.int8),
     }
-    return header[len(_RESERVED) :], rows, numbers, reserved
-
-
-def _parse_features(path: Path, rows: list[str], numbers: list[int], n_features: int) -> np.ndarray:
-    """The feature cells of the data lines as one float64 matrix.
-
-    numpy's parser rounds decimal text as float() does. A cell it rejects
-    sends the rows through float() one by one, which names the first row
-    float() rejects, or accepts what float() accepts.
-    """
-    first = len(_RESERVED)
-    if not n_features:
-        return np.empty((len(rows), 0))
-    try:
-        return np.loadtxt(
-            rows,
-            delimiter=",",
-            comments=None,
-            usecols=range(first, first + n_features),
-            dtype=np.float64,
-            ndmin=2,
-        )
-    except ValueError:
-        pass
-    feats: list[list[float]] = []
-    for number, line in zip(numbers, rows):
-        try:
-            feats.append([float(c) for c in line.rstrip("\r\n").split(",")[first:]])
-        except ValueError as exc:
-            raise DataError(f"{path}:{number}: {exc}") from None
-    return np.asarray(feats, dtype=np.float64)
+    return meta, reserved
 
 
 def read_dataset(path: str | Path) -> TabularDataset:
-    """Read a canonical dataset CSV back; inverse of write_dataset."""
+    """Read canonical dataset files back; inverse of write_dataset."""
     path = Path(path)
-    names, rows, numbers, reserved = _scan_dataset(path)
-    return TabularDataset(
-        features=_parse_features(path, rows, numbers, len(names)),
-        feature_names=names if names else None,
-        **reserved,
-    )
+    meta, reserved = _scan_dataset(path)
+    n = len(reserved["row_ids"])
+    if "features_file" not in meta:
+        return TabularDataset(features=np.empty((n, 0)), **reserved)
+    try:
+        names = tuple(json.loads(meta["feature_names"]))
+        matrix = path.with_name(meta["features_file"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed features metadata ({type(exc).__name__}: {exc})") from None
+    try:
+        with open(matrix, "rb") as fh:
+            features = np.lib.format.read_array(fh, allow_pickle=False)
+    except FileNotFoundError:
+        raise DataError(f"{matrix}: missing, but {path.name} records it (re-run 'prepare')") from None
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{matrix}: not a readable .npy file ({type(exc).__name__}: {exc})") from None
+    if features.dtype != np.float64 or features.shape != (n, len(names)):
+        raise DataError(f"{matrix}: holds {features.dtype} {features.shape}, expected float64 {(n, len(names))}")
+    if hashlib.sha256(np.ascontiguousarray(features)).hexdigest() != meta.get("features_sha256"):
+        raise DataError(f"{matrix}: sha256 differs from the one {path.name} records (from another 'prepare'?)")
+    return TabularDataset(features=features, feature_names=names, **reserved)
 
 
 def read_labels(path: str | Path) -> TabularDataset:
     """Read the reserved columns of a canonical dataset CSV (row ids, targets,
-    sensitive values, split) without parsing its features.
+    sensitive values, split) without reading its features matrix.
 
     The result has a zero-column feature matrix. A file read_dataset rejects
     for its layout, row count or reserved cells is rejected here too.
     """
-    path = Path(path)
-    _, rows, _, reserved = _scan_dataset(path)
-    return TabularDataset(features=np.empty((len(rows), 0)), **reserved)
+    _, reserved = _scan_dataset(Path(path))
+    return TabularDataset(features=np.empty((len(reserved["row_ids"]), 0)), **reserved)
 
 
 def dataset_file_meta(path: str | Path) -> dict[str, str]:
     """Metadata key/value pairs stored in a canonical dataset file."""
-    with open(path, encoding="utf-8") as fh:
+    with _utf8(path), open(path, encoding="utf-8") as fh:
         return _meta_lines(fh)

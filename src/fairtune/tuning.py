@@ -252,14 +252,16 @@ def _select(candidates: Iterable[tuple], bins: Sequence[tuple[float, float]], mi
 
 
 def _candidate_epochs(
-    scores: Sequence[tuple[float, float]], bins: Sequence[tuple[float, float]], minimize: bool
+    scores: Sequence[tuple[float, float]], bins: Sequence[tuple[float, float]], minimize: bool, plain: bool
 ) -> list[int]:
     """The epochs of one task that can win in a sweep: its own `_select`
     winners. Every combo of a task sees the same scores in epoch order, and
     objectives are finite, so an epoch of the task that wins among all
-    candidates also wins among the task's own; at most len(bins) + 1."""
+    candidates also wins among the task's own; at most len(bins) + 1. The
+    top-accuracy epoch counts for a plain task only: the plain baseline is
+    the one top-accuracy winner a sweep reports."""
     per_bin, top = _select(((e, acc, obj) for e, (acc, obj) in enumerate(scores, start=1)), bins, minimize)
-    return sorted({cand[0] for cand in (*per_bin, top) if cand is not None})
+    return sorted({cand[0] for cand in (*per_bin, top if plain else None) if cand is not None})
 
 
 def _evaluate_task(ctx: dict, task: _Task) -> _TaskResult:
@@ -279,7 +281,7 @@ def _evaluate_task(ctx: dict, task: _Task) -> _TaskResult:
             val_counts[epoch - 1],
             confusion_counts(predict(ckpts[epoch - 1], ctx["test_X"]), ctx["test_y"], ctx["test_sens"]),
         )
-        for epoch in _candidate_epochs(scores, ctx["bins"], _MINIMIZED[ctx["objective"]])
+        for epoch in _candidate_epochs(scores, ctx["bins"], _MINIMIZED[ctx["objective"]], plain=task.key[0] == "erm")
     }
     return _TaskResult(scores=scores, counts=counts)
 

@@ -284,6 +284,26 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     assert list((out / "datasets").iterdir()) == []
 
 
+def test_failed_prepare_removes_both_files_of_every_split(tmp_path, monkeypatch):
+    import fairtune.cli as cli
+    from fairtune.data import DataError
+
+    config, out = load_synthetic_config(tmp_path)
+    real = cli.write_dataset
+    names = []
+
+    def write_two_then_fail(data, path, meta=None):
+        names.append(path.name)
+        if len(names) == 3:
+            raise DataError("disk full")
+        real(data, path, meta=meta)
+
+    monkeypatch.setattr(cli, "write_dataset", write_two_then_fail)
+    assert main(["prepare", "--config", str(config)]) == 3
+    assert names == ["train.csv", "validation.csv", "test.csv"]
+    assert list((out / "datasets").iterdir()) == []
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
 def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     config, _ = load_synthetic_config(tmp_path)
@@ -450,3 +470,92 @@ def test_tune_damaged_labelled_validation_is_a_data_error(pipeline, tmp_path, ca
     assert main(["tune", "--config", str(config), "--out", str(copy)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and len(err.splitlines()) == 1
+
+
+def test_dataset_files_keep_the_layout_perfbench_reads(pipeline):
+    # perfbench/run.py reads the sensitive column with line.split(",", 3) and
+    # its micro-measures read the train split with fairtune.data.read_dataset.
+    from fairtune.config import load_config
+    from fairtune.data import apply_standardizer, fit_standardizer, generate_synthetic, read_dataset, split
+
+    config, out = pipeline
+    lines = (out / "datasets" / "validation.csv").read_text().splitlines(keepends=True)
+    body = [line for line in lines if not line.startswith("#")]
+    assert body[0] == "__row_id,__target,__sensitive,__split\n"
+    assert len(body) == 401
+    for line in body[1:]:
+        row_id, target, sensitive, tag = line.split(",", 3)
+        assert int(row_id) >= 0 and target in ("0", "1") and sensitive in ("0", "1") and tag == "validation\n"
+    cfg = load_config(config)
+    train, _, _ = split(generate_synthetic(cfg.synthetic), cfg.split_fractions, cfg.split_seed)
+    expected = apply_standardizer(fit_standardizer(train), train).features
+    features = read_dataset(out / "datasets" / "train.csv").features
+    np.testing.assert_array_equal(features.view(np.int64), expected.view(np.int64))
+
+
+NOT_UTF8 = b"#config_sha256=\xff\xfe\n" + np.random.default_rng(0).bytes(256)
+
+
+def _csv_dataset_config(tmp_path, csv_bytes, schema_bytes):
+    (tmp_path / "raw.csv").write_bytes(csv_bytes)
+    (tmp_path / "schema.json").write_bytes(schema_bytes)
+    csv = {"path": str(tmp_path / "raw.csv"), "schema_path": str(tmp_path / "schema.json")}
+    config, _ = load_synthetic_config(tmp_path, dataset={"kind": "csv", "csv": csv})
+    return config
+
+
+RAW_CSV = b"".join(b"%d,%s,%s\n" % (i, b"MF"[i % 2 : i % 2 + 1], b">50K" if i % 3 else b"<=50K") for i in range(40))
+SCHEMA_JSON = json.dumps(
+    {
+        "feature_columns": [["age", "numeric"], ["sex", "categorical"]],
+        "target_column": ["income", ">50K"],
+        "sensitive_column": ["sex", "M"],
+        "categorical_vocab": {"sex": ["F", "M"]},
+    }
+).encode()
+
+
+def _non_utf8_config(tmp_path, pipeline):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"seed": 1, "output_dir": "\xe9"}')
+    return config, "prepare", 2
+
+
+def _non_utf8_schema(tmp_path, pipeline):
+    return _csv_dataset_config(tmp_path, b"age,sex,income\n" + RAW_CSV, NOT_UTF8), "prepare", 2
+
+
+def _non_utf8_raw_csv(tmp_path, pipeline):
+    return _csv_dataset_config(tmp_path, b"age,sex,income\n" + RAW_CSV + NOT_UTF8, SCHEMA_JSON), "prepare", 3
+
+
+def _non_utf8_output(rel, command):
+    def setup(tmp_path, pipeline):
+        config, out = pipeline
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        (copy / rel).write_bytes(NOT_UTF8)
+        config_copy = tmp_path / "config.json"
+        config_copy.write_text(config.read_text().replace(str(out), str(copy)))
+        return config_copy, command, 3
+
+    return setup
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        _non_utf8_config,
+        _non_utf8_schema,
+        _non_utf8_raw_csv,
+        _non_utf8_output("datasets/validation.csv", "label"),
+        _non_utf8_output("labelled_validation.csv", "tune"),
+    ],
+    ids=["config", "schema-path", "raw-csv", "dataset-csv", "labelled-validation"],
+)
+def test_non_utf8_input_is_a_one_line_error(pipeline, tmp_path, capsys, setup):
+    config, command, code = setup(tmp_path, pipeline)
+    assert main([command, "--config", str(config)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 2 else "data error: ")
+    assert "not a UTF-8 text file" in err and len(err.splitlines()) == 1

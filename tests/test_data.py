@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -324,13 +325,21 @@ def test_round_trip_bit_exact(tmp_path, planted):
     path = tmp_path / "train.csv"
     write_dataset(train, path, meta={"config_sha256": "abc", "tool_version": "0.1.0"})
     back = read_dataset(path)
-    np.testing.assert_array_equal(back.features, train.features)
+    np.testing.assert_array_equal(back.features.view(np.int64), train.features.view(np.int64))
     np.testing.assert_array_equal(back.targets, train.targets)
     np.testing.assert_array_equal(back.row_ids, train.row_ids)
     np.testing.assert_array_equal(back.sensitive, train.sensitive)
     assert back.split == train.split
     assert back.feature_names == train.feature_names
-    assert dataset_file_meta(path) == {"config_sha256": "abc", "tool_version": "0.1.0"}
+    assert dataset_file_meta(path) == {
+        "config_sha256": "abc",
+        "feature_names": '["x0", "x1"]',
+        "features_file": "train.features.npy",
+        "features_sha256": hashlib.sha256(train.features).hexdigest(),
+        "tool_version": "0.1.0",
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv", "train.features.npy"]
+    np.testing.assert_array_equal(np.load(tmp_path / "train.features.npy"), train.features)
 
 
 def test_round_trip_without_sensitive(tmp_path):
@@ -344,46 +353,69 @@ def test_round_trip_without_sensitive(tmp_path):
 
 def test_write_is_deterministic(tmp_path, planted):
     train, _, _ = planted
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_dataset(train, p1, meta={"k": "v"})
-    write_dataset(train, p2, meta={"k": "v"})
-    assert p1.read_bytes() == p2.read_bytes()
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        out.mkdir()
+        write_dataset(train, out / "train.csv", meta={"k": "v"})
+    for name in ("train.csv", "train.features.npy"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def _cut_in_half(text):
-    return text[: len(text) // 2]
+def _text(edit):
+    """A corruption of the dataset CSV's text."""
+
+    def corrupt(path):
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+
+    return corrupt
 
 
-def _drop_last_newline(text):
-    return text[:-1]
+def _edit_line(k, edit, meta_lines):
+    """Apply edit to the k-th data row (1-based) of a CSV with meta_lines metadata lines."""
+
+    def corrupt(text):
+        lines = text.splitlines(keepends=True)
+        lines[meta_lines + k] = edit(lines[meta_lines + k])
+        return "".join(lines)
+
+    return _text(corrupt)
 
 
-def _short_row(text):
-    lines = text.splitlines(keepends=True)
-    lines[4] = lines[4].rsplit(",", 1)[0] + "\n"
-    return "".join(lines)
+def _cut_in_row(k, meta_lines):
+    """Cut the CSV three characters into its k-th data row (1-based)."""
+
+    def corrupt(text):
+        lines = text.splitlines(keepends=True)
+        return "".join(lines[: meta_lines + k]) + lines[meta_lines + k][:3]
+
+    return _text(corrupt)
 
 
-def _garbled_float(text):
-    lines = text.splitlines(keepends=True)
-    lines[4] = lines[4].rsplit(",", 1)[0] + ",1.2.3\n"
-    return "".join(lines)
+def _features_file(edit):
+    """A corruption of the features matrix: edit(path of the .npy)."""
+    return lambda path: edit(path.with_name(path.stem + ".features.npy"))
 
 
+# Line numbers: 1-4 metadata (config_sha256 and the three features keys),
+# 5 header, 6-13 the eight data rows.
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_cut_in_half, r"ds\.csv:5: last line lacks its newline"),
-        (_drop_last_newline, r"ds\.csv:10: last line lacks its newline"),
-        (_short_row, r"ds\.csv:5: 4 fields, expected 5"),
-        (_garbled_float, r"ds\.csv:5: could not convert string to float: '1\.2\.3'"),
+        (_cut_in_row(4, 4), r"ds\.csv:9: last line lacks its newline"),
+        (_text(lambda text: text[:-1]), r"ds\.csv:13: last line lacks its newline"),
+        (_edit_line(4, lambda ln: ln.rsplit(",", 1)[0] + "\n", 4), r"ds\.csv:9: 3 fields, expected 4"),
+        (
+            _edit_line(4, lambda ln: ln.replace(",,", ",1.2.3,"), 4),
+            r"ds\.csv:9: invalid literal for int\(\) with base 10: '1\.2\.3'",
+        ),
     ],
+    ids=["cut-mid-row", "drop-last-newline", "short-row", "garbled-cell"],
 )
 def test_read_rejects_damaged_rows_with_their_line(tmp_path, corrupt, message):
     ds = make_dataset([[i + 0.25] for i in range(8)], [0, 1] * 4)
     path = tmp_path / "ds.csv"
     write_dataset(ds, path, meta={"config_sha256": "abc"})
-    path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+    corrupt(path)
     with pytest.raises(DataError, match=message):
         read_dataset(path)
 
@@ -401,7 +433,7 @@ EDGE_FLOATS = (
 @given(
     data=st.data(),
     n=st.integers(1, 40),
-    d=st.integers(1, 8),
+    d=st.integers(0, 8),
     with_sensitive=st.booleans(),
     tag=st.sampled_from(("train", "validation", "test", "all")),
     meta=st.sampled_from((None, {"n_rows"}, {"config_sha256", "n_rows"})),
@@ -431,16 +463,18 @@ def test_round_trip_property(tmp_path_factory, data, n, d, with_sensitive, tag, 
             assert read.sensitive is None
         assert read.split == tag
     assert labels.features.shape == (n, 0)
-    assert back.feature_names == tuple(f"x{j}" for j in range(d))
+    assert back.feature_names == (tuple(f"x{j}" for j in range(d)) if d else None)
+    # A zero-feature dataset is the CSV alone.
+    assert path.with_name("ds.features.npy").exists() == bool(d)
 
 
 def _reference_read(path):
-    """Per-cell float() parse of a canonical dataset file: the oracle."""
+    """csv-module parse of a canonical dataset CSV's reserved columns."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(line for line in fh if not line.startswith("#")))
     body = rows[1:]
+    assert rows[0] == ["__row_id", "__target", "__sensitive", "__split"]
     return (
-        np.array([[float(c) for c in row[4:]] for row in body], dtype=np.float64),
         np.array([int(row[0]) for row in body]),
         np.array([int(row[1]) for row in body]),
         np.array([int(row[2]) for row in body]),
@@ -449,8 +483,9 @@ def _reference_read(path):
 
 
 def test_read_matches_per_cell_float_oracle(tmp_path):
-    """Census-shaped file: 100 columns of standardized numerics, one-hot
-    indicators and values with long or exponent-form reprs."""
+    """Census-shaped data: 100 columns of standardized numerics, one-hot
+    indicators and values with long or exponent-form reprs. The oracle is
+    what the earlier text layout read back: float() of each cell's repr."""
     rng = np.random.default_rng(5)
     n = 400
     numeric = rng.standard_normal((n, 40)) * 10.0 ** rng.integers(-12, 12, (n, 40))
@@ -465,7 +500,8 @@ def test_read_matches_per_cell_float_oracle(tmp_path):
     )
     path = tmp_path / "census.csv"
     write_dataset(ds, path, meta={"n_rows": str(n)})
-    features, row_ids, targets, sensitive, splits = _reference_read(path)
+    features = np.array([[float(repr(v)) for v in row] for row in ds.features.tolist()], dtype=np.float64)
+    row_ids, targets, sensitive, splits = _reference_read(path)
     back = read_dataset(path)
     assert back.features.shape == (n, 100)
     np.testing.assert_array_equal(back.features.view(np.int64), features.view(np.int64))
@@ -476,38 +512,35 @@ def test_read_matches_per_cell_float_oracle(tmp_path):
     assert {back.split} == splits
 
 
-def _edit_line(k, edit):
-    """Apply edit to the k-th data row (1-based) of a file with two metadata lines."""
-
-    def corrupt(text):
-        lines = text.splitlines(keepends=True)
-        lines[2 + k] = edit(lines[2 + k])
-        return "".join(lines)
-
-    return corrupt
+def _save_over(edit):
+    """Replace the features matrix by np.save(edit(matrix))."""
+    return _features_file(lambda npy: np.save(npy, edit(np.load(npy))))
 
 
-def _cut_at_line_end(text):
-    lines = text.splitlines(keepends=True)
-    return "".join(lines[: len(lines) // 2])
+def _flip_last_bit(npy):
+    raw = bytearray(npy.read_bytes())
+    raw[-1] ^= 1
+    npy.write_bytes(bytes(raw))
 
 
-# Line numbers: 1-2 metadata, 3 header, 4-11 the eight data rows.
+# Line numbers: 1-5 metadata (config_sha256, the three features keys and
+# n_rows), 6 header, 7-14 the eight data rows.
 @pytest.mark.parametrize(
     "corrupt, message, labels_read",
     [
-        (_edit_line(3, lambda ln: "\n"), r"ds\.csv:6: 0 fields, expected 5", False),
-        (_edit_line(3, lambda ln: ln[:-1] + ",\n"), r"ds\.csv:6: 6 fields, expected 5", False),
-        (_edit_line(2, lambda ln: "1.5" + ln[1:]), r"ds\.csv:5: invalid literal for int\(\)", False),
-        (_edit_line(2, lambda ln: ln[ln.index(","):]), r"ds\.csv:5: invalid literal for int\(\)", False),
+        (_edit_line(3, lambda ln: "\n", 5), r"ds\.csv:9: 0 fields, expected 4", False),
+        (_edit_line(3, lambda ln: ln[:-1] + ",\n", 5), r"ds\.csv:9: 5 fields, expected 4", False),
+        (_edit_line(2, lambda ln: "1.5" + ln[1:], 5), r"ds\.csv:8: invalid literal for int\(\)", False),
+        (_edit_line(2, lambda ln: ln[ln.index(","):], 5), r"ds\.csv:8: invalid literal for int\(\)", False),
+        # The last row's feature changed: read_labels does not read the matrix.
+        (_features_file(_flip_last_bit), r"ds\.features\.npy: sha256 differs from the one ds\.csv records", True),
         (
-            _edit_line(8, lambda ln: ln.rsplit(",", 1)[0] + ",0.5e\n"),
-            r"ds\.csv:11: could not convert string to float: '0\.5e'",
-            True,
+            _text(lambda text: "".join(text.splitlines(keepends=True)[:8])),
+            r"ds\.csv: 2 data rows, but the file records n_rows=8",
+            False,
         ),
-        (_cut_at_line_end, r"ds\.csv: 2 data rows, but the file records n_rows=8", False),
-        (lambda text: text + "8,0,1,train,1.0\n", r"ds\.csv: 9 data rows, but the file records n_rows=8", False),
-        (lambda text: text[: len(text) // 2], r"ds\.csv:5: last line lacks its newline", False),
+        (_text(lambda text: text + "8,0,1,train\n"), r"ds\.csv: 9 data rows, but the file records n_rows=8", False),
+        (_cut_in_row(4, 5), r"ds\.csv:10: last line lacks its newline", False),
     ],
     ids=[
         "blank-line", "trailing-comma", "float-row-id", "empty-row-id", "bad-float-last-row",
@@ -518,40 +551,140 @@ def test_reader_fault_injection(tmp_path, corrupt, message, labels_read):
     ds = make_dataset([[i + 0.25] for i in range(8)], [0, 1] * 4, sensitive=[1, 0] * 4)
     path = tmp_path / "ds.csv"
     write_dataset(ds, path, meta={"config_sha256": "abc", "n_rows": "8"})
-    path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+    corrupt(path)
     with pytest.raises(DataError, match=message):
         read_dataset(path)
     if labels_read:
-        # read_labels does not parse the features it skips.
         np.testing.assert_array_equal(read_labels(path).row_ids, ds.row_ids)
     else:
         with pytest.raises(DataError, match=message):
             read_labels(path)
 
 
+def _copy_matrix_of(other):
+    """The matrix of another dataset of the same shape, as a second
+    `prepare` with other data would have written it."""
+
+    def corrupt(path):
+        elsewhere = path.parent / "elsewhere"
+        elsewhere.mkdir()
+        write_dataset(other, elsewhere / path.name)
+        (elsewhere / "ds.features.npy").replace(path.with_name("ds.features.npy"))
+
+    return corrupt
+
+
+def _earlier_text_layout(path):
+    """The CSV as earlier versions wrote it: the features as repr text."""
+    ds = read_dataset(path)
+    lines = [f"#{key}={value}\n" for key, value in dataset_file_meta(path).items() if not key.startswith("feature")]
+    lines.append("__row_id,__target,__sensitive,__split,x0\n")
+    lines += [f"{i},{t},{s},train,{x!r}\n" for i, t, s, (x,) in zip(ds.row_ids, ds.targets, ds.sensitive, ds.features.tolist())]
+    path.write_text("".join(lines), encoding="utf-8")
+    path.with_name("ds.features.npy").unlink()
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_features_file(lambda npy: npy.unlink()), r"ds\.features\.npy: missing, but ds\.csv records it \(re-run 'prepare'\)"),
+        (
+            _features_file(lambda npy: npy.write_bytes(npy.read_bytes()[:-8])),
+            r"ds\.features\.npy: not a readable \.npy file \(ValueError: ",
+        ),
+        (_features_file(lambda npy: npy.write_bytes(b"")), r"ds\.features\.npy: not a readable \.npy file \(ValueError: EOF"),
+        (
+            _features_file(lambda npy: npy.write_text("0.25,1.25,2.25\n")),
+            r"ds\.features\.npy: not a readable \.npy file \(ValueError: the magic string is not correct",
+        ),
+        (_save_over(lambda m: m.astype(np.float32)), r"ds\.features\.npy: holds float32 \(8, 1\), expected float64 \(8, 1\)"),
+        (_save_over(lambda m: m[:-1]), r"ds\.features\.npy: holds float64 \(7, 1\), expected float64 \(8, 1\)"),
+        (_save_over(lambda m: np.hstack([m, m])), r"ds\.features\.npy: holds float64 \(8, 2\), expected float64 \(8, 1\)"),
+        (_save_over(lambda m: m + 1.0), r"ds\.features\.npy: sha256 differs from the one ds\.csv records"),
+        (
+            _copy_matrix_of(make_dataset([[i + 0.5] for i in range(8)], [0, 1] * 4, sensitive=[1, 0] * 4)),
+            r"ds\.features\.npy: sha256 differs from the one ds\.csv records \(from another 'prepare'\?\)",
+        ),
+        (
+            _text(lambda text: text.replace("#features_file=ds.features.npy", "#features_file=../ds.features.npy")),
+            r"ds\.csv: malformed features metadata \(ValueError: Invalid name",
+        ),
+        (
+            _text(lambda text: text.replace('#feature_names=["x0"]', "#feature_names=[x0")),
+            r"ds\.csv: malformed features metadata \(JSONDecodeError: ",
+        ),
+    ],
+    ids=[
+        "missing", "truncated", "empty", "not-npy", "wrong-dtype", "missing-row", "wrong-width",
+        "digest-mismatch", "stale-matrix", "name-outside-directory", "malformed-names",
+    ],
+)
+def test_features_file_faults(tmp_path, corrupt, message):
+    ds = make_dataset([[i + 0.25] for i in range(8)], [0, 1] * 4, sensitive=[1, 0] * 4)
+    path = tmp_path / "ds.csv"
+    write_dataset(ds, path, meta={"config_sha256": "abc", "n_rows": "8"})
+    corrupt(path)
+    with pytest.raises(DataError, match=message) as exc:
+        read_dataset(path)
+    assert len(str(exc.value).splitlines()) == 1
+    # read_labels takes the reserved columns only.
+    np.testing.assert_array_equal(read_labels(path).row_ids, ds.row_ids)
+
+
+def test_earlier_text_layout_asks_for_prepare(tmp_path):
+    ds = make_dataset([[i + 0.25] for i in range(8)], [0, 1] * 4, sensitive=[1, 0] * 4)
+    path = tmp_path / "ds.csv"
+    write_dataset(ds, path, meta={"config_sha256": "abc", "n_rows": "8"})
+    _earlier_text_layout(path)
+    assert dataset_file_meta(path) == {"config_sha256": "abc", "n_rows": "8"}
+    for read in (read_dataset, read_labels):
+        with pytest.raises(DataError, match=r"ds\.csv: feature columns stored as text, an older layout; re-run 'prepare'"):
+            read(path)
+
+
 def test_comment_lines_between_rows_are_skipped(tmp_path):
     ds = make_dataset([[i + 0.25, -i * 1e-5] for i in range(6)], [0, 1] * 3)
     path = tmp_path / "ds.csv"
     write_dataset(ds, path, meta={"n_rows": "6"})
+    # Lines 1-4 metadata, 5 header, 6-11 the six data rows.
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    lines.insert(4, "# a note\n")
+    lines.insert(7, "# a note\n")
     lines.append("#trailer\n")
     path.write_text("".join(lines), encoding="utf-8")
     back = read_dataset(path)
     np.testing.assert_array_equal(back.features.view(np.int64), ds.features.view(np.int64))
     np.testing.assert_array_equal(read_labels(path).row_ids, ds.row_ids)
     # A damaged row after the note is still reported at its file line.
-    lines[6] = lines[6].rsplit(",", 1)[0] + ",x\n"
+    lines[8] = "x" + lines[8][lines[8].index(","):]
     path.write_text("".join(lines), encoding="utf-8")
-    with pytest.raises(DataError, match=r"ds\.csv:7: could not convert string to float: 'x'"):
+    with pytest.raises(DataError, match=r"ds\.csv:9: invalid literal for int\(\) with base 10: 'x'"):
         read_dataset(path)
 
 
 def test_files_without_a_row_count_still_read(tmp_path):
-    ds = make_dataset([[1.5], [2.5], [3.5]], [0, 1, 0])
-    path = tmp_path / "ds.csv"
-    write_dataset(ds, path, meta={"config_sha256": "abc"})
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("".join(lines[:-1]), encoding="utf-8")
-    assert read_dataset(path).n_rows == 2
-    assert read_labels(path).n_rows == 2
+    # Without n_rows, a CSV cut at a line end still reads; a features matrix,
+    # which keeps every row, then no longer matches it.
+    for d in (1, 0):
+        ds = make_dataset(np.arange(3.0).reshape(3, 1)[:, :d] + 1.5, [0, 1, 0])
+        path = tmp_path / f"ds{d}.csv"
+        write_dataset(ds, path, meta={"config_sha256": "abc"})
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]), encoding="utf-8")
+        assert read_labels(path).n_rows == 2
+        if d:
+            with pytest.raises(DataError, match=r"ds1\.features\.npy: holds float64 \(3, 1\), expected float64 \(2, 1\)"):
+                read_dataset(path)
+        else:
+            assert read_dataset(path).n_rows == 2
+
+
+def test_non_utf8_input_files_are_data_errors(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_bytes(b"age,sex,income\n37,M,>50K\n\xff\xfe,F,<=50K\n")
+    with pytest.raises(DataError, match=r"raw\.csv: not a UTF-8 text file \(invalid start byte\)"):
+        load_csv(path, SCHEMA)
+    with pytest.raises(DataError, match=r"raw\.csv: not a UTF-8 text file"):
+        fit_categorical_vocab(path, ["sex"])
+    for read in (read_dataset, read_labels, dataset_file_meta):
+        with pytest.raises(DataError, match=r"raw\.csv: not a UTF-8 text file"):
+            read(path)

@@ -392,27 +392,43 @@ def test_candidate_epochs_keep_every_winner_and_the_baseline(data):
     # A task predicts the test split only at its candidate epochs; selecting
     # over those alone must pick the very winners and baseline that selecting
     # over every epoch (full test counts) picks, whatever the combo order.
+    # Two-stage combos use plain and two-stage tasks and report per-bin
+    # winners only; plain combos use plain tasks and also report the
+    # top-accuracy baseline, which two-stage tasks therefore need not keep.
     minimize = data.draw(st.booleans())
     edges = sorted(data.draw(st.sets(st.sampled_from(LEVELS), min_size=2)))
     bins = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if data.draw(st.booleans())] or [(edges[0], edges[1])]
     score = st.tuples(st.sampled_from(LEVELS), st.sampled_from((0.0, 0.1, 0.2)))
     tables = data.draw(st.lists(st.lists(score, min_size=1, max_size=6), min_size=1, max_size=4))
-    combos = data.draw(st.lists(st.integers(0, len(tables) - 1), min_size=1, max_size=8))
-    kept = {t: set(_candidate_epochs(table, bins, minimize)) for t, table in enumerate(tables)}
+    plain = data.draw(st.lists(st.booleans(), min_size=len(tables), max_size=len(tables)))
+    plain[0] = True
+    jtt_combos = data.draw(st.lists(st.integers(0, len(tables) - 1), max_size=8))
+    erm_combos = data.draw(
+        st.lists(st.sampled_from([t for t in range(len(tables)) if plain[t]]), min_size=1, max_size=4)
+    )
+    kept = {t: set(_candidate_epochs(table, bins, minimize, plain=plain[t])) for t, table in enumerate(tables)}
 
-    def candidates(keep):
+    def candidates(combos, keep):
         for c, t in enumerate(combos):
             for epoch, (acc, obj) in enumerate(tables[t], start=1):
                 if keep(t, epoch):
                     yield (c, t, epoch), acc, obj
 
-    full = _select(candidates(lambda t, epoch: True), bins, minimize)
-    restricted = _select(candidates(lambda t, epoch: epoch in kept[t]), bins, minimize)
-    assert restricted == full
-    per_bin, top = full
-    for (_, t, epoch), _, _ in [w for w in (*per_bin, top) if w is not None]:
+    def select(combos, keep):
+        return _select(candidates(combos, keep), bins, minimize)
+
+    every = lambda t, epoch: True  # noqa: E731
+    only_kept = lambda t, epoch: epoch in kept[t]  # noqa: E731
+    erm_full = select(erm_combos, every)
+    jtt_per_bin = select(jtt_combos, every)[0]
+    assert select(erm_combos, only_kept) == erm_full
+    assert select(jtt_combos, only_kept)[0] == jtt_per_bin
+    # Every reported winner's test counts, hence its stored reports, exist.
+    per_bin, top = erm_full
+    for (_, t, epoch), _, _ in [w for w in (*per_bin, top, *jtt_per_bin) if w is not None]:
         assert epoch in kept[t]
-    assert all(len(epochs) <= len(bins) + 1 for epochs in kept.values())
+    for t, epochs in kept.items():
+        assert len(epochs) <= len(bins) + plain[t]
 
 
 def test_upsampled_task_does_not_materialize_its_training_set():
