@@ -222,8 +222,10 @@ def _load_predictions(
     stored_hash, candidates = _parse_artifact(index_path, "candidate index", _candidate_index)
     _check_provenance(index_path, config, stored_hash)
     try:
-        predictions = np.load(matrix_path, allow_pickle=False)
-    except (ValueError, EOFError) as exc:
+        # The npy reader itself: np.load would return an archive for a .npz.
+        with open(matrix_path, "rb") as fh:
+            predictions = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
         raise DataError(f"malformed prediction matrix {matrix_path}: {type(exc).__name__}: {exc}") from None
     if predictions.dtype != np.int8 or predictions.shape != (len(candidates), n_rows):
         raise DataError(

@@ -9,9 +9,12 @@ after epoch k of a long run equals the final checkpoint of a k-epoch run.
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -294,6 +297,61 @@ def _train_loop(
     return checkpoints
 
 
+# Environment variables by which a user sets the BLAS thread count; when any
+# is set, pool_map leaves the count alone.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Thread-count functions of the bundled OpenBLAS of numpy >= 2 wheels, of
+# numpy 1.x wheels (64-bit integer build) and of a system OpenBLAS.
+_OPENBLAS_PREFIXES = ("scipy_openblas", "openblas")
+_OPENBLAS_SUFFIXES = ("64_", "")
+
+
+@lru_cache(maxsize=None)
+def _openblas_thread_functions() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) thread-count functions of the OpenBLAS mapped into this
+    process, or None (another BLAS, or no /proc). Looked up once per process;
+    the function pointers stay valid in forked children."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            # A mapping line ends in the path of the mapped file, if any.
+            libraries = sorted(
+                {line.split(None, 5)[-1].strip() for line in fh if "openblas" in line.rsplit("/", 1)[-1].lower()}
+            )
+    except OSError:
+        return None
+    for path in libraries:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in _OPENBLAS_PREFIXES:
+            for suffix in _OPENBLAS_SUFFIXES:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+def _set_blas_threads(count: int) -> int | None:
+    """Set the OpenBLAS thread count and return the previous one; None, with
+    nothing set, when the user chose a count or there is no OpenBLAS. An
+    unchanged count is not set again: after a fork, any set restarts
+    OpenBLAS's thread pool, whose new threads spin for ~0.1 s of CPU each."""
+    if any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        return None
+    functions = _openblas_thread_functions()
+    if functions is None:
+        return None
+    get, set_ = functions
+    previous = get()
+    if previous != count:
+        set_(count)
+    return previous
+
+
 # (fn, ctx) of pool_map, set in its worker processes only: ctx is sent once
 # per worker, not once per item.
 _POOL_STATE: tuple[Callable, object] | None = None
@@ -302,6 +360,7 @@ _POOL_STATE: tuple[Callable, object] | None = None
 def _pool_init(fn: Callable, ctx: object) -> None:
     global _POOL_STATE
     _POOL_STATE = (fn, ctx)
+    _set_blas_threads(1)
 
 
 def _pool_call(item):
@@ -312,9 +371,22 @@ def _pool_call(item):
 def pool_map(fn: Callable, ctx: object, items: Sequence, jobs: int) -> list:
     """[fn(ctx, item) for item in items]; with jobs > 1 and more than one item
     the calls run in min(jobs, len(items)) worker processes (fn must then be
-    module-level)."""
+    module-level).
+
+    Every call runs with BLAS on one thread (`_set_blas_threads`): a training
+    step's GEMMs are too small for more threads to help, and idle BLAS
+    threads spin on the other cores. The caller is set to one thread first
+    and forked workers inherit it; _pool_init sets it in workers that were
+    not forked. The in-process loop then restores the previous count. After
+    workers were forked the caller keeps one thread, because a set call
+    after a fork restarts OpenBLAS's thread pool, whose new threads spin."""
+    previous = _set_blas_threads(1)
     if jobs <= 1 or len(items) <= 1:
-        return [fn(ctx, item) for item in items]
+        try:
+            return [fn(ctx, item) for item in items]
+        finally:
+            if previous is not None:
+                _set_blas_threads(previous)
     with ProcessPoolExecutor(max_workers=min(jobs, len(items)), initializer=_pool_init, initargs=(fn, ctx)) as pool:
         return list(pool.map(_pool_call, items, chunksize=1))
 

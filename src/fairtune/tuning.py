@@ -286,8 +286,17 @@ def _evaluate_task(ctx: dict, task: _Task) -> _TaskResult:
     return _TaskResult(scores=scores, counts=counts)
 
 
+def _task_cost(n_train: int, task: _Task) -> int:
+    """Rows a task trains on over all its epochs, in proportion to its time."""
+    return (n_train + len(task.err_pos) * (task.lam - 1)) * task.stage2.epochs
+
+
 def _run_tasks(ctx: dict, tasks: Sequence[_Task], jobs: int) -> dict[tuple, _TaskResult]:
-    return {t.key: r for t, r in zip(tasks, pool_map(_evaluate_task, ctx, tasks, jobs))}
+    """Evaluate every task, keyed by task key. Tasks are submitted longest
+    first, so that no long task starts last while the other workers idle."""
+    n_train = ctx["train_X"].shape[0]
+    ordered = sorted(tasks, key=lambda task: -_task_cost(n_train, task))
+    return {t.key: r for t, r in zip(ordered, pool_map(_evaluate_task, ctx, ordered, jobs))}
 
 
 def _selection_labels(
@@ -454,6 +463,19 @@ def _sweep(
     )
 
 
+def _stage1_errors(ctx: dict, s1: HyperParams) -> list[tuple[int, tuple[int, ...]]]:
+    """Stage 1 of one grid point: train once and return, for each T of the T
+    grid within its epochs and in grid order, T and the positions of the
+    training rows that the epoch-T checkpoint misclassifies."""
+    train = ctx["train"]
+    ckpts = train_erm(train, s1)
+    return [
+        (t, tuple(int(p) for p in np.flatnonzero(predict(ckpts[t - 1], train) != train.targets)))
+        for t in ctx["t_grid"]
+        if t <= s1.epochs
+    ]
+
+
 def grid_search(
     train: TabularDataset,
     validation: TabularDataset,
@@ -467,14 +489,9 @@ def grid_search(
     val_sens = _selection_labels(validation, test, config.objective, config.sensitive_source, pseudo)
     combos: list[_Combo] = []
     tasks: dict[tuple, _Task] = {}
-    # Stage 1: one training run per grid point, reused across T values.
-    for s1 in config.stage1_grid:
-        ckpts = train_erm(train, s1)
-        for t in config.t_grid:
-            if t > s1.epochs:
-                continue
-            preds = predict(ckpts[t - 1], train)
-            err_pos = tuple(int(p) for p in np.flatnonzero(preds != train.targets))
+    stage1 = pool_map(_stage1_errors, {"train": train, "t_grid": config.t_grid}, config.stage1_grid, jobs)
+    for s1, err_by_t in zip(config.stage1_grid, stage1):
+        for t, err_pos in err_by_t:
             for lam in config.lambda_grid:
                 for s2 in config.stage2_grid:
                     key = _task_key(err_pos, lam, s2)
@@ -485,7 +502,6 @@ def grid_search(
                         kind="jtt", stage2=s2, epoch=0, stage1=s1, t=t, lam=lam, plain_fallback=not err_pos
                     )
                     combos.append(_Combo(ref_base=ref, task_key=key))
-        del ckpts
     erm_combos = _erm_combos(config.stage2_grid, tasks)
     return _sweep(
         train, validation, test, val_sens, tasks, combos, erm_combos,

@@ -354,6 +354,12 @@ def _npy_bytes(array):
     return buf.getvalue()
 
 
+def _npz_bytes(array):
+    buf = io.BytesIO()
+    np.savez(buf, predictions=array)
+    return buf.getvalue()
+
+
 def _damage_index(edit):
     def damage(ckpt):
         path = ckpt / "index.json"
@@ -393,12 +399,13 @@ def _shorten_index(text):
         _damage_matrix(lambda raw, m: _npy_bytes(m[:, :-1])),
         _damage_matrix(lambda raw, m: _npy_bytes(m[:-1])),
         _damage_matrix(lambda raw, m: _npy_bytes(m[0])),
+        _damage_matrix(lambda raw, m: _npz_bytes(m)),
     ],
     ids=[
         "index-truncated", "index-empty", "index-no-candidates", "index-entry-missing-key",
         "index-entry-not-object", "index-not-object", "index-shorter-than-matrix",
         "matrix-truncated", "matrix-empty", "matrix-not-npy", "matrix-float64",
-        "matrix-short-rows", "matrix-missing-row", "matrix-1d",
+        "matrix-short-rows", "matrix-missing-row", "matrix-1d", "npz-archive",
     ],
 )
 def test_label_damaged_grid_artifacts_are_data_errors(labeller_grid_run, tmp_path, capsys, damage):

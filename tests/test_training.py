@@ -1,12 +1,23 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fairtune
+import fairtune.training as training
 from fairtune.data import TabularDataset
 from fairtune.training import (
+    _BLAS_THREAD_VARIABLES,
     HyperParams,
     ModelParams,
     TrainingError,
     _expit,
+    _openblas_thread_functions,
+    _pool_init,
     _train_loop,
     bce_with_logits,
     gradients,
@@ -392,3 +403,157 @@ def test_pool_map_starts_no_more_workers_than_items(monkeypatch):
     monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counting_spawn)
     assert pool_map(_add, 10, [1, 2], jobs=4) == [11, 12]
     assert 1 <= len(spawned) <= 2
+
+
+# ---------------------------------------------------------------------------
+# pool_map runs every call with BLAS on one thread.
+# ---------------------------------------------------------------------------
+
+def _mapped_openblas():
+    """Paths of the mapped libraries named like an OpenBLAS ([] without /proc)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh}
+    except OSError:
+        return []
+    return sorted(p for p in paths if "openblas" in os.path.basename(p).lower())
+
+
+needs_openblas = pytest.mark.skipif(not _mapped_openblas(), reason="no OpenBLAS is mapped into this process")
+
+
+@pytest.fixture
+def blas_threads(monkeypatch):
+    """(get, set) of the mapped OpenBLAS, with no thread-count variable set;
+    the thread count is restored afterwards."""
+    functions = _openblas_thread_functions()
+    assert functions is not None
+    for name in _BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    get, set_ = functions
+    before = get()
+    yield get, set_
+    set_(before)
+
+
+def _blas_thread_count(ctx, item):
+    if item == "raise":
+        raise RuntimeError("raised in fn")
+    return _openblas_thread_functions()[0]()
+
+
+@needs_openblas
+def test_thread_functions_are_found_in_every_mapped_openblas():
+    # A renamed symbol must fail here, not silently stop the pinning.
+    assert _openblas_thread_functions() is not None, _mapped_openblas()
+
+
+@needs_openblas
+def test_pool_workers_run_blas_on_one_thread(blas_threads):
+    get, set_ = blas_threads
+    set_(2)
+    assert pool_map(_blas_thread_count, None, [0, 1, 2], jobs=2) == [1, 1, 1]
+    assert get() == 1  # the caller keeps the count its workers inherited
+
+
+@needs_openblas
+def test_in_process_calls_run_blas_on_one_thread_and_restore_the_count(blas_threads):
+    get, set_ = blas_threads
+    set_(2)
+    assert pool_map(_blas_thread_count, None, [0, 1], jobs=1) == [1, 1]
+    assert get() == 2
+    assert pool_map(_blas_thread_count, None, [0], jobs=2) == [1]
+    assert get() == 2
+    with pytest.raises(RuntimeError, match="raised in fn"):
+        pool_map(_blas_thread_count, None, [0, "raise"], jobs=1)
+    assert get() == 2
+
+
+# A stand-in OpenBLAS: its thread count, and the count of every set call.
+_FAKE_BLAS = {"count": 4, "sets": []}
+
+
+def _fake_set(count):
+    _FAKE_BLAS["sets"].append(count)
+    _FAKE_BLAS["count"] = count
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    monkeypatch.setitem(_FAKE_BLAS, "count", 4)
+    monkeypatch.setitem(_FAKE_BLAS, "sets", [])
+    monkeypatch.setattr(training, "_openblas_thread_functions", lambda: (lambda: _FAKE_BLAS["count"], _fake_set))
+    for name in _BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    return _FAKE_BLAS
+
+
+def _fake_blas_state(ctx, item):
+    return _FAKE_BLAS["count"], _FAKE_BLAS["sets"]
+
+
+def test_forked_workers_inherit_one_blas_thread_without_a_set_call(fake_blas):
+    # After a fork any set call restarts OpenBLAS's thread pool, whose new
+    # threads spin: the workers inherit the caller's count, and the caller
+    # is not set back.
+    assert pool_map(_fake_blas_state, None, [0, 1, 2], jobs=2) == [(1, [1])] * 3
+    assert fake_blas["sets"] == [1]
+    assert pool_map(_fake_blas_state, None, [0, 1], jobs=2) == [(1, [1])] * 2
+    assert pool_map(_fake_blas_state, None, [0], jobs=1) == [(1, [1])]
+    assert fake_blas["sets"] == [1]
+
+
+def test_pool_init_sets_one_blas_thread_in_a_worker_that_was_not_forked(fake_blas, monkeypatch):
+    monkeypatch.setattr(training, "_POOL_STATE", None)
+    _pool_init(_add, 0)
+    assert fake_blas["sets"] == [1]
+    _pool_init(_add, 0)
+    assert fake_blas["sets"] == [1]
+
+
+_REPORT_THREADS = """
+import json
+from fairtune.training import _openblas_thread_functions, pool_map
+
+def count(ctx, item):
+    return _openblas_thread_functions()[0]()
+
+print(json.dumps([count(None, 0), pool_map(count, None, [0], jobs=1), pool_map(count, None, [0, 1], jobs=2)]))
+"""
+
+
+@needs_openblas
+def test_a_thread_count_the_user_set_is_left_alone():
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    src = str(Path(fairtune.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _REPORT_THREADS], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    start, in_process, workers = json.loads(proc.stdout)
+    # OpenBLAS caps the variable at the CPUs this process may run on.
+    assert start == min(2, len(os.sched_getaffinity(0)))
+    assert in_process == [start] and workers == [start, start]
+
+
+def _train_with_thread_count(ctx, hp):
+    X, y = ctx
+    return _openblas_thread_functions()[0](), _train_loop(X, y, hp)
+
+
+@needs_openblas
+def test_one_blas_thread_leaves_training_bit_identical(blas_threads):
+    # The census step shape: d=100, 64 hidden units, batches of 256 rows,
+    # large enough for OpenBLAS to split each GEMM over its threads.
+    get, set_ = blas_threads
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(1024, 100))
+    y = rng.integers(0, 2, 1024).astype(np.float64)
+    hp = HyperParams(learning_rate=0.3, weight_decay=0.01, epochs=3, batch_size=256, seed=11, hidden_units=64)
+    set_(2)
+    threaded = _train_loop(X, y, hp)
+    [(count, pinned)] = pool_map(_train_with_thread_count, (X, y), [hp], jobs=1)
+    assert count == 1 and get() == 2
+    for a, b in zip(threaded, pinned, strict=True):
+        for ta, tb in zip(a.tensors, b.tensors, strict=True):
+            assert np.array_equal(ta.view(np.int64), tb.view(np.int64))

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairtune.tuning as tuning
 from fairtune.data import TabularDataset
 from fairtune.labelling import PseudoLabelledValidation
 from fairtune.metrics import EmptyGroupError, dp_gap, eo_gap, full_report, wga
@@ -344,6 +346,71 @@ def test_grid_search_parallel_matches_sequential(planted):
     sequential = grid_search(train, validation, test, config, jobs=1)
     parallel = grid_search(train, validation, test, config, jobs=2)
     assert sequential.to_dict() == parallel.to_dict()
+
+
+def two_stage1_config():
+    return JttConfig(
+        stage1_grid=(HyperParams(epochs=3, **HP), HyperParams(learning_rate=0.05, epochs=2, batch_size=32, seed=4)),
+        t_grid=(3, 1),  # T=3 is beyond the second point's epochs
+        lambda_grid=(1, 3, 6),
+        stage2_grid=(HyperParams(epochs=3, **HP), HyperParams(learning_rate=0.05, epochs=2, batch_size=64, seed=3)),
+        objective="dp_gap",
+        accuracy_bins=((0.5, 0.85), (0.85, 0.9), (0.9, 1.0)),
+        sensitive_source="ground_truth",
+    )
+
+
+def test_stage1_grid_points_run_in_the_pool(planted):
+    train, validation, test = planted
+    config = two_stage1_config()
+    sequential = grid_search(train, validation, test, config, jobs=1)
+    oracle = oracle_search(train, validation, test, config, validation.sensitive)
+    for outcome, expected in zip(sequential.bins, oracle.values(), strict=True):
+        assert (outcome.winner is None) == (expected is None)
+        if expected is not None:
+            (s1, t, lam, s2, epoch), _, _ = expected
+            w = outcome.winner
+            assert (w.stage1, w.t, w.lam, w.stage2, w.epoch) == (s1, t, lam, s2, epoch)
+    for jobs in (2, 3):
+        assert grid_search(train, validation, test, config, jobs=jobs).to_dict() == sequential.to_dict()
+
+
+def _record_submissions(monkeypatch):
+    """Record the task list of every sweep's pool_map call."""
+    submitted = []
+    pool_map = tuning.pool_map
+
+    def recording(fn, ctx, items, jobs):
+        if fn is tuning._evaluate_task:
+            submitted.append(list(items))
+        return pool_map(fn, ctx, items, jobs)
+
+    monkeypatch.setattr(tuning, "pool_map", recording)
+    return submitted
+
+
+def test_tasks_are_submitted_longest_first(planted, monkeypatch):
+    train, validation, test = planted
+    config = two_stage1_config()
+    submitted = _record_submissions(monkeypatch)
+    grid_search(train, validation, test, config)
+    [tasks] = submitted
+    costs = [(train.n_rows + len(t.err_pos) * (t.lam - 1)) * t.stage2.epochs for t in tasks]
+    assert costs == sorted(costs, reverse=True) and costs[0] > costs[-1]
+    assert tasks[0].lam == max(config.lambda_grid)
+
+
+def test_shuffled_submission_order_gives_identical_results(planted, monkeypatch):
+    train, validation, test = planted
+    config = two_stage1_config()
+    expected = grid_search(train, validation, test, config).to_dict()
+    submitted = _record_submissions(monkeypatch)
+    rng = random.Random(7)
+    monkeypatch.setattr(tuning, "_task_cost", lambda n_train, task: rng.random())
+    for jobs in (1, 1, 2):
+        assert grid_search(train, validation, test, config, jobs=jobs).to_dict() == expected
+    orders = [[t.key for t in tasks] for tasks in submitted]
+    assert len({tuple(map(repr, o)) for o in orders}) == len(orders)
 
 
 def test_all_t_filtered_leaves_bins_empty(planted):
