@@ -69,13 +69,6 @@ from .training import (
     train_erm,
     train_upsampled,
 )
-from .tuning import (
-    CandidateRef,
-    JttConfig,
-    TunerResult,
-    erm_sweep,
-    grid_search,
-    jtt_train,
-)
+from .tuning import CandidateRef, JttConfig, TunerResult, grid_search
 
 __version__ = "0.1.0"

@@ -348,13 +348,12 @@ def render_table(result: TunerResult) -> str:
             rows.append(
                 [tag, "jtt", _fmt_pair(outcome.validation, result.objective), _fmt_pair(outcome.test, result.objective)]
             )
-        if erm_outcome is not None:
-            if erm_outcome.empty:
-                rows.append(["", "erm", "(empty)", "(empty)"])
-            else:
-                rows.append(
-                    ["", "erm", _fmt_pair(erm_outcome.validation, result.objective), _fmt_pair(erm_outcome.test, result.objective)]
-                )
+        if erm_outcome.empty:
+            rows.append(["", "erm", "(empty)", "(empty)"])
+        else:
+            rows.append(
+                ["", "erm", _fmt_pair(erm_outcome.validation, result.objective), _fmt_pair(erm_outcome.test, result.objective)]
+            )
     if result.erm_baseline is not None and not result.erm_baseline.empty:
         rows.append(
             [

@@ -52,6 +52,12 @@ def _get(d: Mapping, path: str, key: str, kind, required: bool = True, default=N
     return value
 
 
+def _seed(value: int, path: str) -> int:
+    if value < 0:
+        _fail(path, f"must be >= 0, got {value}")
+    return value
+
+
 def _hyperparams(d: Mapping, path: str, default_seed: int) -> HyperParams:
     if not isinstance(d, dict):
         _fail(path, "expected an object")
@@ -142,6 +148,7 @@ def parse_config(
     if not isinstance(raw, Mapping):
         raise ConfigError("configuration root must be an object")
     master = seed_override if seed_override is not None else _get(raw, "", "seed", int, required=False, default=0)
+    _seed(master, "seed")
     output_dir = out_override if out_override is not None else _get(raw, "", "output_dir", str)
 
     dataset = _get(raw, "", "dataset", dict)
@@ -156,6 +163,7 @@ def parse_config(
             synthetic = SyntheticSpec.from_dict(spec_raw)
         except ValueError as exc:
             _fail("dataset.synthetic", str(exc))
+        _seed(synthetic.seed, "dataset.synthetic.seed")
     elif kind == "csv":
         csv_section = _get(dataset, "dataset", "csv", dict)
         csv_path = _get(csv_section, "dataset.csv", "path", str)
@@ -184,7 +192,7 @@ def parse_config(
     if len(fractions_raw) != 3 or not all(isinstance(f, (int, float)) for f in fractions_raw):
         _fail("split.fractions", "expected three numbers")
     fractions = tuple(float(f) for f in fractions_raw)
-    split_seed = _get(split_section, "split", "seed", int, required=False, default=master + 1)
+    split_seed = _seed(_get(split_section, "split", "seed", int, required=False, default=master + 1), "split.seed")
 
     model_seed = master + 2
     labeller_grid = _grid(_get(raw, "", "labeller_grid", list), "labeller_grid", model_seed)
@@ -231,7 +239,7 @@ def parse_config(
         mc = McNoiseSection(
             grid=tuple(cells),
             n_samples=_get(m, "mc_noise", "n_samples", int, required=False, default=100_000),
-            seed=_get(m, "mc_noise", "seed", int, required=False, default=master + 3),
+            seed=_seed(_get(m, "mc_noise", "seed", int, required=False, default=master + 3), "mc_noise.seed"),
             split=mc_split,
         )
 

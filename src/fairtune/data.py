@@ -147,9 +147,6 @@ class TabularDataset:
             numeric_mask=self.numeric_mask,
         )
 
-    def restrict_to_class(self, y: int) -> "TabularDataset":
-        return self.take(np.flatnonzero(self.targets == y))
-
     def with_sensitive(self, sensitive: np.ndarray) -> "TabularDataset":
         return TabularDataset(
             features=self.features,
@@ -304,6 +301,10 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> TabularDataset:
                             f"{path}: data row {ridx}, column {name!r}: "
                             f"unparseable numeric value {cell!r}"
                         ) from None
+                    if not np.isfinite(out[pos]):
+                        raise DataError(
+                            f"{path}: data row {ridx}, column {name!r}: non-finite numeric value {cell!r}"
+                        )
                     pos += 1
                 else:
                     vocab = schema.categorical_vocab[name]

@@ -53,6 +53,8 @@ class HyperParams:
             raise ValueError("batch_size must be >= 1")
         if self.hidden_units < 0:
             raise ValueError("hidden_units must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         return {
@@ -391,12 +393,17 @@ def pool_map(fn: Callable, ctx: object, items: Sequence, jobs: int) -> list:
         return list(pool.map(_pool_call, items, chunksize=1))
 
 
-def train_erm(train: TabularDataset, hp: HyperParams) -> list[ModelParams]:
-    """Train on the given split, returning the checkpoint after every epoch."""
+def check_trainable(train: TabularDataset) -> None:
+    """Raise TrainingError for an empty split or non-finite features."""
     if train.n_rows == 0:
         raise TrainingError("training set is empty")
     if not np.isfinite(train.features).all():
         raise TrainingError("training features contain non-finite values")
+
+
+def train_erm(train: TabularDataset, hp: HyperParams) -> list[ModelParams]:
+    """Train on the given split, returning the checkpoint after every epoch."""
+    check_trainable(train)
     return _train_loop(train.features, train.targets.astype(np.float64), hp)
 
 

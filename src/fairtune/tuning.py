@@ -6,15 +6,22 @@ lambda times. The tuner sweeps every (stage-1 point, T, lambda, stage-2
 point, stage-2 epoch) combination, buckets candidates into half-open average
 validation-accuracy bins, and picks the candidate per bin that optimizes a
 fairness objective measured on the validation set's (pseudo or ground-truth)
-sensitive labels. Each stage-2 run counts every epoch's predictions on
-validation, and all selection reads those counts. The run predicts the test
-split's ground truth only at the few epochs that can win a bin or the
-unconstrained baseline; those counts feed only the winners' test reports.
+sensitive labels.
+
+The sweep trains in two waves of one task kind. Wave 1 is the plain run of
+every distinct stage-1 point, which also returns the training rows it
+misclassifies at each T. Wave 2 is the two-stage runs those mistakes imply,
+plus the plain run of every stage-2 point that wave 1 did not train; a
+point in both grids trains once. Each run counts every epoch's
+predictions on validation, and all selection reads those counts. The run
+predicts the test split's ground truth only at the few epochs that can win a
+bin or the unconstrained baseline; those counts feed only the winners' test
+reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,20 +35,11 @@ from .metrics import (
     confusion_counts,
     report_from_counts,
 )
-from .training import (
-    HyperParams,
-    ModelParams,
-    TrainingError,
-    _train_loop,
-    pool_map,
-    predict,
-    train_erm,
-    train_upsampled,
-    upsampled_positions,
-)
+from .training import HyperParams, _train_loop, check_trainable, pool_map, predict, upsampled_positions
 
 # Unused here, but perfbench/spans.py traces these names on this module.
 from .metrics import dp_gap, eo_gap, report_from_predictions, wga  # noqa: F401
+from .training import train_erm, train_upsampled  # noqa: F401
 
 GROUND_TRUTH = "ground_truth"
 PSEUDO = "pseudo"
@@ -149,77 +147,44 @@ class CandidateRef:
         )
 
 
-@dataclass(frozen=True)
-class JttOutcome:
-    """Final stage-2 model plus stage-1 provenance."""
-
-    model: ModelParams
-    stage1_error_ids: tuple[int, ...]
-    plain_erm: bool
-
-
-def stage1_error_ids(model: ModelParams, train: TabularDataset) -> np.ndarray:
-    """Row ids of training rows the stage-1 model misclassifies."""
-    preds = predict(model, train)
-    return train.row_ids[preds != train.targets]
-
-
-def jtt_train(
-    train: TabularDataset,
-    stage1_hp: HyperParams,
-    t: int,
-    lam: int,
-    stage2_hp: HyperParams,
-) -> JttOutcome:
-    """Run both stages and return the final stage-2 model.
-
-    A stage 1 that classifies the whole training set correctly yields an
-    empty repeat set; the result is then a plain single-stage model, flagged
-    rather than raised.
-    """
-    if not 1 <= t <= stage1_hp.epochs:
-        raise TrainingError(f"early stop t={t} outside 1..{stage1_hp.epochs}")
-    stage1_ckpts = train_erm(train, stage1_hp)
-    err_ids = stage1_error_ids(stage1_ckpts[t - 1], train)
-    ckpts = train_upsampled(train, err_ids, lam, stage2_hp)
-    return JttOutcome(
-        model=ckpts[-1],
-        stage1_error_ids=tuple(int(r) for r in err_ids),
-        plain_erm=len(err_ids) == 0,
-    )
-
-
 # ----------------------------------------------------------------------------
 # Grid evaluation machinery.
 #
-# A *task* is one stage-2 training run; a *candidate* is one task epoch.
-# Tasks are deduplicated (lambda == 1 or an empty repeat set collapse to the
-# plain run of their stage-2 point) and may be evaluated in parallel; each
-# returns every epoch's validation score and the confusion counts of the
-# epochs that can win. The selection pass is a sequential reduction in
-# canonical grid order, so the winners never depend on the degree of
-# parallelism.
+# A *task* is one training run; a *candidate* is one task epoch. Tasks are
+# deduplicated (lambda == 1 or an empty repeat set collapse to the plain run
+# of their stage-2 point) and may be evaluated in parallel; each returns
+# every epoch's validation score, the confusion counts of the epochs that can
+# win and the training mistakes stage 1 asked for. The selection pass is a
+# sequential reduction in canonical grid order, so the winners never depend
+# on the degree of parallelism.
 # ----------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Task:
-    key: tuple
-    err_pos: tuple[int, ...]  # positional indices into the training arrays
-    lam: int
+    """One training run, which is also its own result key: the plain run of
+    `stage2`, or the run with the rows at `err_pos` repeated `lam` times.
+    `mistakes_at` lists the epochs whose training mistakes stage 1 reads; it
+    is not part of the key, so a combo's `_Task(stage2)` finds the plain
+    run."""
+
     stage2: HyperParams
+    err_pos: tuple[int, ...] = ()  # positional indices into the training arrays
+    lam: int = 1
+    mistakes_at: tuple[int, ...] = field(default=(), compare=False)
 
 
-@dataclass(frozen=True)
-class _Combo:
-    ref_base: CandidateRef  # epoch filled in during reduction
-    task_key: tuple
+def _task(err_pos: tuple[int, ...], lam: int, stage2: HyperParams) -> _Task:
+    """The run of a two-stage combo: the plain run of `stage2` when lam is 1
+    or stage 1 made no training mistakes."""
+    return _Task(stage2) if lam == 1 or not err_pos else _Task(stage2, err_pos, lam)
 
 
 @dataclass(frozen=True)
 class _TaskResult:
     scores: tuple[tuple[float, float], ...]  # (accuracy, objective) per epoch on validation
     counts: Mapping[int, tuple[np.ndarray, np.ndarray]]  # candidate epoch -> (validation, test) counts
+    mistakes: Mapping[int, tuple[int, ...]]  # epoch of mistakes_at -> positions of misclassified training rows
 
 
 def _bin_of(acc: float, bins: Sequence[tuple[float, float]]) -> int | None:
@@ -265,14 +230,13 @@ def _candidate_epochs(
 
 
 def _evaluate_task(ctx: dict, task: _Task) -> _TaskResult:
-    """Train one stage-2 run, score every epoch checkpoint on validation
-    (selection labels), and predict the test split (ground truth) only at
-    the candidate epochs. Returns the validation (accuracy, objective) of
-    every epoch and, per candidate epoch, the validation and the test
-    confusion counts."""
-    X = ctx["train_X"]
-    rows = upsampled_positions(X.shape[0], task.err_pos, task.lam)
-    ckpts = _train_loop(X, ctx["train_y"], task.stage2, rows)
+    """Train one run, score every epoch checkpoint on validation (selection
+    labels), and predict the test split (ground truth) only at the candidate
+    epochs. Returns the validation (accuracy, objective) of every epoch, per
+    candidate epoch the validation and the test confusion counts, and per
+    epoch of `mistakes_at` the training rows that checkpoint misclassifies."""
+    X, y = ctx["train_X"], ctx["train_y"]
+    ckpts = _train_loop(X, y, task.stage2, upsampled_positions(X.shape[0], task.err_pos, task.lam))
     val_counts = [confusion_counts(predict(ckpt, ctx["val_X"]), ctx["val_y"], ctx["val_sens"]) for ckpt in ckpts]
     reports = [report_from_counts(c, ctx["source"], require=(ctx["objective"],)) for c in val_counts]
     scores = tuple((r.avg_accuracy, r.metric(ctx["objective"])) for r in reports)
@@ -281,9 +245,10 @@ def _evaluate_task(ctx: dict, task: _Task) -> _TaskResult:
             val_counts[epoch - 1],
             confusion_counts(predict(ckpts[epoch - 1], ctx["test_X"]), ctx["test_y"], ctx["test_sens"]),
         )
-        for epoch in _candidate_epochs(scores, ctx["bins"], _MINIMIZED[ctx["objective"]], plain=task.key[0] == "erm")
+        for epoch in _candidate_epochs(scores, ctx["bins"], _MINIMIZED[ctx["objective"]], plain=not task.err_pos)
     }
-    return _TaskResult(scores=scores, counts=counts)
+    mistakes = {t: tuple(np.flatnonzero(predict(ckpts[t - 1], X) != y).tolist()) for t in task.mistakes_at}
+    return _TaskResult(scores=scores, counts=counts, mistakes=mistakes)
 
 
 def _task_cost(n_train: int, task: _Task) -> int:
@@ -291,12 +256,12 @@ def _task_cost(n_train: int, task: _Task) -> int:
     return (n_train + len(task.err_pos) * (task.lam - 1)) * task.stage2.epochs
 
 
-def _run_tasks(ctx: dict, tasks: Sequence[_Task], jobs: int) -> dict[tuple, _TaskResult]:
-    """Evaluate every task, keyed by task key. Tasks are submitted longest
-    first, so that no long task starts last while the other workers idle."""
+def _run_tasks(ctx: dict, tasks: Sequence[_Task], jobs: int) -> dict[_Task, _TaskResult]:
+    """Evaluate every task, keyed by task. Tasks are submitted longest first,
+    so that no long task starts last while the other workers idle."""
     n_train = ctx["train_X"].shape[0]
     ordered = sorted(tasks, key=lambda task: -_task_cost(n_train, task))
-    return {t.key: r for t, r in zip(ordered, pool_map(_evaluate_task, ctx, ordered, jobs))}
+    return dict(zip(ordered, pool_map(_evaluate_task, ctx, ordered, jobs)))
 
 
 def _selection_labels(
@@ -385,97 +350,6 @@ class TunerResult:
         )
 
 
-def _task_key(err_pos: tuple[int, ...], lam: int, stage2: HyperParams) -> tuple:
-    if lam == 1 or not err_pos:
-        return ("erm", stage2)
-    return ("jtt", err_pos, lam, stage2)
-
-
-def _erm_combos(grid: Sequence[HyperParams], tasks: dict[tuple, _Task]) -> list[_Combo]:
-    """Plain-training candidates of every grid point, adding their tasks."""
-    combos = []
-    for hp in grid:
-        key = ("erm", hp)
-        tasks.setdefault(key, _Task(key=key, err_pos=(), lam=1, stage2=hp))
-        combos.append(_Combo(ref_base=CandidateRef(kind="erm", stage2=hp, epoch=0), task_key=key))
-    return combos
-
-
-def _sweep(
-    train: TabularDataset,
-    validation: TabularDataset,
-    test: TabularDataset,
-    val_sens: np.ndarray,
-    tasks: Mapping[tuple, _Task],
-    jtt_combos: Sequence[_Combo] | None,
-    erm_combos: Sequence[_Combo],
-    bins: Sequence[tuple[float, float]],
-    objective: str,
-    sensitive_source: str,
-    jobs: int,
-) -> TunerResult:
-    """Run every task, then select per bin among the two-stage candidates
-    (none for a plain sweep) and among the plain ones."""
-    ctx = {
-        "train_X": train.features,
-        "train_y": train.targets.astype(np.float64),
-        "val_X": validation.features,
-        "val_y": validation.targets,
-        "val_sens": val_sens,
-        "test_X": test.features,
-        "test_y": test.targets,
-        "test_sens": test.sensitive,
-        "bins": bins,
-        "objective": objective,
-        "source": sensitive_source,
-    }
-    results = _run_tasks(ctx, list(tasks.values()), jobs)
-
-    def candidates(combos: Sequence[_Combo]):
-        for combo in combos:
-            for epoch, (acc, obj) in enumerate(results[combo.task_key].scores, start=1):
-                yield (combo, epoch), acc, obj
-
-    def outcome(best: tuple | None, bin_: tuple[float, float]) -> BinOutcome:
-        if best is None:
-            return BinOutcome(bin=bin_, winner=None, validation=None, test=None)
-        (combo, epoch), _, _ = best
-        val_counts, test_counts = results[combo.task_key].counts[epoch]
-        return BinOutcome(
-            bin=bin_,
-            winner=replace(combo.ref_base, epoch=epoch),
-            validation=report_from_counts(val_counts, sensitive_source, require=(objective,)),
-            test=report_from_counts(test_counts, GROUND_TRUTH, require=()),
-        )
-
-    minimize = _MINIMIZED[objective]
-    erm_best, erm_overall = _select(candidates(erm_combos), bins, minimize)
-    jtt_bins = ()
-    if jtt_combos is not None:
-        jtt_best, _ = _select(candidates(jtt_combos), bins, minimize)
-        jtt_bins = tuple(outcome(b, bn) for b, bn in zip(jtt_best, bins))
-    return TunerResult(
-        objective=objective,
-        sensitive_source=sensitive_source,
-        bins=jtt_bins,
-        erm_bins=tuple(outcome(b, bn) for b, bn in zip(erm_best, bins)),
-        erm_baseline=None if erm_overall is None else outcome(erm_overall, (0.0, 1.0 + 1e-12)),
-    )
-
-
-def _stage1_errors(ctx: dict, s1: HyperParams) -> list[tuple[int, tuple[int, ...]]]:
-    """Stage 1 of one grid point: train once and return, for each T of the T
-    grid within its epochs and in grid order, T and the positions of the
-    training rows that the epoch-T checkpoint misclassifies."""
-    train = ctx["train"]
-    ckpts = train_erm(train, s1)
-    return [
-        (t, tuple(int(p) for p in np.flatnonzero(predict(ckpts[t - 1], train) != train.targets)))
-        for t in ctx["t_grid"]
-        if t <= s1.epochs
-    ]
-
-
 def grid_search(
     train: TabularDataset,
     validation: TabularDataset,
@@ -485,51 +359,69 @@ def grid_search(
     jobs: int = 1,
 ) -> TunerResult:
     """Sweep the two-stage grid plus a plain baseline sweep of the stage-2
-    grid, selecting per accuracy bin by the configured fairness objective."""
+    grid, selecting per accuracy bin by the configured fairness objective.
+    `erm_bins` and `erm_baseline` are the plain sweep; with lambda_grid=(1,)
+    and stage1_grid == stage2_grid, only the plain runs are trained."""
     val_sens = _selection_labels(validation, test, config.objective, config.sensitive_source, pseudo)
-    combos: list[_Combo] = []
-    tasks: dict[tuple, _Task] = {}
-    stage1 = pool_map(_stage1_errors, {"train": train, "t_grid": config.t_grid}, config.stage1_grid, jobs)
-    for s1, err_by_t in zip(config.stage1_grid, stage1):
-        for t, err_pos in err_by_t:
-            for lam in config.lambda_grid:
-                for s2 in config.stage2_grid:
-                    key = _task_key(err_pos, lam, s2)
-                    if key not in tasks:
-                        plain = key[0] == "erm"
-                        tasks[key] = _Task(key, () if plain else err_pos, 1 if plain else lam, s2)
-                    ref = CandidateRef(
-                        kind="jtt", stage2=s2, epoch=0, stage1=s1, t=t, lam=lam, plain_fallback=not err_pos
-                    )
-                    combos.append(_Combo(ref_base=ref, task_key=key))
-    erm_combos = _erm_combos(config.stage2_grid, tasks)
-    return _sweep(
-        train, validation, test, val_sens, tasks, combos, erm_combos,
-        config.accuracy_bins, config.objective, config.sensitive_source, jobs,
-    )
+    check_trainable(train)
+    ctx = {
+        "train_X": train.features,
+        "train_y": train.targets.astype(np.float64),
+        "val_X": validation.features,
+        "val_y": validation.targets,
+        "val_sens": val_sens,
+        "test_X": test.features,
+        "test_y": test.targets,
+        "test_sens": test.sensitive,
+        "bins": config.accuracy_bins,
+        "objective": config.objective,
+        "source": config.sensitive_source,
+    }
+    # Wave 1: the plain run of every distinct stage-1 point, which also
+    # returns its training mistakes at each T within its epochs.
+    wave1 = [_Task(s1, mistakes_at=tuple(t for t in config.t_grid if t <= s1.epochs)) for s1 in config.stage1_grid]
+    results = _run_tasks(ctx, list(dict.fromkeys(wave1)), jobs)
+    # Wave 2: every other run the combos read, the plain runs of stage-2
+    # points outside the stage-1 grid among them; a point in both grids has
+    # trained in wave 1.
+    jtt_combos = [
+        (CandidateRef(kind="jtt", stage2=s2, epoch=0, stage1=s1, t=t, lam=lam, plain_fallback=not err_pos),
+         _task(err_pos, lam, s2))
+        for s1 in config.stage1_grid
+        for t, err_pos in results[_Task(s1)].mistakes.items()
+        for lam in config.lambda_grid
+        for s2 in config.stage2_grid
+    ]
+    erm_combos = [(CandidateRef(kind="erm", stage2=s2, epoch=0), _Task(s2)) for s2 in config.stage2_grid]
+    wave2 = dict.fromkeys(task for _, task in (*jtt_combos, *erm_combos) if task not in results)
+    results.update(_run_tasks(ctx, list(wave2), jobs))
 
+    def candidates(combos: Sequence[tuple[CandidateRef, _Task]]):
+        for ref, task in combos:
+            for epoch, (acc, obj) in enumerate(results[task].scores, start=1):
+                yield (ref, task, epoch), acc, obj
 
-def erm_sweep(
-    train: TabularDataset,
-    validation: TabularDataset,
-    test: TabularDataset,
-    grid: Sequence[HyperParams],
-    bins: Sequence[tuple[float, float]],
-    objective: str,
-    sensitive_source: str = GROUND_TRUTH,
-    pseudo: PseudoLabelledValidation | None = None,
-    jobs: int = 1,
-) -> TunerResult:
-    """Plain-training sweep: grid_search restricted to single-stage candidates
-    (every epoch checkpoint of every grid point)."""
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    val_sens = _selection_labels(validation, test, objective, sensitive_source, pseudo)
-    tasks: dict[tuple, _Task] = {}
-    erm_combos = _erm_combos(grid, tasks)
-    bins = tuple((float(lo), float(hi)) for lo, hi in bins)
-    return _sweep(
-        train, validation, test, val_sens, tasks, None, erm_combos, bins, objective, sensitive_source, jobs
+    def outcome(best: tuple | None, bin_: tuple[float, float]) -> BinOutcome:
+        if best is None:
+            return BinOutcome(bin=bin_, winner=None, validation=None, test=None)
+        (ref, task, epoch), _, _ = best
+        val_counts, test_counts = results[task].counts[epoch]
+        return BinOutcome(
+            bin=bin_,
+            winner=replace(ref, epoch=epoch),
+            validation=report_from_counts(val_counts, config.sensitive_source, require=(config.objective,)),
+            test=report_from_counts(test_counts, GROUND_TRUTH, require=()),
+        )
+
+    bins, minimize = config.accuracy_bins, _MINIMIZED[config.objective]
+    jtt_best, _ = _select(candidates(jtt_combos), bins, minimize)
+    erm_best, erm_overall = _select(candidates(erm_combos), bins, minimize)
+    return TunerResult(
+        objective=config.objective,
+        sensitive_source=config.sensitive_source,
+        bins=tuple(outcome(b, bn) for b, bn in zip(jtt_best, bins)),
+        erm_bins=tuple(outcome(b, bn) for b, bn in zip(erm_best, bins)),
+        erm_baseline=None if erm_overall is None else outcome(erm_overall, (0.0, 1.0 + 1e-12)),
     )
 
 

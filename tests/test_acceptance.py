@@ -33,9 +33,10 @@ from fairtune.noise import (
     verify_proportionality,
 )
 from fairtune.training import HyperParams, models_equal, predict, train_erm
-from fairtune.tuning import JttConfig, TunerResult, erm_sweep, grid_search, jtt_train
+from fairtune.tuning import JttConfig, TunerResult, grid_search
 
 from conftest import planted_splits
+from reference import jtt_train
 from test_metrics import oracle_dp, oracle_eo, oracle_quality, oracle_wga
 from test_training import gradient_relative_error, perturbed
 
@@ -270,13 +271,6 @@ def test_criterion_9_income_benchmark_reproduction():
     )
     jobs = os.cpu_count() or 1
 
-    baseline = erm_sweep(
-        train, validation, test, model_grid, ((0.80, 0.805),), "dp_gap", jobs=jobs
-    ).erm_baseline
-    erm_acc, erm_dp = baseline.test.avg_accuracy, baseline.test.dp_gap
-    assert abs(erm_acc - 0.848) <= 0.015, f"plain-training accuracy {erm_acc:.3f}"
-    assert erm_dp >= 0.40, f"plain-training dp gap {erm_dp:.3f}"
-
     labelled = select_labeller(enumerate_candidates(train, model_grid), validation)
     config = JttConfig(
         stage1_grid=model_grid,
@@ -288,6 +282,13 @@ def test_criterion_9_income_benchmark_reproduction():
         sensitive_source="pseudo",
     )
     result = grid_search(train, validation, test, config, pseudo=labelled, jobs=jobs)
+    # The plain baseline is the top validation accuracy over the stage-2
+    # grid's plain runs; its test report reads ground truth whatever the
+    # selection labels.
+    baseline = result.erm_baseline
+    erm_acc, erm_dp = baseline.test.avg_accuracy, baseline.test.dp_gap
+    assert abs(erm_acc - 0.848) <= 0.015, f"plain-training accuracy {erm_acc:.3f}"
+    assert erm_dp >= 0.40, f"plain-training dp gap {erm_dp:.3f}"
     target_bin = result.bins[0]
     assert not target_bin.empty, "no candidate landed in the [80, 80.5) bin"
     tuned_dp = target_bin.test.dp_gap

@@ -566,3 +566,51 @@ def test_non_utf8_input_is_a_one_line_error(pipeline, tmp_path, capsys, setup):
     err = capsys.readouterr().err
     assert err.startswith("config error: " if code == 2 else "data error: ")
     assert "not a UTF-8 text file" in err and len(err.splitlines()) == 1
+
+
+def _with_seed(section, key="seed"):
+    """Config edits that set `key` of a copied section of the synthetic config to -3."""
+
+    def edit(raw):
+        target = raw
+        for name in section:
+            target = target[name]
+        target[key] = -3
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, args, field",
+    [
+        (_with_seed(()), (), "seed"),
+        (None, ("--seed", "-5"), "seed"),
+        (_with_seed(("split",)), (), "split.seed"),
+        (_with_seed(("mc_noise",)), (), "mc_noise.seed"),
+        (_with_seed(("dataset", "synthetic")), (), "dataset.synthetic.seed"),
+        (_with_seed(("labeller_grid", 0)), (), "labeller_grid[0]"),
+    ],
+    ids=["master", "master-flag", "split", "mc-noise", "synthetic", "labeller-grid"],
+)
+def test_negative_seed_is_a_one_line_config_error(tmp_path, capsys, edit, args, field):
+    raw = json.loads((CONFIGS / "synthetic.json").read_text())
+    raw["output_dir"] = str(tmp_path / "out")
+    if edit is not None:
+        edit(raw)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["prepare", "--config", str(config), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and ">= 0" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("token", [b"nan", b"inf", b"-inf"])
+def test_non_finite_csv_cell_is_a_one_line_data_error(tmp_path, capsys, token):
+    rows = RAW_CSV.splitlines(keepends=True)
+    rows[7] = token + rows[7][rows[7].index(b",") :]
+    config = _csv_dataset_config(tmp_path, b"age,sex,income\n" + b"".join(rows), SCHEMA_JSON)
+    assert main(["prepare", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and len(err.splitlines()) == 1
+    assert f"data row 7, column 'age': non-finite numeric value {token.decode()!r}" in err

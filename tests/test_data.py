@@ -89,6 +89,13 @@ def test_load_csv_unparseable_numeric(tmp_path):
         load_csv(path, SCHEMA)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_load_csv_non_finite_numeric(tmp_path, token):
+    path = write_lines(tmp_path / "toy.csv", ["age,sex,income", "30,F,>50K", f"{token},M,>50K"])
+    with pytest.raises(DataError, match=rf"row 1.*'age'.*non-finite numeric value '{token}'"):
+        load_csv(path, SCHEMA)
+
+
 def test_load_csv_empty_file(tmp_path):
     path = tmp_path / "toy.csv"
     path.write_text("", encoding="utf-8")

@@ -10,7 +10,15 @@ import fairtune.tuning as tuning
 from fairtune.data import TabularDataset
 from fairtune.labelling import PseudoLabelledValidation
 from fairtune.metrics import EmptyGroupError, dp_gap, eo_gap, full_report, wga
-from fairtune.training import HyperParams, models_equal, predict, train_erm, train_upsampled, upsampled_positions
+from fairtune.training import (
+    HyperParams,
+    TrainingError,
+    models_equal,
+    predict,
+    train_erm,
+    train_upsampled,
+    upsampled_positions,
+)
 from fairtune.tuning import (
     CandidateRef,
     JttConfig,
@@ -19,14 +27,12 @@ from fairtune.tuning import (
     _evaluate_task,
     _select,
     _Task,
-    erm_sweep,
     grid_search,
-    jtt_train,
-    stage1_error_ids,
     summarize_runs,
 )
 
 from conftest import planted_splits
+from reference import jtt_train, stage1_error_ids
 
 
 HP = dict(learning_rate=0.1, batch_size=64, seed=3)
@@ -216,11 +222,9 @@ def test_lambda_one_grid_search_equals_erm_sweep(planted):
         accuracy_bins=((0.5, 0.85), (0.85, 1.0)),
         sensitive_source="ground_truth",
     )
-    jtt_result = grid_search(train, validation, test, config)
-    sweep = erm_sweep(
-        train, validation, test, stage2_grid, config.accuracy_bins, "dp_gap"
-    )
-    for jtt_bin, erm_bin in zip(jtt_result.bins, sweep.erm_bins):
+    result = grid_search(train, validation, test, config)
+    assert any(not b.empty for b in result.bins)
+    for jtt_bin, erm_bin in zip(result.bins, result.erm_bins, strict=True):
         assert jtt_bin.empty == erm_bin.empty
         if jtt_bin.empty:
             continue
@@ -228,9 +232,23 @@ def test_lambda_one_grid_search_equals_erm_sweep(planted):
         assert jtt_bin.winner.epoch == erm_bin.winner.epoch
         assert jtt_bin.validation == erm_bin.validation
         assert jtt_bin.test == erm_bin.test
-    # the jtt result's own erm rows agree too
-    for a, b in zip(jtt_result.erm_bins, sweep.erm_bins):
-        assert a == b
+    # the plain sweep does not depend on the stage-1 grid
+    assert plain_sweep(train, validation, test, stage2_grid, config.accuracy_bins, "dp_gap").erm_bins == result.erm_bins
+
+
+def plain_sweep(train, validation, test, grid, bins, objective, sensitive_source="ground_truth", pseudo=None):
+    """grid_search restricted to plain runs: every two-stage combo has
+    lambda 1, so its erm_bins and erm_baseline are the plain sweep of grid."""
+    config = JttConfig(
+        stage1_grid=grid,
+        t_grid=(1,),
+        lambda_grid=(1,),
+        stage2_grid=grid,
+        objective=objective,
+        accuracy_bins=bins,
+        sensitive_source=sensitive_source,
+    )
+    return grid_search(train, validation, test, config, pseudo=pseudo)
 
 
 def flipped_pseudo(validation, flip_fraction, seed):
@@ -253,9 +271,9 @@ def test_ground_truth_wga_selection_dominates_pseudo_selection(planted):
     train, validation, test = planted
     grid = (HyperParams(epochs=6, **HP),)
     bins = ((0.5, 1.0),)
-    by_truth = erm_sweep(train, validation, test, grid, bins, "wga", sensitive_source="ground_truth")
+    by_truth = plain_sweep(train, validation, test, grid, bins, "wga", sensitive_source="ground_truth")
     pseudo = flipped_pseudo(validation, 0.35, seed=5)
-    by_pseudo = erm_sweep(
+    by_pseudo = plain_sweep(
         train, validation, test, grid, bins, "wga", sensitive_source="pseudo", pseudo=pseudo
     )
     def truth_wga(ref):
@@ -268,7 +286,7 @@ def test_ground_truth_wga_selection_dominates_pseudo_selection(planted):
 def test_erm_on_planted_data_has_low_wga(planted):
     train, validation, test = planted
     grid = (HyperParams(epochs=10, **HP),)
-    sweep = erm_sweep(train, validation, test, grid, ((0.0, 1.0),), "wga")
+    sweep = plain_sweep(train, validation, test, grid, ((0.0, 1.0),), "wga")
     baseline = sweep.erm_baseline
     assert baseline is not None
     assert baseline.test.wga < baseline.test.avg_accuracy - 0.3
@@ -340,6 +358,19 @@ def test_grid_search_with_pseudo_source_requires_labels(planted):
         grid_search(train, validation, test, config, pseudo=degenerate)
 
 
+def test_non_finite_train_features_fail_before_any_training(planted, monkeypatch):
+    train, validation, test = planted
+    features = train.features.copy()
+    features[3, 1] = np.nan
+    broken = TabularDataset(
+        features=features, targets=train.targets, row_ids=train.row_ids, split=train.split, sensitive=train.sensitive
+    )
+    submitted = _record_submissions(monkeypatch)
+    with pytest.raises(TrainingError, match="non-finite"):
+        grid_search(broken, validation, test, small_config())
+    assert submitted == []
+
+
 def test_grid_search_parallel_matches_sequential(planted):
     train, validation, test = planted
     config = small_config()
@@ -376,7 +407,7 @@ def test_stage1_grid_points_run_in_the_pool(planted):
 
 
 def _record_submissions(monkeypatch):
-    """Record the task list of every sweep's pool_map call."""
+    """Record the task list of every wave's pool_map call."""
     submitted = []
     pool_map = tuning.pool_map
 
@@ -394,10 +425,13 @@ def test_tasks_are_submitted_longest_first(planted, monkeypatch):
     config = two_stage1_config()
     submitted = _record_submissions(monkeypatch)
     grid_search(train, validation, test, config)
-    [tasks] = submitted
-    costs = [(train.n_rows + len(t.err_pos) * (t.lam - 1)) * t.stage2.epochs for t in tasks]
-    assert costs == sorted(costs, reverse=True) and costs[0] > costs[-1]
-    assert tasks[0].lam == max(config.lambda_grid)
+    stage1, rest = submitted
+    assert set(stage1) == set(map(_Task, config.stage1_grid)) and all(t.mistakes_at for t in stage1)
+    assert {t for t in rest if not t.err_pos} == set(map(_Task, config.stage2_grid)) - set(stage1)
+    for tasks in submitted:
+        costs = [(train.n_rows + len(t.err_pos) * (t.lam - 1)) * t.stage2.epochs for t in tasks]
+        assert costs == sorted(costs, reverse=True) and costs[0] > costs[-1]
+    assert rest[0].lam == max(config.lambda_grid)
 
 
 def test_shuffled_submission_order_gives_identical_results(planted, monkeypatch):
@@ -409,8 +443,34 @@ def test_shuffled_submission_order_gives_identical_results(planted, monkeypatch)
     monkeypatch.setattr(tuning, "_task_cost", lambda n_train, task: rng.random())
     for jobs in (1, 1, 2):
         assert grid_search(train, validation, test, config, jobs=jobs).to_dict() == expected
-    orders = [[t.key for t in tasks] for tasks in submitted]
-    assert len({tuple(map(repr, o)) for o in orders}) == len(orders)
+    orders = [(tuple(map(repr, w1)), tuple(map(repr, w2))) for w1, w2 in zip(submitted[::2], submitted[1::2])]
+    assert len(orders) == 3 and len(set(orders)) == len(orders)
+    for wave in (0, 1):
+        assert len({order[wave] for order in orders}) > 1
+
+
+def test_a_point_in_both_grids_trains_once(planted, monkeypatch):
+    train, validation, test = planted
+    grid = (HyperParams(epochs=3, **HP), HyperParams(learning_rate=0.05, epochs=2, batch_size=32, seed=4))
+    config = JttConfig(
+        stage1_grid=grid,
+        t_grid=(1, 2),
+        lambda_grid=(1, 3),
+        stage2_grid=grid,
+        objective="dp_gap",
+        accuracy_bins=((0.5, 0.9), (0.9, 1.0)),
+        sensitive_source="ground_truth",
+    )
+    submitted = _record_submissions(monkeypatch)
+    grid_search(train, validation, test, config)
+    plain, two_stage = submitted
+    assert len(plain) == len(grid) and set(plain) == {_Task(hp) for hp in grid}
+    assert {t.mistakes_at for t in plain} == {(1, 2)}
+    assert two_stage and all(t.err_pos and t.lam == 3 for t in two_stage)
+    submitted.clear()
+    plain_sweep(train, validation, test, grid, config.accuracy_bins, "dp_gap")
+    plain, two_stage = submitted
+    assert len(plain) == len(grid) and two_stage == []
 
 
 def test_all_t_filtered_leaves_bins_empty(planted):
@@ -517,7 +577,7 @@ def test_upsampled_task_does_not_materialize_its_training_set():
         "bins": ((0.0, 0.5), (0.5, 1.0)), "objective": "dp_gap", "source": "ground_truth",
     }
     stage2 = HyperParams(learning_rate=0.1, epochs=2, batch_size=256, seed=1, hidden_units=8)
-    task = _Task(key=("jtt", err_pos, lam, stage2), err_pos=err_pos, lam=lam, stage2=stage2)
+    task = _Task(stage2, err_pos, lam)
     tracemalloc.start()
     try:
         result = _evaluate_task(ctx, task)
