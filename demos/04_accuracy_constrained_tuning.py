@@ -12,7 +12,7 @@ from pathlib import Path
 
 from fairtune import HyperParams, JttConfig, grid_search
 from fairtune.cli import render_table
-from fairtune.labelling import enumerate_candidates, select_labeller
+from fairtune.labelling import labeller_predictions, select_labeller
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import planted_splits  # noqa: E402
@@ -20,7 +20,8 @@ from conftest import planted_splits  # noqa: E402
 train, validation, test = planted_splits(n_per_class=1000, minority_fraction=0.1, seed=13)
 
 labeller_grid = [HyperParams(learning_rate=0.1, epochs=20, batch_size=64, seed=15)]
-pseudo = select_labeller(enumerate_candidates(train, labeller_grid), validation)
+predictions, candidates = labeller_predictions(train, validation, labeller_grid)
+pseudo = select_labeller(predictions, candidates, validation)
 
 search = dict(
     stage1_grid=(HyperParams(learning_rate=0.1, epochs=20, batch_size=64, seed=15),),

@@ -27,12 +27,10 @@ from .data import (
     write_dataset,
 )
 from .labelling import (
-    LabellerCandidate,
     PseudoLabelledValidation,
     SelectionError,
     edm,
-    enumerate_candidates,
-    pseudo_label,
+    labeller_predictions,
     select_labeller,
 )
 from .metrics import (
@@ -41,9 +39,7 @@ from .metrics import (
     PseudoLabelQuality,
     accuracy,
     dp_gap,
-    dp_gap_signed,
     eo_gap,
-    eo_gap_signed,
     full_report,
     pseudo_label_quality,
     subgroup_accuracies,

@@ -44,7 +44,7 @@ from .data import (
     split,
     write_dataset,
 )
-from .labelling import PseudoLabelledValidation, SelectionError, select_from_predictions
+from .labelling import PseudoLabelledValidation, SelectionError, labeller_predictions, select_labeller
 from .metrics import EmptyGroupError
 from .noise import (
     NoiseSpec,
@@ -53,11 +53,10 @@ from .noise import (
     verify_proportionality,
     write_sweep_csv,
 )
-from .training import HyperParams, TrainingError, _train_loop, pool_map, predict
+from .training import HyperParams, TrainingError
 from .tuning import TunerResult, grid_search
 
 # Unused here, but perfbench/spans.py traces these names on this module.
-from .labelling import select_labeller  # noqa: F401
 from .training import load_model, save_model  # noqa: F401
 
 EXIT_OK = 0
@@ -170,11 +169,6 @@ def cmd_prepare(config: ExperimentConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _grid_predictions(ctx: dict, hp: HyperParams) -> np.ndarray:
-    """Validation predictions of one grid point, one row per epoch checkpoint."""
-    return np.stack([predict(m, ctx["val_X"]) for m in _train_loop(ctx["X"], ctx["y"], hp)])
-
-
 def _write_npy(path: Path, array: np.ndarray) -> None:
     # np.save appends ".npy" to a path that lacks it, but not to an open file.
     with open(path, "wb") as fh:
@@ -185,12 +179,11 @@ def cmd_train_grid(config: ExperimentConfig, args: argparse.Namespace) -> int:
     out = _out_dir(config)
     train = _read_split(out, "train", config)
     validation = _read_split(out, "validation", config)
-    ctx = {"X": train.features, "y": train.targets.astype(np.float64), "val_X": validation.features}
-    predictions = np.concatenate(pool_map(_grid_predictions, ctx, config.labeller_grid, args.jobs))
+    predictions, candidates = labeller_predictions(train, validation, config.labeller_grid, args.jobs)
+    grid_ids = [gi for gi, hp in enumerate(config.labeller_grid) for _ in range(hp.epochs)]
     index = [
         {"grid_index": gi, "hyperparams": hp.to_dict(), "epoch": epoch}
-        for gi, hp in enumerate(config.labeller_grid)
-        for epoch in range(1, hp.epochs + 1)
+        for gi, (hp, epoch) in zip(grid_ids, candidates)
     ]
     with _Outputs() as outputs:
         outputs.via(out / "checkpoints" / "predictions.npy", lambda p: _write_npy(p, predictions))
@@ -242,7 +235,7 @@ def cmd_label(config: ExperimentConfig, args: argparse.Namespace) -> int:
     out = _out_dir(config)
     validation = _read_split(out, "validation", config)
     predictions, candidates = _load_predictions(out, config, validation.n_rows)
-    labelled = select_from_predictions(predictions, candidates, validation)
+    labelled = select_labeller(predictions, candidates, validation)
     # The readers of labelled_validation.csv take the reserved columns only.
     labels = TabularDataset(
         features=np.empty((validation.n_rows, 0)),
@@ -432,7 +425,7 @@ def main(argv=None) -> int:
     except SelectionError as exc:
         print(f"selection failure: {exc}", file=sys.stderr)
         return EXIT_SELECTION_FAILURE
-    except (DataError, TrainingError, EmptyGroupError, FileNotFoundError) as exc:
+    except (DataError, TrainingError, EmptyGroupError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
 

@@ -45,11 +45,25 @@ def _get(d: Mapping, path: str, key: str, kind, required: bool = True, default=N
             _fail(here, "missing required key")
         return default
     value = d[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+    if isinstance(value, bool) and kind in (int, float):
+        _fail(here, f"expected {kind.__name__}, got bool")
+    if kind is float and isinstance(value, int):
         value = float(value)
     if kind is not None and not isinstance(value, kind):
         _fail(here, f"expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}")
     return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _int_list(d: Mapping, path: str, key: str) -> tuple[int, ...]:
+    values = _get(d, path, key, list)
+    for i, v in enumerate(values):
+        if not isinstance(v, int) or isinstance(v, bool):
+            _fail(f"{path}.{key}[{i}]", f"expected int, got {type(v).__name__}")
+    return tuple(values)
 
 
 def _seed(value: int, path: str) -> int:
@@ -189,7 +203,7 @@ def parse_config(
 
     split_section = _get(raw, "", "split", dict)
     fractions_raw = _get(split_section, "split", "fractions", list)
-    if len(fractions_raw) != 3 or not all(isinstance(f, (int, float)) for f in fractions_raw):
+    if len(fractions_raw) != 3 or not all(_is_number(f) for f in fractions_raw):
         _fail("split.fractions", "expected three numbers")
     fractions = tuple(float(f) for f in fractions_raw)
     split_seed = _seed(_get(split_section, "split", "seed", int, required=False, default=master + 1), "split.seed")
@@ -209,8 +223,8 @@ def parse_config(
         try:
             jtt = JttConfig(
                 stage1_grid=_grid(_get(j, "jtt", "stage1_grid", list), "jtt.stage1_grid", model_seed),
-                t_grid=tuple(_get(j, "jtt", "t_grid", list)),
-                lambda_grid=tuple(_get(j, "jtt", "lambda_grid", list)),
+                t_grid=_int_list(j, "jtt", "t_grid"),
+                lambda_grid=_int_list(j, "jtt", "lambda_grid"),
                 stage2_grid=_grid(_get(j, "jtt", "stage2_grid", list), "jtt.stage2_grid", model_seed),
                 objective=_get(j, "jtt", "objective", str),
                 accuracy_bins=tuple((b[0], b[1]) for b in bins_raw),
@@ -227,8 +241,8 @@ def parse_config(
         grid_raw = _get(m, "mc_noise", "grid", list)
         cells = []
         for i, cell in enumerate(grid_raw):
-            if not isinstance(cell, list) or len(cell) != 2:
-                _fail(f"mc_noise.grid[{i}]", "expected [alpha, beta]")
+            if not isinstance(cell, list) or len(cell) != 2 or not all(_is_number(v) for v in cell):
+                _fail(f"mc_noise.grid[{i}]", "expected [alpha, beta], two numbers")
             a, b = float(cell[0]), float(cell[1])
             if not (0 <= a <= 1 and 0 <= b <= 1):
                 _fail(f"mc_noise.grid[{i}]", "rates must lie in [0, 1]")
@@ -236,9 +250,12 @@ def parse_config(
         mc_split = _get(m, "mc_noise", "split", str, required=False, default="validation")
         if mc_split not in ("train", "validation", "test"):
             _fail("mc_noise.split", f"unknown split {mc_split!r}")
+        n_samples = _get(m, "mc_noise", "n_samples", int, required=False, default=100_000)
+        if n_samples < 1:
+            _fail("mc_noise.n_samples", f"must be >= 1, got {n_samples}")
         mc = McNoiseSection(
             grid=tuple(cells),
-            n_samples=_get(m, "mc_noise", "n_samples", int, required=False, default=100_000),
+            n_samples=n_samples,
             seed=_seed(_get(m, "mc_noise", "seed", int, required=False, default=master + 3), "mc_noise.seed"),
             split=mc_split,
         )
@@ -266,6 +283,8 @@ def _read_json(path: Path):
         raise ConfigError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from None
 
 
 def load_config(

@@ -147,17 +147,6 @@ class TabularDataset:
             numeric_mask=self.numeric_mask,
         )
 
-    def with_sensitive(self, sensitive: np.ndarray) -> "TabularDataset":
-        return TabularDataset(
-            features=self.features,
-            targets=self.targets,
-            row_ids=self.row_ids,
-            split=self.split,
-            sensitive=sensitive,
-            feature_names=self.feature_names,
-            numeric_mask=self.numeric_mask,
-        )
-
 
 @dataclass(frozen=True)
 class DatasetSchema:

@@ -1,11 +1,14 @@
-"""Pseudo sensitive-attribute labelling and mean-distance labeller selection.
+"""The paper's steps 1 and 2: labeller candidates and mean-distance selection.
 
-A trained classifier splits the validation set into rows it predicts
+Step 1, `labeller_predictions`, trains every labeller grid point and
+predicts the validation set at every epoch checkpoint; each checkpoint is a
+candidate. A candidate splits the validation set into rows it predicts
 correctly (pseudo attribute 1, majority proxy) and incorrectly (pseudo
-attribute 0, minority proxy). Candidates are scored, separately within each
-target class, by the Euclidean distance between the means (EDM) of the two
-row sets; the highest-scoring candidate labels that class. Features are
-expected to be standardized so no single column dominates the distance.
+attribute 0, minority proxy). Step 2, `select_labeller`, scores the
+candidates separately within each target class by the Euclidean distance
+between the means (EDM) of the two row sets; the highest-scoring candidate
+labels that class. Features are expected to be standardized so no single
+column dominates the distance.
 """
 
 from __future__ import annotations
@@ -17,17 +20,11 @@ import numpy as np
 
 from .data import TabularDataset
 from .metrics import EmptyGroupError
-from .training import HyperParams, ModelParams, predict, train_erm
+from .training import HyperParams, pool_map, predict, train_erm
 
 
 class SelectionError(RuntimeError):
     """No candidate could be scored for some target class."""
-
-
-def pseudo_label(model: ModelParams, validation: TabularDataset) -> np.ndarray:
-    """Pseudo attribute per validation row: 1 iff the model predicts the row's
-    target correctly."""
-    return (predict(model, validation) == validation.targets).astype(np.int8)
 
 
 def edm(correct_rows: np.ndarray, incorrect_rows: np.ndarray) -> float:
@@ -41,27 +38,29 @@ def edm(correct_rows: np.ndarray, incorrect_rows: np.ndarray) -> float:
     return float(np.linalg.norm(a.mean(axis=0) - b.mean(axis=0)))
 
 
-@dataclass(frozen=True)
-class LabellerCandidate:
-    """One checkpoint of the labeller grid: hyper-params plus stop epoch."""
-
-    hp: HyperParams
-    epoch: int
-    model: ModelParams
+def _grid_point_predictions(ctx: tuple[TabularDataset, np.ndarray], hp: HyperParams) -> np.ndarray:
+    """Validation predictions of one grid point, one row per epoch checkpoint."""
+    train, val_X = ctx
+    return np.stack([predict(m, val_X) for m in train_erm(train, hp)])
 
 
-def enumerate_candidates(
-    train: TabularDataset, grid: Sequence[HyperParams]
-) -> list[LabellerCandidate]:
-    """Train every grid point and expose every per-epoch checkpoint as a
-    candidate, in grid order then epoch order (the tie-break order)."""
+def labeller_predictions(
+    train: TabularDataset,
+    validation: TabularDataset,
+    grid: Sequence[HyperParams],
+    jobs: int = 1,
+) -> tuple[np.ndarray, list[tuple[HyperParams, int]]]:
+    """Train every grid point and predict the validation set at every epoch.
+
+    Returns the int8 predictions, one row per candidate and one column per
+    validation row, and each row's (hyper-params, epoch). Rows come in grid
+    order, then epoch order, which is the tie-break order. Grid points train
+    in up to `jobs` worker processes; the result does not depend on `jobs`.
+    """
     if not grid:
         raise SelectionError("empty hyper-parameter grid")
-    candidates: list[LabellerCandidate] = []
-    for hp in grid:
-        for ckpt in train_erm(train, hp):
-            candidates.append(LabellerCandidate(hp=hp, epoch=ckpt.trained_epochs, model=ckpt))
-    return candidates
+    predictions = np.concatenate(pool_map(_grid_point_predictions, (train, validation.features), grid, jobs))
+    return predictions, [(hp, epoch) for hp in grid for epoch in range(1, hp.epochs + 1)]
 
 
 def score_labels_by_class(
@@ -172,21 +171,6 @@ def select_from_labels(
 
 
 def select_labeller(
-    candidates: Sequence[LabellerCandidate],
-    validation: TabularDataset,
-) -> PseudoLabelledValidation:
-    """Run every candidate on the validation set and select per target class.
-
-    Candidate order is the tie-break order (grid position, then epoch, when
-    the list comes from enumerate_candidates).
-    """
-    if not candidates:
-        raise SelectionError("no candidates to select from")
-    predictions = np.stack([predict(c.model, validation) for c in candidates])
-    return select_from_predictions(predictions, [(c.hp, c.epoch) for c in candidates], validation)
-
-
-def select_from_predictions(
     predictions: np.ndarray,
     candidates: Sequence[tuple[HyperParams, int]],
     validation: TabularDataset,
@@ -194,8 +178,9 @@ def select_from_predictions(
     """Select per target class from every candidate's validation predictions.
 
     predictions holds one row per candidate, in tie-break order, and one
-    column per validation row; candidates gives each row's hyper-params and
-    stop epoch. Row i's pseudo labels are pseudo_label of candidate i.
+    column per validation row (as `labeller_predictions` returns them);
+    candidates gives each row's hyper-params and stop epoch. Row i's pseudo
+    labels are 1 where candidate i predicts the target correctly.
     """
     label_sets = (np.asarray(predictions) == validation.targets).astype(np.int8)
     winners, merged = select_from_labels(label_sets, validation)

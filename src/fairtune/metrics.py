@@ -1,10 +1,11 @@
 """Group fairness metrics and pseudo-label quality scores.
 
-All functions are pure and operate on aligned 1-d arrays of binary values,
-except `report_from_counts`, which takes their counts n[y, a, yhat] from
-`confusion_counts`.
-Gaps are reported as absolute values; the *_signed variants keep the sign
-(group 1 rate minus group 0 rate), which the noise laboratory needs.
+Every group metric comes from one implementation: `confusion_counts` turns
+aligned 1-d arrays of binary predictions, targets and sensitive attributes
+into counts n[y, a, yhat], and `report_from_counts` turns those counts into a
+`FairnessReport`. `accuracy`, `dp_gap`, `eo_gap`, `wga` and
+`subgroup_accuracies` read single fields of that report. Gaps are absolute
+values.
 """
 
 from __future__ import annotations
@@ -43,68 +44,37 @@ def _aligned(*pairs) -> list[np.ndarray]:
     return arrays
 
 
+def _zeros_for(values) -> np.ndarray:
+    """A constant zero column standing in for an input a metric does not read."""
+    return np.zeros(np.shape(values)[:1], dtype=np.int8)
+
+
 def accuracy(predictions, targets) -> float:
-    preds, targ = _aligned((predictions, "predictions"), (targets, "targets"))
-    if len(preds) == 0:
-        raise EmptyGroupError("no rows")
-    return float(np.mean(preds == targ))
-
-
-def dp_gap_signed(predictions, sensitive) -> float:
-    """P[pred=1 | a=1] - P[pred=1 | a=0], empirical frequencies."""
-    preds, sens = _aligned((predictions, "predictions"), (sensitive, "sensitive"))
-    rates = []
-    for a in (1, 0):
-        mask = sens == a
-        if not mask.any():
-            raise EmptyGroupError(f"no rows with sensitive attribute a={a}")
-        rates.append(float(np.mean(preds[mask])))
-    return rates[0] - rates[1]
+    return report_from_predictions(predictions, targets, _zeros_for(predictions), require=()).avg_accuracy
 
 
 def dp_gap(predictions, sensitive) -> float:
-    return abs(dp_gap_signed(predictions, sensitive))
-
-
-def eo_gap_signed(predictions, targets, sensitive) -> float:
-    """TPR(a=1) - TPR(a=0) over rows with target 1."""
-    preds, targ, sens = _aligned(
-        (predictions, "predictions"), (targets, "targets"), (sensitive, "sensitive")
-    )
-    rates = []
-    for a in (1, 0):
-        mask = (targ == 1) & (sens == a)
-        if not mask.any():
-            raise EmptyGroupError(f"no rows in positive subgroup (y=1, a={a})")
-        rates.append(float(np.mean(preds[mask])))
-    return rates[0] - rates[1]
+    """|P[pred=1 | a=1] - P[pred=1 | a=0]|, empirical frequencies."""
+    return report_from_predictions(predictions, _zeros_for(predictions), sensitive, require=("dp_gap",)).dp_gap
 
 
 def eo_gap(predictions, targets, sensitive) -> float:
-    return abs(eo_gap_signed(predictions, targets, sensitive))
+    """|TPR(a=1) - TPR(a=0)| over rows with target 1."""
+    return report_from_predictions(predictions, targets, sensitive, require=("eo_gap",)).eo_gap
 
 
 def subgroup_accuracies(predictions, targets, sensitive) -> dict[tuple[int, int], tuple[float, int]]:
     """Per (y, a) cell: (accuracy, row count); empty cells are omitted."""
-    preds, targ, sens = _aligned(
-        (predictions, "predictions"), (targets, "targets"), (sensitive, "sensitive")
-    )
-    out: dict[tuple[int, int], tuple[float, int]] = {}
-    for (y, a) in SUBGROUPS:
-        mask = (targ == y) & (sens == a)
-        count = int(mask.sum())
-        if count:
-            out[(y, a)] = (float(np.mean(preds[mask] == y)), count)
-    return out
+    counts = confusion_counts(predictions, targets, sensitive)
+    if not counts.any():
+        return {}  # no rows, so every cell is empty
+    report = report_from_counts(counts, require=())
+    return {g: (acc, report.subgroup_counts[g]) for g, acc in report.subgroup_accuracy.items()}
 
 
 def wga(predictions, targets, sensitive) -> float:
     """Minimum accuracy over the four (y, a) subgroups."""
-    accs = subgroup_accuracies(predictions, targets, sensitive)
-    missing = [g for g in SUBGROUPS if g not in accs]
-    if missing:
-        raise EmptyGroupError(f"empty subgroups (y, a): {missing}")
-    return min(acc for acc, _ in accs.values())
+    return report_from_predictions(predictions, targets, sensitive, require=("wga",)).wga
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .labelling import edm
 from .metrics import EmptyGroupError
-from .training import ModelParams, predict
+from .training import HyperParams, ModelParams, predict
 
 RATIO_DENOM_FLOOR = 1e-6
 
@@ -112,31 +112,16 @@ def mix_groups(
         raise ValueError("n_out sizes must be >= 1")
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    (maj_rows, maj_from_major, maj_src), (min_rows, min_from_major, min_src) = _mix_with_payload(
-        majority_rows, minority_rows, spec.alpha, spec.beta, (n_maj, n_min), rng
-    )
+    maj_rows, maj_from_major, maj_src = _draw(majority_rows, minority_rows, spec.alpha, n_maj, rng)
+    min_rows, min_from_minor, min_src = _draw(minority_rows, majority_rows, spec.beta, n_min, rng)
     return MixedGroups(
         majority=maj_rows,
         minority=min_rows,
         majority_from_majority=maj_from_major,
-        minority_from_majority=min_from_major,
+        minority_from_majority=~min_from_minor,
         majority_source_index=maj_src,
         minority_source_index=min_src,
     )
-
-
-def _mix_with_payload(
-    majority_rows: np.ndarray,
-    minority_rows: np.ndarray,
-    alpha: float,
-    beta: float,
-    n_out: tuple[int, int],
-    rng: np.random.Generator,
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Internal draw returning (rows, from_majority, source_index) per group."""
-    maj = _draw(majority_rows, minority_rows, alpha, n_out[0], rng)
-    min_rows, min_from_minor, min_src = _draw(minority_rows, majority_rows, beta, n_out[1], rng)
-    return maj, (min_rows, ~min_from_minor, min_src)
 
 
 @dataclass(frozen=True)
@@ -281,11 +266,9 @@ def verify_proportionality(
     dp_true = float(pred_maj.mean() - pred_min.mean())
 
     rng = np.random.default_rng(spec.seed)
-    (maj_rows, maj_from_major, maj_src), (min_rows, min_from_major, min_src) = _mix_with_payload(
-        X_maj, X_min, spec.alpha, spec.beta, (n_samples, n_samples), rng
-    )
-    noisy_maj_pred = _gather(maj_from_major, maj_src, pred_maj, pred_min)
-    noisy_min_pred = _gather(min_from_major, min_src, pred_maj, pred_min)
+    mixed = mix_groups(X_maj, X_min, spec, (n_samples, n_samples), rng=rng)
+    noisy_maj_pred = _gather(mixed.majority_from_majority, mixed.majority_source_index, pred_maj, pred_min)
+    noisy_min_pred = _gather(mixed.minority_from_majority, mixed.minority_source_index, pred_maj, pred_min)
     dp_noisy = float(noisy_maj_pred.mean() - noisy_min_pred.mean())
 
     # EO: restrict the sources to target 1, then mix with the class-1 rates.
@@ -297,11 +280,11 @@ def verify_proportionality(
     tpr_maj = pred_maj[pos_maj]
     tpr_min = pred_min[pos_min]
     eo_true = float(tpr_maj.mean() - tpr_min.mean())
-    (_, emaj_from_major, emaj_src), (_, emin_from_major, emin_src) = _mix_with_payload(
-        X_maj[pos_maj], X_min[pos_min], alpha_1, beta_1, (n_samples, n_samples), rng
+    mixed = mix_groups(
+        X_maj[pos_maj], X_min[pos_min], NoiseSpec(alpha=alpha_1, beta=beta_1), (n_samples, n_samples), rng=rng
     )
-    noisy_tpr_maj = _gather(emaj_from_major, emaj_src, tpr_maj, tpr_min)
-    noisy_tpr_min = _gather(emin_from_major, emin_src, tpr_maj, tpr_min)
+    noisy_tpr_maj = _gather(mixed.majority_from_majority, mixed.majority_source_index, tpr_maj, tpr_min)
+    noisy_tpr_min = _gather(mixed.minority_from_majority, mixed.minority_source_index, tpr_maj, tpr_min)
     eo_noisy = float(noisy_tpr_maj.mean() - noisy_tpr_min.mean())
 
     return ProportionalityRecord(
@@ -349,12 +332,9 @@ def verify_edm_lemma(
         raise ValueError("clean group means coincide; the EDM ratio is undefined")
     records: list[EdmSweepRecord] = []
     for i, (alpha, beta) in enumerate(spec_grid):
-        cell = NoiseSpec(alpha=alpha, beta=beta)
         rng = np.random.default_rng([seed, i])
-        (maj_rows, _, _), (min_rows, _, _) = _mix_with_payload(
-            X_maj, X_min, cell.alpha, cell.beta, (n_samples, n_samples), rng
-        )
-        edm_noisy = edm(maj_rows, min_rows)
+        mixed = mix_groups(X_maj, X_min, NoiseSpec(alpha=alpha, beta=beta), (n_samples, n_samples), rng=rng)
+        edm_noisy = edm(mixed.majority, mixed.minority)
         ratio = _ratio(edm_noisy, edm_true)
         if check_tol is not None and ratio is not None and abs(ratio - abs(1.0 - alpha - beta)) > check_tol:
             raise AssertionError(
@@ -373,8 +353,6 @@ def difference_of_means_probe(majority_rows: np.ndarray, minority_rows: np.ndarr
     A deterministic probe for proportionality sweeps: predicts 1 on the
     majority side of the midpoint hyperplane.
     """
-    from .training import HyperParams  # local import to avoid cycle noise
-
     mu1 = np.asarray(majority_rows, dtype=np.float64).mean(axis=0)
     mu0 = np.asarray(minority_rows, dtype=np.float64).mean(axis=0)
     w = mu1 - mu0

@@ -23,7 +23,7 @@ from fairtune.data import (
     load_csv,
     split,
 )
-from fairtune.labelling import enumerate_candidates, pseudo_label, select_labeller
+from fairtune.labelling import labeller_predictions, select_labeller
 from fairtune.metrics import dp_gap, eo_gap, pseudo_label_quality, wga
 from fairtune.noise import (
     NoiseSpec,
@@ -32,7 +32,7 @@ from fairtune.noise import (
     verify_edm_lemma,
     verify_proportionality,
 )
-from fairtune.training import HyperParams, models_equal, predict, train_erm
+from fairtune.training import HyperParams, models_equal, train_erm
 from fairtune.tuning import JttConfig, TunerResult, grid_search
 
 from conftest import planted_splits
@@ -164,19 +164,19 @@ def test_criterion_7_mean_distance_selection_quality():
             HyperParams(learning_rate=0.1, epochs=30, batch_size=64, seed=seed + 100, hidden_units=8),
             HyperParams(learning_rate=0.05, epochs=30, batch_size=64, seed=seed + 100, hidden_units=8),
         ]
-        candidates = enumerate_candidates(train, grid)
-        selected = select_labeller(candidates, validation)
+        predictions, candidates = labeller_predictions(train, validation, grid)
+        selected = select_labeller(predictions, candidates, validation)
         selected_acc = pseudo_label_quality(
             selected.pseudo, validation.sensitive, validation.targets
         ).accuracy_overall
         # baseline: the final-epoch checkpoint chosen by validation accuracy,
         # i.e. standard model selection without the mean-distance rule
-        finals = [c for c in candidates if c.epoch == c.hp.epochs]
-        best_final = max(
-            finals, key=lambda c: np.mean(predict(c.model, validation) == validation.targets)
-        )
+        finals = [i for i, (hp, epoch) in enumerate(candidates) if epoch == hp.epochs]
+        best_final = max(finals, key=lambda i: np.mean(predictions[i] == validation.targets))
         baseline_acc = pseudo_label_quality(
-            pseudo_label(best_final.model, validation), validation.sensitive, validation.targets
+            (predictions[best_final] == validation.targets).astype(np.int8),
+            validation.sensitive,
+            validation.targets,
         ).accuracy_overall
         wins += selected_acc >= baseline_acc
         details.append(f"{selected_acc:.3f}/{baseline_acc:.3f}")
@@ -193,7 +193,7 @@ def test_criterion_8_imbalance_sweep_trend():
         grid = [
             HyperParams(learning_rate=0.1, epochs=30, batch_size=64, seed=seed + 50, hidden_units=8)
         ]
-        selected = select_labeller(enumerate_candidates(train, grid), validation)
+        selected = select_labeller(*labeller_predictions(train, validation, grid), validation)
         return pseudo_label_quality(
             selected.pseudo, validation.sensitive, validation.targets
         ).accuracy_overall
@@ -271,7 +271,7 @@ def test_criterion_9_income_benchmark_reproduction():
     )
     jobs = os.cpu_count() or 1
 
-    labelled = select_labeller(enumerate_candidates(train, model_grid), validation)
+    labelled = select_labeller(*labeller_predictions(train, validation, model_grid, jobs=jobs), validation)
     config = JttConfig(
         stage1_grid=model_grid,
         t_grid=(1, 2, 5, 10, 15, 20, 30, 35, 40, 45, 50, 65, 80, 95),

@@ -318,17 +318,18 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
 def test_label_matches_library_selection(tmp_path, policy):
     from fairtune.config import load_config
     from fairtune.data import read_dataset
-    from fairtune.labelling import enumerate_candidates, select_labeller
+    from fairtune.labelling import labeller_predictions, select_labeller
 
     config, out = load_synthetic_config(tmp_path, labelling={"policy": policy})
     for command in ("prepare", "train-grid", "label"):
         assert main([command, "--config", str(config)]) == 0
     train = read_dataset(out / "datasets" / "train.csv")
     validation = read_dataset(out / "datasets" / "validation.csv")
-    candidates = enumerate_candidates(train, load_config(config).labeller_grid)
+    predictions, candidates = labeller_predictions(train, validation, load_config(config).labeller_grid)
     if policy == "final_epoch":
-        candidates = [c for c in candidates if c.epoch == c.hp.epochs]
-    expected = select_labeller(candidates, validation)
+        keep = [i for i, (hp, epoch) in enumerate(candidates) if epoch == hp.epochs]
+        predictions, candidates = predictions[keep], [candidates[i] for i in keep]
+    expected = select_labeller(predictions, candidates, validation)
     labelled = read_dataset(out / "labelled_validation.csv")
     np.testing.assert_array_equal(labelled.sensitive, expected.pseudo)
     labelling = json.loads((out / "labelling.json").read_text())
@@ -568,16 +569,21 @@ def test_non_utf8_input_is_a_one_line_error(pipeline, tmp_path, capsys, setup):
     assert "not a UTF-8 text file" in err and len(err.splitlines()) == 1
 
 
-def _with_seed(section, key="seed"):
-    """Config edits that set `key` of a copied section of the synthetic config to -3."""
+def _with_value(section, key, value):
+    """A config edit that sets `key` of a section of the synthetic config to `value`."""
 
     def edit(raw):
         target = raw
         for name in section:
             target = target[name]
-        target[key] = -3
+        target[key] = value
 
     return edit
+
+
+def _with_seed(section, key="seed"):
+    """A config edit that sets `key` of a section of the synthetic config to -3."""
+    return _with_value(section, key, -3)
 
 
 @pytest.mark.parametrize(
@@ -603,6 +609,71 @@ def test_negative_seed_is_a_one_line_config_error(tmp_path, capsys, edit, args, 
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: ") and ">= 0" in err and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_with_value(("mc_noise",), "grid", [["a", 0.1]]), "mc_noise.grid[0]: expected [alpha, beta], two numbers"),
+        (_with_value(("mc_noise",), "grid", [[None, 0.1]]), "mc_noise.grid[0]: expected [alpha, beta], two numbers"),
+        (_with_value(("mc_noise",), "grid", [[True, 0.1]]), "mc_noise.grid[0]: expected [alpha, beta], two numbers"),
+        (_with_value(("mc_noise",), "n_samples", -5), "mc_noise.n_samples: must be >= 1, got -5"),
+        (_with_value(("mc_noise",), "n_samples", 0), "mc_noise.n_samples: must be >= 1, got 0"),
+        (_with_value(("labeller_grid", 0), "epochs", True), "labeller_grid[0].epochs: expected int, got bool"),
+        (_with_value(("labeller_grid", 0), "learning_rate", True), "labeller_grid[0].learning_rate: expected float, got bool"),
+        (_with_value(("jtt",), "t_grid", [1.7]), "jtt.t_grid[0]: expected int, got float"),
+        (_with_value(("jtt",), "lambda_grid", [5, False]), "jtt.lambda_grid[1]: expected int, got bool"),
+        (_with_value(("labeller_grid", 0), "learning_rate", float("nan")), "labeller_grid[0]: learning_rate must be finite and > 0"),
+        (_with_value(("labeller_grid", 1), "learning_rate", float("inf")), "labeller_grid[1]: learning_rate must be finite and > 0"),
+        (_with_value(("labeller_grid", 1), "weight_decay", float("inf")), "labeller_grid[1]: weight_decay must be finite and >= 0"),
+    ],
+    ids=[
+        "grid-text",
+        "grid-null",
+        "grid-bool",
+        "n-samples-negative",
+        "n-samples-zero",
+        "epochs-bool",
+        "learning-rate-bool",
+        "t-grid-float",
+        "lambda-grid-bool",
+        "learning-rate-nan",
+        "learning-rate-inf",
+        "weight-decay-inf",
+    ],
+)
+def test_malformed_config_number_is_a_one_line_config_error(tmp_path, capsys, edit, message):
+    raw = json.loads((CONFIGS / "synthetic.json").read_text())
+    raw["output_dir"] = str(tmp_path / "out")
+    edit(raw)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["prepare", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_path_naming_a_directory_is_a_config_error(capsys):
+    assert main(["prepare", "--config", str(CONFIGS)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {CONFIGS}: cannot read") and len(err.splitlines()) == 1
+
+
+def test_report_of_a_directory_is_a_data_error(capsys):
+    assert main(["report", str(CONFIGS)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and len(err.splitlines()) == 1
+
+
+def test_out_naming_a_file_is_a_data_error(tmp_path, capsys):
+    config, _ = load_synthetic_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["prepare", "--config", str(config), "--out", str(taken)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and len(err.splitlines()) == 1
+    assert taken.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("token", [b"nan", b"inf", b"-inf"])

@@ -3,18 +3,16 @@ import pytest
 
 from fairtune.data import TabularDataset
 from fairtune.labelling import (
-    LabellerCandidate,
     SelectionError,
     edm,
-    enumerate_candidates,
-    pseudo_label,
+    labeller_predictions,
     score_labels_by_class,
     select_from_labels,
     select_labeller,
 )
 from fairtune.metrics import EmptyGroupError
 from fairtune.noise import estimate_contamination
-from fairtune.training import HyperParams, ModelParams, train_erm
+from fairtune.training import HyperParams, ModelParams, predict, train_erm
 
 from conftest import planted_splits
 
@@ -41,35 +39,10 @@ def dataset(X, targets, sensitive=None, split="validation"):
     )
 
 
-def test_pseudo_label_perfect_model():
-    rng = np.random.default_rng(0)
-    X = rng.normal(size=(30, 2))
-    targets = (X[:, 0] > 0).astype(int)
-    data = dataset(X, targets)
-    labels = pseudo_label(linear_model([100.0, 0.0], 0.0), data)
-    np.testing.assert_array_equal(labels, np.ones(30, dtype=np.int8))
-
-
-def test_pseudo_label_constant_one_predictor():
-    rng = np.random.default_rng(1)
-    X = rng.normal(size=(20, 2))
-    targets = rng.integers(0, 2, 20)
-    data = dataset(X, targets)
-    labels = pseudo_label(linear_model([0.0, 0.0], 10.0), data)
-    np.testing.assert_array_equal(labels, targets)
-
-
-def test_pseudo_label_definitional():
-    from fairtune.training import predict
-
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=(25, 3))
-    targets = rng.integers(0, 2, 25)
-    data = dataset(X, targets)
-    model = linear_model(rng.normal(size=3), 0.2)
-    np.testing.assert_array_equal(
-        pseudo_label(model, data), (predict(model, data) == targets).astype(np.int8)
-    )
+def correct_rows(model, data):
+    """Pseudo attribute per row, computed directly: 1 iff the model's
+    prediction equals the row's target."""
+    return (predict(model, data) == data.targets).astype(np.int8)
 
 
 def test_edm_basic_values():
@@ -98,11 +71,11 @@ def test_single_candidate_wins_both_classes():
     targets = np.array([0, 1] * 20)
     data = dataset(X, targets)
     model = linear_model([1.0, 1.0], 0.0)  # mixed correctness in both classes
-    candidates = [LabellerCandidate(hp=model.hp, epoch=1, model=model)]
-    labelled = select_labeller(candidates, data)
+    labelled = select_labeller(predict(model, data)[None], [(model.hp, 1)], data)
     assert labelled.by_class[0].candidate_index == 0
     assert labelled.by_class[1].candidate_index == 0
-    np.testing.assert_array_equal(labelled.pseudo, pseudo_label(model, data))
+    assert labelled.by_class[0].epoch == labelled.by_class[1].epoch == 1
+    np.testing.assert_array_equal(labelled.pseudo, correct_rows(model, data))
 
 
 def exhaustive_edm_oracle(label_sets, features, targets):
@@ -127,13 +100,11 @@ def test_two_candidates_planted_selection_matches_oracle():
     train, validation, _ = planted_splits(seed=5)
     weak = linear_model([0.02, 0.01], 0.3)
     biased = linear_model([2.0, -2.0], 0.0)  # separates the majority blobs
-    candidates = [
-        LabellerCandidate(hp=weak.hp, epoch=1, model=weak),
-        LabellerCandidate(hp=biased.hp, epoch=1, model=biased),
-    ]
-    label_sets = [pseudo_label(c.model, validation) for c in candidates]
+    models = [weak, biased]
+    label_sets = [correct_rows(m, validation) for m in models]
     oracle = exhaustive_edm_oracle(label_sets, validation.features, validation.targets)
-    labelled = select_labeller(candidates, validation)
+    predictions = np.stack([predict(m, validation) for m in models])
+    labelled = select_labeller(predictions, [(m.hp, 1) for m in models], validation)
     for y in (0, 1):
         assert labelled.by_class[y].candidate_index == oracle[y][0] == 1
         assert labelled.by_class[y].edm_score == pytest.approx(oracle[y][1])
@@ -181,9 +152,8 @@ def test_mc_planted_selection_maximizes_one_minus_alpha_beta():
 def test_selection_is_deterministic():
     train, validation, _ = planted_splits(seed=7)
     hp = HyperParams(learning_rate=0.1, epochs=5, batch_size=64, seed=1)
-    candidates = enumerate_candidates(train, [hp])
-    a = select_labeller(candidates, validation)
-    b = select_labeller(candidates, validation)
+    a = select_labeller(*labeller_predictions(train, validation, [hp]), validation)
+    b = select_labeller(*labeller_predictions(train, validation, [hp]), validation)
     np.testing.assert_array_equal(a.pseudo, b.pseudo)
     assert a.by_class[0] == b.by_class[0]
     assert a.by_class[1] == b.by_class[1]
@@ -192,8 +162,7 @@ def test_selection_is_deterministic():
 def test_argmax_invariant_under_feature_scaling():
     train, validation, _ = planted_splits(seed=8)
     hp = HyperParams(learning_rate=0.1, epochs=6, batch_size=64, seed=2)
-    candidates = enumerate_candidates(train, [hp])
-    label_sets = [pseudo_label(c.model, validation) for c in candidates]
+    label_sets = [correct_rows(m, validation) for m in train_erm(train, hp)]
     winners, merged = select_from_labels(label_sets, validation)
     scaled = dataset(validation.features * 7.5, validation.targets)
     winners_scaled, merged_scaled = select_from_labels(label_sets, scaled)
@@ -251,25 +220,29 @@ def test_selection_requires_both_classes_and_candidates():
         select_from_labels([], both)
 
 
-def test_enumerate_candidates_order():
-    train, _, _ = planted_splits(seed=12)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_labeller_predictions_order(jobs):
+    train, validation, _ = planted_splits(seed=12)
     grid = [
         HyperParams(learning_rate=0.1, epochs=3, batch_size=64, seed=0),
         HyperParams(learning_rate=0.01, epochs=2, batch_size=64, seed=0),
     ]
-    candidates = enumerate_candidates(train, grid)
-    assert [(c.hp.learning_rate, c.epoch) for c in candidates] == [
+    predictions, candidates = labeller_predictions(train, validation, grid, jobs=jobs)
+    assert [(hp.learning_rate, epoch) for hp, epoch in candidates] == [
         (0.1, 1),
         (0.1, 2),
         (0.1, 3),
         (0.01, 1),
         (0.01, 2),
     ]
-    # candidate models match a fresh training run checkpoint-for-checkpoint
-    ckpts = train_erm(train, grid[0])
-    from fairtune.training import models_equal
-
-    assert models_equal(candidates[1].model, ckpts[1])
+    assert predictions.dtype == np.int8
+    assert predictions.shape == (5, validation.n_rows)
+    # each row is the prediction of the matching checkpoint of a fresh run
+    checkpoints = [ckpt for hp in grid for ckpt in train_erm(train, hp)]
+    for row, ckpt in zip(predictions, checkpoints):
+        np.testing.assert_array_equal(row, predict(ckpt, validation))
+    with pytest.raises(SelectionError, match="empty"):
+        labeller_predictions(train, validation, [], jobs=jobs)
 
 
 def test_score_labels_by_class_skips_degenerate_candidates():
