@@ -58,6 +58,12 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _number_pair(cell, path: str, names: str) -> tuple[float, float]:
+    if not isinstance(cell, list) or len(cell) != 2 or not all(_is_number(v) for v in cell):
+        _fail(path, f"expected [{names}], two numbers")
+    return float(cell[0]), float(cell[1])
+
+
 def _int_list(d: Mapping, path: str, key: str) -> tuple[int, ...]:
     values = _get(d, path, key, list)
     for i, v in enumerate(values):
@@ -219,7 +225,10 @@ def parse_config(
     jtt = None
     if "jtt" in raw:
         j = _get(raw, "", "jtt", dict)
-        bins_raw = _get(j, "jtt", "accuracy_bins", list)
+        bins = tuple(
+            _number_pair(cell, f"jtt.accuracy_bins[{i}]", "lo, hi")
+            for i, cell in enumerate(_get(j, "jtt", "accuracy_bins", list))
+        )
         try:
             jtt = JttConfig(
                 stage1_grid=_grid(_get(j, "jtt", "stage1_grid", list), "jtt.stage1_grid", model_seed),
@@ -227,12 +236,12 @@ def parse_config(
                 lambda_grid=_int_list(j, "jtt", "lambda_grid"),
                 stage2_grid=_grid(_get(j, "jtt", "stage2_grid", list), "jtt.stage2_grid", model_seed),
                 objective=_get(j, "jtt", "objective", str),
-                accuracy_bins=tuple((b[0], b[1]) for b in bins_raw),
+                accuracy_bins=bins,
                 sensitive_source=_get(j, "jtt", "sensitive_source", str, required=False, default="pseudo"),
             )
         except ConfigError:
             raise
-        except (ValueError, TypeError, IndexError) as exc:
+        except (ValueError, TypeError) as exc:
             _fail("jtt", str(exc))
 
     mc = None
@@ -241,9 +250,7 @@ def parse_config(
         grid_raw = _get(m, "mc_noise", "grid", list)
         cells = []
         for i, cell in enumerate(grid_raw):
-            if not isinstance(cell, list) or len(cell) != 2 or not all(_is_number(v) for v in cell):
-                _fail(f"mc_noise.grid[{i}]", "expected [alpha, beta], two numbers")
-            a, b = float(cell[0]), float(cell[1])
+            a, b = _number_pair(cell, f"mc_noise.grid[{i}]", "alpha, beta")
             if not (0 <= a <= 1 and 0 <= b <= 1):
                 _fail(f"mc_noise.grid[{i}]", "rates must lie in [0, 1]")
             cells.append((a, b))

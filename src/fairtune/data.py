@@ -347,20 +347,17 @@ def fit_categorical_vocab(path: str | Path, columns: Sequence[str]) -> dict[str,
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Per-column affine transform fitted on a training split.
+    """Per-column affine transform fitted on a training split by
+    `fit_standardizer`.
 
     Columns are mapped to (value - mean) / stdev with the population (divide
     by n) stdev convention; zero-variance columns map to 0; columns outside
     `apply_mask` (one-hot indicators) pass through unchanged.
     """
 
-    mean: np.ndarray | None = None
-    scale: np.ndarray | None = None
-    apply_mask: np.ndarray | None = None
-
-    @property
-    def fitted(self) -> bool:
-        return self.mean is not None
+    mean: np.ndarray
+    scale: np.ndarray
+    apply_mask: np.ndarray
 
 
 def fit_standardizer(data: TabularDataset) -> Standardizer:
@@ -376,8 +373,6 @@ def fit_standardizer(data: TabularDataset) -> Standardizer:
 
 
 def apply_standardizer(std: Standardizer, data: TabularDataset) -> TabularDataset:
-    if not std.fitted:
-        raise DataError("standardizer has not been fitted")
     if std.mean.shape != (data.n_features,):
         raise DataError(
             f"standardizer fitted on {std.mean.shape[0]} columns, dataset has {data.n_features}"

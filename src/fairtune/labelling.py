@@ -13,7 +13,7 @@ column dominates the distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -95,14 +95,14 @@ class ClassSelection:
 
     candidate_index: int
     edm_score: float
-    hp: HyperParams | None = None
-    epoch: int | None = None
+    hp: HyperParams
+    epoch: int
 
     def to_dict(self) -> dict:
         return {
             "candidate_index": self.candidate_index,
             "edm_score": self.edm_score,
-            "hyperparams": None if self.hp is None else self.hp.to_dict(),
+            "hyperparams": self.hp.to_dict(),
             "epoch": self.epoch,
         }
 
@@ -135,22 +135,30 @@ class PseudoLabelledValidation:
         return self.pseudo[idx]
 
 
-def select_from_labels(
-    label_sets: Sequence[np.ndarray],
+def select_labeller(
+    predictions: np.ndarray,
+    candidates: Sequence[tuple[HyperParams, int]],
     validation: TabularDataset,
-) -> tuple[dict[int, ClassSelection], np.ndarray]:
-    """Pick the per-class argmax-EDM label set and merge the pseudo labels.
+) -> PseudoLabelledValidation:
+    """Select per target class from every candidate's validation predictions.
 
-    Ties keep the earliest candidate. Each row receives the label produced by
-    the winner of its own target class.
+    predictions holds one row per candidate, in tie-break order, and one
+    column per validation row (as `labeller_predictions` returns them);
+    candidates gives each row's hyper-params and stop epoch. Row i's pseudo
+    labels are 1 where candidate i predicts the target correctly. Each target
+    class takes the candidate with the highest EDM on that class, the
+    earliest on a tie, and each row receives the label of its own class's
+    winner.
     """
+    label_sets = (np.asarray(predictions) == validation.targets).astype(np.int8)
     if len(label_sets) == 0:
         raise SelectionError("no candidates to select from")
     for y in (0, 1):
         if not (validation.targets == y).any():
             raise SelectionError(f"validation set has no rows with target {y}")
     scores = score_labels_by_class(label_sets, validation.features, validation.targets)
-    winners: dict[int, ClassSelection] = {}
+    by_class: dict[int, ClassSelection] = {}
+    merged = np.empty(validation.n_rows, dtype=np.int8)
     for y in (0, 1):
         best_idx: int | None = None
         best_score = -np.inf
@@ -162,34 +170,8 @@ def select_from_labels(
                 f"every candidate was skipped for target class {y} "
                 "(all-correct or all-incorrect on that class)"
             )
-        winners[y] = ClassSelection(candidate_index=best_idx, edm_score=best_score)
-    merged = np.empty(validation.n_rows, dtype=np.int8)
-    for y in (0, 1):
+        hp, epoch = candidates[best_idx]
+        by_class[y] = ClassSelection(candidate_index=best_idx, edm_score=best_score, hp=hp, epoch=epoch)
         rows = validation.targets == y
-        merged[rows] = np.asarray(label_sets[winners[y].candidate_index])[rows]
-    return winners, merged
-
-
-def select_labeller(
-    predictions: np.ndarray,
-    candidates: Sequence[tuple[HyperParams, int]],
-    validation: TabularDataset,
-) -> PseudoLabelledValidation:
-    """Select per target class from every candidate's validation predictions.
-
-    predictions holds one row per candidate, in tie-break order, and one
-    column per validation row (as `labeller_predictions` returns them);
-    candidates gives each row's hyper-params and stop epoch. Row i's pseudo
-    labels are 1 where candidate i predicts the target correctly.
-    """
-    label_sets = (np.asarray(predictions) == validation.targets).astype(np.int8)
-    winners, merged = select_from_labels(label_sets, validation)
-    enriched = {
-        y: replace(sel, hp=candidates[sel.candidate_index][0], epoch=candidates[sel.candidate_index][1])
-        for y, sel in winners.items()
-    }
-    return PseudoLabelledValidation(
-        row_ids=validation.row_ids.copy(),
-        pseudo=merged,
-        by_class=enriched,
-    )
+        merged[rows] = label_sets[best_idx][rows]
+    return PseudoLabelledValidation(row_ids=validation.row_ids.copy(), pseudo=merged, by_class=by_class)

@@ -167,18 +167,6 @@ def estimate_contamination(pseudo, truth, targets) -> ContaminationEstimate:
     return ContaminationEstimate(by_class=by_class)
 
 
-def estimate_contamination_pooled(pseudo, truth) -> ClassContamination:
-    """Contamination estimate ignoring target classes."""
-    ps = np.asarray(pseudo)
-    tr = np.asarray(truth)
-    if not (ps == 1).any() or not (ps == 0).any():
-        raise EmptyGroupError("both pseudo groups must be nonempty")
-    return ClassContamination(
-        alpha_hat=float(np.mean(tr[ps == 1] == 0)),
-        beta_hat=float(np.mean(tr[ps == 0] == 1)),
-    )
-
-
 # ----------------------------------------------------------------------------
 # Population-exact path: identities on analytic mixture quantities.
 # ----------------------------------------------------------------------------
@@ -222,14 +210,6 @@ def _ratio(noisy: float, true: float) -> float | None:
     return noisy / true
 
 
-def _gather(from_majority: np.ndarray, src: np.ndarray, majority_payload: np.ndarray, minority_payload: np.ndarray) -> np.ndarray:
-    """Per-row payload of drawn rows; src indexes into each row's own source."""
-    out = np.empty(len(src), dtype=np.float64)
-    out[from_majority] = majority_payload[src[from_majority]]
-    out[~from_majority] = minority_payload[src[~from_majority]]
-    return out
-
-
 @dataclass(frozen=True)
 class ProportionalityRecord:
     alpha: float
@@ -265,11 +245,11 @@ def verify_proportionality(
     pred_min = predict(classifier, X_min).astype(np.float64)
     dp_true = float(pred_maj.mean() - pred_min.mean())
 
+    # Mixing each group's predictions as one-column rows draws what mixing
+    # its feature rows would, without copying n_samples feature rows.
     rng = np.random.default_rng(spec.seed)
-    mixed = mix_groups(X_maj, X_min, spec, (n_samples, n_samples), rng=rng)
-    noisy_maj_pred = _gather(mixed.majority_from_majority, mixed.majority_source_index, pred_maj, pred_min)
-    noisy_min_pred = _gather(mixed.minority_from_majority, mixed.minority_source_index, pred_maj, pred_min)
-    dp_noisy = float(noisy_maj_pred.mean() - noisy_min_pred.mean())
+    mixed = mix_groups(pred_maj[:, None], pred_min[:, None], spec, (n_samples, n_samples), rng=rng)
+    dp_noisy = float(mixed.majority[:, 0].mean() - mixed.minority[:, 0].mean())
 
     # EO: restrict the sources to target 1, then mix with the class-1 rates.
     alpha_1, beta_1 = spec.class_rates(1)
@@ -281,11 +261,9 @@ def verify_proportionality(
     tpr_min = pred_min[pos_min]
     eo_true = float(tpr_maj.mean() - tpr_min.mean())
     mixed = mix_groups(
-        X_maj[pos_maj], X_min[pos_min], NoiseSpec(alpha=alpha_1, beta=beta_1), (n_samples, n_samples), rng=rng
+        tpr_maj[:, None], tpr_min[:, None], NoiseSpec(alpha=alpha_1, beta=beta_1), (n_samples, n_samples), rng=rng
     )
-    noisy_tpr_maj = _gather(mixed.majority_from_majority, mixed.majority_source_index, tpr_maj, tpr_min)
-    noisy_tpr_min = _gather(mixed.minority_from_majority, mixed.minority_source_index, tpr_maj, tpr_min)
-    eo_noisy = float(noisy_tpr_maj.mean() - noisy_tpr_min.mean())
+    eo_noisy = float(mixed.majority[:, 0].mean() - mixed.minority[:, 0].mean())
 
     return ProportionalityRecord(
         alpha=spec.alpha,

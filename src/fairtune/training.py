@@ -78,11 +78,9 @@ class HyperParams:
         )
 
 
-# Tensor layout per architecture; True marks tensors subject to weight decay.
+# Tensor names per architecture, in tensor order.
 _LINEAR_NAMES = ("w", "b")
-_LINEAR_DECAY = (True, False)
 _MLP_NAMES = ("w1", "b1", "w2", "b2")
-_MLP_DECAY = (True, False, True, False)
 
 
 @dataclass(frozen=True)
@@ -115,10 +113,6 @@ class ModelParams:
     @property
     def tensor_names(self) -> tuple[str, ...]:
         return _MLP_NAMES if self.is_mlp else _LINEAR_NAMES
-
-    @property
-    def decay_mask(self) -> tuple[bool, ...]:
-        return _MLP_DECAY if self.is_mlp else _LINEAR_DECAY
 
 
 def _expit(z: np.ndarray) -> np.ndarray:
@@ -186,20 +180,6 @@ def predict(model: ModelParams, data) -> np.ndarray:
     return (logits(model, _features_of(data)) >= 0.0).astype(np.int8)
 
 
-def bce_with_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise binary cross-entropy, numerically stable."""
-    return np.logaddexp(0.0, z) - z * y
-
-
-def regularized_loss(model: ModelParams, X: np.ndarray, y: np.ndarray, weight_decay: float) -> float:
-    """Mean BCE plus weight_decay * sum of squared weights (biases excluded)."""
-    z = logits(model, X)
-    penalty = sum(
-        float(np.sum(t * t)) for t, dec in zip(model.tensors, model.decay_mask) if dec
-    )
-    return float(np.mean(bce_with_logits(z, y))) + weight_decay * penalty
-
-
 def _hidden_workspace(m: int, d: int, h: int) -> tuple[np.ndarray, ...]:
     """Hidden-layer step buffers for batches of up to m rows: z1, the ReLU
     output and dz1 (m x h each), and gw1 (d x h)."""
@@ -244,7 +224,9 @@ def _gradients(
 
 
 def gradients(model: ModelParams, X: np.ndarray, y: np.ndarray, weight_decay: float) -> tuple[np.ndarray, ...]:
-    """Analytic gradient of regularized_loss w.r.t. each model tensor."""
+    """Analytic gradient, w.r.t. each model tensor, of the training loss: mean
+    binary cross-entropy plus weight_decay times the sum of squared weights
+    (biases excluded)."""
     return _gradients(model.tensors, model.is_mlp, np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64), weight_decay)
 
 
@@ -491,14 +473,4 @@ def load_model(path: str | Path) -> ModelParams:
         feature_dim=int(payload["feature_dim"]),
         trained_epochs=int(payload["trained_epochs"]),
         hp=hp,
-    )
-
-
-def models_equal(a: ModelParams, b: ModelParams) -> bool:
-    """Bit-exact tensor equality (provenance fields excluded)."""
-    if a.hidden_units != b.hidden_units or a.feature_dim != b.feature_dim:
-        return False
-    return all(
-        ta.shape == tb.shape and np.array_equal(ta, tb, equal_nan=True)
-        for ta, tb in zip(a.tensors, b.tensors)
     )

@@ -21,6 +21,7 @@ reports.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -65,8 +66,11 @@ class JttConfig:
                 raise ValueError(f"{name} must be nonempty")
         object.__setattr__(self, "stage1_grid", tuple(self.stage1_grid))
         object.__setattr__(self, "stage2_grid", tuple(self.stage2_grid))
-        object.__setattr__(self, "t_grid", tuple(int(t) for t in self.t_grid))
-        object.__setattr__(self, "lambda_grid", tuple(int(l) for l in self.lambda_grid))
+        for name in ("t_grid", "lambda_grid"):
+            try:
+                object.__setattr__(self, name, tuple(operator.index(v) for v in getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} entries must be integers") from None
         if any(t < 1 for t in self.t_grid):
             raise ValueError("t_grid entries must be >= 1")
         if any(l < 1 for l in self.lambda_grid):
@@ -95,18 +99,6 @@ class JttConfig:
             "accuracy_bins": [list(b) for b in self.accuracy_bins],
             "sensitive_source": self.sensitive_source,
         }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "JttConfig":
-        return cls(
-            stage1_grid=tuple(HyperParams.from_dict(h) for h in d["stage1_grid"]),
-            t_grid=tuple(d["t_grid"]),
-            lambda_grid=tuple(d["lambda_grid"]),
-            stage2_grid=tuple(HyperParams.from_dict(h) for h in d["stage2_grid"]),
-            objective=d["objective"],
-            accuracy_bins=tuple((b[0], b[1]) for b in d["accuracy_bins"]),
-            sensitive_source=d.get("sensitive_source", PSEUDO),
-        )
 
 
 @dataclass(frozen=True)
@@ -234,9 +226,14 @@ def _evaluate_task(ctx: dict, task: _Task) -> _TaskResult:
     labels), and predict the test split (ground truth) only at the candidate
     epochs. Returns the validation (accuracy, objective) of every epoch, per
     candidate epoch the validation and the test confusion counts, and per
-    epoch of `mistakes_at` the training rows that checkpoint misclassifies."""
+    epoch of `mistakes_at` the training rows that checkpoint misclassifies.
+    The plain run of a stage-1 point outside the stage-2 grid is no
+    candidate, so it returns its mistakes only."""
     X, y = ctx["train_X"], ctx["train_y"]
     ckpts = _train_loop(X, y, task.stage2, upsampled_positions(X.shape[0], task.err_pos, task.lam))
+    mistakes = {t: tuple(np.flatnonzero(predict(ckpts[t - 1], X) != y).tolist()) for t in task.mistakes_at}
+    if task.stage2 not in ctx["stage2_grid"]:
+        return _TaskResult(scores=(), counts={}, mistakes=mistakes)
     val_counts = [confusion_counts(predict(ckpt, ctx["val_X"]), ctx["val_y"], ctx["val_sens"]) for ckpt in ckpts]
     reports = [report_from_counts(c, ctx["source"], require=(ctx["objective"],)) for c in val_counts]
     scores = tuple((r.avg_accuracy, r.metric(ctx["objective"])) for r in reports)
@@ -247,7 +244,6 @@ def _evaluate_task(ctx: dict, task: _Task) -> _TaskResult:
         )
         for epoch in _candidate_epochs(scores, ctx["bins"], _MINIMIZED[ctx["objective"]], plain=not task.err_pos)
     }
-    mistakes = {t: tuple(np.flatnonzero(predict(ckpts[t - 1], X) != y).tolist()) for t in task.mistakes_at}
     return _TaskResult(scores=scores, counts=counts, mistakes=mistakes)
 
 
@@ -373,6 +369,7 @@ def grid_search(
         "test_X": test.features,
         "test_y": test.targets,
         "test_sens": test.sensitive,
+        "stage2_grid": frozenset(config.stage2_grid),
         "bins": config.accuracy_bins,
         "objective": config.objective,
         "source": config.sensitive_source,
@@ -423,34 +420,3 @@ def grid_search(
         erm_bins=tuple(outcome(b, bn) for b, bn in zip(erm_best, bins)),
         erm_baseline=None if erm_overall is None else outcome(erm_overall, (0.0, 1.0 + 1e-12)),
     )
-
-
-def summarize_runs(results: Sequence[TunerResult]) -> dict:
-    """Mean and population stddev of (accuracy, objective) across repeated
-    single-seed runs, per bin, for multi-seed reporting."""
-    if not results:
-        raise ValueError("no results to summarize")
-    objective = results[0].objective
-
-    def stats(values: list[float]) -> dict:
-        arr = np.asarray(values, dtype=np.float64)
-        return {"mean": float(arr.mean()), "std": float(arr.std()), "n": len(values)}
-
-    out: dict = {"objective": objective, "bins": []}
-    n_bins = len(results[0].bins)
-    for i in range(n_bins):
-        accs, objs = [], []
-        for r in results:
-            b = r.bins[i]
-            if b.winner is not None and b.test is not None:
-                accs.append(b.test.avg_accuracy)
-                value = b.test.metric(objective)
-                if value is not None:
-                    objs.append(value)
-        entry = {"bin": list(results[0].bins[i].bin)}
-        if accs:
-            entry["test_accuracy"] = stats(accs)
-        if objs:
-            entry["test_objective"] = stats(objs)
-        out["bins"].append(entry)
-    return out

@@ -7,6 +7,13 @@ retrain on the set with those rows repeated lambda times.
 The per-row metrics below compute each group metric as a mean over masked
 rows, independently of the library's counts-based `report_from_counts`.
 They raise the library's EmptyGroupError with the library's messages.
+
+`regularized_loss` is the training objective whose gradient the library
+computes analytically; `models_equal` compares checkpoints bit for bit.
+
+`proportionality_by_gather` measures the noisy DP/EO gaps the way
+`verify_proportionality` once did: it mixes the groups' feature rows and
+then gathers each drawn row's prediction from its source group.
 """
 
 from __future__ import annotations
@@ -17,7 +24,48 @@ import numpy as np
 
 from fairtune.data import TabularDataset
 from fairtune.metrics import SUBGROUPS, EmptyGroupError
-from fairtune.training import HyperParams, ModelParams, TrainingError, predict, train_erm, train_upsampled
+from fairtune.noise import RATIO_DENOM_FLOOR, NoiseSpec, ProportionalityRecord, mix_groups
+from fairtune.training import (
+    HyperParams,
+    ModelParams,
+    TrainingError,
+    logits,
+    predict,
+    train_erm,
+    train_upsampled,
+)
+
+
+# Per architecture, in tensor order: True marks the tensors subject to
+# weight decay (the weights; biases are excluded).
+_LINEAR_DECAY = (True, False)
+_MLP_DECAY = (True, False, True, False)
+
+
+def decay_mask(model: ModelParams) -> tuple[bool, ...]:
+    return _MLP_DECAY if model.is_mlp else _LINEAR_DECAY
+
+
+def bce_with_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise binary cross-entropy, numerically stable."""
+    return np.logaddexp(0.0, z) - z * y
+
+
+def regularized_loss(model: ModelParams, X: np.ndarray, y: np.ndarray, weight_decay: float) -> float:
+    """Mean BCE plus weight_decay * sum of squared weights (biases excluded)."""
+    z = logits(model, X)
+    penalty = sum(float(np.sum(t * t)) for t, dec in zip(model.tensors, decay_mask(model)) if dec)
+    return float(np.mean(bce_with_logits(z, y))) + weight_decay * penalty
+
+
+def models_equal(a: ModelParams, b: ModelParams) -> bool:
+    """Bit-exact tensor equality (provenance fields excluded)."""
+    if a.hidden_units != b.hidden_units or a.feature_dim != b.feature_dim:
+        return False
+    return all(
+        ta.shape == tb.shape and np.array_equal(ta, tb, equal_nan=True)
+        for ta, tb in zip(a.tensors, b.tensors)
+    )
 
 
 @dataclass(frozen=True)
@@ -94,3 +142,60 @@ def wga(predictions, targets, sensitive) -> float:
     if missing:
         raise EmptyGroupError(f"empty subgroups (y, a): {missing}")
     return min(acc for acc, _ in accs.values())
+
+
+def _gather(from_majority: np.ndarray, src: np.ndarray, majority_payload: np.ndarray, minority_payload: np.ndarray) -> np.ndarray:
+    """Per-row payload of drawn rows; src indexes into each row's own source."""
+    out = np.empty(len(src), dtype=np.float64)
+    out[from_majority] = majority_payload[src[from_majority]]
+    out[~from_majority] = minority_payload[src[~from_majority]]
+    return out
+
+
+def _ratio(noisy: float, true: float) -> float | None:
+    return None if abs(true) <= RATIO_DENOM_FLOOR else noisy / true
+
+
+def proportionality_by_gather(
+    classifier: ModelParams,
+    majority: tuple[np.ndarray, np.ndarray],
+    minority: tuple[np.ndarray, np.ndarray],
+    spec: NoiseSpec,
+    n_samples: int,
+) -> ProportionalityRecord:
+    """`verify_proportionality` through mixed feature rows: DP mixes whole
+    groups with (alpha, beta), EO their target-1 rows with the class-1
+    rates, from one generator seeded with spec.seed."""
+    X_maj, y_maj = np.asarray(majority[0], dtype=np.float64), np.asarray(majority[1])
+    X_min, y_min = np.asarray(minority[0], dtype=np.float64), np.asarray(minority[1])
+    pred_maj = predict(classifier, X_maj).astype(np.float64)
+    pred_min = predict(classifier, X_min).astype(np.float64)
+    dp_true = float(pred_maj.mean() - pred_min.mean())
+    rng = np.random.default_rng(spec.seed)
+    mixed = mix_groups(X_maj, X_min, spec, (n_samples, n_samples), rng=rng)
+    noisy_maj = _gather(mixed.majority_from_majority, mixed.majority_source_index, pred_maj, pred_min)
+    noisy_min = _gather(mixed.minority_from_majority, mixed.minority_source_index, pred_maj, pred_min)
+    dp_noisy = float(noisy_maj.mean() - noisy_min.mean())
+
+    alpha_1, beta_1 = spec.class_rates(1)
+    pos_maj, pos_min = np.flatnonzero(y_maj == 1), np.flatnonzero(y_min == 1)
+    tpr_maj, tpr_min = pred_maj[pos_maj], pred_min[pos_min]
+    eo_true = float(tpr_maj.mean() - tpr_min.mean())
+    mixed = mix_groups(
+        X_maj[pos_maj], X_min[pos_min], NoiseSpec(alpha=alpha_1, beta=beta_1), (n_samples, n_samples), rng=rng
+    )
+    noisy_maj = _gather(mixed.majority_from_majority, mixed.majority_source_index, tpr_maj, tpr_min)
+    noisy_min = _gather(mixed.minority_from_majority, mixed.minority_source_index, tpr_maj, tpr_min)
+    eo_noisy = float(noisy_maj.mean() - noisy_min.mean())
+    return ProportionalityRecord(
+        alpha=spec.alpha,
+        beta=spec.beta,
+        alpha_1=alpha_1,
+        beta_1=beta_1,
+        dp_true=dp_true,
+        dp_noisy=dp_noisy,
+        eo_true=eo_true,
+        eo_noisy=eo_noisy,
+        ratio_dp=_ratio(dp_noisy, dp_true),
+        ratio_eo=_ratio(eo_noisy, eo_true),
+    )

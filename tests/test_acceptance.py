@@ -32,11 +32,11 @@ from fairtune.noise import (
     verify_edm_lemma,
     verify_proportionality,
 )
-from fairtune.training import HyperParams, models_equal, train_erm
+from fairtune.training import HyperParams, train_erm
 from fairtune.tuning import JttConfig, TunerResult, grid_search
 
 from conftest import planted_splits
-from reference import jtt_train
+from reference import jtt_train, models_equal
 from test_metrics import oracle_dp, oracle_eo, oracle_quality, oracle_wga
 from test_training import gradient_relative_error, perturbed
 

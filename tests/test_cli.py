@@ -611,6 +611,9 @@ def test_negative_seed_is_a_one_line_config_error(tmp_path, capsys, edit, args, 
     assert not (tmp_path / "out").exists()
 
 
+BIN_CELL = "expected [lo, hi], two numbers"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -626,6 +629,11 @@ def test_negative_seed_is_a_one_line_config_error(tmp_path, capsys, edit, args, 
         (_with_value(("labeller_grid", 0), "learning_rate", float("nan")), "labeller_grid[0]: learning_rate must be finite and > 0"),
         (_with_value(("labeller_grid", 1), "learning_rate", float("inf")), "labeller_grid[1]: learning_rate must be finite and > 0"),
         (_with_value(("labeller_grid", 1), "weight_decay", float("inf")), "labeller_grid[1]: weight_decay must be finite and >= 0"),
+        (_with_value(("jtt",), "accuracy_bins", [[False, True]]), f"jtt.accuracy_bins[0]: {BIN_CELL}"),
+        (_with_value(("jtt",), "accuracy_bins", [[0.8, 0.85, 0.9]]), f"jtt.accuracy_bins[0]: {BIN_CELL}"),
+        (_with_value(("jtt",), "accuracy_bins", [[0.8, "x"]]), f"jtt.accuracy_bins[0]: {BIN_CELL}"),
+        (_with_value(("jtt",), "accuracy_bins", [0.8]), f"jtt.accuracy_bins[0]: {BIN_CELL}"),
+        (_with_value(("jtt",), "accuracy_bins", [[0.8, 0.85], [0.8]]), f"jtt.accuracy_bins[1]: {BIN_CELL}"),
     ],
     ids=[
         "grid-text",
@@ -640,6 +648,11 @@ def test_negative_seed_is_a_one_line_config_error(tmp_path, capsys, edit, args, 
         "learning-rate-nan",
         "learning-rate-inf",
         "weight-decay-inf",
+        "bins-bool",
+        "bins-three-numbers",
+        "bins-text",
+        "bins-cell-not-a-list",
+        "bins-one-number",
     ],
 )
 def test_malformed_config_number_is_a_one_line_config_error(tmp_path, capsys, edit, message):

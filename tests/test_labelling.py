@@ -7,7 +7,6 @@ from fairtune.labelling import (
     edm,
     labeller_predictions,
     score_labels_by_class,
-    select_from_labels,
     select_labeller,
 )
 from fairtune.metrics import EmptyGroupError
@@ -43,6 +42,17 @@ def correct_rows(model, data):
     """Pseudo attribute per row, computed directly: 1 iff the model's
     prediction equals the row's target."""
     return (predict(model, data) == data.targets).astype(np.int8)
+
+
+def select_by_labels(label_sets, validation):
+    """select_labeller over candidates given by their pseudo labels: where a
+    candidate's label is 1 it predicts the row's target, else the other
+    class. Returns the per-class winners and the merged pseudo labels."""
+    targets = np.asarray(validation.targets)
+    predictions = np.array([np.where(np.asarray(labels) == 1, targets, 1 - targets) for labels in label_sets])
+    candidates = [(HyperParams(learning_rate=0.1), i + 1) for i in range(len(label_sets))]
+    labelled = select_labeller(predictions.reshape(len(label_sets), len(targets)), candidates, validation)
+    return labelled.by_class, labelled.pseudo
 
 
 def test_edm_basic_values():
@@ -136,7 +146,7 @@ def test_mc_planted_selection_maximizes_one_minus_alpha_beta():
         corrupted_labels(truth, 0.4, 0.3, rng),
         corrupted_labels(truth, 0.5, 0.5, rng),
     ]
-    winners, merged = select_from_labels(label_sets, data)
+    winners, merged = select_by_labels(label_sets, data)
     for y in (0, 1):
         scores = []
         for labels in label_sets:
@@ -163,9 +173,9 @@ def test_argmax_invariant_under_feature_scaling():
     train, validation, _ = planted_splits(seed=8)
     hp = HyperParams(learning_rate=0.1, epochs=6, batch_size=64, seed=2)
     label_sets = [correct_rows(m, validation) for m in train_erm(train, hp)]
-    winners, merged = select_from_labels(label_sets, validation)
+    winners, merged = select_by_labels(label_sets, validation)
     scaled = dataset(validation.features * 7.5, validation.targets)
-    winners_scaled, merged_scaled = select_from_labels(label_sets, scaled)
+    winners_scaled, merged_scaled = select_by_labels(label_sets, scaled)
     for y in (0, 1):
         assert winners[y].candidate_index == winners_scaled[y].candidate_index
     np.testing.assert_array_equal(merged, merged_scaled)
@@ -177,7 +187,7 @@ def test_row_labels_depend_only_on_own_class_winner():
     targets = np.array([0, 1] * 50)
     data = dataset(X, targets)
     base_sets = [rng.integers(0, 2, 100).astype(np.int8) for _ in range(3)]
-    winners_before, merged_before = select_from_labels(base_sets, data)
+    winners_before, merged_before = select_by_labels(base_sets, data)
     # Add a candidate that is skipped for class 0 (labels every class-0 row 1)
     # but dominates class 1 by perfectly separating two far clusters there.
     extra = np.ones(100, dtype=np.int8)
@@ -188,8 +198,8 @@ def test_row_labels_depend_only_on_own_class_winner():
     spread = X.copy()
     spread[class1 & far] += 50.0  # guarantee the new candidate wins class 1
     data_spread = dataset(spread, targets)
-    winners_b2, merged_b2 = select_from_labels(base_sets, data_spread)
-    winners_a2, merged_a2 = select_from_labels(base_sets + [extra], data_spread)
+    winners_b2, merged_b2 = select_by_labels(base_sets, data_spread)
+    winners_a2, merged_a2 = select_by_labels(base_sets + [extra], data_spread)
     assert winners_a2[1].candidate_index == 3
     assert winners_a2[0].candidate_index == winners_b2[0].candidate_index
     class0 = targets == 0
@@ -206,7 +216,7 @@ def test_selection_failure_names_the_class():
     labels_b = np.ones(20, dtype=np.int8)
     labels_b[targets == 1] = rng.integers(0, 2, 10).astype(np.int8)
     with pytest.raises(SelectionError, match="class 0"):
-        select_from_labels([labels_a, labels_b], data)
+        select_by_labels([labels_a, labels_b], data)
 
 
 def test_selection_requires_both_classes_and_candidates():
@@ -214,10 +224,10 @@ def test_selection_requires_both_classes_and_candidates():
     X = rng.normal(size=(10, 2))
     single_class = dataset(X, np.ones(10, dtype=int))
     with pytest.raises(SelectionError, match="target 0"):
-        select_from_labels([np.ones(10, dtype=np.int8)], single_class)
+        select_by_labels([np.ones(10, dtype=np.int8)], single_class)
     both = dataset(X, np.array([0, 1] * 5))
     with pytest.raises(SelectionError, match="no candidates"):
-        select_from_labels([], both)
+        select_by_labels([], both)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -11,12 +11,13 @@ from fairtune.noise import (
     dp_gap_noisy_exact,
     edm_exact,
     estimate_contamination,
-    estimate_contamination_pooled,
     mix_groups,
     verify_edm_lemma,
     verify_proportionality,
     write_sweep_csv,
 )
+
+from reference import proportionality_by_gather
 
 
 def gaussian_groups(n=100_000, seed=0):
@@ -119,7 +120,8 @@ def test_estimate_recovers_mixing_rates():
     truth = np.concatenate(
         [mixed.majority_from_majority.astype(np.int8), mixed.minority_from_majority.astype(np.int8)]
     )
-    est = estimate_contamination_pooled(pseudo, truth)
+    # One target class for every row: the pooled estimate.
+    est = estimate_contamination(pseudo, truth, np.zeros(2 * n, dtype=np.int8)).by_class[0]
     assert abs(est.alpha_hat - alpha) <= 3.0 * math.sqrt(alpha * (1 - alpha) / n)
     assert abs(est.beta_hat - beta) <= 3.0 * math.sqrt(beta * (1 - beta) / n)
 
@@ -172,6 +174,27 @@ def test_proportionality_degenerate_gap_reports_absent_ratio():
     y = targets_for(len(same), 27)
     rec = verify_proportionality(probe, (same, y), (same.copy(), y.copy()), NoiseSpec(0.2, 0.2, seed=28), 50_000)
     assert rec.ratio_dp is None
+
+
+@pytest.mark.parametrize("d", [2, 50])
+def test_proportionality_equals_the_feature_row_gather_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    maj = rng.normal(0.5, 1.0, (700, d))
+    mino = rng.normal(-0.5, 1.0, (400, d))
+    probe = difference_of_means_probe(maj, mino)
+    y1, y0 = targets_for(len(maj), 44), targets_for(len(mino), 45)
+    specs = [
+        NoiseSpec(0.0, 0.0, seed=1),
+        NoiseSpec(0.2, 0.3, seed=2),
+        NoiseSpec(0.5, 0.5, seed=3),
+        NoiseSpec(1.0, 0.0, seed=4),
+        NoiseSpec(0.1, 0.4, seed=5, alpha_1=0.3, beta_1=0.2),
+        NoiseSpec(0.3, 0.1, seed=6, alpha_0=0.9, beta_1=0.6),
+    ]
+    for spec in specs:
+        rec = verify_proportionality(probe, (maj, y1), (mino, y0), spec, 3000)
+        # repr tells -0.0 from 0.0, so equal reprs mean equal bits.
+        assert repr(rec) == repr(proportionality_by_gather(probe, (maj, y1), (mino, y0), spec, 3000))
 
 
 def test_edm_lemma_sampled_records():

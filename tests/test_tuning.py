@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -13,7 +14,6 @@ from fairtune.metrics import EmptyGroupError, dp_gap, eo_gap, full_report, wga
 from fairtune.training import (
     HyperParams,
     TrainingError,
-    models_equal,
     predict,
     train_erm,
     train_upsampled,
@@ -28,11 +28,10 @@ from fairtune.tuning import (
     _select,
     _Task,
     grid_search,
-    summarize_runs,
 )
 
 from conftest import planted_splits
-from reference import jtt_train, stage1_error_ids
+from reference import jtt_train, models_equal, stage1_error_ids
 
 
 HP = dict(learning_rate=0.1, batch_size=64, seed=3)
@@ -71,8 +70,20 @@ def test_config_validation():
         )
     with pytest.raises(ValueError, match="objective"):
         small_config(objective="accuracy")
+
+
+def test_config_rejects_non_integer_t_and_lambda_entries():
     cfg = small_config()
-    assert JttConfig.from_dict(cfg.to_dict()) == cfg
+    with pytest.raises(ValueError, match="t_grid entries must be integers"):
+        dataclasses.replace(cfg, t_grid=(1.7,))
+    with pytest.raises(ValueError, match="lambda_grid entries must be integers"):
+        dataclasses.replace(cfg, lambda_grid=(1, 2.9))
+    with pytest.raises(ValueError, match="t_grid entries must be integers"):
+        dataclasses.replace(cfg, t_grid=(np.float64(2.0),))
+    # numpy integers are integers
+    exact = dataclasses.replace(cfg, t_grid=(np.int64(2),), lambda_grid=(np.int32(1), np.uint8(3)))
+    assert exact.t_grid == (2,) and exact.lambda_grid == (1, 3)
+    assert all(type(v) is int for v in (*exact.t_grid, *exact.lambda_grid))
 
 
 def test_jtt_lambda_one_collapses_to_plain_training(planted):
@@ -473,6 +484,40 @@ def test_a_point_in_both_grids_trains_once(planted, monkeypatch):
     assert len(plain) == len(grid) and two_stage == []
 
 
+def test_a_stage1_only_point_predicts_only_its_training_mistakes(planted, monkeypatch):
+    # A stage-1 point outside the stage-2 grid is no candidate: its run
+    # predicts the training split once per T, and no other split.
+    train, validation, test = planted
+    stage1 = HyperParams(epochs=3, **HP)
+    stage2 = HyperParams(learning_rate=0.05, epochs=2, batch_size=32, seed=4)
+    config = JttConfig(
+        stage1_grid=(stage1,),
+        t_grid=(1, 2),
+        lambda_grid=(3,),
+        stage2_grid=(stage2,),
+        objective="dp_gap",
+        accuracy_bins=((0.5, 0.9), (0.9, 1.0)),
+        sensitive_source="ground_truth",
+    )
+    splits = {id(train.features): "train", id(validation.features): "validation", id(test.features): "test"}
+    calls = []
+
+    def counting(model, data):
+        calls.append((model.hp, splits[id(data)]))
+        return predict(model, data)
+
+    monkeypatch.setattr(tuning, "predict", counting)
+    result = grid_search(train, validation, test, config)
+    assert [split for hp, split in calls if hp == stage1] == ["train", "train"]
+    # The plain run and the two-stage runs of the stage-2 point still score
+    # every epoch on validation.
+    stage2_splits = [split for hp, split in calls if hp == stage2]
+    n_runs = stage2_splits.count("validation") // stage2.epochs
+    assert n_runs >= 2 and stage2_splits.count("validation") == n_runs * stage2.epochs
+    assert "test" in stage2_splits and "train" not in stage2_splits
+    assert any(not b.empty for b in result.bins)
+
+
 def test_all_t_filtered_leaves_bins_empty(planted):
     train, validation, test = planted
     config = JttConfig(
@@ -494,18 +539,6 @@ def test_tuner_result_round_trip(planted):
     result = grid_search(train, validation, test, small_config())
     back = TunerResult.from_dict(result.to_dict())
     assert back == result
-
-
-def test_summarize_runs(planted):
-    train, validation, test = planted
-    config = small_config()
-    r1 = grid_search(train, validation, test, config)
-    summary = summarize_runs([r1, r1])
-    assert summary["objective"] == "dp_gap"
-    populated = [b for b in summary["bins"] if "test_accuracy" in b]
-    assert populated
-    assert populated[0]["test_accuracy"]["n"] == 2
-    assert populated[0]["test_accuracy"]["std"] == 0.0
 
 
 # Levels shared by accuracies and bin edges, so that ties and accuracies on
@@ -570,13 +603,13 @@ def test_upsampled_task_does_not_materialize_its_training_set():
     train_X, train_y, _ = split(n)
     val_X, val_y, val_sens = split(300)
     test_X, test_y, test_sens = split(300)
+    stage2 = HyperParams(learning_rate=0.1, epochs=2, batch_size=256, seed=1, hidden_units=8)
     ctx = {
         "train_X": train_X, "train_y": train_y.astype(np.float64),
         "val_X": val_X, "val_y": val_y, "val_sens": val_sens,
-        "test_X": test_X, "test_y": test_y, "test_sens": test_sens,
+        "test_X": test_X, "test_y": test_y, "test_sens": test_sens, "stage2_grid": frozenset({stage2}),
         "bins": ((0.0, 0.5), (0.5, 1.0)), "objective": "dp_gap", "source": "ground_truth",
     }
-    stage2 = HyperParams(learning_rate=0.1, epochs=2, batch_size=256, seed=1, hidden_units=8)
     task = _Task(stage2, err_pos, lam)
     tracemalloc.start()
     try:
