@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fairtune import HyperParams, estimate_contamination, pseudo_label_quality
+from fairtune import HyperParams, pseudo_label_quality
 from fairtune.labelling import labeller_predictions, score_labels_by_class, select_labeller
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -29,14 +29,12 @@ print("computable only with ground truth; the selector sees just the EDM):")
 print()
 print("epoch    EDM   | 1-alpha-beta   pseudo-label acc")
 for i, (_, epoch) in enumerate(candidates):
-    est = estimate_contamination(label_sets[i], validation.sensitive, validation.targets)
     quality = pseudo_label_quality(label_sets[i], validation.sensitive, validation.targets)
     edm_score = scores[1][i]
+    # A skipped candidate has an empty pseudo group, so 1-alpha-beta is undefined.
     shown = "  skip" if edm_score is None else f"{edm_score:6.3f}"
-    print(
-        f"{epoch:5d}  {shown} |     {est.by_class[1].one_minus_sum:6.3f}"
-        f"          {quality.accuracy_by_class[1]:.3f}"
-    )
+    purity = "     -" if edm_score is None else f"{quality.by_class[1].one_minus_sum:6.3f}"
+    print(f"{epoch:5d}  {shown} |     {purity}          {quality.accuracy_by_class[1]:.3f}")
 
 selected = select_labeller(predictions, candidates, validation)
 print()

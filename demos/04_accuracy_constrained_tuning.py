@@ -39,7 +39,7 @@ for source, kwargs in (
     config = JttConfig(**search, **kwargs)
     result = grid_search(
         train, validation, test, config,
-        pseudo=pseudo if kwargs["sensitive_source"] == "pseudo" else None,
+        pseudo=pseudo.pseudo if kwargs["sensitive_source"] == "pseudo" else None,
     )
     print(f"=== scored with {source} ===")
     print(render_table(result))

@@ -34,6 +34,7 @@ from .labelling import (
     select_labeller,
 )
 from .metrics import (
+    ClassContamination,
     EmptyGroupError,
     FairnessReport,
     PseudoLabelQuality,
@@ -46,10 +47,8 @@ from .metrics import (
     wga,
 )
 from .noise import (
-    ContaminationEstimate,
     MixedGroups,
     NoiseSpec,
-    estimate_contamination,
     mix_groups,
     verify_edm_lemma,
     verify_proportionality,

@@ -40,11 +40,10 @@ from .data import (
     generate_synthetic,
     load_csv,
     read_dataset,
-    read_labels,
     split,
     write_dataset,
 )
-from .labelling import PseudoLabelledValidation, SelectionError, labeller_predictions, select_labeller
+from .labelling import SelectionError, labeller_predictions, select_labeller
 from .metrics import EmptyGroupError
 from .noise import (
     NoiseSpec,
@@ -134,10 +133,15 @@ def _check_provenance(path: Path, config: ExperimentConfig, stored: str | None) 
         )
 
 
-def _read_split(out: Path, name: str, config: ExperimentConfig) -> TabularDataset:
-    path = _require_artifact(out / "datasets" / f"{name}.csv", "prepare")
+def _read_upstream(path: Path, producer: str, config: ExperimentConfig) -> TabularDataset:
+    """The dataset file `producer` wrote for this configuration."""
+    _require_artifact(path, producer)
     _check_provenance(path, config, dataset_file_meta(path).get("config_sha256"))
     return read_dataset(path)
+
+
+def _read_split(out: Path, name: str, config: ExperimentConfig) -> TabularDataset:
+    return _read_upstream(out / "datasets" / f"{name}.csv", "prepare", config)
 
 
 def _build_dataset(config: ExperimentConfig) -> TabularDataset:
@@ -179,11 +183,11 @@ def cmd_train_grid(config: ExperimentConfig, args: argparse.Namespace) -> int:
     out = _out_dir(config)
     train = _read_split(out, "train", config)
     validation = _read_split(out, "validation", config)
-    predictions, candidates = labeller_predictions(train, validation, config.labeller_grid, args.jobs)
-    grid_ids = [gi for gi, hp in enumerate(config.labeller_grid) for _ in range(hp.epochs)]
+    predictions, _ = labeller_predictions(train, validation, config.labeller_grid, args.jobs)
     index = [
         {"grid_index": gi, "hyperparams": hp.to_dict(), "epoch": epoch}
-        for gi, (hp, epoch) in zip(grid_ids, candidates)
+        for gi, hp in enumerate(config.labeller_grid)
+        for epoch in range(1, hp.epochs + 1)
     ]
     with _Outputs() as outputs:
         outputs.via(out / "checkpoints" / "predictions.npy", lambda p: _write_npy(p, predictions))
@@ -304,16 +308,13 @@ def cmd_tune(config: ExperimentConfig, args: argparse.Namespace) -> int:
     test = _read_split(out, "test", config)
     pseudo = None
     if config.jtt.sensitive_source == "pseudo":
-        path = _require_artifact(out / "labelled_validation.csv", "label")
-        _check_provenance(path, config, dataset_file_meta(path).get("config_sha256"))
-        labelled = read_labels(path)
+        path = out / "labelled_validation.csv"
+        labelled = _read_upstream(path, "label", config)
         if labelled.sensitive is None:
             raise DataError(f"{path} carries no pseudo labels")
         if not np.array_equal(labelled.row_ids, validation.row_ids):
             raise DataError(f"{path} does not label the rows of the validation split")
-        pseudo = PseudoLabelledValidation(
-            row_ids=labelled.row_ids.copy(), pseudo=labelled.sensitive.copy(), by_class={}
-        )
+        pseudo = labelled.sensitive
     result = grid_search(train, validation, test, config.jtt, pseudo=pseudo, jobs=args.jobs)
     with _Outputs() as outputs:
         outputs.text(out / "tuner_result.json", _json_text({"result": result.to_dict(), **_meta(config)}))
@@ -331,31 +332,16 @@ def _fmt_pair(report, objective: str) -> str:
 
 
 def render_table(result: TunerResult) -> str:
-    rows = [["bin", "method", "validation", "test"]]
+    entries = []
     for outcome, erm_outcome in zip(result.bins, result.erm_bins):
         lo, hi = outcome.bin
-        tag = f"[{100 * lo:.1f},{100 * hi:.1f})"
-        if outcome.empty:
-            rows.append([tag, "jtt", "(empty)", "(empty)"])
-        else:
-            rows.append(
-                [tag, "jtt", _fmt_pair(outcome.validation, result.objective), _fmt_pair(outcome.test, result.objective)]
-            )
-        if erm_outcome.empty:
-            rows.append(["", "erm", "(empty)", "(empty)"])
-        else:
-            rows.append(
-                ["", "erm", _fmt_pair(erm_outcome.validation, result.objective), _fmt_pair(erm_outcome.test, result.objective)]
-            )
+        entries += [(f"[{100 * lo:.1f},{100 * hi:.1f})", "jtt", outcome), ("", "erm", erm_outcome)]
     if result.erm_baseline is not None and not result.erm_baseline.empty:
-        rows.append(
-            [
-                "unconstrained",
-                "erm",
-                _fmt_pair(result.erm_baseline.validation, result.objective),
-                _fmt_pair(result.erm_baseline.test, result.objective),
-            ]
-        )
+        entries.append(("unconstrained", "erm", result.erm_baseline))
+    rows = [["bin", "method", "validation", "test"]]
+    for tag, method, outcome in entries:
+        cells = [_fmt_pair(report, result.objective) for report in (outcome.validation, outcome.test)]
+        rows.append([tag, method, *(["(empty)"] * 2 if outcome.empty else cells)])
     widths = [max(len(r[c]) for r in rows) for c in range(4)]
     lines = [
         f"objective: {result.objective}   validation labels: {result.sensitive_source}",

@@ -652,17 +652,6 @@ def read_dataset(path: str | Path) -> TabularDataset:
     return TabularDataset(features=features, feature_names=names, **reserved)
 
 
-def read_labels(path: str | Path) -> TabularDataset:
-    """Read the reserved columns of a canonical dataset CSV (row ids, targets,
-    sensitive values, split) without reading its features matrix.
-
-    The result has a zero-column feature matrix. A file read_dataset rejects
-    for its layout, row count or reserved cells is rejected here too.
-    """
-    _, reserved = _scan_dataset(Path(path))
-    return TabularDataset(features=np.empty((len(reserved["row_ids"]), 0)), **reserved)
-
-
 def dataset_file_meta(path: str | Path) -> dict[str, str]:
     """Metadata key/value pairs stored in a canonical dataset file."""
     with _utf8(path), open(path, encoding="utf-8") as fh:

@@ -109,30 +109,16 @@ class ClassSelection:
 
 @dataclass(frozen=True)
 class PseudoLabelledValidation:
-    """Validation rows with merged pseudo attributes and the per-class winners."""
+    """Merged pseudo attributes, one per validation row in the split's row
+    order, and the per-class winners."""
 
-    row_ids: np.ndarray
     pseudo: np.ndarray
     by_class: Mapping[int, ClassSelection]
 
     def __post_init__(self) -> None:
-        ids = np.asarray(self.row_ids, dtype=np.int64)
-        ps = np.asarray(self.pseudo, dtype=np.int8)
-        if ids.shape != ps.shape:
-            raise ValueError("row_ids and pseudo labels must align")
-        ids.flags.writeable = False
+        ps = np.array(self.pseudo, dtype=np.int8)
         ps.flags.writeable = False
-        object.__setattr__(self, "row_ids", ids)
         object.__setattr__(self, "pseudo", ps)
-
-    def aligned_to(self, data: TabularDataset) -> np.ndarray:
-        """Pseudo labels reordered to match the row order of `data`."""
-        order = {int(r): i for i, r in enumerate(self.row_ids)}
-        try:
-            idx = np.asarray([order[int(r)] for r in data.row_ids])
-        except KeyError as exc:
-            raise ValueError(f"dataset row id {exc} has no pseudo label") from None
-        return self.pseudo[idx]
 
 
 def select_labeller(
@@ -174,4 +160,4 @@ def select_labeller(
         by_class[y] = ClassSelection(candidate_index=best_idx, edm_score=best_score, hp=hp, epoch=epoch)
         rows = validation.targets == y
         merged[rows] = label_sets[best_idx][rows]
-    return PseudoLabelledValidation(row_ids=validation.row_ids.copy(), pseudo=merged, by_class=by_class)
+    return PseudoLabelledValidation(pseudo=merged, by_class=by_class)

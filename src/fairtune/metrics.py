@@ -5,7 +5,8 @@ aligned 1-d arrays of binary predictions, targets and sensitive attributes
 into counts n[y, a, yhat], and `report_from_counts` turns those counts into a
 `FairnessReport`. `accuracy`, `dp_gap`, `eo_gap`, `wga` and
 `subgroup_accuracies` read single fields of that report. Gaps are absolute
-values.
+values. `pseudo_label_quality` reads the same counts, with pseudo labels in
+the prediction slot and ground truth in the sensitive slot.
 """
 
 from __future__ import annotations
@@ -34,14 +35,6 @@ def _binary(values, what: str) -> np.ndarray:
     if not np.isin(arr, (0, 1)).all():
         raise ValueError(f"{what} values must be 0 or 1")
     return arr.astype(np.int8)
-
-
-def _aligned(*pairs) -> list[np.ndarray]:
-    arrays = [_binary(v, w) for v, w in pairs]
-    lengths = {len(a) for a in arrays}
-    if len(lengths) != 1:
-        raise ValueError(f"length mismatch: {sorted(lengths)}")
-    return arrays
 
 
 def _zeros_for(values) -> np.ndarray:
@@ -87,10 +80,34 @@ class SubgroupPRF:
 
 
 @dataclass(frozen=True)
+class ClassContamination:
+    """Contamination rates of the pseudo groups within one target class, as
+    in the mutually contaminated noise model: alpha_hat is the share of rows
+    labelled majority that are truly minority, beta_hat the share of rows
+    labelled minority that are truly majority. None marks an empty pseudo
+    group."""
+
+    alpha_hat: float | None
+    beta_hat: float | None
+
+    @property
+    def one_minus_sum(self) -> float:
+        for group, rate in (("majority", self.alpha_hat), ("minority", self.beta_hat)):
+            if rate is None:
+                raise EmptyGroupError(f"no rows labelled {group} within the target class")
+        return 1.0 - self.alpha_hat - self.beta_hat
+
+
+@dataclass(frozen=True)
 class PseudoLabelQuality:
     per_subgroup: Mapping[tuple[int, int], SubgroupPRF]
     accuracy_overall: float
     accuracy_by_class: Mapping[int, float]
+    by_class: Mapping[int, ClassContamination]
+
+
+def _share(hits, total) -> float | None:
+    return int(hits) / int(total) if total else None
 
 
 def pseudo_label_quality(pseudo, truth, targets) -> PseudoLabelQuality:
@@ -98,19 +115,17 @@ def pseudo_label_quality(pseudo, truth, targets) -> PseudoLabelQuality:
 
     Within each target class y, cell (y, a) is treated as a retrieval class:
     precision over rows the labeller assigned to a, recall over rows truly in
-    a. Accuracy is the plain agreement rate, overall and per target class.
+    a. Accuracy is the plain agreement rate, overall and per target class
+    (classes without rows are omitted). `by_class` holds each target class's
+    contamination rates.
     """
-    ps, tr, targ = _aligned((pseudo, "pseudo"), (truth, "truth"), (targets, "targets"))
+    n = confusion_counts(_binary(pseudo, "pseudo"), targets, _binary(truth, "truth"))  # n[y, true a, pseudo a]
+    if not n.any():
+        raise EmptyGroupError("no rows")
     per: dict[tuple[int, int], SubgroupPRF] = {}
     for (y, a) in SUBGROUPS:
-        in_class = targ == y
-        predicted = in_class & (ps == a)
-        actual = in_class & (tr == a)
-        hit = int((predicted & actual).sum())
-        n_pred = int(predicted.sum())
-        n_act = int(actual.sum())
-        precision = hit / n_pred if n_pred else None
-        recall = hit / n_act if n_act else None
+        precision = _share(n[y, a, a], n[y, :, a].sum())
+        recall = _share(n[y, a, a], n[y, a].sum())
         if precision is None and recall is None:
             f1 = 0.0  # never predicted and never present
         elif precision is None or recall is None:
@@ -120,17 +135,17 @@ def pseudo_label_quality(pseudo, truth, targets) -> PseudoLabelQuality:
         else:
             f1 = 2 * precision * recall / (precision + recall)
         per[(y, a)] = SubgroupPRF(precision, recall, f1)
-    by_class: dict[int, float] = {}
-    for y in (0, 1):
-        mask = targ == y
-        if mask.any():
-            by_class[y] = float(np.mean(ps[mask] == tr[mask]))
-    if len(ps) == 0:
-        raise EmptyGroupError("no rows")
+    agree, sizes = n[:, 0, 0] + n[:, 1, 1], n.sum(axis=(1, 2))
     return PseudoLabelQuality(
         per_subgroup=per,
-        accuracy_overall=float(np.mean(ps == tr)),
-        accuracy_by_class=by_class,
+        accuracy_overall=_share(agree.sum(), sizes.sum()),
+        accuracy_by_class={y: _share(agree[y], sizes[y]) for y in (0, 1) if sizes[y]},
+        by_class={
+            y: ClassContamination(
+                alpha_hat=_share(n[y, 0, 1], n[y, :, 1].sum()), beta_hat=_share(n[y, 1, 0], n[y, :, 0].sum())
+            )
+            for y in (0, 1)
+        },
     )
 
 
@@ -181,9 +196,12 @@ class FairnessReport:
 
 def confusion_counts(predictions, targets, sensitive) -> np.ndarray:
     """Row counts n[y, a, yhat] of every (target, sensitive, prediction) cell."""
-    preds, targ, sens = _aligned(
-        (predictions, "predictions"), (targets, "targets"), (sensitive, "sensitive")
+    preds, targ, sens = (
+        _binary(predictions, "predictions"), _binary(targets, "targets"), _binary(sensitive, "sensitive")
     )
+    lengths = {len(preds), len(targ), len(sens)}
+    if len(lengths) != 1:
+        raise ValueError(f"length mismatch: {sorted(lengths)}")
     return np.bincount(4 * targ + 2 * sens + preds, minlength=8).reshape(2, 2, 2)
 
 

@@ -124,49 +124,6 @@ def mix_groups(
     )
 
 
-@dataclass(frozen=True)
-class ClassContamination:
-    alpha_hat: float
-    beta_hat: float
-
-    @property
-    def one_minus_sum(self) -> float:
-        return 1.0 - self.alpha_hat - self.beta_hat
-
-
-@dataclass(frozen=True)
-class ContaminationEstimate:
-    by_class: Mapping[int, ClassContamination]
-
-
-def estimate_contamination(pseudo, truth, targets) -> ContaminationEstimate:
-    """Estimate (alpha, beta) of pseudo labels per target class.
-
-    alpha_hat: fraction of rows labelled majority whose ground truth is
-    minority; beta_hat symmetric.
-    """
-    ps = np.asarray(pseudo)
-    tr = np.asarray(truth)
-    targ = np.asarray(targets)
-    if not (len(ps) == len(tr) == len(targ)):
-        raise ValueError("pseudo, truth and targets must align")
-    by_class: dict[int, ClassContamination] = {}
-    for y in (0, 1):
-        in_class = targ == y
-        if not in_class.any():
-            continue
-        labelled_maj = in_class & (ps == 1)
-        labelled_min = in_class & (ps == 0)
-        if not labelled_maj.any():
-            raise EmptyGroupError(f"no rows labelled majority within target class {y}")
-        if not labelled_min.any():
-            raise EmptyGroupError(f"no rows labelled minority within target class {y}")
-        alpha_hat = float(np.mean(tr[labelled_maj] == 0))
-        beta_hat = float(np.mean(tr[labelled_min] == 1))
-        by_class[y] = ClassContamination(alpha_hat=alpha_hat, beta_hat=beta_hat)
-    return ContaminationEstimate(by_class=by_class)
-
-
 # ----------------------------------------------------------------------------
 # Population-exact path: identities on analytic mixture quantities.
 # ----------------------------------------------------------------------------

@@ -27,6 +27,13 @@ class TrainingError(RuntimeError):
     """Training failed (non-finite loss/gradient, bad inputs)."""
 
 
+def not_bool(value, what: str):
+    """`value` itself, unless it is a bool, which Python would take as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what}: expected a number, got bool")
+    return value
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """One grid point of the training configuration.
@@ -43,6 +50,8 @@ class HyperParams:
     hidden_units: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("learning_rate", "weight_decay", "epochs", "batch_size", "seed", "hidden_units"):
+            not_bool(getattr(self, name), name)
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and > 0")
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):

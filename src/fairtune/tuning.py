@@ -28,7 +28,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .data import TabularDataset
-from .labelling import PseudoLabelledValidation
 from .metrics import (
     METRIC_NAMES,
     EmptyGroupError,
@@ -36,7 +35,7 @@ from .metrics import (
     confusion_counts,
     report_from_counts,
 )
-from .training import HyperParams, _train_loop, check_trainable, pool_map, predict, upsampled_positions
+from .training import HyperParams, _train_loop, check_trainable, not_bool, pool_map, predict, upsampled_positions
 
 # Unused here, but perfbench/spans.py traces these names on this module.
 from .metrics import dp_gap, eo_gap, report_from_predictions, wga  # noqa: F401
@@ -68,7 +67,8 @@ class JttConfig:
         object.__setattr__(self, "stage2_grid", tuple(self.stage2_grid))
         for name in ("t_grid", "lambda_grid"):
             try:
-                object.__setattr__(self, name, tuple(operator.index(v) for v in getattr(self, name)))
+                values = tuple(operator.index(not_bool(v, f"{name} entry")) for v in getattr(self, name))
+                object.__setattr__(self, name, values)
             except TypeError:
                 raise ValueError(f"{name} entries must be integers") from None
         if any(t < 1 for t in self.t_grid):
@@ -79,7 +79,7 @@ class JttConfig:
             raise ValueError(f"objective must be one of {METRIC_NAMES}")
         if self.sensitive_source not in (PSEUDO, GROUND_TRUTH):
             raise ValueError(f"sensitive_source must be {PSEUDO!r} or {GROUND_TRUTH!r}")
-        bins = tuple((float(lo), float(hi)) for lo, hi in self.accuracy_bins)
+        bins = tuple(tuple(float(not_bool(v, "accuracy_bins cell")) for v in b) for b in self.accuracy_bins)
         for lo, hi in bins:
             if not lo < hi:
                 raise ValueError(f"bin [{lo}, {hi}) is empty")
@@ -265,14 +265,14 @@ def _selection_labels(
     test: TabularDataset,
     objective: str,
     sensitive_source: str,
-    pseudo: PseudoLabelledValidation | None,
+    pseudo: np.ndarray | None,
 ) -> np.ndarray:
     """Validation sensitive labels to select on, once the objective and the
     test reports are known to be computable."""
     if sensitive_source == PSEUDO:
         if pseudo is None:
-            raise ValueError("sensitive_source 'pseudo' needs a PseudoLabelledValidation")
-        val_sens = pseudo.aligned_to(validation)
+            raise ValueError("sensitive_source 'pseudo' needs the validation split's pseudo labels")
+        val_sens = np.asarray(pseudo)
     elif validation.sensitive is None:
         raise EmptyGroupError("validation set has no ground-truth sensitive attributes")
     else:
@@ -351,11 +351,13 @@ def grid_search(
     validation: TabularDataset,
     test: TabularDataset,
     config: JttConfig,
-    pseudo: PseudoLabelledValidation | None = None,
+    pseudo: np.ndarray | None = None,
     jobs: int = 1,
 ) -> TunerResult:
     """Sweep the two-stage grid plus a plain baseline sweep of the stage-2
     grid, selecting per accuracy bin by the configured fairness objective.
+    With sensitive_source 'pseudo', `pseudo` holds one 0/1 label per
+    validation row, in the split's row order.
     `erm_bins` and `erm_baseline` are the plain sweep; with lambda_grid=(1,)
     and stage1_grid == stage2_grid, only the plain runs are trained."""
     val_sens = _selection_labels(validation, test, config.objective, config.sensitive_source, pseudo)

@@ -281,7 +281,7 @@ def test_criterion_9_income_benchmark_reproduction():
         accuracy_bins=((0.80, 0.805), (0.805, 0.81), (0.81, 0.815), (0.815, 0.82), (0.82, 0.825)),
         sensitive_source="pseudo",
     )
-    result = grid_search(train, validation, test, config, pseudo=labelled, jobs=jobs)
+    result = grid_search(train, validation, test, config, pseudo=labelled.pseudo, jobs=jobs)
     # The plain baseline is the top validation accuracy over the stage-2
     # grid's plain runs; its test report reads ground truth whatever the
     # selection labels.

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -453,20 +454,37 @@ def _damage_row(edit):
     return damage
 
 
+def _swap_rows(text):
+    lines = text.splitlines(keepends=True)
+    lines[10], lines[11] = lines[11], lines[10]
+    return "".join(lines)
+
+
+def _blank_sensitive(text):
+    return re.sub(r"^(\d+,[01]),[01],", r"\1,,", text, flags=re.M)
+
+
 @pytest.mark.parametrize(
-    "damage",
+    "damage, message",
     [
-        _damage_row(lambda ln: "\n"),
-        _damage_row(lambda ln: ln[:-1] + ",\n"),
-        _damage_row(lambda ln: "x" + ln),
-        _damage_row(lambda ln: ln.replace(",validation\n", ",test\n")),
-        _damage_row(lambda ln: ln.replace(",validation\n", ",,validation\n")),
-        lambda text: text + text.splitlines(keepends=True)[-1],
-        lambda text: text.replace("#n_rows=", "#n_rows=1"),
+        (_damage_row(lambda ln: "\n"), r":11: 0 fields, expected 4"),
+        (_damage_row(lambda ln: ln[:-1] + ",\n"), r":11: 5 fields, expected 4"),
+        (_damage_row(lambda ln: "x" + ln), r":11: invalid literal for int\(\)"),
+        (_damage_row(lambda ln: ln.replace(",validation\n", ",test\n")), r": mixed split tags"),
+        (_damage_row(lambda ln: ln.replace(",validation\n", ",,validation\n")), r":11: 5 fields, expected 4"),
+        (lambda text: text + text.splitlines(keepends=True)[-1], r": 401 data rows, but the file records n_rows=400"),
+        (lambda text: text.replace("#n_rows=", "#n_rows=1"), r": 400 data rows, but the file records n_rows=1400"),
+        # The row-id check in `tune` is all that keeps pseudo labels aligned
+        # with the validation rows they were computed for.
+        (_swap_rows, r" does not label the rows of the validation split"),
+        (_blank_sensitive, r" carries no pseudo labels"),
     ],
-    ids=["blank-line", "trailing-comma", "bad-row-id", "mixed-split", "shifted-cells", "duplicate-row", "bad-count"],
+    ids=[
+        "blank-line", "trailing-comma", "bad-row-id", "mixed-split", "shifted-cells", "duplicate-row", "bad-count",
+        "reordered-rows", "no-pseudo",
+    ],
 )
-def test_tune_damaged_labelled_validation_is_a_data_error(pipeline, tmp_path, capsys, damage):
+def test_tune_damaged_labelled_validation_is_a_data_error(pipeline, tmp_path, capsys, damage, message):
     config, out = pipeline
     copy = tmp_path / "out"
     shutil.copytree(out, copy)
@@ -478,6 +496,7 @@ def test_tune_damaged_labelled_validation_is_a_data_error(pipeline, tmp_path, ca
     assert main(["tune", "--config", str(config), "--out", str(copy)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and len(err.splitlines()) == 1
+    assert re.match(r"data error: \S*labelled_validation\.csv" + message, err)
 
 
 def test_dataset_files_keep_the_layout_perfbench_reads(pipeline):

@@ -22,7 +22,6 @@ from fairtune.data import (
     generate_synthetic,
     load_csv,
     read_dataset,
-    read_labels,
     split,
     write_dataset,
 )
@@ -456,17 +455,15 @@ def test_round_trip_property(tmp_path_factory, data, n, d, with_sensitive, tag, 
     path = tmp_path_factory.mktemp("rt") / "ds.csv"
     write_dataset(ds, path, meta=meta and {key: str(n) if key == "n_rows" else "x" for key in meta})
     back = read_dataset(path)
-    labels = read_labels(path)
     np.testing.assert_array_equal(back.features.view(np.int64), ds.features.view(np.int64))
-    for read in (back, labels):
-        np.testing.assert_array_equal(read.row_ids, ds.row_ids)
-        np.testing.assert_array_equal(read.targets, ds.targets)
-        if with_sensitive:
-            np.testing.assert_array_equal(read.sensitive, ds.sensitive)
-        else:
-            assert read.sensitive is None
-        assert read.split == tag
-    assert labels.features.shape == (n, 0)
+    np.testing.assert_array_equal(back.row_ids, ds.row_ids)
+    np.testing.assert_array_equal(back.targets, ds.targets)
+    if with_sensitive:
+        np.testing.assert_array_equal(back.sensitive, ds.sensitive)
+    else:
+        assert back.sensitive is None
+    assert back.split == tag
+    assert back.features.shape == (n, d)
     assert back.feature_names == (tuple(f"x{j}" for j in range(d)) if d else None)
     # A zero-feature dataset is the CSV alone.
     assert path.with_name("ds.features.npy").exists() == bool(d)
@@ -530,39 +527,33 @@ def _flip_last_bit(npy):
 # Line numbers: 1-5 metadata (config_sha256, the three features keys and
 # n_rows), 6 header, 7-14 the eight data rows.
 @pytest.mark.parametrize(
-    "corrupt, message, labels_read",
+    "corrupt, message",
     [
-        (_edit_line(3, lambda ln: "\n", 5), r"ds\.csv:9: 0 fields, expected 4", False),
-        (_edit_line(3, lambda ln: ln[:-1] + ",\n", 5), r"ds\.csv:9: 5 fields, expected 4", False),
-        (_edit_line(2, lambda ln: "1.5" + ln[1:], 5), r"ds\.csv:8: invalid literal for int\(\)", False),
-        (_edit_line(2, lambda ln: ln[ln.index(","):], 5), r"ds\.csv:8: invalid literal for int\(\)", False),
-        # The last row's feature changed: read_labels does not read the matrix.
-        (_features_file(_flip_last_bit), r"ds\.features\.npy: sha256 differs from the one ds\.csv records", True),
+        (_edit_line(3, lambda ln: "\n", 5), r"ds\.csv:9: 0 fields, expected 4"),
+        (_edit_line(3, lambda ln: ln[:-1] + ",\n", 5), r"ds\.csv:9: 5 fields, expected 4"),
+        (_edit_line(2, lambda ln: "1.5" + ln[1:], 5), r"ds\.csv:8: invalid literal for int\(\)"),
+        (_edit_line(2, lambda ln: ln[ln.index(","):], 5), r"ds\.csv:8: invalid literal for int\(\)"),
+        # The last row's feature changed.
+        (_features_file(_flip_last_bit), r"ds\.features\.npy: sha256 differs from the one ds\.csv records"),
         (
             _text(lambda text: "".join(text.splitlines(keepends=True)[:8])),
             r"ds\.csv: 2 data rows, but the file records n_rows=8",
-            False,
         ),
-        (_text(lambda text: text + "8,0,1,train\n"), r"ds\.csv: 9 data rows, but the file records n_rows=8", False),
-        (_cut_in_row(4, 5), r"ds\.csv:10: last line lacks its newline", False),
+        (_text(lambda text: text + "8,0,1,train\n"), r"ds\.csv: 9 data rows, but the file records n_rows=8"),
+        (_cut_in_row(4, 5), r"ds\.csv:10: last line lacks its newline"),
     ],
     ids=[
         "blank-line", "trailing-comma", "float-row-id", "empty-row-id", "bad-float-last-row",
         "cut-at-line-end", "extra-row", "cut-mid-row",
     ],
 )
-def test_reader_fault_injection(tmp_path, corrupt, message, labels_read):
+def test_reader_fault_injection(tmp_path, corrupt, message):
     ds = make_dataset([[i + 0.25] for i in range(8)], [0, 1] * 4, sensitive=[1, 0] * 4)
     path = tmp_path / "ds.csv"
     write_dataset(ds, path, meta={"config_sha256": "abc", "n_rows": "8"})
     corrupt(path)
     with pytest.raises(DataError, match=message):
         read_dataset(path)
-    if labels_read:
-        np.testing.assert_array_equal(read_labels(path).row_ids, ds.row_ids)
-    else:
-        with pytest.raises(DataError, match=message):
-            read_labels(path)
 
 
 def _copy_matrix_of(other):
@@ -631,8 +622,6 @@ def test_features_file_faults(tmp_path, corrupt, message):
     with pytest.raises(DataError, match=message) as exc:
         read_dataset(path)
     assert len(str(exc.value).splitlines()) == 1
-    # read_labels takes the reserved columns only.
-    np.testing.assert_array_equal(read_labels(path).row_ids, ds.row_ids)
 
 
 def test_earlier_text_layout_asks_for_prepare(tmp_path):
@@ -641,9 +630,8 @@ def test_earlier_text_layout_asks_for_prepare(tmp_path):
     write_dataset(ds, path, meta={"config_sha256": "abc", "n_rows": "8"})
     _earlier_text_layout(path)
     assert dataset_file_meta(path) == {"config_sha256": "abc", "n_rows": "8"}
-    for read in (read_dataset, read_labels):
-        with pytest.raises(DataError, match=r"ds\.csv: feature columns stored as text, an older layout; re-run 'prepare'"):
-            read(path)
+    with pytest.raises(DataError, match=r"ds\.csv: feature columns stored as text, an older layout; re-run 'prepare'"):
+        read_dataset(path)
 
 
 def test_comment_lines_between_rows_are_skipped(tmp_path):
@@ -657,7 +645,7 @@ def test_comment_lines_between_rows_are_skipped(tmp_path):
     path.write_text("".join(lines), encoding="utf-8")
     back = read_dataset(path)
     np.testing.assert_array_equal(back.features.view(np.int64), ds.features.view(np.int64))
-    np.testing.assert_array_equal(read_labels(path).row_ids, ds.row_ids)
+    np.testing.assert_array_equal(back.row_ids, ds.row_ids)
     # A damaged row after the note is still reported at its file line.
     lines[8] = "x" + lines[8][lines[8].index(","):]
     path.write_text("".join(lines), encoding="utf-8")
@@ -674,7 +662,6 @@ def test_files_without_a_row_count_still_read(tmp_path):
         write_dataset(ds, path, meta={"config_sha256": "abc"})
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(lines[:-1]), encoding="utf-8")
-        assert read_labels(path).n_rows == 2
         if d:
             with pytest.raises(DataError, match=r"ds1\.features\.npy: holds float64 \(3, 1\), expected float64 \(2, 1\)"):
                 read_dataset(path)
@@ -689,6 +676,6 @@ def test_non_utf8_input_files_are_data_errors(tmp_path):
         load_csv(path, SCHEMA)
     with pytest.raises(DataError, match=r"raw\.csv: not a UTF-8 text file"):
         fit_categorical_vocab(path, ["sex"])
-    for read in (read_dataset, read_labels, dataset_file_meta):
+    for read in (read_dataset, dataset_file_meta):
         with pytest.raises(DataError, match=r"raw\.csv: not a UTF-8 text file"):
             read(path)

@@ -10,7 +10,7 @@ from fairtune.labelling import (
     select_labeller,
 )
 from fairtune.metrics import EmptyGroupError
-from fairtune.noise import estimate_contamination
+from fairtune.metrics import pseudo_label_quality
 from fairtune.training import HyperParams, ModelParams, predict, train_erm
 
 from conftest import planted_splits
@@ -150,7 +150,7 @@ def test_mc_planted_selection_maximizes_one_minus_alpha_beta():
     for y in (0, 1):
         scores = []
         for labels in label_sets:
-            est = estimate_contamination(labels, truth, targets)
+            est = pseudo_label_quality(labels, truth, targets)
             scores.append(abs(est.by_class[y].one_minus_sum))
         best = max(scores)
         chosen = scores[winners[y].candidate_index]

@@ -74,6 +74,20 @@ def oracle_quality(pseudo, truth, targets):
     return per, overall
 
 
+def oracle_contamination(pseudo, truth, targets):
+    """Per target class (alpha_hat, beta_hat): the share of rows labelled
+    majority that are truly minority, and the converse; None for an empty
+    pseudo group."""
+    rates = {}
+    for y in (0, 1):
+        pair = []
+        for label in (1, 0):
+            group = [t for p, t, c in zip(pseudo, truth, targets) if c == y and p == label]
+            pair.append(sum(1 for t in group if t != label) / len(group) if group else None)
+        rates[y] = tuple(pair)
+    return rates
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -158,6 +172,8 @@ def test_all_256_patterns_match_oracle_exactly():
         for key, (precision, recall) in per.items():
             assert quality.per_subgroup[key].precision == precision
             assert quality.per_subgroup[key].recall == recall
+        for y, rates in oracle_contamination(preds, FIXED_SENS, FIXED_TARGETS).items():
+            assert (quality.by_class[y].alpha_hat, quality.by_class[y].beta_hat) == rates
 
 
 def test_pseudo_quality_identity_and_complement():
@@ -196,6 +212,17 @@ def test_pseudo_quality_absent_and_zero_f1():
     assert q.per_subgroup[(0, 1)].precision is None
     # (1, *) cells untouched: no rows with y=1 at all
     assert q.per_subgroup[(1, 0)].f1 == 0.0
+
+
+def test_pseudo_quality_rejects_bad_columns():
+    with pytest.raises(ValueError, match="pseudo values must be 0 or 1"):
+        pseudo_label_quality([0, 2], [0, 1], [0, 1])
+    with pytest.raises(ValueError, match="truth values must be 0 or 1"):
+        pseudo_label_quality([0, 1], [0, -1], [0, 1])
+    with pytest.raises(ValueError, match=r"length mismatch: \[2, 3\]"):
+        pseudo_label_quality([0, 1], [0, 1, 1], [0, 1])
+    with pytest.raises(EmptyGroupError, match="no rows"):
+        pseudo_label_quality([], [], [])
 
 
 def test_gap_symmetry_under_group_swap():

@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from fairtune.metrics import EmptyGroupError
+from fairtune.metrics import EmptyGroupError, pseudo_label_quality
 from fairtune.noise import (
     NoiseSpec,
     difference_of_means_probe,
     dp_gap_noisy_exact,
     edm_exact,
-    estimate_contamination,
     mix_groups,
     verify_edm_lemma,
     verify_proportionality,
@@ -79,12 +78,12 @@ def test_mix_groups_determinism_and_errors():
 def test_estimate_contamination_identity_and_complement():
     truth = np.array([1, 0, 1, 0, 1, 0], dtype=np.int8)
     targets = np.array([0, 0, 0, 1, 1, 1])
-    est = estimate_contamination(truth, truth, targets)
+    est = pseudo_label_quality(truth, truth, targets)
     for y in (0, 1):
         assert est.by_class[y].alpha_hat == 0.0
         assert est.by_class[y].beta_hat == 0.0
         assert est.by_class[y].one_minus_sum == 1.0
-    est2 = estimate_contamination(1 - truth, truth, targets)
+    est2 = pseudo_label_quality(1 - truth, truth, targets)
     for y in (0, 1):
         assert est2.by_class[y].alpha_hat == 1.0
         assert est2.by_class[y].beta_hat == 1.0
@@ -95,7 +94,7 @@ def test_estimate_contamination_handcrafted_against_counting():
     pseudo = np.array([1, 1, 1, 0, 0, 1, 1, 0, 0, 0])
     truth = np.array([1, 0, 1, 0, 1, 1, 0, 0, 0, 1])
     targets = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
-    est = estimate_contamination(pseudo, truth, targets)
+    est = pseudo_label_quality(pseudo, truth, targets)
     # class 0: labelled majority rows 0,1,2 of which row 1 is truly minority
     assert est.by_class[0].alpha_hat == pytest.approx(1 / 3)
     # class 0: labelled minority rows 3,4 of which row 4 is truly majority
@@ -107,8 +106,19 @@ def test_estimate_contamination_handcrafted_against_counting():
 
 
 def test_estimate_contamination_errors_on_empty_pseudo_group():
+    # Every row is in target class 1 and labelled minority.
+    est = pseudo_label_quality(np.zeros(4, dtype=int), np.ones(4, dtype=int), np.ones(4, dtype=int))
+    assert est.by_class[1].alpha_hat is None
+    assert est.by_class[1].beta_hat == 1.0
+    assert est.by_class[0].alpha_hat is None and est.by_class[0].beta_hat is None
     with pytest.raises(EmptyGroupError, match="majority"):
-        estimate_contamination(np.zeros(4, dtype=int), np.ones(4, dtype=int), np.ones(4, dtype=int))
+        est.by_class[1].one_minus_sum
+    with pytest.raises(EmptyGroupError, match="majority"):
+        est.by_class[0].one_minus_sum
+    # Only an empty minority group.
+    all_majority = pseudo_label_quality(np.ones(4, dtype=int), np.ones(4, dtype=int), np.ones(4, dtype=int))
+    with pytest.raises(EmptyGroupError, match="minority"):
+        all_majority.by_class[1].one_minus_sum
 
 
 def test_estimate_recovers_mixing_rates():
@@ -121,7 +131,7 @@ def test_estimate_recovers_mixing_rates():
         [mixed.majority_from_majority.astype(np.int8), mixed.minority_from_majority.astype(np.int8)]
     )
     # One target class for every row: the pooled estimate.
-    est = estimate_contamination(pseudo, truth, np.zeros(2 * n, dtype=np.int8)).by_class[0]
+    est = pseudo_label_quality(pseudo, truth, np.zeros(2 * n, dtype=np.int8)).by_class[0]
     assert abs(est.alpha_hat - alpha) <= 3.0 * math.sqrt(alpha * (1 - alpha) / n)
     assert abs(est.beta_hat - beta) <= 3.0 * math.sqrt(beta * (1 - beta) / n)
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import fairtune.tuning as tuning
 from fairtune.data import TabularDataset
-from fairtune.labelling import PseudoLabelledValidation
 from fairtune.metrics import EmptyGroupError, dp_gap, eo_gap, full_report, wga
 from fairtune.training import (
     HyperParams,
@@ -84,6 +83,31 @@ def test_config_rejects_non_integer_t_and_lambda_entries():
     exact = dataclasses.replace(cfg, t_grid=(np.int64(2),), lambda_grid=(np.int32(1), np.uint8(3)))
     assert exact.t_grid == (2,) and exact.lambda_grid == (1, 3)
     assert all(type(v) is int for v in (*exact.t_grid, *exact.lambda_grid))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: dataclasses.replace(small_config(), t_grid=(True,)), r"t_grid entry: expected a number, got bool"),
+        (lambda: dataclasses.replace(small_config(), lambda_grid=(3, np.True_)), r"lambda_grid entry: expected a number"),
+        (lambda: dataclasses.replace(small_config(), accuracy_bins=((True, 2),)), r"accuracy_bins cell: expected a number"),
+        (lambda: dataclasses.replace(small_config(), accuracy_bins=((0.5, False),)), r"accuracy_bins cell: expected a number"),
+        (lambda: HyperParams(epochs=True, **HP), r"epochs: expected a number, got bool"),
+        (lambda: HyperParams(epochs=2, learning_rate=0.1, batch_size=np.True_), r"batch_size: expected a number"),
+        (lambda: HyperParams(learning_rate=0.1, seed=True), r"seed: expected a number, got bool"),
+        (lambda: HyperParams(learning_rate=0.1, hidden_units=False), r"hidden_units: expected a number, got bool"),
+        (lambda: HyperParams(learning_rate=True), r"learning_rate: expected a number, got bool"),
+        (lambda: HyperParams(learning_rate=0.1, weight_decay=False), r"weight_decay: expected a number, got bool"),
+    ],
+    ids=[
+        "t_grid", "lambda_grid", "bin-low", "bin-high", "epochs", "batch_size", "seed", "hidden_units",
+        "learning_rate", "weight_decay",
+    ],
+)
+def test_library_configs_reject_bools(build, message):
+    # Python counts True as the int 1, so without a check these would build.
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_jtt_lambda_one_collapses_to_plain_training(planted):
@@ -267,7 +291,7 @@ def flipped_pseudo(validation, flip_fraction, seed):
     pseudo = validation.sensitive.copy()
     flips = rng.random(len(pseudo)) < flip_fraction
     pseudo[flips] = 1 - pseudo[flips]
-    return PseudoLabelledValidation(row_ids=validation.row_ids.copy(), pseudo=pseudo, by_class={})
+    return pseudo
 
 
 def rebuild_winner(train, ref: CandidateRef):
@@ -320,7 +344,7 @@ def test_winner_reports_equal_retrained_winners(source, lambda_grid, bins, plant
     # winner retrained from its CandidateRef must score exactly the same.
     train, validation, test = planted
     pseudo = flipped_pseudo(validation, 0.2, seed=3) if source == "pseudo" else None
-    val_sens = validation.sensitive if pseudo is None else pseudo.pseudo
+    val_sens = validation.sensitive if pseudo is None else pseudo
     config = small_config(source=source, lambda_grid=lambda_grid, bins=bins)
     result = grid_search(train, validation, test, config, pseudo=pseudo)
     populated = [o for o in outcomes_of(result) if not o.empty]
@@ -360,13 +384,14 @@ def test_grid_search_with_pseudo_source_requires_labels(planted):
     with pytest.raises(ValueError, match="pseudo"):
         grid_search(train, validation, test, config)
     # degenerate pseudo labels: a single group makes the objective infeasible
-    degenerate = PseudoLabelledValidation(
-        row_ids=validation.row_ids.copy(),
-        pseudo=np.ones(validation.n_rows, dtype=np.int8),
-        by_class={},
-    )
+    degenerate = np.ones(validation.n_rows, dtype=np.int8)
     with pytest.raises(EmptyGroupError):
         grid_search(train, validation, test, config, pseudo=degenerate)
+    # labels that cannot be the validation split's: one row short, or not 0/1
+    with pytest.raises(ValueError, match="length mismatch"):
+        grid_search(train, validation, test, config, pseudo=validation.sensitive[:-1])
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        grid_search(train, validation, test, config, pseudo=2 * validation.sensitive)
 
 
 def test_non_finite_train_features_fail_before_any_training(planted, monkeypatch):
