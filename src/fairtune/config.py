@@ -23,11 +23,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from .data import DatasetSchema, SchemaError, SyntheticSpec
+from .data import DatasetSchema, SchemaError, SyntheticSpec, check_fractions, check_int, check_pair
+from .noise import NoiseSpec
 from .training import HyperParams
 from .tuning import JttConfig
 
 LABELLING_POLICIES = ("every_epoch", "final_epoch")
+MC_SPLITS = ("train", "validation", "test")
 
 
 class ConfigError(ValueError):
@@ -38,68 +40,36 @@ def _fail(path: str, msg: str) -> None:
     raise ConfigError(f"{path}: {msg}")
 
 
-def _get(d: Mapping, path: str, key: str, kind, required: bool = True, default=None):
+def _get(d: Mapping, path: str, key: str, kind: type, required: bool = True, default=None):
+    """d[key], which must be a `kind` (dict, list or str); numbers are left
+    to the constructor that holds them."""
     here = f"{path}.{key}" if path else key
     if key not in d:
         if required:
             _fail(here, "missing required key")
         return default
     value = d[key]
-    if isinstance(value, bool) and kind in (int, float):
-        _fail(here, f"expected {kind.__name__}, got bool")
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if kind is not None and not isinstance(value, kind):
-        _fail(here, f"expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}")
+    if not isinstance(value, kind):
+        _fail(here, f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _number_pair(cell, path: str, names: str) -> tuple[float, float]:
-    if not isinstance(cell, list) or len(cell) != 2 or not all(_is_number(v) for v in cell):
-        _fail(path, f"expected [{names}], two numbers")
-    return float(cell[0]), float(cell[1])
-
-
-def _int_list(d: Mapping, path: str, key: str) -> tuple[int, ...]:
-    values = _get(d, path, key, list)
-    for i, v in enumerate(values):
-        if not isinstance(v, int) or isinstance(v, bool):
-            _fail(f"{path}.{key}[{i}]", f"expected int, got {type(v).__name__}")
-    return tuple(values)
-
-
-def _seed(value: int, path: str) -> int:
-    if value < 0:
-        _fail(path, f"must be >= 0, got {value}")
-    return value
-
-
-def _hyperparams(d: Mapping, path: str, default_seed: int) -> HyperParams:
-    if not isinstance(d, dict):
-        _fail(path, "expected an object")
+def _at(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with `path` prefixed to the "<field>: <problem>"
+    ValueError of the constructor or checker it runs."""
     try:
-        return HyperParams(
-            learning_rate=_get(d, path, "learning_rate", float),
-            weight_decay=_get(d, path, "weight_decay", float, required=False, default=0.0),
-            epochs=_get(d, path, "epochs", int, required=False, default=1),
-            batch_size=_get(d, path, "batch_size", int, required=False, default=64),
-            seed=_get(d, path, "seed", int, required=False, default=default_seed),
-            hidden_units=_get(d, path, "hidden_units", int, required=False, default=0),
-        )
+        return build(*args, **kwargs)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        _fail(path, str(exc))
+        raise ConfigError(f"{path}.{exc}" if path else str(exc)) from None
 
 
 def _grid(raw, path: str, default_seed: int) -> tuple[HyperParams, ...]:
     if not isinstance(raw, list) or not raw:
         _fail(path, "expected a nonempty list of hyper-parameter objects")
-    return tuple(_hyperparams(h, f"{path}[{i}]", default_seed) for i, h in enumerate(raw))
+    for i, h in enumerate(raw):
+        if not isinstance(h, dict):
+            _fail(f"{path}[{i}]", "expected an object")
+    return tuple(_at(f"{path}[{i}]", HyperParams.from_dict, {"seed": default_seed, **h}) for i, h in enumerate(raw))
 
 
 @dataclass(frozen=True)
@@ -108,6 +78,16 @@ class McNoiseSection:
     n_samples: int
     seed: int
     split: str = "validation"
+
+    def __post_init__(self) -> None:
+        cells = tuple(check_pair(cell, f"grid[{i}]", "alpha, beta") for i, cell in enumerate(self.grid))
+        for i, (alpha, beta) in enumerate(cells):
+            _at(f"grid[{i}]", NoiseSpec, alpha, beta)
+        object.__setattr__(self, "grid", cells)
+        object.__setattr__(self, "n_samples", check_int(self.n_samples, "n_samples", 1))
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0))
+        if self.split not in MC_SPLITS:
+            raise ValueError(f"split: expected one of {MC_SPLITS}, got {self.split!r}")
 
 
 @dataclass(frozen=True)
@@ -167,8 +147,7 @@ def parse_config(
 ) -> ExperimentConfig:
     if not isinstance(raw, Mapping):
         raise ConfigError("configuration root must be an object")
-    master = seed_override if seed_override is not None else _get(raw, "", "seed", int, required=False, default=0)
-    _seed(master, "seed")
+    master = _at("", check_int, raw.get("seed", 0) if seed_override is None else seed_override, "seed", 0)
     output_dir = out_override if out_override is not None else _get(raw, "", "output_dir", str)
 
     dataset = _get(raw, "", "dataset", dict)
@@ -177,13 +156,8 @@ def parse_config(
     csv_path = None
     schema = None
     if kind == "synthetic":
-        spec_raw = dict(_get(dataset, "dataset", "synthetic", dict))
-        spec_raw.setdefault("seed", master)
-        try:
-            synthetic = SyntheticSpec.from_dict(spec_raw)
-        except ValueError as exc:
-            _fail("dataset.synthetic", str(exc))
-        _seed(synthetic.seed, "dataset.synthetic.seed")
+        spec_raw = {"seed": master, **_get(dataset, "dataset", "synthetic", dict)}
+        synthetic = _at("dataset.synthetic", SyntheticSpec.from_dict, spec_raw)
     elif kind == "csv":
         csv_section = _get(dataset, "dataset", "csv", dict)
         csv_path = _get(csv_section, "dataset.csv", "path", str)
@@ -208,11 +182,8 @@ def parse_config(
         _fail("dataset.kind", f"expected 'synthetic' or 'csv', got {kind!r}")
 
     split_section = _get(raw, "", "split", dict)
-    fractions_raw = _get(split_section, "split", "fractions", list)
-    if len(fractions_raw) != 3 or not all(_is_number(f) for f in fractions_raw):
-        _fail("split.fractions", "expected three numbers")
-    fractions = tuple(float(f) for f in fractions_raw)
-    split_seed = _seed(_get(split_section, "split", "seed", int, required=False, default=master + 1), "split.seed")
+    fractions = _at("split", check_fractions, _get(split_section, "split", "fractions", list))
+    split_seed = _at("split", check_int, split_section.get("seed", master + 1), "seed", 0)
 
     model_seed = master + 2
     labeller_grid = _grid(_get(raw, "", "labeller_grid", list), "labeller_grid", model_seed)
@@ -225,46 +196,28 @@ def parse_config(
     jtt = None
     if "jtt" in raw:
         j = _get(raw, "", "jtt", dict)
-        bins = tuple(
-            _number_pair(cell, f"jtt.accuracy_bins[{i}]", "lo, hi")
-            for i, cell in enumerate(_get(j, "jtt", "accuracy_bins", list))
+        jtt = _at(
+            "jtt",
+            JttConfig,
+            stage1_grid=_grid(_get(j, "jtt", "stage1_grid", list), "jtt.stage1_grid", model_seed),
+            t_grid=_get(j, "jtt", "t_grid", list),
+            lambda_grid=_get(j, "jtt", "lambda_grid", list),
+            stage2_grid=_grid(_get(j, "jtt", "stage2_grid", list), "jtt.stage2_grid", model_seed),
+            objective=_get(j, "jtt", "objective", str),
+            accuracy_bins=_get(j, "jtt", "accuracy_bins", list),
+            sensitive_source=_get(j, "jtt", "sensitive_source", str, required=False, default="pseudo"),
         )
-        try:
-            jtt = JttConfig(
-                stage1_grid=_grid(_get(j, "jtt", "stage1_grid", list), "jtt.stage1_grid", model_seed),
-                t_grid=_int_list(j, "jtt", "t_grid"),
-                lambda_grid=_int_list(j, "jtt", "lambda_grid"),
-                stage2_grid=_grid(_get(j, "jtt", "stage2_grid", list), "jtt.stage2_grid", model_seed),
-                objective=_get(j, "jtt", "objective", str),
-                accuracy_bins=bins,
-                sensitive_source=_get(j, "jtt", "sensitive_source", str, required=False, default="pseudo"),
-            )
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as exc:
-            _fail("jtt", str(exc))
 
     mc = None
     if "mc_noise" in raw:
         m = _get(raw, "", "mc_noise", dict)
-        grid_raw = _get(m, "mc_noise", "grid", list)
-        cells = []
-        for i, cell in enumerate(grid_raw):
-            a, b = _number_pair(cell, f"mc_noise.grid[{i}]", "alpha, beta")
-            if not (0 <= a <= 1 and 0 <= b <= 1):
-                _fail(f"mc_noise.grid[{i}]", "rates must lie in [0, 1]")
-            cells.append((a, b))
-        mc_split = _get(m, "mc_noise", "split", str, required=False, default="validation")
-        if mc_split not in ("train", "validation", "test"):
-            _fail("mc_noise.split", f"unknown split {mc_split!r}")
-        n_samples = _get(m, "mc_noise", "n_samples", int, required=False, default=100_000)
-        if n_samples < 1:
-            _fail("mc_noise.n_samples", f"must be >= 1, got {n_samples}")
-        mc = McNoiseSection(
-            grid=tuple(cells),
-            n_samples=n_samples,
-            seed=_seed(_get(m, "mc_noise", "seed", int, required=False, default=master + 3), "mc_noise.seed"),
-            split=mc_split,
+        mc = _at(
+            "mc_noise",
+            McNoiseSection,
+            grid=_get(m, "mc_noise", "grid", list),
+            n_samples=m.get("n_samples", 100_000),
+            seed=m.get("seed", master + 3),
+            split=_get(m, "mc_noise", "split", str, required=False, default="validation"),
         )
 
     return ExperimentConfig(

@@ -12,6 +12,8 @@ import csv
 import hashlib
 import json
 import math
+import numbers
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +40,51 @@ class SchemaError(DataError):
 
 class EmptySplitError(DataError):
     """A requested split received zero rows."""
+
+
+def check_int(value, what: str, minimum: int) -> int:
+    """`value` as an int >= minimum. numpy integers pass; bools, which
+    Python would take as 0 or 1, and floats, which would truncate, do not."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what}: expected int, got bool")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what}: expected int, got {type(value).__name__}") from None
+    if value < minimum:
+        raise ValueError(f"{what}: must be >= {minimum}, got {value}")
+    return value
+
+
+def check_float(value, what: str) -> float:
+    """`value` as a finite float; bools and text are rejected."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what}: expected float, got {type(value).__name__}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{what}: must be finite, got {value}")
+    return value
+
+
+def check_pair(cell, what: str, names: str) -> tuple[float, float]:
+    """`cell` as two finite floats, such as the [lo, hi] of a bin."""
+    if isinstance(cell, (list, tuple)) and len(cell) == 2:
+        try:
+            return check_float(cell[0], what), check_float(cell[1], what)
+        except ValueError:
+            pass
+    raise ValueError(f"{what}: expected [{names}], two numbers")
+
+
+def check_fractions(fractions) -> tuple[float, float, float]:
+    """The (train, validation, test) fractions of `split`: three finite
+    numbers >= 0 that sum to 1."""
+    values = tuple(check_float(f, f"fractions[{i}]") for i, f in enumerate(fractions))
+    if len(values) != 3 or any(f < 0 for f in values):
+        raise DataError(f"fractions: expected three numbers >= 0, got {list(values)}")
+    if abs(sum(values) - 1.0) > 1e-9:
+        raise DataError(f"fractions: must sum to 1, got {sum(values)!r}")
+    return values
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -400,10 +447,7 @@ def split(
     Validation and test sizes are floor(fraction * n); remainder rows go to
     train. Row ids are preserved; rows land in seed-permuted order.
     """
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
-        raise DataError("fractions must be three nonnegative values")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DataError(f"fractions must sum to 1, got {sum(fractions)!r}")
+    fractions = check_fractions(fractions)
     n = data.n_rows
     n_val = math.floor(fractions[1] * n + 1e-9)
     n_test = math.floor(fractions[2] * n + 1e-9)
@@ -428,14 +472,14 @@ class BlockSpec:
     var: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise DataError("block count must be >= 0")
-        mean = tuple(float(v) for v in self.mean)
-        var = tuple(float(v) for v in self.var)
+        object.__setattr__(self, "count", check_int(self.count, "count", 0))
+        mean = tuple(check_float(v, f"mean[{j}]") for j, v in enumerate(self.mean))
+        var = tuple(check_float(v, f"var[{j}]") for j, v in enumerate(self.var))
         if len(mean) != len(var):
-            raise DataError("block mean and var must have the same dimension")
-        if any(v <= 0 for v in var):
-            raise DataError("block variances must be strictly positive")
+            raise DataError(f"var: {len(var)} entries, but mean has {len(mean)}")
+        for j, v in enumerate(var):
+            if v <= 0:
+                raise DataError(f"var[{j}]: must be > 0, got {v}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "var", var)
 
@@ -459,8 +503,9 @@ class SyntheticSpec:
         if len(dims) != 1:
             raise DataError("all blocks must share one feature dimension")
         if sum(b.count for b in blocks.values()) == 0:
-            raise DataError("at least one block must have a positive count")
+            raise DataError("blocks: at least one block must have a positive count")
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0))
 
     @property
     def dim(self) -> int:
@@ -481,16 +526,20 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SyntheticSpec":
-        try:
-            blocks = {}
-            for (y, a) in BLOCK_ORDER:
+        """The spec of a to_dict()-shaped object; an error names the key
+        path inside it, e.g. "blocks.y1_a1.count: ..."."""
+        blocks = {}
+        for (y, a) in BLOCK_ORDER:
+            path = f"blocks.y{y}_a{a}"
+            try:
                 raw = d["blocks"][f"y{y}_a{a}"]
-                blocks[(y, a)] = BlockSpec(
-                    count=int(raw["count"]), mean=raw["mean"], var=raw["var"]
-                )
-            return cls(blocks=blocks, seed=int(d.get("seed", 0)))
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"malformed synthetic spec: {exc}") from exc
+                blocks[(y, a)] = BlockSpec(count=raw["count"], mean=raw["mean"], var=raw["var"])
+            except (KeyError, TypeError) as exc:
+                reason = f"{type(exc).__name__}: {exc}"
+                raise DataError(f"{path}: expected an object of count, mean and var ({reason})") from None
+            except ValueError as exc:
+                raise DataError(f"{path}.{exc}") from None
+        return cls(blocks=blocks, seed=d.get("seed", 0))
 
 
 def generate_synthetic(spec: SyntheticSpec) -> TabularDataset:

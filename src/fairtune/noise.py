@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .data import check_float, check_int
 from .labelling import edm
 from .metrics import EmptyGroupError
 from .training import HyperParams, ModelParams, predict
@@ -25,38 +26,33 @@ from .training import HyperParams, ModelParams, predict
 RATIO_DENOM_FLOOR = 1e-6
 
 
-def _check_rate(value: float, what: str) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{what} must lie in [0, 1], got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Contamination rates, optionally per target class, plus the draw seed."""
+    """Contamination rates, optionally others for the rows of target 1 (the
+    EO measurement), plus the draw seed."""
 
     alpha: float
     beta: float
     seed: int = 0
-    alpha_0: float | None = None
-    beta_0: float | None = None
     alpha_1: float | None = None
     beta_1: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _check_rate(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", _check_rate(self.beta, "beta"))
-        for name in ("alpha_0", "beta_0", "alpha_1", "beta_1"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, _check_rate(v, name))
+        for name in ("alpha", "beta", "alpha_1", "beta_1"):
+            value = getattr(self, name)
+            if value is not None:
+                value = check_float(value, name)
+                if not 0.0 <= value <= 1.0:
+                    raise ValueError(f"{name}: must lie in [0, 1], got {value}")
+                object.__setattr__(self, name, value)
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0))
 
-    def class_rates(self, y: int) -> tuple[float, float]:
-        """(alpha, beta) for target class y, falling back to the global rates."""
-        a = getattr(self, f"alpha_{y}")
-        b = getattr(self, f"beta_{y}")
-        return (self.alpha if a is None else a, self.beta if b is None else b)
+    def class_1_rates(self) -> tuple[float, float]:
+        """(alpha, beta) for the rows of target 1, falling back to the global rates."""
+        return (
+            self.alpha if self.alpha_1 is None else self.alpha_1,
+            self.beta if self.beta_1 is None else self.beta_1,
+        )
 
 
 @dataclass(frozen=True)
@@ -209,7 +205,7 @@ def verify_proportionality(
     dp_noisy = float(mixed.majority[:, 0].mean() - mixed.minority[:, 0].mean())
 
     # EO: restrict the sources to target 1, then mix with the class-1 rates.
-    alpha_1, beta_1 = spec.class_rates(1)
+    alpha_1, beta_1 = spec.class_1_rates()
     pos_maj = np.flatnonzero(y_maj == 1)
     pos_min = np.flatnonzero(y_min == 1)
     if len(pos_maj) == 0 or len(pos_min) == 0:
@@ -319,39 +315,21 @@ _SWEEP_COLUMNS = (
 def write_sweep_csv(
     path: str | Path,
     edm_records: Sequence[EdmSweepRecord],
-    dp_records: Sequence[ProportionalityRecord] | None = None,
+    dp_records: Sequence[ProportionalityRecord],
     meta: Mapping[str, str] | None = None,
 ) -> None:
-    """Emit one CSV row per grid cell for external plotting."""
-    dp_by_cell = {}
-    if dp_records:
-        dp_by_cell = {(r.alpha, r.beta): r for r in dp_records}
+    """Emit one CSV row per grid cell for external plotting; edm_records[i]
+    and dp_records[i] are the draws of cell i, so a cell listed twice keeps
+    each draw on its own row. csv writes a float as its repr and None (a
+    ratio with a vanishing denominator) as a blank cell."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if meta:
             for key in sorted(meta):
                 fh.write(f"#{key}={meta[key]}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_SWEEP_COLUMNS)
-        for rec in edm_records:
-            dp = dp_by_cell.get((rec.alpha, rec.beta))
-            row = [
-                repr(rec.alpha),
-                repr(rec.beta),
-                repr(rec.edm_true),
-                repr(rec.edm_noisy),
-                "" if rec.ratio is None else repr(rec.ratio),
-            ]
-            if dp is None:
-                row.extend([""] * 6)
-            else:
-                row.extend(
-                    [
-                        repr(dp.dp_true),
-                        repr(dp.dp_noisy),
-                        "" if dp.ratio_dp is None else repr(dp.ratio_dp),
-                        repr(dp.eo_true),
-                        repr(dp.eo_noisy),
-                        "" if dp.ratio_eo is None else repr(dp.ratio_eo),
-                    ]
-                )
-            writer.writerow(row)
+        for rec, dp in zip(edm_records, dp_records, strict=True):
+            writer.writerow(
+                [rec.alpha, rec.beta, rec.edm_true, rec.edm_noisy, rec.ratio]
+                + [dp.dp_true, dp.dp_noisy, dp.ratio_dp, dp.eo_true, dp.eo_noisy, dp.ratio_eo]
+            )

@@ -20,18 +20,11 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import TabularDataset
+from .data import TabularDataset, check_float, check_int
 
 
 class TrainingError(RuntimeError):
     """Training failed (non-finite loss/gradient, bad inputs)."""
-
-
-def not_bool(value, what: str):
-    """`value` itself, unless it is a bool, which Python would take as 0 or 1."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{what}: expected a number, got bool")
-    return value
 
 
 @dataclass(frozen=True)
@@ -50,20 +43,14 @@ class HyperParams:
     hidden_units: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("learning_rate", "weight_decay", "epochs", "batch_size", "seed", "hidden_units"):
-            not_bool(getattr(self, name), name)
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and > 0")
-        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError("weight_decay must be finite and >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.hidden_units < 0:
-            raise ValueError("hidden_units must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name in ("learning_rate", "weight_decay"):
+            object.__setattr__(self, name, check_float(getattr(self, name), name))
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate: must be > 0, got {self.learning_rate}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay: must be >= 0, got {self.weight_decay}")
+        for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0), ("hidden_units", 0)):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, minimum))
 
     def to_dict(self) -> dict:
         return {
@@ -77,14 +64,15 @@ class HyperParams:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "HyperParams":
-        return cls(
-            learning_rate=float(d["learning_rate"]),
-            weight_decay=float(d.get("weight_decay", 0.0)),
-            epochs=int(d.get("epochs", 1)),
-            batch_size=int(d.get("batch_size", 64)),
-            seed=int(d.get("seed", 0)),
-            hidden_units=int(d.get("hidden_units", 0)),
-        )
+        """The grid point of a config object or of a stored to_dict(). A key
+        that names no field is an error, so a typo cannot fall back to the
+        field's default."""
+        for key in d:
+            if key not in cls.__dataclass_fields__:
+                raise ValueError(f"{key}: unknown key")
+        if "learning_rate" not in d:
+            raise ValueError("learning_rate: missing required key")
+        return cls(**d)
 
 
 # Tensor names per architecture, in tensor order.

@@ -21,13 +21,12 @@ reports.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import TabularDataset
+from .data import TabularDataset, check_int, check_pair
 from .metrics import (
     METRIC_NAMES,
     EmptyGroupError,
@@ -35,7 +34,7 @@ from .metrics import (
     confusion_counts,
     report_from_counts,
 )
-from .training import HyperParams, _train_loop, check_trainable, not_bool, pool_map, predict, upsampled_positions
+from .training import HyperParams, _train_loop, check_trainable, pool_map, predict, upsampled_positions
 
 # Unused here, but perfbench/spans.py traces these names on this module.
 from .metrics import dp_gap, eo_gap, report_from_predictions, wga  # noqa: F401
@@ -62,31 +61,27 @@ class JttConfig:
     def __post_init__(self) -> None:
         for name in ("stage1_grid", "t_grid", "lambda_grid", "stage2_grid", "accuracy_bins"):
             if not getattr(self, name):
-                raise ValueError(f"{name} must be nonempty")
-        object.__setattr__(self, "stage1_grid", tuple(self.stage1_grid))
-        object.__setattr__(self, "stage2_grid", tuple(self.stage2_grid))
+                raise ValueError(f"{name}: must be nonempty")
+        for name in ("stage1_grid", "stage2_grid"):
+            for i, hp in enumerate(getattr(self, name)):
+                if not isinstance(hp, HyperParams):
+                    raise ValueError(f"{name}[{i}]: expected HyperParams, got {type(hp).__name__}")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("t_grid", "lambda_grid"):
-            try:
-                values = tuple(operator.index(not_bool(v, f"{name} entry")) for v in getattr(self, name))
-                object.__setattr__(self, name, values)
-            except TypeError:
-                raise ValueError(f"{name} entries must be integers") from None
-        if any(t < 1 for t in self.t_grid):
-            raise ValueError("t_grid entries must be >= 1")
-        if any(l < 1 for l in self.lambda_grid):
-            raise ValueError("lambda_grid entries must be >= 1")
+            values = tuple(check_int(v, f"{name}[{i}]", 1) for i, v in enumerate(getattr(self, name)))
+            object.__setattr__(self, name, values)
         if self.objective not in METRIC_NAMES:
-            raise ValueError(f"objective must be one of {METRIC_NAMES}")
+            raise ValueError(f"objective: must be one of {METRIC_NAMES}, got {self.objective!r}")
         if self.sensitive_source not in (PSEUDO, GROUND_TRUTH):
-            raise ValueError(f"sensitive_source must be {PSEUDO!r} or {GROUND_TRUTH!r}")
-        bins = tuple(tuple(float(not_bool(v, "accuracy_bins cell")) for v in b) for b in self.accuracy_bins)
-        for lo, hi in bins:
+            raise ValueError(f"sensitive_source: must be {PSEUDO!r} or {GROUND_TRUTH!r}, got {self.sensitive_source!r}")
+        bins = tuple(check_pair(b, f"accuracy_bins[{i}]", "lo, hi") for i, b in enumerate(self.accuracy_bins))
+        for i, (lo, hi) in enumerate(bins):
             if not lo < hi:
-                raise ValueError(f"bin [{lo}, {hi}) is empty")
+                raise ValueError(f"accuracy_bins[{i}]: bin [{lo}, {hi}) is empty")
         ordered = sorted(bins)
         for (lo1, hi1), (lo2, _) in zip(ordered, ordered[1:]):
             if hi1 > lo2:
-                raise ValueError(f"bins [{lo1}, {hi1}) and [{lo2}, ...) overlap")
+                raise ValueError(f"accuracy_bins: bins [{lo1}, {hi1}) and [{lo2}, ...) overlap")
         object.__setattr__(self, "accuracy_bins", bins)
 
     def to_dict(self) -> dict:

@@ -177,7 +177,7 @@ def proportionality_by_gather(
     noisy_min = _gather(mixed.minority_from_majority, mixed.minority_source_index, pred_maj, pred_min)
     dp_noisy = float(noisy_maj.mean() - noisy_min.mean())
 
-    alpha_1, beta_1 = spec.class_rates(1)
+    alpha_1, beta_1 = spec.class_1_rates()
     pos_maj, pos_min = np.flatnonzero(y_maj == 1), np.flatnonzero(y_min == 1)
     tpr_maj, tpr_min = pred_maj[pos_maj], pred_min[pos_min]
     eo_true = float(tpr_maj.mean() - tpr_min.mean())

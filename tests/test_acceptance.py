@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from fairtune.cli import main
+from fairtune.config import parse_config
 from fairtune.data import (
     DatasetSchema,
     apply_standardizer,
@@ -232,6 +233,25 @@ ADULT_CATEGORICAL = (
 )
 
 
+# Criterion 9's split fractions and search; configs/adult.json declares the same.
+ADULT_FRACTIONS = (1 - (9049 + 15060) / 45221, 9049 / 45221, 15060 / 45221)
+ADULT_JTT = dict(
+    t_grid=(1, 2, 5, 10, 15, 20, 30, 35, 40, 45, 50, 65, 80, 95),
+    lambda_grid=(5, 10, 20),
+    objective="dp_gap",
+    accuracy_bins=((0.80, 0.805), (0.805, 0.81), (0.81, 0.815), (0.815, 0.82), (0.82, 0.825)),
+    sensitive_source="pseudo",
+)
+
+
+def adult_model_grid(seed: int) -> tuple[HyperParams, ...]:
+    return tuple(
+        HyperParams(learning_rate=lr, weight_decay=wd, epochs=100, batch_size=256, seed=seed, hidden_units=64)
+        for lr in (1e-3, 1e-4, 1e-5)
+        for wd in (1e-1, 1e-3)
+    )
+
+
 def adult_csv_path() -> Path:
     override = os.environ.get(ADULT_ENV)
     if override:
@@ -258,29 +278,15 @@ def test_criterion_9_income_benchmark_reproduction():
     )
     data = load_csv(path, schema)
     n = data.n_rows
-    train, validation, test = split(data, (1 - (9049 + 15060) / 45221, 9049 / 45221, 15060 / 45221), seed=0)
+    train, validation, test = split(data, ADULT_FRACTIONS, seed=0)
     std = fit_standardizer(train)
     train, validation, test = (apply_standardizer(std, d) for d in (train, validation, test))
 
-    model_grid = tuple(
-        HyperParams(
-            learning_rate=lr, weight_decay=wd, epochs=100, batch_size=256, seed=0, hidden_units=64
-        )
-        for lr in (1e-3, 1e-4, 1e-5)
-        for wd in (1e-1, 1e-3)
-    )
+    model_grid = adult_model_grid(seed=0)
     jobs = os.cpu_count() or 1
 
     labelled = select_labeller(*labeller_predictions(train, validation, model_grid, jobs=jobs), validation)
-    config = JttConfig(
-        stage1_grid=model_grid,
-        t_grid=(1, 2, 5, 10, 15, 20, 30, 35, 40, 45, 50, 65, 80, 95),
-        lambda_grid=(5, 10, 20),
-        stage2_grid=model_grid,
-        objective="dp_gap",
-        accuracy_bins=((0.80, 0.805), (0.805, 0.81), (0.81, 0.815), (0.815, 0.82), (0.82, 0.825)),
-        sensitive_source="pseudo",
-    )
+    config = JttConfig(stage1_grid=model_grid, stage2_grid=model_grid, **ADULT_JTT)
     result = grid_search(train, validation, test, config, pseudo=labelled.pseudo, jobs=jobs)
     # The plain baseline is the top validation accuracy over the stage-2
     # grid's plain runs; its test report reads ground truth whatever the
@@ -299,6 +305,21 @@ def test_criterion_9_income_benchmark_reproduction():
         f"PASS criterion 9: plain ({100 * erm_acc:.1f}, {100 * erm_dp:.1f}), "
         f"tuned bin [80, 80.5) dp {100 * tuned_dp:.1f} on {n} rows [{elapsed:.0f}s]"
     )
+
+
+def test_adult_config_declares_the_criterion_9_search():
+    """configs/adult.json, whose CSV is not shipped, parses to criterion 9's
+    grids and search; its grid points, which name no seed, train with the
+    master seed + 2 where criterion 9 uses 0."""
+    raw = json.loads((REPO / "configs" / "adult.json").read_text())
+    csv_section = raw["dataset"]["csv"]
+    del csv_section["schema_path"]
+    csv_section["schema"] = {"feature_columns": [["age", "numeric"]], "target_column": ["income", ">50K"]}
+    config = parse_config(raw, base_dir=REPO / "configs")
+    grid = adult_model_grid(seed=raw["seed"] + 2)
+    assert config.labeller_grid == grid
+    assert config.jtt == JttConfig(stage1_grid=grid, stage2_grid=grid, **ADULT_JTT)
+    assert config.split_fractions == pytest.approx(ADULT_FRACTIONS, abs=1e-5)
 
 
 def test_criterion_10_end_to_end_determinism(tmp_path):

@@ -613,7 +613,7 @@ def _with_seed(section, key="seed"):
         (_with_seed(("split",)), (), "split.seed"),
         (_with_seed(("mc_noise",)), (), "mc_noise.seed"),
         (_with_seed(("dataset", "synthetic")), (), "dataset.synthetic.seed"),
-        (_with_seed(("labeller_grid", 0)), (), "labeller_grid[0]"),
+        (_with_seed(("labeller_grid", 0)), (), "labeller_grid[0].seed"),
     ],
     ids=["master", "master-flag", "split", "mc-noise", "synthetic", "labeller-grid"],
 )
@@ -631,6 +631,7 @@ def test_negative_seed_is_a_one_line_config_error(tmp_path, capsys, edit, args, 
 
 
 BIN_CELL = "expected [lo, hi], two numbers"
+BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
 
 
 @pytest.mark.parametrize(
@@ -645,14 +646,24 @@ BIN_CELL = "expected [lo, hi], two numbers"
         (_with_value(("labeller_grid", 0), "learning_rate", True), "labeller_grid[0].learning_rate: expected float, got bool"),
         (_with_value(("jtt",), "t_grid", [1.7]), "jtt.t_grid[0]: expected int, got float"),
         (_with_value(("jtt",), "lambda_grid", [5, False]), "jtt.lambda_grid[1]: expected int, got bool"),
-        (_with_value(("labeller_grid", 0), "learning_rate", float("nan")), "labeller_grid[0]: learning_rate must be finite and > 0"),
-        (_with_value(("labeller_grid", 1), "learning_rate", float("inf")), "labeller_grid[1]: learning_rate must be finite and > 0"),
-        (_with_value(("labeller_grid", 1), "weight_decay", float("inf")), "labeller_grid[1]: weight_decay must be finite and >= 0"),
+        (_with_value(("labeller_grid", 0), "learning_rate", float("nan")), "labeller_grid[0].learning_rate: must be finite, got nan"),
+        (_with_value(("labeller_grid", 1), "learning_rate", float("inf")), "labeller_grid[1].learning_rate: must be finite, got inf"),
+        (_with_value(("labeller_grid", 1), "weight_decay", float("inf")), "labeller_grid[1].weight_decay: must be finite, got inf"),
         (_with_value(("jtt",), "accuracy_bins", [[False, True]]), f"jtt.accuracy_bins[0]: {BIN_CELL}"),
         (_with_value(("jtt",), "accuracy_bins", [[0.8, 0.85, 0.9]]), f"jtt.accuracy_bins[0]: {BIN_CELL}"),
         (_with_value(("jtt",), "accuracy_bins", [[0.8, "x"]]), f"jtt.accuracy_bins[0]: {BIN_CELL}"),
         (_with_value(("jtt",), "accuracy_bins", [0.8]), f"jtt.accuracy_bins[0]: {BIN_CELL}"),
         (_with_value(("jtt",), "accuracy_bins", [[0.8, 0.85], [0.8]]), f"jtt.accuracy_bins[1]: {BIN_CELL}"),
+        (_with_value(BLOCK, "count", 900.7), "dataset.synthetic.blocks.y1_a1.count: expected int, got float"),
+        (_with_value(BLOCK, "count", True), "dataset.synthetic.blocks.y1_a1.count: expected int, got bool"),
+        (_with_value(BLOCK, "var", ["1.0", 1.0]), "dataset.synthetic.blocks.y1_a1.var[0]: expected float, got str"),
+        (_with_value(BLOCK, "mean", [True, 0.0]), "dataset.synthetic.blocks.y1_a1.mean[0]: expected float, got bool"),
+        (_with_value(BLOCK, "mean", [float("nan"), 0.0]), "dataset.synthetic.blocks.y1_a1.mean[0]: must be finite, got nan"),
+        (_with_value(("dataset", "synthetic"), "seed", "7"), "dataset.synthetic.seed: expected int, got str"),
+        (_with_value((), "seed", 1.5), "seed: expected int, got float"),
+        (_with_value(("labeller_grid", 0), "epoch", 5), "labeller_grid[0].epoch: unknown key"),
+        (_with_value(("split",), "fractions", [0.6, 0.2, 0.1]), "split.fractions: must sum to 1, got 0.9"),
+        (_with_value(("mc_noise",), "grid", [[0.2, 1.5]]), "mc_noise.grid[0].beta: must lie in [0, 1], got 1.5"),
     ],
     ids=[
         "grid-text",
@@ -672,6 +683,16 @@ BIN_CELL = "expected [lo, hi], two numbers"
         "bins-text",
         "bins-cell-not-a-list",
         "bins-one-number",
+        "block-count-non-integral",
+        "block-count-bool",
+        "block-var-text",
+        "block-mean-bool",
+        "block-mean-nan",
+        "synthetic-seed-text",
+        "master-seed-non-integral",
+        "grid-point-unknown-key",
+        "split-fractions-sum",
+        "grid-rate-above-one",
     ],
 )
 def test_malformed_config_number_is_a_one_line_config_error(tmp_path, capsys, edit, message):

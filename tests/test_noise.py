@@ -32,8 +32,7 @@ def test_noise_spec_validation():
     with pytest.raises(ValueError, match="beta_1"):
         NoiseSpec(alpha=0.1, beta=0.1, beta_1=-0.2)
     spec = NoiseSpec(alpha=0.1, beta=0.2, alpha_1=0.3)
-    assert spec.class_rates(1) == (0.3, 0.2)
-    assert spec.class_rates(0) == (0.1, 0.2)
+    assert spec.class_1_rates() == (0.3, 0.2)
 
 
 def test_mix_groups_zero_noise_draws_pure_sources():
@@ -199,7 +198,7 @@ def test_proportionality_equals_the_feature_row_gather_bit_for_bit(d):
         NoiseSpec(0.5, 0.5, seed=3),
         NoiseSpec(1.0, 0.0, seed=4),
         NoiseSpec(0.1, 0.4, seed=5, alpha_1=0.3, beta_1=0.2),
-        NoiseSpec(0.3, 0.1, seed=6, alpha_0=0.9, beta_1=0.6),
+        NoiseSpec(0.3, 0.1, seed=6, beta_1=0.6),
     ]
     for spec in specs:
         rec = verify_proportionality(probe, (maj, y1), (mino, y0), spec, 3000)
@@ -282,3 +281,24 @@ def test_sweep_csv_round_trip(tmp_path):
     assert float(rows[1]["alpha"]) == 0.2
     assert float(rows[1]["edm_noisy"]) == records[1].edm_noisy
     assert float(rows[1]["dp_ratio"]) == dp_records[1].ratio_dp
+
+
+def test_sweep_csv_keeps_each_draw_of_a_repeated_cell_on_its_row(tmp_path):
+    maj, mino = gaussian_groups(n=5000, seed=46)
+    grid = [(0.2, 0.3), (0.2, 0.3)]
+    records = verify_edm_lemma(maj, mino, grid, 5000, seed=47)
+    probe = difference_of_means_probe(maj, mino)
+    y1, y0 = targets_for(len(maj), 48), targets_for(len(mino), 49)
+    dp_records = [
+        verify_proportionality(probe, (maj, y1), (mino, y0), NoiseSpec(a, b, seed=50 + i), 5000)
+        for i, (a, b) in enumerate(grid)
+    ]
+    assert dp_records[0].dp_noisy != dp_records[1].dp_noisy
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, records, dp_records)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    for row, rec, dp in zip(rows, records, dp_records, strict=True):
+        assert (row["edm_noisy"], row["dp_noisy"], row["eo_noisy"]) == (
+            repr(rec.edm_noisy), repr(dp.dp_noisy), repr(dp.eo_noisy)
+        )

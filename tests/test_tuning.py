@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairtune.tuning as tuning
-from fairtune.data import TabularDataset
+from fairtune.config import McNoiseSection
+from fairtune.data import BLOCK_ORDER, BlockSpec, SyntheticSpec, TabularDataset, check_fractions
 from fairtune.metrics import EmptyGroupError, dp_gap, eo_gap, full_report, wga
+from fairtune.noise import NoiseSpec
 from fairtune.training import (
     HyperParams,
     TrainingError,
@@ -73,11 +75,11 @@ def test_config_validation():
 
 def test_config_rejects_non_integer_t_and_lambda_entries():
     cfg = small_config()
-    with pytest.raises(ValueError, match="t_grid entries must be integers"):
+    with pytest.raises(ValueError, match=r"^t_grid\[0\]: expected int, got float$"):
         dataclasses.replace(cfg, t_grid=(1.7,))
-    with pytest.raises(ValueError, match="lambda_grid entries must be integers"):
+    with pytest.raises(ValueError, match=r"^lambda_grid\[1\]: expected int, got float$"):
         dataclasses.replace(cfg, lambda_grid=(1, 2.9))
-    with pytest.raises(ValueError, match="t_grid entries must be integers"):
+    with pytest.raises(ValueError, match=r"^t_grid\[0\]: expected int, got float64$"):
         dataclasses.replace(cfg, t_grid=(np.float64(2.0),))
     # numpy integers are integers
     exact = dataclasses.replace(cfg, t_grid=(np.int64(2),), lambda_grid=(np.int32(1), np.uint8(3)))
@@ -85,29 +87,83 @@ def test_config_rejects_non_integer_t_and_lambda_entries():
     assert all(type(v) is int for v in (*exact.t_grid, *exact.lambda_grid))
 
 
-@pytest.mark.parametrize(
-    "build, message",
-    [
-        (lambda: dataclasses.replace(small_config(), t_grid=(True,)), r"t_grid entry: expected a number, got bool"),
-        (lambda: dataclasses.replace(small_config(), lambda_grid=(3, np.True_)), r"lambda_grid entry: expected a number"),
-        (lambda: dataclasses.replace(small_config(), accuracy_bins=((True, 2),)), r"accuracy_bins cell: expected a number"),
-        (lambda: dataclasses.replace(small_config(), accuracy_bins=((0.5, False),)), r"accuracy_bins cell: expected a number"),
-        (lambda: HyperParams(epochs=True, **HP), r"epochs: expected a number, got bool"),
-        (lambda: HyperParams(epochs=2, learning_rate=0.1, batch_size=np.True_), r"batch_size: expected a number"),
-        (lambda: HyperParams(learning_rate=0.1, seed=True), r"seed: expected a number, got bool"),
-        (lambda: HyperParams(learning_rate=0.1, hidden_units=False), r"hidden_units: expected a number, got bool"),
-        (lambda: HyperParams(learning_rate=True), r"learning_rate: expected a number, got bool"),
-        (lambda: HyperParams(learning_rate=0.1, weight_decay=False), r"weight_decay: expected a number, got bool"),
-    ],
-    ids=[
-        "t_grid", "lambda_grid", "bin-low", "bin-high", "epochs", "batch_size", "seed", "hidden_units",
-        "learning_rate", "weight_decay",
-    ],
-)
+BLOCKS = {cell: BlockSpec(10, (0.0,), (1.0,)) for cell in BLOCK_ORDER}
+
+
+def _mc(**fields):
+    return McNoiseSection(**{"grid": [[0.1, 0.2]], "n_samples": 10, "seed": 0, **fields})
+
+
+def _jtt(**fields):
+    return dataclasses.replace(small_config(), **fields)
+
+
+def _spec_with(**block):
+    """SyntheticSpec.from_dict of BLOCKS' dict with `block` set in cell y1_a1."""
+    raw = SyntheticSpec(BLOCKS).to_dict()
+    raw["blocks"]["y1_a1"].update(block)
+    return SyntheticSpec.from_dict(raw)
+
+
+# Every constructor that holds a number checks it, with a message that starts
+# with the field: Python counts True as the int 1, int() truncates 2.5 and
+# float() reads "0.3", so a conversion is no check.
+LIBRARY_CASES = {
+    "t_grid": (lambda: _jtt(t_grid=(True,)), "t_grid[0]: expected int, got bool"),
+    "lambda_grid": (lambda: _jtt(lambda_grid=(3, np.True_)), "lambda_grid[1]: expected int, got bool"),
+    "bin-low": (lambda: _jtt(accuracy_bins=((True, 2),)), "accuracy_bins[0]: expected [lo, hi], two numbers"),
+    "bin-high": (lambda: _jtt(accuracy_bins=((0.5, False),)), "accuracy_bins[0]: expected [lo, hi], two numbers"),
+    "epochs": (lambda: HyperParams(epochs=True, **HP), "epochs: expected int, got bool"),
+    "batch_size": (lambda: HyperParams(epochs=2, learning_rate=0.1, batch_size=np.True_), "batch_size: expected int, got bool"),
+    "seed": (lambda: HyperParams(learning_rate=0.1, seed=True), "seed: expected int, got bool"),
+    "hidden_units": (lambda: HyperParams(learning_rate=0.1, hidden_units=False), "hidden_units: expected int, got bool"),
+    "learning_rate": (lambda: HyperParams(learning_rate=True), "learning_rate: expected float, got bool"),
+    "weight_decay": (lambda: HyperParams(learning_rate=0.1, weight_decay=False), "weight_decay: expected float, got bool"),
+    "epochs-non-integral": (lambda: HyperParams(learning_rate=0.1, epochs=2.5), "epochs: expected int, got float"),
+    "learning_rate-text": (lambda: HyperParams(learning_rate="0.1"), "learning_rate: expected float, got str"),
+    "learning_rate-nan": (lambda: HyperParams(learning_rate=float("nan")), "learning_rate: must be finite, got nan"),
+    "weight_decay-inf": (lambda: HyperParams(learning_rate=0.1, weight_decay=float("inf")), "weight_decay: must be finite, got inf"),
+    "seed-negative": (lambda: HyperParams(learning_rate=0.1, seed=-1), "seed: must be >= 0, got -1"),
+    "hp-unknown-key": (lambda: HyperParams.from_dict({"learning_rate": 0.1, "epoch": 5}), "epoch: unknown key"),
+    "hp-missing-rate": (lambda: HyperParams.from_dict({"epochs": 5}), "learning_rate: missing required key"),
+    "t_grid-text": (lambda: _jtt(t_grid=("2",)), "t_grid[0]: expected int, got str"),
+    "lambda_grid-non-integral": (lambda: _jtt(lambda_grid=(2.5,)), "lambda_grid[0]: expected int, got float"),
+    "bin-nan": (lambda: _jtt(accuracy_bins=((0.5, float("nan")),)), "accuracy_bins[0]: expected [lo, hi], two numbers"),
+    "stage1-not-hyperparams": (
+        lambda: _jtt(stage1_grid=({"learning_rate": 0.1},)),
+        "stage1_grid[0]: expected HyperParams, got dict",
+    ),
+    "noise-bools": (lambda: NoiseSpec(alpha=True, beta=False), "alpha: expected float, got bool"),
+    "noise-text": (lambda: NoiseSpec(alpha="0.3", beta=0.1), "alpha: expected float, got str"),
+    "noise-nan": (lambda: NoiseSpec(0.1, float("nan")), "beta: must be finite, got nan"),
+    "noise-class-1-bool": (lambda: NoiseSpec(0.1, 0.1, beta_1=True), "beta_1: expected float, got bool"),
+    "noise-seed-negative": (lambda: NoiseSpec(0.1, 0.1, seed=-1), "seed: must be >= 0, got -1"),
+    "noise-seed-non-integral": (lambda: NoiseSpec(0.1, 0.1, seed=1.5), "seed: expected int, got float"),
+    "block-count-non-integral": (lambda: BlockSpec(900.7, (0.0,), (1.0,)), "count: expected int, got float"),
+    "block-count-bool": (lambda: BlockSpec(True, (0.0,), (1.0,)), "count: expected int, got bool"),
+    "block-mean-bool": (lambda: BlockSpec(5, (True,), (1.0,)), "mean[0]: expected float, got bool"),
+    "block-mean-nan": (lambda: BlockSpec(5, (float("nan"),), (1.0,)), "mean[0]: must be finite, got nan"),
+    "block-var-text": (lambda: BlockSpec(5, (0.0,), ("1.0",)), "var[0]: expected float, got str"),
+    "synthetic-seed-text": (lambda: SyntheticSpec(BLOCKS, seed="7"), "seed: expected int, got str"),
+    "synthetic-seed-bool": (lambda: SyntheticSpec(BLOCKS, seed=True), "seed: expected int, got bool"),
+    "synthetic-from-dict": (lambda: _spec_with(count=900.7), "blocks.y1_a1.count: expected int, got float"),
+    "mc-grid-bool": (lambda: _mc(grid=[[True, 0.1]]), "grid[0]: expected [alpha, beta], two numbers"),
+    "mc-grid-rate": (lambda: _mc(grid=[[0.1, 0.2], [1.2, 0.1]]), "grid[1].alpha: must lie in [0, 1], got 1.2"),
+    "mc-n-samples-non-integral": (lambda: _mc(n_samples=2.5), "n_samples: expected int, got float"),
+    "mc-n-samples-bool": (lambda: _mc(n_samples=True), "n_samples: expected int, got bool"),
+    "mc-seed-text": (lambda: _mc(seed="7"), "seed: expected int, got str"),
+    "mc-split": (lambda: _mc(split="dev"), "split: expected one of ('train', 'validation', 'test'), got 'dev'"),
+    "fractions-bool": (lambda: check_fractions((0.5, 0.5, True)), "fractions[2]: expected float, got bool"),
+    "fractions-nan": (lambda: check_fractions((0.5, float("nan"), 0.5)), "fractions[1]: must be finite, got nan"),
+    "fractions-sum": (lambda: check_fractions((0.6, 0.2, 0.1)), "fractions: must sum to 1, got 0.9"),
+}
+
+
+@pytest.mark.parametrize("build, message", LIBRARY_CASES.values(), ids=LIBRARY_CASES.keys())
 def test_library_configs_reject_bools(build, message):
-    # Python counts True as the int 1, so without a check these would build.
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as exc:
         build()
+    assert str(exc.value) == message
 
 
 def test_jtt_lambda_one_collapses_to_plain_training(planted):
