@@ -35,6 +35,7 @@ from .data import (
     DataError,
     TabularDataset,
     apply_standardizer,
+    check_int,
     dataset_file_meta,
     fit_standardizer,
     generate_synthetic,
@@ -205,7 +206,9 @@ def _parse_artifact(path: Path, what: str, parse):
 
 
 def _candidate_index(index: dict) -> tuple[str | None, list[tuple[HyperParams, int]]]:
-    candidates = [(HyperParams.from_dict(e["hyperparams"]), int(e["epoch"])) for e in index["candidates"]]
+    candidates = [
+        (HyperParams.from_dict(e["hyperparams"]), check_int(e["epoch"], "epoch", 1)) for e in index["candidates"]
+    ]
     return index.get("config_sha256"), candidates
 
 

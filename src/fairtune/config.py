@@ -40,6 +40,30 @@ def _fail(path: str, msg: str) -> None:
     raise ConfigError(f"{path}: {msg}")
 
 
+# The keys each config object may hold, by path: a key outside its list is
+# an error, so a typo cannot fall back to a default. HyperParams.from_dict
+# checks the keys of grid points the same way.
+_KEYS = {
+    "": ("seed", "output_dir", "dataset", "split", "labeller_grid", "labelling", "jtt", "mc_noise"),
+    "dataset": ("kind", "synthetic", "csv"),
+    "dataset.synthetic": ("blocks", "seed"),
+    "dataset.csv": ("path", "schema", "schema_path"),
+    "dataset.csv.schema": ("feature_columns", "target_column", "sensitive_column", "categorical_vocab"),
+    "split": ("fractions", "seed"),
+    "labelling": ("policy",),
+    "jtt": ("stage1_grid", "t_grid", "lambda_grid", "stage2_grid", "objective", "accuracy_bins", "sensitive_source"),
+    "mc_noise": ("grid", "n_samples", "seed", "split"),
+}
+
+
+def _section(d: Mapping, path: str) -> Mapping:
+    """d, the config object at `path`, once each of its keys is known."""
+    for key in d:
+        if key not in _KEYS[path]:
+            _fail(f"{path}.{key}" if path else key, "unknown key")
+    return d
+
+
 def _get(d: Mapping, path: str, key: str, kind: type, required: bool = True, default=None):
     """d[key], which must be a `kind` (dict, list or str); numbers are left
     to the constructor that holds them."""
@@ -147,19 +171,20 @@ def parse_config(
 ) -> ExperimentConfig:
     if not isinstance(raw, Mapping):
         raise ConfigError("configuration root must be an object")
+    _section(raw, "")
     master = _at("", check_int, raw.get("seed", 0) if seed_override is None else seed_override, "seed", 0)
     output_dir = out_override if out_override is not None else _get(raw, "", "output_dir", str)
 
-    dataset = _get(raw, "", "dataset", dict)
+    dataset = _section(_get(raw, "", "dataset", dict), "dataset")
     kind = _get(dataset, "dataset", "kind", str)
     synthetic = None
     csv_path = None
     schema = None
     if kind == "synthetic":
-        spec_raw = {"seed": master, **_get(dataset, "dataset", "synthetic", dict)}
+        spec_raw = {"seed": master, **_section(_get(dataset, "dataset", "synthetic", dict), "dataset.synthetic")}
         synthetic = _at("dataset.synthetic", SyntheticSpec.from_dict, spec_raw)
     elif kind == "csv":
-        csv_section = _get(dataset, "dataset", "csv", dict)
+        csv_section = _section(_get(dataset, "dataset", "csv", dict), "dataset.csv")
         csv_path = _get(csv_section, "dataset.csv", "path", str)
         if base_dir is not None and not Path(csv_path).is_absolute():
             csv_path = str(base_dir / csv_path)
@@ -174,6 +199,9 @@ def parse_config(
             if not p.exists():
                 _fail("dataset.csv.schema_path", f"no such file: {p}")
             schema_raw = _read_json(p)
+        if not isinstance(schema_raw, dict):
+            _fail("dataset.csv.schema", f"expected dict, got {type(schema_raw).__name__}")
+        _section(schema_raw, "dataset.csv.schema")
         try:
             schema = DatasetSchema.from_dict(schema_raw)
         except SchemaError as exc:
@@ -181,7 +209,7 @@ def parse_config(
     else:
         _fail("dataset.kind", f"expected 'synthetic' or 'csv', got {kind!r}")
 
-    split_section = _get(raw, "", "split", dict)
+    split_section = _section(_get(raw, "", "split", dict), "split")
     fractions = _at("split", check_fractions, _get(split_section, "split", "fractions", list))
     split_seed = _at("split", check_int, split_section.get("seed", master + 1), "seed", 0)
 
@@ -189,13 +217,14 @@ def parse_config(
     labeller_grid = _grid(_get(raw, "", "labeller_grid", list), "labeller_grid", model_seed)
 
     labelling = _get(raw, "", "labelling", dict, required=False, default={"policy": "every_epoch"})
+    _section(labelling, "labelling")
     policy = _get(labelling, "labelling", "policy", str, required=False, default="every_epoch")
     if policy not in LABELLING_POLICIES:
         _fail("labelling.policy", f"expected one of {LABELLING_POLICIES}, got {policy!r}")
 
     jtt = None
     if "jtt" in raw:
-        j = _get(raw, "", "jtt", dict)
+        j = _section(_get(raw, "", "jtt", dict), "jtt")
         jtt = _at(
             "jtt",
             JttConfig,
@@ -210,7 +239,7 @@ def parse_config(
 
     mc = None
     if "mc_noise" in raw:
-        m = _get(raw, "", "mc_noise", dict)
+        m = _section(_get(raw, "", "mc_noise", dict), "mc_noise")
         mc = _at(
             "mc_noise",
             McNoiseSection,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import ctypes
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -149,18 +148,53 @@ def init_params(hp: HyperParams, feature_dim: int) -> ModelParams:
     )
 
 
+# Rows per block of `logits`: a 1,024 x 64 hidden-layer buffer is 512 KiB.
+SCORE_BLOCK_ROWS = 1024
+
+
+def _block_stops(n: int) -> list[int]:
+    """End rows of the SCORE_BLOCK_ROWS blocks of an n-row matrix. numpy
+    computes a one-row product with dot or gemv, not gemm, which rounds
+    differently, so a last block of one row joins the block before it."""
+    stops = list(range(SCORE_BLOCK_ROWS, n, SCORE_BLOCK_ROWS))
+    if stops and n - stops[-1] == 1:
+        stops.pop()
+    return stops + [n] if n else []
+
+
 def logits(model: ModelParams, X: np.ndarray) -> np.ndarray:
+    """Per-row logit of X's rows, scored in blocks of SCORE_BLOCK_ROWS rows
+    (the last block takes up to one row more). The hidden layer of each block
+    is computed in one buffer that every block reuses, and each block's
+    output goes straight into the result, so scoring holds O(block x hidden)
+    memory whatever the row count. The results do not depend on the block
+    size: on one BLAS thread, as every training process runs (`pool_map`),
+    they equal np.maximum(X @ w1 + b1, 0) @ w2 + b2 (X @ w + b for the
+    linear model) bit for bit."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.feature_dim:
         raise TrainingError(
             f"feature dimension mismatch: model expects {model.feature_dim}, got {X.shape}"
         )
+    n = X.shape[0]
+    out = np.empty(n)
+    start = 0
     if model.is_mlp:
-        w1, b1, w2, b2 = model.tensors
-        hidden = np.maximum(X @ w1 + b1, 0.0)
-        return hidden @ w2 + b2
-    w, b = model.tensors
-    return X @ w + b
+        w1, b1, w2, bias = model.tensors
+        buffer = np.empty((min(n, SCORE_BLOCK_ROWS + 1), model.hidden_units))
+        for stop in _block_stops(n):
+            hidden = np.matmul(X[start:stop], w1, out=buffer[: stop - start])
+            hidden += b1
+            np.maximum(hidden, 0.0, out=hidden)
+            np.matmul(hidden, w2, out=out[start:stop])
+            start = stop
+    else:
+        w, bias = model.tensors
+        for stop in _block_stops(n):
+            np.matmul(X[start:stop], w, out=out[start:stop])
+            start = stop
+    out += bias
+    return out
 
 
 def _features_of(data) -> np.ndarray:
@@ -368,6 +402,10 @@ def pool_map(fn: Callable, ctx: object, items: Sequence, jobs: int) -> list:
         finally:
             if previous is not None:
                 _set_blas_threads(previous)
+    # Imported here: loading the pool pulls in multiprocessing, which a call
+    # that does not fork never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(items)), initializer=_pool_init, initargs=(fn, ctx)) as pool:
         return list(pool.map(_pool_call, items, chunksize=1))
 

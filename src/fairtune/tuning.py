@@ -126,10 +126,10 @@ class CandidateRef:
         return cls(
             kind=d["kind"],
             stage2=HyperParams.from_dict(d["stage2"]),
-            epoch=int(d["epoch"]),
+            epoch=check_int(d["epoch"], "epoch", 1),
             stage1=None if d.get("stage1") is None else HyperParams.from_dict(d["stage1"]),
-            t=None if d.get("t") is None else int(d["t"]),
-            lam=None if d.get("lambda") is None else int(d["lambda"]),
+            t=None if d.get("t") is None else check_int(d["t"], "t", 1),
+            lam=None if d.get("lambda") is None else check_int(d["lambda"], "lambda", 1),
             plain_fallback=bool(d.get("plain_fallback", False)),
         )
 

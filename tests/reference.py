@@ -10,6 +10,8 @@ They raise the library's EmptyGroupError with the library's messages.
 
 `regularized_loss` is the training objective whose gradient the library
 computes analytically; `models_equal` compares checkpoints bit for bit.
+`unblocked_logits` scores the whole matrix at once, the formula that the
+library's `logits` computes block by block.
 
 `proportionality_by_gather` measures the noisy DP/EO gaps the way
 `verify_proportionality` once did: it mixes the groups' feature rows and
@@ -56,6 +58,14 @@ def regularized_loss(model: ModelParams, X: np.ndarray, y: np.ndarray, weight_de
     z = logits(model, X)
     penalty = sum(float(np.sum(t * t)) for t, dec in zip(model.tensors, decay_mask(model)) if dec)
     return float(np.mean(bce_with_logits(z, y))) + weight_decay * penalty
+
+
+def unblocked_logits(model: ModelParams, X: np.ndarray) -> np.ndarray:
+    if model.is_mlp:
+        w1, b1, w2, b2 = model.tensors
+        return np.maximum(X @ w1 + b1, 0.0) @ w2 + b2
+    w, b = model.tensors
+    return X @ w + b
 
 
 def models_equal(a: ModelParams, b: ModelParams) -> bool:

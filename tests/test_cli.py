@@ -119,6 +119,20 @@ def test_report_truncated_result_is_a_data_error(pipeline, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("field", ["epoch", "t", "lambda"])
+def test_report_fractional_winner_integer_is_a_data_error(pipeline, tmp_path, capsys, field):
+    _, out = pipeline
+    payload = json.loads((out / "tuner_result.json").read_text())
+    winner = next(b["winner"] for b in payload["result"]["bins"] if b["winner"] and b["winner"]["t"] is not None)
+    winner[field] = winner[field] + 0.7
+    damaged = tmp_path / "damaged.json"
+    damaged.write_text(json.dumps(payload))
+    code, err = report_exit_and_stderr(damaged, capsys)
+    assert code == 3
+    assert err.startswith("data error: ") and f"{field}: expected int, got float" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_report_wrong_schema_result_is_a_data_error(tmp_path, capsys):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"result": {}}))
@@ -384,6 +398,12 @@ def _shorten_index(text):
     return json.dumps(payload)
 
 
+def _fractional_epoch(text):
+    payload = json.loads(text)
+    payload["candidates"][1]["epoch"] = 2.7
+    return json.dumps(payload)
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -394,6 +414,7 @@ def _shorten_index(text):
         _damage_index(lambda t: json.dumps({"candidates": [1, 2]})),
         _damage_index(lambda t: json.dumps([1])),
         _damage_index(_shorten_index),
+        _damage_index(_fractional_epoch),
         _damage_matrix(lambda raw, m: raw[: len(raw) // 2]),
         _damage_matrix(lambda raw, m: b""),
         _damage_matrix(lambda raw, m: b'{"x": 1}\n'),
@@ -405,7 +426,7 @@ def _shorten_index(text):
     ],
     ids=[
         "index-truncated", "index-empty", "index-no-candidates", "index-entry-missing-key",
-        "index-entry-not-object", "index-not-object", "index-shorter-than-matrix",
+        "index-entry-not-object", "index-not-object", "index-shorter-than-matrix", "index-epoch-fractional",
         "matrix-truncated", "matrix-empty", "matrix-not-npy", "matrix-float64",
         "matrix-short-rows", "matrix-missing-row", "matrix-1d", "npz-archive",
     ],
@@ -662,6 +683,15 @@ BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
         (_with_value(("dataset", "synthetic"), "seed", "7"), "dataset.synthetic.seed: expected int, got str"),
         (_with_value((), "seed", 1.5), "seed: expected int, got float"),
         (_with_value(("labeller_grid", 0), "epoch", 5), "labeller_grid[0].epoch: unknown key"),
+        (_with_value((), "sed", 7), "sed: unknown key"),
+        (_with_value(("dataset",), "knd", "csv"), "dataset.knd: unknown key"),
+        (_with_value(("dataset", "synthetic"), "sed", 7), "dataset.synthetic.sed: unknown key"),
+        (_with_value((), "dataset", {"kind": "csv", "csv": {"path": "raw.csv", "schema_pth": "schema.json"}}), "dataset.csv.schema_pth: unknown key"),
+        (_with_value((), "dataset", {"kind": "csv", "csv": {"path": "raw.csv", "schema": {"sensitive_colum": ["sex", "M"]}}}), "dataset.csv.schema.sensitive_colum: unknown key"),
+        (_with_value(("split",), "sed", 7), "split.sed: unknown key"),
+        (_with_value(("labelling",), "polcy", "final_epoch"), "labelling.polcy: unknown key"),
+        (_with_value(("jtt",), "sensitive_sorce", "ground_truth"), "jtt.sensitive_sorce: unknown key"),
+        (_with_value(("mc_noise",), "n_sample", 50), "mc_noise.n_sample: unknown key"),
         (_with_value(("split",), "fractions", [0.6, 0.2, 0.1]), "split.fractions: must sum to 1, got 0.9"),
         (_with_value(("mc_noise",), "grid", [[0.2, 1.5]]), "mc_noise.grid[0].beta: must lie in [0, 1], got 1.5"),
     ],
@@ -691,6 +721,15 @@ BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
         "synthetic-seed-text",
         "master-seed-non-integral",
         "grid-point-unknown-key",
+        "root-unknown-key",
+        "dataset-unknown-key",
+        "synthetic-unknown-key",
+        "csv-unknown-key",
+        "csv-schema-unknown-key",
+        "split-unknown-key",
+        "labelling-unknown-key",
+        "jtt-unknown-key",
+        "mc-noise-unknown-key",
         "split-fractions-sum",
         "grid-rate-above-one",
     ],

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from fairtune.training import (
     gradients,
     init_params,
     load_model,
+    logits,
     pool_map,
     predict,
     predict_proba,
@@ -32,7 +34,7 @@ from fairtune.training import (
     upsampled_positions,
 )
 
-from reference import bce_with_logits, models_equal, regularized_loss
+from reference import bce_with_logits, models_equal, regularized_loss, unblocked_logits
 
 
 def dataset(X, y, split="train"):
@@ -207,6 +209,56 @@ def test_predict_dimension_mismatch():
     model = init_params(HyperParams(learning_rate=0.1), 3)
     with pytest.raises(TrainingError, match="dimension"):
         predict(model, np.zeros((2, 4)))
+
+
+def _random_model(d, hidden, seed):
+    """A model whose biases are nonzero too, unlike init_params's linear model."""
+    rng = np.random.default_rng(seed)
+    shapes = ((d, hidden), (hidden,), (hidden,), ()) if hidden else ((d,), ())
+    return ModelParams(
+        tensors=tuple(rng.normal(size=s) for s in shapes),
+        hidden_units=hidden,
+        feature_dim=d,
+        trained_epochs=1,
+        hp=HyperParams(learning_rate=0.1, hidden_units=hidden),
+    )
+
+
+def _scores(model, X):
+    return logits(model, X), predict(model, X), predict_proba(model, X), unblocked_logits(model, X)
+
+
+BLOCK = training.SCORE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("d", [2, 104])
+@pytest.mark.parametrize("hidden", [0, 5, 64])
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+def test_blocked_scoring_equals_the_unblocked_formula_bit_for_bit(n, hidden, d):
+    # Scored through pool_map, so on one BLAS thread as in every training
+    # process: with more threads, the unblocked formula's own bits depend on
+    # where OpenBLAS splits the rows between its threads.
+    model = _random_model(d, hidden, seed=n + hidden + d)
+    X = np.random.default_rng(n).normal(size=(n, d))
+    [(z, labels, proba, expected)] = pool_map(_scores, model, [X], jobs=1)
+    assert z.shape == (n,) and z.dtype == np.float64
+    assert np.array_equal(z.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(labels, (expected >= 0.0).astype(np.int8)) and labels.dtype == np.int8
+    assert np.array_equal(proba.view(np.int64), _expit(expected).view(np.int64))
+
+
+def test_predict_holds_one_block_of_hidden_units_whatever_the_row_count():
+    # A census train split: scored whole, its 20k x 64 hidden layer alone
+    # would take 10 MB.
+    X = np.random.default_rng(3).normal(size=(20_000, 104))
+    model = _random_model(104, 64, seed=3)
+    tracemalloc.start()
+    try:
+        predict(model, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_upsampled_lambda_one_is_identity():
@@ -387,6 +439,17 @@ def test_train_loop_rejects_row_positions_out_of_range():
 
 def _add(ctx, item):
     return ctx + item
+
+
+def test_importing_the_cli_leaves_the_worker_pool_unloaded():
+    # Only a pool_map call that forks loads concurrent.futures.process and
+    # multiprocessing.
+    src = str(Path(fairtune.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fairtune.cli; print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_pool_map_starts_no_more_workers_than_items(monkeypatch):
