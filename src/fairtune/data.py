@@ -241,24 +241,6 @@ class DatasetSchema:
         object.__setattr__(self, "sensitive_column", sens)
         object.__setattr__(self, "categorical_vocab", vocab)
 
-    def encoded_feature_names(self) -> tuple[str, ...]:
-        names: list[str] = []
-        for name, kind in self.feature_columns:
-            if kind == NUMERIC:
-                names.append(name)
-            else:
-                names.extend(f"{name}={cat}" for cat in self.categorical_vocab[name])
-        return tuple(names)
-
-    def encoded_numeric_mask(self) -> np.ndarray:
-        mask: list[bool] = []
-        for name, kind in self.feature_columns:
-            if kind == NUMERIC:
-                mask.append(True)
-            else:
-                mask.extend([False] * len(self.categorical_vocab[name]))
-        return np.asarray(mask, dtype=bool)
-
     def to_dict(self) -> dict:
         d = {
             "feature_columns": [[n, k] for n, k in self.feature_columns],
@@ -286,110 +268,96 @@ class DatasetSchema:
             raise SchemaError(f"malformed schema definition: {exc}") from exc
 
 
+def _read_columns(path: Path, names: Sequence[str]) -> dict[str, list[str]]:
+    """The stripped cells of each named column of a headered CSV, in file
+    order. An empty file, a missing column, a ragged row, malformed CSV and
+    text that is not UTF-8 are DataErrors that name the file."""
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    names = tuple(dict.fromkeys(names))
+    columns: tuple[list[str], ...] = tuple([] for _ in names)
+    with _utf8(path), open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            for name in names:
+                if name not in header:
+                    raise SchemaError(f"{path}: missing column {name!r}")
+            index = [header.index(name) for name in names]
+            for ridx, row in enumerate(reader):
+                if len(row) != len(header):
+                    raise DataError(f"{path}: data row {ridx} has {len(row)} cells, expected {len(header)}")
+                for column, i in zip(columns, index):
+                    column.append(row[i].strip())
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    if names and not columns[0]:
+        raise DataError(f"{path}: no data rows")
+    return dict(zip(names, columns))
+
+
 def load_csv(path: str | Path, schema: DatasetSchema) -> TabularDataset:
     """Load a headered CSV into a dataset per the schema.
 
     Numeric columns are parsed as floats, categorical columns one-hot encoded
     in vocabulary order, targets and sensitive values mapped by token match.
     Row ids follow file order starting at 0. Errors carry the data row number
-    (0-based, header excluded) and column name.
+    (0-based, header excluded) and column name; the columns are checked in
+    schema order, so the first bad cell of the first bad column is reported.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with _utf8(path), open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        col_index: dict[str, int] = {}
-        for name, _ in schema.feature_columns:
-            if name not in header:
-                raise SchemaError(f"{path}: missing column {name!r}")
-            col_index[name] = header.index(name)
-        for name in (schema.target_column[0],) + (
-            (schema.sensitive_column[0],) if schema.sensitive_column else ()
-        ):
-            if name not in header:
-                raise SchemaError(f"{path}: missing column {name!r}")
-            col_index[name] = header.index(name)
+    target, sensitive = schema.target_column, schema.sensitive_column
+    columns = _read_columns(path, [name for name, _ in schema.feature_columns] + [c[0] for c in (target, sensitive) if c])
+    n = len(columns[target[0]])
+    widths = [1 if kind == NUMERIC else len(schema.categorical_vocab[name]) for name, kind in schema.feature_columns]
+    features = np.zeros((n, sum(widths)))
+    names: list[str] = []
 
-        n_out = len(schema.encoded_feature_names())
-        rows: list[list[float]] = []
-        targets: list[int] = []
-        sensitive: list[int] = []
-        for ridx, row in enumerate(reader):
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: data row {ridx} has {len(row)} cells, expected {len(header)}"
-                )
-            out = np.zeros(n_out, dtype=np.float64)
-            pos = 0
-            for name, kind in schema.feature_columns:
-                cell = row[col_index[name]].strip()
-                if kind == NUMERIC:
+    def cell_error(ridx, problem: str) -> DataError:
+        return DataError(f"{path}: data row {ridx}, column {name!r}: {problem} {cells[ridx]!r}")
+
+    for (name, kind), pos in zip(schema.feature_columns, np.cumsum([0] + widths)):
+        cells = columns[name]
+        if kind == NUMERIC:
+            try:
+                values = np.fromiter(map(float, cells), np.float64, n)
+            except ValueError:
+                for ridx, cell in enumerate(cells):
                     try:
-                        out[pos] = float(cell)
+                        float(cell)
                     except ValueError:
-                        raise DataError(
-                            f"{path}: data row {ridx}, column {name!r}: "
-                            f"unparseable numeric value {cell!r}"
-                        ) from None
-                    if not np.isfinite(out[pos]):
-                        raise DataError(
-                            f"{path}: data row {ridx}, column {name!r}: non-finite numeric value {cell!r}"
-                        )
-                    pos += 1
-                else:
-                    vocab = schema.categorical_vocab[name]
-                    try:
-                        out[pos + vocab.index(cell)] = 1.0
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: data row {ridx}, column {name!r}: "
-                            f"unseen category {cell!r}"
-                        ) from None
-                    pos += len(vocab)
-            rows.append(out)
-            targets.append(1 if row[col_index[schema.target_column[0]]].strip() == schema.target_column[1] else 0)
-            if schema.sensitive_column is not None:
-                sensitive.append(
-                    1 if row[col_index[schema.sensitive_column[0]]].strip() == schema.sensitive_column[1] else 0
-                )
-    if not rows:
-        raise DataError(f"{path}: no data rows")
+                        raise cell_error(ridx, "unparseable numeric value") from None
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise cell_error(bad[0], "non-finite numeric value")
+            features[:, pos] = values
+            names.append(name)
+        else:
+            vocab = schema.categorical_vocab[name]
+            index = {category: i for i, category in enumerate(vocab)}
+            codes = np.fromiter((index.get(cell, -1) for cell in cells), np.intp, n)
+            bad = np.flatnonzero(codes < 0)
+            if bad.size:
+                raise cell_error(bad[0], "unseen category")
+            features[np.arange(n), pos + codes] = 1.0
+            names.extend(f"{name}={category}" for category in vocab)
     return TabularDataset(
-        features=np.vstack(rows),
-        targets=np.asarray(targets, dtype=np.int8),
-        row_ids=np.arange(len(rows), dtype=np.int64),
-        split="all",
-        sensitive=np.asarray(sensitive, dtype=np.int8) if schema.sensitive_column else None,
-        feature_names=schema.encoded_feature_names(),
-        numeric_mask=schema.encoded_numeric_mask(),
+        features=features,
+        targets=np.array([cell == target[1] for cell in columns[target[0]]], dtype=np.int8),
+        row_ids=np.arange(n, dtype=np.int64),
+        sensitive=np.array([cell == sensitive[1] for cell in columns[sensitive[0]]], dtype=np.int8) if sensitive else None,
+        feature_names=tuple(names),
+        numeric_mask=np.repeat([kind == NUMERIC for _, kind in schema.feature_columns], widths),
     )
 
 
 def fit_categorical_vocab(path: str | Path, columns: Sequence[str]) -> dict[str, tuple[str, ...]]:
     """Scan a headered CSV and collect the sorted category list per column."""
-    path = Path(path)
-    seen: dict[str, set[str]] = {c: set() for c in columns}
-    with _utf8(path), open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        idx = {}
-        for c in columns:
-            if c not in header:
-                raise SchemaError(f"{path}: missing column {c!r}")
-            idx[c] = header.index(c)
-        for row in reader:
-            for c in columns:
-                seen[c].add(row[idx[c]].strip())
-    return {c: tuple(sorted(seen[c])) for c in columns}
+    cells = _read_columns(Path(path), columns)
+    return {c: tuple(sorted(set(cells[c]))) for c in columns}
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import check_float, check_int
+from .data import DataError, check_float, check_int
 from .labelling import edm
 from .metrics import EmptyGroupError
 from .training import HyperParams, ModelParams, predict
@@ -260,7 +260,7 @@ def verify_edm_lemma(
     X_min = np.asarray(minority_rows, dtype=np.float64)
     edm_true = edm(X_maj, X_min)
     if edm_true <= 1e-9:
-        raise ValueError("clean group means coincide; the EDM ratio is undefined")
+        raise DataError("clean group means coincide; the EDM ratio is undefined")
     records: list[EdmSweepRecord] = []
     for i, (alpha, beta) in enumerate(spec_grid):
         rng = np.random.default_rng([seed, i])

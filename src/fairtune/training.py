@@ -458,9 +458,8 @@ def train_upsampled(
     hp: HyperParams,
 ) -> list[ModelParams]:
     """train_erm on the virtual set where each repeated row appears lam times."""
+    check_trainable(train)
     rows = upsampled_index(train, repeat_ids, lam)
-    if not np.isfinite(train.features).all():
-        raise TrainingError("training features contain non-finite values")
     return _train_loop(train.features, train.targets.astype(np.float64), hp, rows)
 
 

@@ -16,15 +16,20 @@ library's `logits` computes block by block.
 `proportionality_by_gather` measures the noisy DP/EO gaps the way
 `verify_proportionality` once did: it mixes the groups' feature rows and
 then gathers each drawn row's prediction from its source group.
+
+`load_csv_per_cell` encodes a raw CSV one row and one cell at a time, the
+way `load_csv` once did; `load_csv` encodes it column by column.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from fairtune.data import TabularDataset
+from fairtune.data import NUMERIC, DataError, DatasetSchema, SchemaError, TabularDataset
 from fairtune.metrics import SUBGROUPS, EmptyGroupError
 from fairtune.noise import RATIO_DENOM_FLOOR, NoiseSpec, ProportionalityRecord, mix_groups
 from fairtune.training import (
@@ -208,4 +213,67 @@ def proportionality_by_gather(
         eo_noisy=eo_noisy,
         ratio_dp=_ratio(dp_noisy, dp_true),
         ratio_eo=_ratio(eo_noisy, eo_true),
+    )
+
+
+def load_csv_per_cell(path: Path, schema: DatasetSchema) -> TabularDataset:
+    """`load_csv` one row at a time: each row is its own zero vector, each
+    cell is parsed and checked on its own, and the rows are stacked."""
+    names: list[str] = []
+    mask: list[bool] = []
+    for name, kind in schema.feature_columns:
+        if kind == NUMERIC:
+            names.append(name)
+            mask.append(True)
+        else:
+            names.extend(f"{name}={cat}" for cat in schema.categorical_vocab[name])
+            mask.extend([False] * len(schema.categorical_vocab[name]))
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        col_index: dict[str, int] = {}
+        for name in [n for n, _ in schema.feature_columns] + [schema.target_column[0]] + (
+            [schema.sensitive_column[0]] if schema.sensitive_column else []
+        ):
+            if name not in header:
+                raise SchemaError(f"{path}: missing column {name!r}")
+            col_index[name] = header.index(name)
+        rows: list[np.ndarray] = []
+        targets: list[int] = []
+        sensitive: list[int] = []
+        for ridx, row in enumerate(reader):
+            if len(row) != len(header):
+                raise DataError(f"{path}: data row {ridx} has {len(row)} cells, expected {len(header)}")
+            out = np.zeros(len(names), dtype=np.float64)
+            pos = 0
+            for name, kind in schema.feature_columns:
+                cell = row[col_index[name]].strip()
+                if kind == NUMERIC:
+                    try:
+                        out[pos] = float(cell)
+                    except ValueError:
+                        raise DataError(f"{path}: data row {ridx}, column {name!r}: unparseable numeric value {cell!r}") from None
+                    if not np.isfinite(out[pos]):
+                        raise DataError(f"{path}: data row {ridx}, column {name!r}: non-finite numeric value {cell!r}")
+                    pos += 1
+                else:
+                    vocab = schema.categorical_vocab[name]
+                    try:
+                        out[pos + vocab.index(cell)] = 1.0
+                    except ValueError:
+                        raise DataError(f"{path}: data row {ridx}, column {name!r}: unseen category {cell!r}") from None
+                    pos += len(vocab)
+            rows.append(out)
+            targets.append(1 if row[col_index[schema.target_column[0]]].strip() == schema.target_column[1] else 0)
+            if schema.sensitive_column is not None:
+                sensitive.append(1 if row[col_index[schema.sensitive_column[0]]].strip() == schema.sensitive_column[1] else 0)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return TabularDataset(
+        features=np.vstack(rows),
+        targets=np.asarray(targets, dtype=np.int8),
+        row_ids=np.arange(len(rows), dtype=np.int64),
+        sensitive=np.asarray(sensitive, dtype=np.int8) if schema.sensitive_column else None,
+        feature_names=tuple(names),
+        numeric_mask=np.asarray(mask, dtype=bool),
     )

@@ -777,3 +777,25 @@ def test_non_finite_csv_cell_is_a_one_line_data_error(tmp_path, capsys, token):
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and len(err.splitlines()) == 1
     assert f"data row 7, column 'age': non-finite numeric value {token.decode()!r}" in err
+
+
+def test_oversized_csv_field_is_a_one_line_data_error(tmp_path, capsys):
+    rows = RAW_CSV.splitlines(keepends=True)
+    rows[3] = b"1" * 131_073 + rows[3][rows[3].index(b",") :]
+    config = _csv_dataset_config(tmp_path, b"age,sex,income\n" + b"".join(rows), SCHEMA_JSON)
+    assert main(["prepare", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"data error: \S*raw\.csv:5: field larger than field limit \(131072\)\n", err)
+
+
+def test_mc_sweep_on_coincident_group_means_is_a_one_line_data_error(tmp_path, capsys):
+    # The only feature is constant, so it standardizes to 0 in both groups
+    # and the clean group means coincide.
+    rows = b"".join(b"5,%s,%s\n" % (b"MF"[i % 2 : i % 2 + 1], b">50K" if i % 3 else b"<=50K") for i in range(40))
+    schema = json.dumps({"feature_columns": [["age", "numeric"]], "target_column": ["income", ">50K"], "sensitive_column": ["sex", "M"]})
+    config = _csv_dataset_config(tmp_path, b"age,sex,income\n" + rows, schema.encode())
+    assert main(["prepare", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["mc-sweep", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err == "data error: clean group means coincide; the EDM ratio is undefined\n"

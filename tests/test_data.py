@@ -28,6 +28,7 @@ from fairtune.data import (
 from fairtune.metrics import EmptyGroupError, wga
 
 from conftest import planted_spec
+from reference import load_csv_per_cell
 
 
 SCHEMA = DatasetSchema(
@@ -134,6 +135,81 @@ def test_fit_categorical_vocab(tmp_path):
     )
     vocab = fit_categorical_vocab(path, ["sex"])
     assert vocab == {"sex": ("F", "M")}
+
+
+@pytest.mark.parametrize("row", ["30", "30,F,>50K,extra"])
+def test_fit_categorical_vocab_ragged_row(tmp_path, row):
+    path = write_lines(tmp_path / "toy.csv", ["age,sex,income", "40,M,<=50K", row])
+    with pytest.raises(DataError, match=rf"toy\.csv: data row 1 has {row.count(',') + 1} cells, expected 3"):
+        fit_categorical_vocab(path, ["sex"])
+
+
+# The census-income layout in the UCI column order: 6 numeric and 8
+# categorical columns of 2-41 categories, 104 encoded features.
+ADULT_SIZES = {
+    "workclass": 7, "education": 16, "marital-status": 7, "occupation": 14,
+    "relationship": 6, "race": 5, "sex": 2, "native-country": 41,
+}
+ADULT_NUMERIC = ("age", "fnlwgt", "education-num", "capital-gain", "capital-loss", "hours-per-week")
+ADULT_ORDER = (
+    "age", "workclass", "fnlwgt", "education", "education-num", "marital-status", "occupation",
+    "relationship", "race", "sex", "capital-gain", "capital-loss", "hours-per-week", "native-country", "income",
+)
+
+
+def census_shaped(tmp_path, n=3000):
+    """A census-shaped raw CSV and its schema; numeric cells include
+    underscores, signs, -0, the least subnormal, padding and 1e308."""
+    rng = np.random.default_rng(15)
+    cells = {c: [str(v) for v in rng.integers(0, 100_000, n)] for c in ADULT_NUMERIC}
+    specials = ["1_000", "+5", "-0", "4.9e-324", " 7 ", "1e308", "-2.5e-3"]
+    for c in ADULT_NUMERIC:
+        for row, cell in zip(rng.choice(n, len(specials), replace=False), specials):
+            cells[c][row] = cell
+    for c, size in ADULT_SIZES.items():
+        names = ["Female", "Male"] if c == "sex" else [f"{c}-{k}" for k in range(size)]
+        cells[c] = [f" {names[k]}" for k in rng.integers(0, size, n)]
+    cells["income"] = [(" <=50K", " >50K")[k] for k in rng.integers(0, 2, n)]
+    path = tmp_path / "adult.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([ADULT_ORDER, *zip(*(cells[c] for c in ADULT_ORDER))])
+    schema = DatasetSchema(
+        feature_columns=tuple((c, "numeric") for c in ADULT_NUMERIC) + tuple((c, "categorical") for c in ADULT_SIZES),
+        target_column=("income", ">50K"),
+        sensitive_column=("sex", "Male"),
+        categorical_vocab=fit_categorical_vocab(path, list(ADULT_SIZES)),
+    )
+    return path, schema
+
+
+def test_load_csv_matches_the_per_cell_oracle_bit_for_bit(tmp_path):
+    path, schema = census_shaped(tmp_path)
+    got, want = load_csv(path, schema), load_csv_per_cell(path, schema)
+    assert got.features.shape == (3000, 104)
+    np.testing.assert_array_equal(got.features.view(np.int64), want.features.view(np.int64))
+    for name in ("targets", "sensitive", "row_ids", "numeric_mask"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.feature_names == want.feature_names
+
+
+@pytest.mark.parametrize(
+    "column, cell",
+    [("fnlwgt", "1,2"), ("hours-per-week", "12x"), ("capital-gain", "-inf"), ("native-country", "Atlantis")],
+    ids=["ragged", "unparseable", "non-finite", "unseen"],
+)
+def test_load_csv_reports_a_bad_cell_as_the_oracle_does(tmp_path, column, cell):
+    path, schema = census_shaped(tmp_path, n=200)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = next(csv.reader([lines[58]]))
+    row[ADULT_ORDER.index(column)] = cell
+    lines[58] = ",".join(row) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(DataError) as want:
+        load_csv_per_cell(path, schema)
+    with pytest.raises(DataError, match="data row 57") as got:
+        load_csv(path, schema)
+    assert str(got.value) == str(want.value)
 
 
 def test_schema_validation():

@@ -318,6 +318,8 @@ def test_upsampled_rejects_bad_input():
         train_upsampled(train, {99}, 2, HyperParams(learning_rate=0.1))
     with pytest.raises(TrainingError, match="lambda"):
         train_upsampled(train, {1}, 0, HyperParams(learning_rate=0.1))
+    with pytest.raises(TrainingError, match="training set is empty"):
+        train_upsampled(train.take(np.arange(0)), (), 2, HyperParams(learning_rate=0.1))
 
 
 def test_non_finite_gradient_reported():
