@@ -15,6 +15,10 @@ Commands are idempotent: given identical inputs and seeds they rewrite
 byte-identical outputs. Every output embeds the resolved config hash and the
 tool version. Exit codes: 0 ok, 2 config error, 3 data error, 4 selection
 failure.
+
+Unless one of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS is
+set, or numpy was loaded first, importing this module loads numpy with
+OpenBLAS on one thread, so no idle BLAS thread spins on another core.
 """
 
 from __future__ import annotations
@@ -27,9 +31,22 @@ import sys
 import tempfile
 from pathlib import Path
 
+from . import _BLAS_THREAD_VARIABLES, __version__
+
+# OpenBLAS reads its thread count once, when numpy loads it, and starts that
+# many threads, which spin for ~0.1 s of CPU during the rest of the import:
+# setting the count afterwards saves none of it. The variable is removed
+# again, so child processes and `training._set_blas_threads` see the
+# environment as the user left it.
+if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 import numpy as np
 
-from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config
 from .data import (
     DataError,

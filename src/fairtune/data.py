@@ -303,10 +303,11 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> TabularDataset:
     """Load a headered CSV into a dataset per the schema.
 
     Numeric columns are parsed as floats, categorical columns one-hot encoded
-    in vocabulary order, targets and sensitive values mapped by token match.
-    Row ids follow file order starting at 0. Errors carry the data row number
-    (0-based, header excluded) and column name; the columns are checked in
-    schema order, so the first bad cell of the first bad column is reported.
+    in vocabulary order, targets and sensitive values mapped by token match;
+    a token that occurs in no data row is a DataError. Row ids follow file
+    order starting at 0. Errors carry the data row number (0-based, header
+    excluded) and column name; the columns are checked in schema order, so
+    the first bad cell of the first bad column is reported.
     """
     path = Path(path)
     target, sensitive = schema.target_column, schema.sensitive_column
@@ -344,11 +345,21 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> TabularDataset:
                 raise cell_error(bad[0], "unseen category")
             features[np.arange(n), pos + codes] = 1.0
             names.extend(f"{name}={category}" for category in vocab)
+
+    def token_flags(column: tuple[str, str]) -> np.ndarray:
+        # A misspelt token ('>50K' against '>50K.' cells) would load as an
+        # all-zero column.
+        name, token = column
+        flags = np.array([cell == token for cell in columns[name]], dtype=np.int8)
+        if not flags.any():
+            raise DataError(f"{path}: column {name!r}: token {token!r} occurs in no data row")
+        return flags
+
     return TabularDataset(
         features=features,
-        targets=np.array([cell == target[1] for cell in columns[target[0]]], dtype=np.int8),
+        targets=token_flags(target),
         row_ids=np.arange(n, dtype=np.int64),
-        sensitive=np.array([cell == sensitive[1] for cell in columns[sensitive[0]]], dtype=np.int8) if sensitive else None,
+        sensitive=token_flags(sensitive) if sensitive else None,
         feature_names=tuple(names),
         numeric_mask=np.repeat([kind == NUMERIC for _, kind in schema.feature_columns], widths),
     )

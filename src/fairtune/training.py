@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import _BLAS_THREAD_VARIABLES
 from .data import TabularDataset, check_float, check_int
 
 
@@ -312,9 +313,6 @@ def _train_loop(
     return checkpoints
 
 
-# Environment variables by which a user sets the BLAS thread count; when any
-# is set, pool_map leaves the count alone.
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Thread-count functions of the bundled OpenBLAS of numpy >= 2 wheels, of
 # numpy 1.x wheels (64-bit integer build) and of a system OpenBLAS.
 _OPENBLAS_PREFIXES = ("scipy_openblas", "openblas")

@@ -609,6 +609,20 @@ def test_non_utf8_input_is_a_one_line_error(pipeline, tmp_path, capsys, setup):
     assert "not a UTF-8 text file" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "key, token",
+    [("target_column", ["income", ">50K."]), ("sensitive_column", ["sex", "Male"])],
+    ids=["target", "sensitive"],
+)
+def test_prepare_with_a_token_that_occurs_in_no_row_is_a_data_error(tmp_path, capsys, key, token):
+    schema = json.loads(SCHEMA_JSON)
+    schema[key] = token
+    config = _csv_dataset_config(tmp_path, b"age,sex,income\n" + RAW_CSV, json.dumps(schema).encode())
+    assert main(["prepare", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: {tmp_path / 'raw.csv'}: column {token[0]!r}: token {token[1]!r} occurs in no data row\n"
+
+
 def _with_value(section, key, value):
     """A config edit that sets `key` of a section of the synthetic config to `value`."""
 

@@ -105,6 +105,24 @@ def test_load_csv_empty_file(tmp_path):
         load_csv(header_only, SCHEMA)
 
 
+@pytest.mark.parametrize(
+    "column, token, lines",
+    [("income", ">50K", ["30,F,>50K.", "40,M,<=50K."]), ("sex", "M", ["30,F,>50K", "40,M.,<=50K"])],
+    ids=["target", "sensitive"],
+)
+def test_load_csv_token_that_occurs_in_no_row(tmp_path, column, token, lines):
+    # Cells in the UCI test file's form ('>50K.') never equal the token.
+    path = write_lines(tmp_path / "toy.csv", ["age,sex,income", *lines])
+    schema = DatasetSchema(
+        feature_columns=(("age", "numeric"),),
+        target_column=SCHEMA.target_column,
+        sensitive_column=SCHEMA.sensitive_column,
+        categorical_vocab={},
+    )
+    with pytest.raises(DataError, match=rf"toy\.csv: column '{column}': token '{token}' occurs in no data row$"):
+        load_csv(path, schema)
+
+
 def test_load_csv_ragged_row(tmp_path):
     path = write_lines(tmp_path / "toy.csv", ["age,sex,income", "30,F"])
     with pytest.raises(DataError, match="row 0 has 2 cells"):

@@ -621,3 +621,77 @@ def test_one_blas_thread_leaves_training_bit_identical(blas_threads):
     for a, b in zip(threaded, pinned, strict=True):
         for ta, tb in zip(a.tensors, b.tensors, strict=True):
             assert np.array_equal(ta.view(np.int64), tb.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# Importing the package loads no numpy; importing the CLI starts OpenBLAS on
+# one thread unless the user chose a count or numpy was loaded first.
+# ---------------------------------------------------------------------------
+
+def _run_fresh(code, *args, **variables):
+    """JSON printed by `code` in a fresh interpreter on src/, with no
+    thread-count variable set but `variables`."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    src = str(Path(fairtune.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(variables)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+_PACKAGE_NAMES = """
+import importlib, json, sys
+import fairtune
+numpy_loaded = "numpy" in sys.modules
+mismatched = [
+    name for name in fairtune.__all__
+    if getattr(fairtune, name) is not getattr(importlib.import_module("fairtune." + fairtune._SUBMODULE[name]), name)
+]
+try:
+    fairtune.no_such_name
+    unknown = "resolved"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps([numpy_loaded, len(fairtune.__all__), mismatched, set(fairtune.__all__) <= set(dir(fairtune)), unknown]))
+"""
+
+
+def test_importing_the_package_loads_no_numpy_and_every_name_resolves():
+    numpy_loaded, names, mismatched, listed, unknown = _run_fresh(_PACKAGE_NAMES)
+    assert not numpy_loaded
+    assert names >= 49 and mismatched == [] and listed
+    assert unknown == "module 'fairtune' has no attribute 'no_such_name'"
+
+
+_CLI_IMPORT = """
+import json, os, sys
+environ = dict(os.environ)
+counts = []
+if sys.argv[1:] == ["numpy-first"]:
+    import numpy
+    from fairtune.training import _openblas_thread_functions
+    counts.append(_openblas_thread_functions()[0]())
+import fairtune.cli
+from fairtune.training import _openblas_thread_functions
+counts.append(_openblas_thread_functions()[0]())
+print(json.dumps([counts, len(os.listdir("/proc/self/task")), dict(os.environ) == environ]))
+"""
+
+
+@needs_openblas
+def test_importing_the_cli_starts_openblas_on_one_thread_and_leaves_the_environment():
+    counts, threads, environ_kept = _run_fresh(_CLI_IMPORT)
+    assert counts == [1] and threads == 1 and environ_kept
+
+
+@needs_openblas
+def test_importing_the_cli_leaves_a_thread_count_the_user_set():
+    counts, _, environ_kept = _run_fresh(_CLI_IMPORT, OPENBLAS_NUM_THREADS="2")
+    assert counts == [min(2, len(os.sched_getaffinity(0)))] and environ_kept
+
+
+@needs_openblas
+def test_importing_the_cli_after_numpy_leaves_the_thread_count():
+    counts, _, environ_kept = _run_fresh(_CLI_IMPORT, "numpy-first")
+    assert len(counts) == 2 and counts[1] == counts[0] and environ_kept
