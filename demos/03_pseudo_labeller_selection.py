@@ -32,8 +32,8 @@ for i, (_, epoch) in enumerate(candidates):
     quality = pseudo_label_quality(label_sets[i], validation.sensitive, validation.targets)
     edm_score = scores[1][i]
     # A skipped candidate has an empty pseudo group, so 1-alpha-beta is undefined.
-    shown = "  skip" if edm_score is None else f"{edm_score:6.3f}"
-    purity = "     -" if edm_score is None else f"{quality.by_class[1].one_minus_sum:6.3f}"
+    shown = "  skip" if np.isnan(edm_score) else f"{edm_score:6.3f}"
+    purity = "     -" if np.isnan(edm_score) else f"{quality.by_class[1].one_minus_sum:6.3f}"
     print(f"{epoch:5d}  {shown} |     {purity}          {quality.accuracy_by_class[1]:.3f}")
 
 selected = select_labeller(predictions, candidates, validation)

@@ -133,10 +133,6 @@ def _write_split(outputs: _Outputs, path: Path, data: TabularDataset, config: Ex
     outputs.via(path, lambda p: write_dataset(data, p, meta=meta))
 
 
-def _out_dir(config: ExperimentConfig) -> Path:
-    return Path(config.output_dir)
-
-
 def _require_artifact(path: Path, producer: str) -> Path:
     if not path.exists():
         raise DataError(f"missing upstream artifact {path} (run '{producer}' first)")
@@ -162,16 +158,13 @@ def _read_split(out: Path, name: str, config: ExperimentConfig) -> TabularDatase
     return _read_upstream(out / "datasets" / f"{name}.csv", "prepare", config)
 
 
-def _build_dataset(config: ExperimentConfig) -> TabularDataset:
-    if config.dataset_kind == "synthetic":
-        return generate_synthetic(config.synthetic)
-    return load_csv(config.csv_path, config.schema)
-
-
 def cmd_prepare(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(config)
+    out = Path(config.output_dir)
     with _Outputs() as outputs:
-        data = _build_dataset(config)
+        if config.dataset_kind == "synthetic":
+            data = generate_synthetic(config.synthetic)
+        else:
+            data = load_csv(config.csv_path, config.schema)
         train, validation, test = split(data, config.split_fractions, config.split_seed)
         std = fit_standardizer(train)
         for name, ds in (("train", train), ("validation", validation), ("test", test)):
@@ -198,7 +191,7 @@ def _write_npy(path: Path, array: np.ndarray) -> None:
 
 
 def cmd_train_grid(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(config)
+    out = Path(config.output_dir)
     train = _read_split(out, "train", config)
     validation = _read_split(out, "validation", config)
     predictions, _ = labeller_predictions(train, validation, config.labeller_grid, args.jobs)
@@ -256,7 +249,7 @@ def _load_predictions(
 
 
 def cmd_label(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(config)
+    out = Path(config.output_dir)
     validation = _read_split(out, "validation", config)
     predictions, candidates = _load_predictions(out, config, validation.n_rows)
     labelled = select_labeller(predictions, candidates, validation)
@@ -291,7 +284,7 @@ def cmd_label(config: ExperimentConfig, args: argparse.Namespace) -> int:
 def cmd_mc_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
     if config.mc_noise is None:
         raise ConfigError("mc_noise: section required for mc-sweep")
-    out = _out_dir(config)
+    out = Path(config.output_dir)
     data = _read_split(out, config.mc_noise.split, config)
     if data.sensitive is None:
         raise DataError(f"{config.mc_noise.split} split carries no ground-truth sensitive attributes")
@@ -322,7 +315,7 @@ def cmd_mc_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
 def cmd_tune(config: ExperimentConfig, args: argparse.Namespace) -> int:
     if config.jtt is None:
         raise ConfigError("jtt: section required for tune")
-    out = _out_dir(config)
+    out = Path(config.output_dir)
     train = _read_split(out, "train", config)
     validation = _read_split(out, "validation", config)
     test = _read_split(out, "test", config)

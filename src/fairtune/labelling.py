@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import TabularDataset
 from .metrics import EmptyGroupError
-from .training import HyperParams, pool_map, predict, train_erm
+from .training import HyperParams, block_stops, pool_map, predict, train_erm
 
 
 class SelectionError(RuntimeError):
@@ -63,29 +63,30 @@ def labeller_predictions(
     return predictions, [(hp, epoch) for hp in grid for epoch in range(1, hp.epochs + 1)]
 
 
-def score_labels_by_class(
-    label_sets: Sequence[np.ndarray],
-    features: np.ndarray,
-    targets: np.ndarray,
-) -> dict[int, list[float | None]]:
-    """EDM score of each pseudo-label set, restricted to each target class.
+EDM_BLOCK_CANDIDATES = 64  # label sets per product: 3 MB of float64 on a 6k-row class
 
-    None marks a skipped candidate (its correct or incorrect set is empty on
-    that class restriction, so it carries no group signal there).
-    """
+
+def score_labels_by_class(label_sets: np.ndarray, features: np.ndarray, targets: np.ndarray) -> dict[int, np.ndarray]:
+    """EDM score of each 0/1 pseudo-label set (one row per candidate) on each
+    target class, from the class's feature sums: one product per block of
+    EDM_BLOCK_CANDIDATES label sets gives the correct rows' sums, and the
+    incorrect rows' are the class total minus them. NaN marks a skipped
+    candidate, whose correct or incorrect set is empty on that class."""
+    label_sets = np.asarray(label_sets)
     features = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(targets)
-    scores: dict[int, list[float | None]] = {0: [], 1: []}
+    scores = {y: np.empty(len(label_sets)) for y in (0, 1)}
     for y in (0, 1):
-        rows = np.flatnonzero(targets == y)
-        for labels in label_sets:
-            sub = np.asarray(labels)[rows]
-            correct = rows[sub == 1]
-            incorrect = rows[sub == 0]
-            if len(correct) == 0 or len(incorrect) == 0:
-                scores[y].append(None)
-            else:
-                scores[y].append(edm(features[correct], features[incorrect]))
+        rows = np.asarray(targets) == y
+        X = features[rows]
+        n, total = X.shape[0], X.sum(axis=0)
+        start = 0
+        for stop in block_stops(len(label_sets), EDM_BLOCK_CANDIDATES):
+            block = label_sets[start:stop][:, rows]
+            counts, sums = block.sum(axis=1), block @ X  # the product casts the block to float64
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gaps = sums / counts[:, None] - (total - sums) / (n - counts[:, None])
+            scores[y][start:stop] = np.where((counts > 0) & (counts < n), np.linalg.norm(gaps, axis=1), np.nan)
+            start = stop
     return scores
 
 
@@ -132,9 +133,9 @@ def select_labeller(
     column per validation row (as `labeller_predictions` returns them);
     candidates gives each row's hyper-params and stop epoch. Row i's pseudo
     labels are 1 where candidate i predicts the target correctly. Each target
-    class takes the candidate with the highest EDM on that class, the
-    earliest on a tie, and each row receives the label of its own class's
-    winner.
+    class takes the `np.nanargmax` of its scores: the highest EDM, never a
+    skipped candidate, the earliest on a tie. Each row receives the label of
+    its own class's winner.
     """
     label_sets = (np.asarray(predictions) == validation.targets).astype(np.int8)
     if len(label_sets) == 0:
@@ -146,18 +147,14 @@ def select_labeller(
     by_class: dict[int, ClassSelection] = {}
     merged = np.empty(validation.n_rows, dtype=np.int8)
     for y in (0, 1):
-        best_idx: int | None = None
-        best_score = -np.inf
-        for i, s in enumerate(scores[y]):
-            if s is not None and s > best_score:
-                best_idx, best_score = i, s
-        if best_idx is None:
+        if np.isnan(scores[y]).all():
             raise SelectionError(
                 f"every candidate was skipped for target class {y} "
                 "(all-correct or all-incorrect on that class)"
             )
-        hp, epoch = candidates[best_idx]
-        by_class[y] = ClassSelection(candidate_index=best_idx, edm_score=best_score, hp=hp, epoch=epoch)
+        best = int(np.nanargmax(scores[y]))
+        hp, epoch = candidates[best]
+        by_class[y] = ClassSelection(candidate_index=best, edm_score=float(scores[y][best]), hp=hp, epoch=epoch)
         rows = validation.targets == y
-        merged[rows] = label_sets[best_idx][rows]
+        merged[rows] = label_sets[best][rows]
     return PseudoLabelledValidation(pseudo=merged, by_class=by_class)

@@ -124,22 +124,13 @@ def mix_groups(
 # Population-exact path: identities on analytic mixture quantities.
 # ----------------------------------------------------------------------------
 
-def noisy_means_exact(
-    mean_majority: np.ndarray, mean_minority: np.ndarray, alpha: float, beta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact noisy group means under the mixture model (no sampling)."""
-    mu1 = np.asarray(mean_majority, dtype=np.float64)
-    mu0 = np.asarray(mean_minority, dtype=np.float64)
-    return (1.0 - alpha) * mu1 + alpha * mu0, beta * mu1 + (1.0 - beta) * mu0
-
-
 def edm_exact(
     mean_majority: np.ndarray, mean_minority: np.ndarray, alpha: float, beta: float
 ) -> tuple[float, float]:
     """(clean EDM, noisy EDM) computed from exact mixture means."""
     mu1 = np.asarray(mean_majority, dtype=np.float64)
     mu0 = np.asarray(mean_minority, dtype=np.float64)
-    noisy_maj, noisy_min = noisy_means_exact(mu1, mu0, alpha, beta)
+    noisy_maj, noisy_min = (1.0 - alpha) * mu1 + alpha * mu0, beta * mu1 + (1.0 - beta) * mu0
     return float(np.linalg.norm(mu1 - mu0)), float(np.linalg.norm(noisy_maj - noisy_min))
 
 

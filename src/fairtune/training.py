@@ -153,11 +153,11 @@ def init_params(hp: HyperParams, feature_dim: int) -> ModelParams:
 SCORE_BLOCK_ROWS = 1024
 
 
-def _block_stops(n: int) -> list[int]:
-    """End rows of the SCORE_BLOCK_ROWS blocks of an n-row matrix. numpy
-    computes a one-row product with dot or gemv, not gemm, which rounds
-    differently, so a last block of one row joins the block before it."""
-    stops = list(range(SCORE_BLOCK_ROWS, n, SCORE_BLOCK_ROWS))
+def block_stops(n: int, rows: int = SCORE_BLOCK_ROWS) -> list[int]:
+    """End rows of the `rows`-row blocks of an n-row matrix. numpy computes
+    a one-row product with dot or gemv, not gemm, which rounds differently,
+    so a last block of one row joins the block before it."""
+    stops = list(range(rows, n, rows))
     if stops and n - stops[-1] == 1:
         stops.pop()
     return stops + [n] if n else []
@@ -183,7 +183,7 @@ def logits(model: ModelParams, X: np.ndarray) -> np.ndarray:
     if model.is_mlp:
         w1, b1, w2, bias = model.tensors
         buffer = np.empty((min(n, SCORE_BLOCK_ROWS + 1), model.hidden_units))
-        for stop in _block_stops(n):
+        for stop in block_stops(n):
             hidden = np.matmul(X[start:stop], w1, out=buffer[: stop - start])
             hidden += b1
             np.maximum(hidden, 0.0, out=hidden)
@@ -191,7 +191,7 @@ def logits(model: ModelParams, X: np.ndarray) -> np.ndarray:
             start = stop
     else:
         w, bias = model.tensors
-        for stop in _block_stops(n):
+        for stop in block_stops(n):
             np.matmul(X[start:stop], w, out=out[start:stop])
             start = stop
     out += bias

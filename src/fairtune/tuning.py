@@ -46,6 +46,13 @@ PSEUDO = "pseudo"
 _MINIMIZED = {"dp_gap": True, "eo_gap": True, "wga": False}
 
 
+def _check_selection_rule(objective: str, sensitive_source: str) -> None:
+    if objective not in METRIC_NAMES:
+        raise ValueError(f"objective: must be one of {METRIC_NAMES}, got {objective!r}")
+    if sensitive_source not in (PSEUDO, GROUND_TRUTH):
+        raise ValueError(f"sensitive_source: must be {PSEUDO!r} or {GROUND_TRUTH!r}, got {sensitive_source!r}")
+
+
 @dataclass(frozen=True)
 class JttConfig:
     """Search space and selection rule for the two-stage tuner."""
@@ -70,10 +77,7 @@ class JttConfig:
         for name in ("t_grid", "lambda_grid"):
             values = tuple(check_int(v, f"{name}[{i}]", 1) for i, v in enumerate(getattr(self, name)))
             object.__setattr__(self, name, values)
-        if self.objective not in METRIC_NAMES:
-            raise ValueError(f"objective: must be one of {METRIC_NAMES}, got {self.objective!r}")
-        if self.sensitive_source not in (PSEUDO, GROUND_TRUTH):
-            raise ValueError(f"sensitive_source: must be {PSEUDO!r} or {GROUND_TRUTH!r}, got {self.sensitive_source!r}")
+        _check_selection_rule(self.objective, self.sensitive_source)
         bins = tuple(check_pair(b, f"accuracy_bins[{i}]", "lo, hi") for i, b in enumerate(self.accuracy_bins))
         for i, (lo, hi) in enumerate(bins):
             if not lo < hi:
@@ -332,13 +336,18 @@ class TunerResult:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TunerResult":
-        return cls(
+        """Raises ValueError where no tuner run could have written `d`."""
+        _check_selection_rule(d["objective"], d["sensitive_source"])
+        result = cls(
             objective=d["objective"],
             sensitive_source=d["sensitive_source"],
             bins=tuple(BinOutcome.from_dict(b) for b in d["bins"]),
             erm_bins=tuple(BinOutcome.from_dict(b) for b in d["erm_bins"]),
             erm_baseline=None if d.get("erm_baseline") is None else BinOutcome.from_dict(d["erm_baseline"]),
         )
+        if not result.bins or [b.bin for b in result.bins] != [b.bin for b in result.erm_bins]:
+            raise ValueError("bins and erm_bins must list the same nonempty accuracy bins in the same order")
+        return result
 
 
 def grid_search(

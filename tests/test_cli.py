@@ -133,6 +133,30 @@ def test_report_fractional_winner_integer_is_a_data_error(pipeline, tmp_path, ca
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda r: r.update(objective="foo"), "objective: must be one of"),
+        (lambda r: r.update(sensitive_source="foo"), "sensitive_source: must be"),
+        (lambda r: r.update(bins=[]), "bins and erm_bins must list the same"),
+        (lambda r: r["erm_bins"][0].update(bin=[0.0, 0.5]), "bins and erm_bins must list the same"),
+    ],
+    ids=["unknown_objective", "unknown_source", "empty_bins", "mismatched_erm_bin"],
+)
+def test_report_inconsistent_result_is_a_data_error(pipeline, tmp_path, capsys, damage, message):
+    _, out = pipeline
+    payload = json.loads((out / "tuner_result.json").read_text())
+    damage(payload["result"])
+    damaged = tmp_path / "damaged.json"
+    damaged.write_text(json.dumps(payload))
+    for fmt in ("table", "json"):
+        code = main(["report", str(damaged), "--format", fmt])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("data error: ") and message in err
+        assert len(err.splitlines()) == 1
+
+
 def test_report_wrong_schema_result_is_a_data_error(tmp_path, capsys):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"result": {}}))

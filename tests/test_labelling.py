@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairtune.data import TabularDataset
 from fairtune.labelling import (
+    EDM_BLOCK_CANDIDATES,
     SelectionError,
     edm,
     labeller_predictions,
@@ -88,19 +91,29 @@ def test_single_candidate_wins_both_classes():
     np.testing.assert_array_equal(labelled.pseudo, correct_rows(model, data))
 
 
-def exhaustive_edm_oracle(label_sets, features, targets):
-    """Independent per-class argmax over explicitly computed mean distances."""
-    winners = {}
+def oracle_edm_scores(label_sets, features, targets):
+    """Per class, each candidate's mean distance computed explicitly from its
+    two row sets; None where either set is empty on that class."""
+    scores = {0: [], 1: []}
     for y in (0, 1):
-        best, best_score = None, -1.0
-        for i, labels in enumerate(label_sets):
+        for labels in label_sets:
             rows = targets == y
             correct = features[rows & (labels == 1)]
             incorrect = features[rows & (labels == 0)]
             if len(correct) == 0 or len(incorrect) == 0:
-                continue
-            score = float(np.sqrt(((correct.mean(0) - incorrect.mean(0)) ** 2).sum()))
-            if score > best_score:
+                scores[y].append(None)
+            else:
+                scores[y].append(float(np.sqrt(((correct.mean(0) - incorrect.mean(0)) ** 2).sum())))
+    return scores
+
+
+def exhaustive_edm_oracle(label_sets, features, targets):
+    """Independent per-class argmax over explicitly computed mean distances."""
+    winners = {}
+    for y, scores in oracle_edm_scores(label_sets, features, targets).items():
+        best, best_score = None, -1.0
+        for i, score in enumerate(scores):
+            if score is not None and score > best_score:
                 best, best_score = i, score
         winners[y] = (best, best_score)
     return winners
@@ -261,5 +274,56 @@ def test_score_labels_by_class_skips_degenerate_candidates():
     all_correct = np.array([1, 1, 1, 1], dtype=np.int8)
     mixed = np.array([1, 0, 0, 1], dtype=np.int8)
     scores = score_labels_by_class([all_correct, mixed], X, targets)
-    assert scores[0][0] is None and scores[1][0] is None
-    assert scores[0][1] is not None and scores[1][1] is not None
+    assert np.isnan(scores[0][0]) and np.isnan(scores[1][0])
+    assert not np.isnan(scores[0][1]) and not np.isnan(scores[1][1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(2, 30),
+    dim=st.integers(1, 4),
+    n_candidates=st.integers(1, 3 * EDM_BLOCK_CANDIDATES),
+    data=st.data(),
+)
+def test_scores_and_winners_match_exhaustive_oracle(seed, n_rows, dim, n_candidates, data):
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n_rows, dim))
+    targets = np.arange(n_rows) % 2
+    label_sets = (rng.random((n_candidates, n_rows)) < rng.random((n_candidates, 1))).astype(np.int8)
+    index = st.integers(0, n_candidates - 1)
+    label_sets[sorted(data.draw(st.sets(index, max_size=5), label="all correct"))] = 1
+    label_sets[sorted(data.draw(st.sets(index, max_size=5), label="all incorrect"))] = 0
+    for a, b in data.draw(st.lists(st.tuples(index, index), max_size=8), label="duplicates"):
+        label_sets[max(a, b)] = label_sets[min(a, b)]
+    oracle = oracle_edm_scores(label_sets, features, targets)
+    scores = score_labels_by_class(label_sets, features, targets)
+    for y in (0, 1):
+        assert scores[y].shape == (n_candidates,)
+        for got, want in zip(scores[y], oracle[y]):
+            if want is None:
+                assert np.isnan(got)
+            else:
+                assert got == pytest.approx(want, rel=1e-12)
+
+    winners = exhaustive_edm_oracle(label_sets, features, targets)
+    validation = dataset(features, targets)
+    if winners[0][0] is None or winners[1][0] is None:
+        with pytest.raises(SelectionError, match="every candidate was skipped"):
+            select_by_labels(label_sets, validation)
+        return
+    chosen, _ = select_by_labels(label_sets, validation)
+    for y in (0, 1):
+        rows = targets == y
+        best, best_score = winners[y]
+        pick = chosen[y].candidate_index
+        assert chosen[y].edm_score == scores[y][pick]
+        # Among candidates with the same labels on the class, the earliest wins.
+        same = [i for i, labels in enumerate(label_sets) if np.array_equal(labels[rows], label_sets[pick][rows])]
+        assert pick == same[0]
+        # The oracle's winner, unless distinct label sets tie with it to the
+        # last bits (a set and its complement on the class have equal EDM).
+        tied = [i for i, s in enumerate(oracle[y]) if s is not None and s == pytest.approx(best_score, rel=1e-12)]
+        assert pick in tied
+        if all(np.array_equal(label_sets[i][rows], label_sets[best][rows]) for i in tied):
+            assert pick == best
