@@ -13,8 +13,10 @@ artifacts of the previous one:
 
 Commands are idempotent: given identical inputs and seeds they rewrite
 byte-identical outputs. Every output embeds the resolved config hash and the
-tool version. Exit codes: 0 ok, 2 config error, 3 data error, 4 selection
-failure.
+tool version, and a command reads an upstream artifact only if it records
+this config's hash. A command's outputs land in the output directory
+together, or, if it fails, none of them do. Exit codes: 0 ok, 2 config
+error, 3 data error, 4 selection failure.
 
 Unless one of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS is
 set, or numpy was loaded first, importing this module loads numpy with
@@ -52,7 +54,6 @@ from .data import (
     DataError,
     TabularDataset,
     apply_standardizer,
-    check_int,
     dataset_file_meta,
     fit_standardizer,
     generate_synthetic,
@@ -61,7 +62,7 @@ from .data import (
     split,
     write_dataset,
 )
-from .labelling import SelectionError, labeller_predictions, select_labeller
+from .labelling import SelectionError, labeller_candidates, labeller_predictions, select_labeller
 from .metrics import EmptyGroupError
 from .noise import (
     NoiseSpec,
@@ -83,39 +84,39 @@ EXIT_SELECTION_FAILURE = 4
 
 
 class _Outputs:
-    """Atomic output writing; leaving the `with` block on an exception
-    removes everything written in it."""
+    """A command's outputs as one unit. Each is written at its path relative
+    to `out` inside one staging directory there (`.stage-*.tmp`); leaving
+    the `with` block normally moves them all into place, in sorted order,
+    and leaving it on an exception removes the stage, so `out` keeps what
+    it held."""
 
-    def __init__(self) -> None:
-        self.written: list[Path] = []
+    def __init__(self, out: Path) -> None:
+        self.out = out
 
     def __enter__(self) -> "_Outputs":
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.stage = Path(tempfile.mkdtemp(prefix=".stage-", suffix=".tmp", dir=self.out))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            for path in self.written:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-
-    def text(self, path: Path, content: str) -> None:
-        self.via(path, lambda p: p.write_text(content, encoding="utf-8"))
-
-    def via(self, path: Path, writer) -> None:
-        """writer(p) writes `path` as p, in a staging directory; then every
-        file it wrote there (a dataset CSV's features matrix too) is moved
-        next to `path`."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        stage = Path(tempfile.mkdtemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent))
         try:
-            writer(stage / path.name)
-            for staged in stage.iterdir():
-                os.replace(staged, path.parent / staged.name)
-                self.written.append(path.parent / staged.name)
+            if exc_type is None:
+                for staged in sorted(p for p in self.stage.rglob("*") if p.is_file()):
+                    target = self.out / staged.relative_to(self.stage)
+                    target.parent.mkdir(parents=True, exist_ok=True)
+                    os.replace(staged, target)
         finally:
-            shutil.rmtree(stage, ignore_errors=True)
+            shutil.rmtree(self.stage, ignore_errors=True)
+
+    def path(self, relative: str) -> Path:
+        """Where to write the output at `relative`; anything written next to
+        it (a dataset CSV's features matrix) moves along with it."""
+        staged = self.stage / relative
+        staged.parent.mkdir(parents=True, exist_ok=True)
+        return staged
+
+    def text(self, relative: str, content: str) -> None:
+        self.path(relative).write_text(content, encoding="utf-8")
 
 
 def _json_text(payload: dict) -> str:
@@ -126,11 +127,10 @@ def _meta(config: ExperimentConfig) -> dict[str, str]:
     return {"config_sha256": config.canonical_hash(), "tool_version": __version__}
 
 
-def _write_split(outputs: _Outputs, path: Path, data: TabularDataset, config: ExperimentConfig) -> None:
+def _write_split(outputs: _Outputs, relative: str, data: TabularDataset, config: ExperimentConfig) -> None:
     """Write a dataset CSV (and its features matrix) that records its row
     count, so that readers reject a copy cut at a line end."""
-    meta = {**_meta(config), "n_rows": str(data.n_rows)}
-    outputs.via(path, lambda p: write_dataset(data, p, meta=meta))
+    write_dataset(data, outputs.path(relative), meta={**_meta(config), "n_rows": str(data.n_rows)})
 
 
 def _require_artifact(path: Path, producer: str) -> Path:
@@ -139,11 +139,14 @@ def _require_artifact(path: Path, producer: str) -> Path:
     return path
 
 
-def _check_provenance(path: Path, config: ExperimentConfig, stored: str | None) -> None:
-    if stored is not None and stored != config.canonical_hash():
+def _check_provenance(path: Path, config: ExperimentConfig, stored) -> None:
+    """The one rule for an upstream artifact: it records this config's hash."""
+    if stored is None:
+        raise DataError(f"{path} records no config hash; re-run the pipeline")
+    if stored != config.canonical_hash():
         raise DataError(
             f"{path} was produced by a different configuration "
-            f"(hash {stored[:12]}.. != {config.canonical_hash()[:12]}..); re-run the pipeline"
+            f"(hash {str(stored)[:12]}.. != {config.canonical_hash()[:12]}..); re-run the pipeline"
         )
 
 
@@ -160,17 +163,17 @@ def _read_split(out: Path, name: str, config: ExperimentConfig) -> TabularDatase
 
 def cmd_prepare(config: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(config.output_dir)
-    with _Outputs() as outputs:
-        if config.dataset_kind == "synthetic":
-            data = generate_synthetic(config.synthetic)
-        else:
-            data = load_csv(config.csv_path, config.schema)
-        train, validation, test = split(data, config.split_fractions, config.split_seed)
-        std = fit_standardizer(train)
+    if config.dataset_kind == "synthetic":
+        data = generate_synthetic(config.synthetic)
+    else:
+        data = load_csv(config.csv_path, config.schema)
+    train, validation, test = split(data, config.split_fractions, config.split_seed)
+    std = fit_standardizer(train)
+    with _Outputs(out) as outputs:
         for name, ds in (("train", train), ("validation", validation), ("test", test)):
-            _write_split(outputs, out / "datasets" / f"{name}.csv", apply_standardizer(std, ds), config)
+            _write_split(outputs, f"datasets/{name}.csv", apply_standardizer(std, ds), config)
         outputs.text(
-            out / "standardizer.json",
+            "standardizer.json",
             _json_text(
                 {
                     "mean": [float(v) for v in std.mean],
@@ -184,12 +187,6 @@ def cmd_prepare(config: ExperimentConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_npy(path: Path, array: np.ndarray) -> None:
-    # np.save appends ".npy" to a path that lacks it, but not to an open file.
-    with open(path, "wb") as fh:
-        np.save(fh, array, allow_pickle=False)
-
-
 def cmd_train_grid(config: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(config.output_dir)
     train = _read_split(out, "train", config)
@@ -200,9 +197,9 @@ def cmd_train_grid(config: ExperimentConfig, args: argparse.Namespace) -> int:
         for gi, hp in enumerate(config.labeller_grid)
         for epoch in range(1, hp.epochs + 1)
     ]
-    with _Outputs() as outputs:
-        outputs.via(out / "checkpoints" / "predictions.npy", lambda p: _write_npy(p, predictions))
-        outputs.text(out / "checkpoints" / "index.json", _json_text({"candidates": index, **_meta(config)}))
+    with _Outputs(out) as outputs:
+        np.save(outputs.path("checkpoints/predictions.npy"), predictions, allow_pickle=False)
+        outputs.text("checkpoints/index.json", _json_text({"candidates": index, **_meta(config)}))
     print(f"stored validation predictions of {len(index)} candidates -> {out / 'checkpoints'}")
     return EXIT_OK
 
@@ -215,22 +212,16 @@ def _parse_artifact(path: Path, what: str, parse):
         raise DataError(f"malformed {what} {path}: {type(exc).__name__}: {exc}") from None
 
 
-def _candidate_index(index: dict) -> tuple[str | None, list[tuple[HyperParams, int]]]:
-    candidates = [
-        (HyperParams.from_dict(e["hyperparams"]), check_int(e["epoch"], "epoch", 1)) for e in index["candidates"]
-    ]
-    return index.get("config_sha256"), candidates
-
-
-def _load_predictions(
-    out: Path, config: ExperimentConfig, n_rows: int
-) -> tuple[np.ndarray, list[tuple[HyperParams, int]]]:
+def _load_predictions(out: Path, config: ExperimentConfig, n_rows: int) -> tuple[np.ndarray, list[tuple[HyperParams, int]]]:
     """The stored candidate predictions and each row's (hyper-params, epoch),
-    restricted to the candidates the labelling policy admits."""
+    restricted to the candidates the labelling policy admits. index.json
+    records this config's hash, so its rows are `labeller_candidates` of this
+    config's grid; it is read for that hash only."""
     index_path = _require_artifact(out / "checkpoints" / "index.json", "train-grid")
     matrix_path = _require_artifact(out / "checkpoints" / "predictions.npy", "train-grid")
-    stored_hash, candidates = _parse_artifact(index_path, "candidate index", _candidate_index)
-    _check_provenance(index_path, config, stored_hash)
+    stored = _parse_artifact(index_path, "candidate index", lambda index: index.get("config_sha256"))
+    _check_provenance(index_path, config, stored)
+    candidates = labeller_candidates(config.labeller_grid)
     try:
         # The npy reader itself: np.load would return an archive for a .npz.
         with open(matrix_path, "rb") as fh:
@@ -261,17 +252,16 @@ def cmd_label(config: ExperimentConfig, args: argparse.Namespace) -> int:
         split=validation.split,
         sensitive=labelled.pseudo,
     )
-    meta = _meta(config)
-    with _Outputs() as outputs:
-        _write_split(outputs, out / "labelled_validation.csv", labels, config)
+    with _Outputs(out) as outputs:
+        _write_split(outputs, "labelled_validation.csv", labels, config)
         outputs.text(
-            out / "labelling.json",
+            "labelling.json",
             _json_text(
                 {
                     "by_class": {str(y): sel.to_dict() for y, sel in labelled.by_class.items()},
                     "n_candidates": len(candidates),
                     "policy": config.labelling_policy,
-                    **meta,
+                    **_meta(config),
                 }
             ),
         )
@@ -303,11 +293,8 @@ def cmd_mc_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
         )
         for i, (a, b) in enumerate(mc.grid)
     ]
-    with _Outputs() as outputs:
-        outputs.via(
-            out / "mc_sweep.csv",
-            lambda p: write_sweep_csv(p, edm_records, dp_records, meta=_meta(config)),
-        )
+    with _Outputs(out) as outputs:
+        write_sweep_csv(outputs.path("mc_sweep.csv"), edm_records, dp_records, meta=_meta(config))
     print(f"swept {len(mc.grid)} noise cells -> {out / 'mc_sweep.csv'}")
     return EXIT_OK
 
@@ -329,8 +316,8 @@ def cmd_tune(config: ExperimentConfig, args: argparse.Namespace) -> int:
             raise DataError(f"{path} does not label the rows of the validation split")
         pseudo = labelled.sensitive
     result = grid_search(train, validation, test, config.jtt, pseudo=pseudo, jobs=args.jobs)
-    with _Outputs() as outputs:
-        outputs.text(out / "tuner_result.json", _json_text({"result": result.to_dict(), **_meta(config)}))
+    with _Outputs(out) as outputs:
+        outputs.text("tuner_result.json", _json_text({"result": result.to_dict(), **_meta(config)}))
     filled = sum(1 for b in result.bins if not b.empty)
     print(f"tuned: {filled}/{len(result.bins)} bins populated -> {out / 'tuner_result.json'}")
     return EXIT_OK

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -38,22 +38,6 @@ class ConfigError(ValueError):
 
 def _fail(path: str, msg: str) -> None:
     raise ConfigError(f"{path}: {msg}")
-
-
-# The keys each config object may hold, by path: a key outside its list is
-# an error, so a typo cannot fall back to a default. HyperParams.from_dict
-# checks the keys of grid points the same way.
-_KEYS = {
-    "": ("seed", "output_dir", "dataset", "split", "labeller_grid", "labelling", "jtt", "mc_noise"),
-    "dataset": ("kind", "synthetic", "csv"),
-    "dataset.synthetic": ("blocks", "seed"),
-    "dataset.csv": ("path", "schema", "schema_path"),
-    "dataset.csv.schema": ("feature_columns", "target_column", "sensitive_column", "categorical_vocab"),
-    "split": ("fractions", "seed"),
-    "labelling": ("policy",),
-    "jtt": ("stage1_grid", "t_grid", "lambda_grid", "stage2_grid", "objective", "accuracy_bins", "sensitive_source"),
-    "mc_noise": ("grid", "n_samples", "seed", "split"),
-}
 
 
 def _section(d: Mapping, path: str) -> Mapping:
@@ -114,6 +98,23 @@ class McNoiseSection:
             raise ValueError(f"split: expected one of {MC_SPLITS}, got {self.split!r}")
 
 
+# The keys each config object may hold, by path: a key outside its list is
+# an error, so a typo cannot fall back to a default. A section that one
+# type holds whole takes that type's fields; HyperParams.from_dict checks
+# the keys of grid points the same way.
+_KEYS = {
+    "": ("seed", "output_dir", "dataset", "split", "labeller_grid", "labelling", "jtt", "mc_noise"),
+    "dataset": ("kind", "synthetic", "csv"),
+    "dataset.synthetic": tuple(f.name for f in fields(SyntheticSpec)),
+    "dataset.csv": ("path", "schema", "schema_path"),
+    "dataset.csv.schema": tuple(f.name for f in fields(DatasetSchema)),
+    "split": ("fractions", "seed"),
+    "labelling": ("policy",),
+    "jtt": tuple(f.name for f in fields(JttConfig)),
+    "mc_noise": tuple(f.name for f in fields(McNoiseSection)),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
@@ -147,12 +148,7 @@ class ExperimentConfig:
         if self.jtt is not None:
             d["jtt"] = self.jtt.to_dict()
         if self.mc_noise is not None:
-            d["mc_noise"] = {
-                "grid": [list(c) for c in self.mc_noise.grid],
-                "n_samples": self.mc_noise.n_samples,
-                "seed": self.mc_noise.seed,
-                "split": self.mc_noise.split,
-            }
+            d["mc_noise"] = asdict(self.mc_noise)
         return d
 
     def canonical_hash(self) -> str:

@@ -270,13 +270,14 @@ class DatasetSchema:
 
 def _read_columns(path: Path, names: Sequence[str]) -> dict[str, list[str]]:
     """The stripped cells of each named column of a headered CSV, in file
-    order. An empty file, a missing column, a ragged row, malformed CSV and
-    text that is not UTF-8 are DataErrors that name the file."""
+    order; a leading byte-order mark is skipped. An empty file, a missing
+    column, a ragged row, malformed CSV and text that is not UTF-8 are
+    DataErrors that name the file."""
     if not path.exists():
         raise DataError(f"no such file: {path}")
     names = tuple(dict.fromkeys(names))
     columns: tuple[list[str], ...] = tuple([] for _ in names)
-    with _utf8(path), open(path, newline="", encoding="utf-8") as fh:
+    with _utf8(path), open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

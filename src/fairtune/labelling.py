@@ -44,6 +44,12 @@ def _grid_point_predictions(ctx: tuple[TabularDataset, np.ndarray], hp: HyperPar
     return np.stack([predict(m, val_X) for m in train_erm(train, hp)])
 
 
+def labeller_candidates(grid: Sequence[HyperParams]) -> list[tuple[HyperParams, int]]:
+    """Each candidate's (hyper-params, epoch) in tie-break order: grid order,
+    then epoch order."""
+    return [(hp, epoch) for hp in grid for epoch in range(1, hp.epochs + 1)]
+
+
 def labeller_predictions(
     train: TabularDataset,
     validation: TabularDataset,
@@ -53,14 +59,14 @@ def labeller_predictions(
     """Train every grid point and predict the validation set at every epoch.
 
     Returns the int8 predictions, one row per candidate and one column per
-    validation row, and each row's (hyper-params, epoch). Rows come in grid
-    order, then epoch order, which is the tie-break order. Grid points train
-    in up to `jobs` worker processes; the result does not depend on `jobs`.
+    validation row, and each row's (hyper-params, epoch) as
+    `labeller_candidates` lists them. Grid points train in up to `jobs`
+    worker processes; the result does not depend on `jobs`.
     """
     if not grid:
         raise SelectionError("empty hyper-parameter grid")
     predictions = np.concatenate(pool_map(_grid_point_predictions, (train, validation.features), grid, jobs))
-    return predictions, [(hp, epoch) for hp in grid for epoch in range(1, hp.epochs + 1)]
+    return predictions, labeller_candidates(grid)
 
 
 EDM_BLOCK_CANDIDATES = 64  # label sets per product: 3 MB of float64 on a 6k-row class

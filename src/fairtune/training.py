@@ -12,7 +12,7 @@ from __future__ import annotations
 import ctypes
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -53,14 +53,7 @@ class HyperParams:
             object.__setattr__(self, name, check_int(getattr(self, name), name, minimum))
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "hidden_units": self.hidden_units,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "HyperParams":

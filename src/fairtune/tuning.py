@@ -21,7 +21,7 @@ reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -89,15 +89,10 @@ class JttConfig:
         object.__setattr__(self, "accuracy_bins", bins)
 
     def to_dict(self) -> dict:
-        return {
-            "stage1_grid": [hp.to_dict() for hp in self.stage1_grid],
-            "t_grid": list(self.t_grid),
-            "lambda_grid": list(self.lambda_grid),
-            "stage2_grid": [hp.to_dict() for hp in self.stage2_grid],
-            "objective": self.objective,
-            "accuracy_bins": [list(b) for b in self.accuracy_bins],
-            "sensitive_source": self.sensitive_source,
-        }
+        # The grids go through HyperParams.to_dict, which decides what a grid
+        # point stores.
+        grids = {name: [hp.to_dict() for hp in getattr(self, name)] for name in ("stage1_grid", "stage2_grid")}
+        return {**asdict(self), **grids}
 
 
 @dataclass(frozen=True)

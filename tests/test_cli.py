@@ -47,6 +47,7 @@ def test_pipeline_artifacts_exist(pipeline):
         "tuner_result.json",
     ):
         assert (out / rel).exists(), rel
+    assert list(out.rglob(".stage-*")) == []
 
 
 def test_pipeline_tuner_bins_populated(pipeline):
@@ -291,19 +292,25 @@ def test_train_grid_parallel_matches_sequential(tmp_path):
         assert (outs[0] / "checkpoints" / name).read_bytes() == (outs[1] / "checkpoints" / name).read_bytes()
 
 
+def _files(out):
+    """Every file under out and every *.tmp entry, relative to out."""
+    return sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file() or p.suffix == ".tmp")
+
+
 def test_failed_command_removes_what_it_wrote(tmp_path, monkeypatch):
     import fairtune.cli as cli
     from fairtune.data import DataError
 
     config, out = load_synthetic_config(tmp_path)
     assert main(["prepare", "--config", str(config)]) == 0
+    prepared = _files(out)
 
     def failing_json_text(payload):
         raise DataError("disk full")
 
     monkeypatch.setattr(cli, "_json_text", failing_json_text)
     assert main(["train-grid", "--config", str(config)]) == 3
-    assert list((out / "checkpoints").iterdir()) == []
+    assert _files(out) == prepared
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
@@ -319,8 +326,7 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "write_dataset", failing_write_dataset)
     assert main(["prepare", "--config", str(config)]) == 3
-    assert list(out.rglob("*.tmp")) == []
-    assert list((out / "datasets").iterdir()) == []
+    assert _files(out) == []
 
 
 def test_failed_prepare_removes_both_files_of_every_split(tmp_path, monkeypatch):
@@ -340,7 +346,72 @@ def test_failed_prepare_removes_both_files_of_every_split(tmp_path, monkeypatch)
     monkeypatch.setattr(cli, "write_dataset", write_two_then_fail)
     assert main(["prepare", "--config", str(config)]) == 3
     assert names == ["train.csv", "validation.csv", "test.csv"]
-    assert list((out / "datasets").iterdir()) == []
+    assert _files(out) == []
+
+
+def test_failed_prepare_rerun_keeps_the_previous_run(tmp_path, monkeypatch):
+    import fairtune.cli as cli
+    from fairtune.data import DataError
+
+    config, out = load_synthetic_config(tmp_path)
+    assert main(["prepare", "--config", str(config)]) == 0
+    before = {rel: (out / rel).read_bytes() for rel in _files(out)}
+    assert sorted(before) == [
+        *(f"datasets/{name}.{ext}" for name in ("test", "train", "validation") for ext in ("csv", "features.npy")),
+        "standardizer.json",
+    ]
+    real = cli.write_dataset
+    names = []
+
+    def fail_on_the_second_split(data, path, meta=None):
+        names.append(path.name)
+        if len(names) == 2:
+            raise DataError("disk full")
+        real(data, path, meta=meta)
+
+    monkeypatch.setattr(cli, "write_dataset", fail_on_the_second_split)
+    # Another seed, so a file the failed run replaced could not match by chance.
+    assert main(["prepare", "--config", str(config), "--seed", "2"]) == 3
+    assert names == ["train.csv", "validation.csv"]
+    assert {rel: (out / rel).read_bytes() for rel in _files(out)} == before
+
+
+def _drop_meta_line(key):
+    def edit(path):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not line.startswith(f"#{key}=")), encoding="utf-8")
+
+    return edit
+
+
+def _drop_json_key(key):
+    def edit(path):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload[key]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "rel, edit, command",
+    [
+        ("datasets/validation.csv", _drop_meta_line("config_sha256"), "train-grid"),
+        ("checkpoints/index.json", _drop_json_key("config_sha256"), "label"),
+        ("labelled_validation.csv", _drop_meta_line("config_sha256"), "tune"),
+    ],
+    ids=["validation-csv", "index-json", "labelled-validation"],
+)
+def test_artifact_without_a_config_hash_is_refused(pipeline, tmp_path, capsys, rel, edit, command):
+    config, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    edit(copy / rel)
+    before = {p: (copy / p).read_bytes() for p in _files(copy)}
+    assert main([command, "--config", str(config), "--out", str(copy)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: {copy / rel} records no config hash; re-run the pipeline\n"
+    assert {p: (copy / p).read_bytes() for p in _files(copy)} == before
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
@@ -437,8 +508,6 @@ def _fractional_epoch(text):
         _damage_index(lambda t: json.dumps({"candidates": [{"grid_index": 0, "epoch": 1}]})),
         _damage_index(lambda t: json.dumps({"candidates": [1, 2]})),
         _damage_index(lambda t: json.dumps([1])),
-        _damage_index(_shorten_index),
-        _damage_index(_fractional_epoch),
         _damage_matrix(lambda raw, m: raw[: len(raw) // 2]),
         _damage_matrix(lambda raw, m: b""),
         _damage_matrix(lambda raw, m: b'{"x": 1}\n'),
@@ -450,7 +519,7 @@ def _fractional_epoch(text):
     ],
     ids=[
         "index-truncated", "index-empty", "index-no-candidates", "index-entry-missing-key",
-        "index-entry-not-object", "index-not-object", "index-shorter-than-matrix", "index-epoch-fractional",
+        "index-entry-not-object", "index-not-object",
         "matrix-truncated", "matrix-empty", "matrix-not-npy", "matrix-float64",
         "matrix-short-rows", "matrix-missing-row", "matrix-1d", "npz-archive",
     ],
@@ -464,6 +533,24 @@ def test_label_damaged_grid_artifacts_are_data_errors(labeller_grid_run, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and len(err.splitlines()) == 1
     assert not (copy / "labelled_validation.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "edit", [_shorten_index, _fractional_epoch], ids=["index-shorter-than-matrix", "index-epoch-fractional"]
+)
+def test_label_reads_index_json_for_its_hash_only(labeller_grid_run, tmp_path, edit):
+    # index.json is the audit table of predictions.npy's rows; its hash says
+    # they are the candidates of this config's labeller grid.
+    config, out = labeller_grid_run
+    outputs = []
+    for name, damage in (("plain", None), ("edited", _damage_index(edit))):
+        copy = tmp_path / name
+        shutil.copytree(out, copy)
+        if damage is not None:
+            damage(copy / "checkpoints")
+        assert main(["label", "--config", str(config), "--out", str(copy)]) == 0
+        outputs.append([(copy / rel).read_bytes() for rel in ("labelled_validation.csv", "labelling.json")])
+    assert outputs[0] == outputs[1]
 
 
 def _cut_mid_row(text):

@@ -211,6 +211,22 @@ def test_load_csv_matches_the_per_cell_oracle_bit_for_bit(tmp_path):
     assert got.feature_names == want.feature_names
 
 
+def test_raw_csv_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start with a BOM, right before the
+    # first column's name ("age" here).
+    plain, schema = census_shaped(tmp_path, n=300)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    got, want = load_csv(bom, schema), load_csv(plain, schema)
+    np.testing.assert_array_equal(got.features.view(np.int64), want.features.view(np.int64))
+    for name in ("targets", "sensitive", "row_ids", "numeric_mask"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.feature_names == want.feature_names
+    columns = ["age", *ADULT_SIZES]
+    assert fit_categorical_vocab(bom, columns) == fit_categorical_vocab(plain, columns)
+
+
 @pytest.mark.parametrize(
     "column, cell",
     [("fnlwgt", "1,2"), ("hours-per-week", "12x"), ("capital-gain", "-inf"), ("native-country", "Atlantis")],
