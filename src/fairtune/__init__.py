@@ -17,10 +17,6 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Environment variables by which a user sets the BLAS thread count; when any
-# is set, neither the CLI nor pool_map changes the count.
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
 _EXPORTS = {
     "data": (
         "BlockSpec",

@@ -18,9 +18,9 @@ this config's hash. A command's outputs land in the output directory
 together, or, if it fails, none of them do. Exit codes: 0 ok, 2 config
 error, 3 data error, 4 selection failure.
 
-Unless one of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS is
-set, or numpy was loaded first, importing this module loads numpy with
-OpenBLAS on one thread, so no idle BLAS thread spins on another core.
+Unless numpy was loaded first, importing this module loads numpy with
+OpenBLAS on one thread, whatever the thread variables say, so no idle BLAS
+thread spins on another core and no output depends on a thread count.
 """
 
 from __future__ import annotations
@@ -33,19 +33,23 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import _BLAS_THREAD_VARIABLES, __version__
+from . import __version__
 
 # OpenBLAS reads its thread count once, when numpy loads it, and starts that
 # many threads, which spin for ~0.1 s of CPU during the rest of the import:
-# setting the count afterwards saves none of it. The variable is removed
-# again, so child processes and `training._set_blas_threads` see the
-# environment as the user left it.
-if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+# setting the count afterwards saves none of it. More threads would not speed
+# up fairtune's small products, and they round long ones differently. The
+# variable reads 1 for the import only, and then what the user left in it.
+if "numpy" not in sys.modules:
+    _user_threads = os.environ.get("OPENBLAS_NUM_THREADS")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy  # noqa: F401
     finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
+        if _user_threads is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = _user_threads
 
 import numpy as np
 
@@ -59,6 +63,7 @@ from .data import (
     generate_synthetic,
     load_csv,
     read_dataset,
+    read_matrix,
     split,
     write_dataset,
 )
@@ -222,17 +227,7 @@ def _load_predictions(out: Path, config: ExperimentConfig, n_rows: int) -> tuple
     stored = _parse_artifact(index_path, "candidate index", lambda index: index.get("config_sha256"))
     _check_provenance(index_path, config, stored)
     candidates = labeller_candidates(config.labeller_grid)
-    try:
-        # The npy reader itself: np.load would return an archive for a .npz.
-        with open(matrix_path, "rb") as fh:
-            predictions = np.lib.format.read_array(fh, allow_pickle=False)
-    except (OSError, ValueError, EOFError) as exc:
-        raise DataError(f"malformed prediction matrix {matrix_path}: {type(exc).__name__}: {exc}") from None
-    if predictions.dtype != np.int8 or predictions.shape != (len(candidates), n_rows):
-        raise DataError(
-            f"{matrix_path} holds {predictions.dtype} {predictions.shape}, expected int8 "
-            f"({len(candidates)}, {n_rows}) for {len(candidates)} candidates and {n_rows} validation rows"
-        )
+    predictions = read_matrix(matrix_path, np.int8, (len(candidates), n_rows))
     if config.labelling_policy == "final_epoch":
         keep = [i for i, (hp, epoch) in enumerate(candidates) if epoch == hp.epochs]
         predictions, candidates = predictions[keep], [candidates[i] for i in keep]

@@ -15,7 +15,7 @@ import math
 import numbers
 import operator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -87,20 +87,20 @@ def check_fractions(fractions) -> tuple[float, float, float]:
     return values
 
 
+def check_binary(values, what: str) -> np.ndarray:
+    """`values` as a new one-dimensional int8 array of 0s and 1s."""
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise DataError(f"{what} must be one-dimensional")
+    if not np.isin(values, (0, 1)).all():
+        raise DataError(f"{what} values must be 0 or 1")
+    return values.astype(np.int8)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
-
-
-def _check_binary(values: np.ndarray, what: str) -> np.ndarray:
-    values = np.asarray(values)
-    if values.ndim != 1:
-        raise DataError(f"{what} must be one-dimensional")
-    out = values.astype(np.int8, copy=True)
-    if not np.array_equal(out, values) or not np.isin(out, (0, 1)).all():
-        raise DataError(f"{what} values must be exactly 0 or 1")
-    return out
 
 
 @contextmanager
@@ -134,7 +134,7 @@ class TabularDataset:
         if feats.ndim != 2:
             raise DataError("features must be a 2-d matrix")
         n = feats.shape[0]
-        targets = _check_binary(self.targets, "target")
+        targets = check_binary(self.targets, "target")
         row_ids = np.asarray(self.row_ids, dtype=np.int64)
         if row_ids.ndim != 1:
             raise DataError("row_ids must be one-dimensional")
@@ -149,7 +149,7 @@ class TabularDataset:
             raise DataError(f"unknown split tag {self.split!r}")
         sensitive = self.sensitive
         if sensitive is not None:
-            sensitive = _check_binary(sensitive, "sensitive")
+            sensitive = check_binary(sensitive, "sensitive")
             if len(sensitive) != n:
                 raise DataError(
                     f"length mismatch: {n} rows but {len(sensitive)} sensitive values"
@@ -184,14 +184,13 @@ class TabularDataset:
     def take(self, indices: np.ndarray, split: str | None = None) -> "TabularDataset":
         """New dataset consisting of the given positional rows, ids preserved."""
         indices = np.asarray(indices)
-        return TabularDataset(
+        return replace(
+            self,
             features=self.features[indices],
             targets=self.targets[indices],
             row_ids=self.row_ids[indices],
             split=self.split if split is None else split,
             sensitive=None if self.sensitive is None else self.sensitive[indices],
-            feature_names=self.feature_names,
-            numeric_mask=self.numeric_mask,
         )
 
 
@@ -405,16 +404,7 @@ def apply_standardizer(std: Standardizer, data: TabularDataset) -> TabularDatase
             f"standardizer fitted on {std.mean.shape[0]} columns, dataset has {data.n_features}"
         )
     denom = np.where(std.scale == 0.0, 1.0, std.scale)
-    out = (data.features - std.mean) / denom
-    return TabularDataset(
-        features=out,
-        targets=data.targets,
-        row_ids=data.row_ids,
-        split=data.split,
-        sensitive=data.sensitive,
-        feature_names=data.feature_names,
-        numeric_mask=data.numeric_mask,
-    )
+    return replace(data, features=(data.features - std.mean) / denom)
 
 
 def split(
@@ -578,12 +568,18 @@ def write_dataset(data: TabularDataset, path: str | Path, meta: Mapping[str, str
         )
     sens = [""] * data.n_rows if data.sensitive is None else data.sensitive.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(f"#{key}={meta[key]}\n" for key in sorted(meta))
+        write_meta_lines(fh, meta)
         fh.write(",".join(_RESERVED) + "\n")
         fh.writelines(
             f"{row_id},{target},{s},{data.split}\n"
             for row_id, target, s in zip(data.row_ids.tolist(), data.targets.tolist(), sens)
         )
+
+
+def write_meta_lines(fh, meta: Mapping[str, str]) -> None:
+    """Write `meta` as the leading '#key=value' lines, in key order, that
+    _meta_lines reads back."""
+    fh.writelines(f"#{key}={meta[key]}\n" for key in sorted(meta))
 
 
 def _meta_lines(lines) -> dict[str, str]:
@@ -655,6 +651,20 @@ def _scan_dataset(path: Path) -> tuple[dict[str, str], dict]:
     return meta, reserved
 
 
+def read_matrix(path: Path, dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """The array of an .npy file that must hold `dtype` values in `shape`;
+    any other file (an .npz archive, a cut file) is a DataError naming it."""
+    try:
+        # The npy reader itself: np.load would return an archive for a .npz.
+        with open(path, "rb") as fh:
+            array = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise DataError(f"{path}: not a readable .npy file ({type(exc).__name__}: {exc})") from None
+    if array.dtype != dtype or array.shape != shape:
+        raise DataError(f"{path}: holds {array.dtype} {array.shape}, expected {np.dtype(dtype)} {shape}")
+    return array
+
+
 def read_dataset(path: str | Path) -> TabularDataset:
     """Read canonical dataset files back; inverse of write_dataset."""
     path = Path(path)
@@ -667,15 +677,9 @@ def read_dataset(path: str | Path) -> TabularDataset:
         matrix = path.with_name(meta["features_file"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed features metadata ({type(exc).__name__}: {exc})") from None
-    try:
-        with open(matrix, "rb") as fh:
-            features = np.lib.format.read_array(fh, allow_pickle=False)
-    except FileNotFoundError:
-        raise DataError(f"{matrix}: missing, but {path.name} records it (re-run 'prepare')") from None
-    except (OSError, ValueError) as exc:
-        raise DataError(f"{matrix}: not a readable .npy file ({type(exc).__name__}: {exc})") from None
-    if features.dtype != np.float64 or features.shape != (n, len(names)):
-        raise DataError(f"{matrix}: holds {features.dtype} {features.shape}, expected float64 {(n, len(names))}")
+    if not matrix.exists():
+        raise DataError(f"{matrix}: missing, but {path.name} records it (re-run 'prepare')")
+    features = read_matrix(matrix, np.float64, (n, len(names)))
     if hashlib.sha256(np.ascontiguousarray(features)).hexdigest() != meta.get("features_sha256"):
         raise DataError(f"{matrix}: sha256 differs from the one {path.name} records (from another 'prepare'?)")
     return TabularDataset(features=features, feature_names=names, **reserved)

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import TabularDataset
+from .data import TabularDataset, check_binary
 from .training import ModelParams, predict
 
 SUBGROUPS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -26,15 +26,6 @@ METRIC_NAMES = ("dp_gap", "eo_gap", "wga")
 
 class EmptyGroupError(ValueError):
     """A metric's conditioning group has no rows."""
-
-
-def _binary(values, what: str) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"{what} must be one-dimensional")
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError(f"{what} values must be 0 or 1")
-    return arr.astype(np.int8)
 
 
 def _zeros_for(values) -> np.ndarray:
@@ -119,7 +110,7 @@ def pseudo_label_quality(pseudo, truth, targets) -> PseudoLabelQuality:
     (classes without rows are omitted). `by_class` holds each target class's
     contamination rates.
     """
-    n = confusion_counts(_binary(pseudo, "pseudo"), targets, _binary(truth, "truth"))  # n[y, true a, pseudo a]
+    n = confusion_counts(check_binary(pseudo, "pseudo"), targets, check_binary(truth, "truth"))  # n[y, true a, pseudo a]
     if not n.any():
         raise EmptyGroupError("no rows")
     per: dict[tuple[int, int], SubgroupPRF] = {}
@@ -197,7 +188,7 @@ class FairnessReport:
 def confusion_counts(predictions, targets, sensitive) -> np.ndarray:
     """Row counts n[y, a, yhat] of every (target, sensitive, prediction) cell."""
     preds, targ, sens = (
-        _binary(predictions, "predictions"), _binary(targets, "targets"), _binary(sensitive, "sensitive")
+        check_binary(predictions, "predictions"), check_binary(targets, "targets"), check_binary(sensitive, "sensitive")
     )
     lengths = {len(preds), len(targ), len(sens)}
     if len(lengths) != 1:

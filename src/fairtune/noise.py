@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import DataError, check_float, check_int
+from .data import DataError, check_float, check_int, write_meta_lines
 from .labelling import edm
 from .metrics import EmptyGroupError
 from .training import HyperParams, ModelParams, predict
@@ -187,28 +187,23 @@ def verify_proportionality(
         raise EmptyGroupError("source groups must be nonempty")
     pred_maj = predict(classifier, X_maj).astype(np.float64)
     pred_min = predict(classifier, X_min).astype(np.float64)
-    dp_true = float(pred_maj.mean() - pred_min.mean())
-
-    # Mixing each group's predictions as one-column rows draws what mixing
-    # its feature rows would, without copying n_samples feature rows.
     rng = np.random.default_rng(spec.seed)
-    mixed = mix_groups(pred_maj[:, None], pred_min[:, None], spec, (n_samples, n_samples), rng=rng)
-    dp_noisy = float(mixed.majority[:, 0].mean() - mixed.minority[:, 0].mean())
 
+    def gaps(maj: np.ndarray, mino: np.ndarray, rates: NoiseSpec) -> tuple[float, float]:
+        """The true and the noisy gap in mean prediction. Mixing each group's
+        predictions as one-column rows draws what mixing its feature rows
+        would, without copying n_samples feature rows."""
+        mixed = mix_groups(maj[:, None], mino[:, None], rates, (n_samples, n_samples), rng=rng)
+        return float(maj.mean() - mino.mean()), float(mixed.majority[:, 0].mean() - mixed.minority[:, 0].mean())
+
+    dp_true, dp_noisy = gaps(pred_maj, pred_min, spec)
     # EO: restrict the sources to target 1, then mix with the class-1 rates.
     alpha_1, beta_1 = spec.class_1_rates()
     pos_maj = np.flatnonzero(y_maj == 1)
     pos_min = np.flatnonzero(y_min == 1)
     if len(pos_maj) == 0 or len(pos_min) == 0:
         raise EmptyGroupError("both groups need rows with target 1 for the EO check")
-    tpr_maj = pred_maj[pos_maj]
-    tpr_min = pred_min[pos_min]
-    eo_true = float(tpr_maj.mean() - tpr_min.mean())
-    mixed = mix_groups(
-        tpr_maj[:, None], tpr_min[:, None], NoiseSpec(alpha=alpha_1, beta=beta_1), (n_samples, n_samples), rng=rng
-    )
-    eo_noisy = float(mixed.majority[:, 0].mean() - mixed.minority[:, 0].mean())
-
+    eo_true, eo_noisy = gaps(pred_maj[pos_maj], pred_min[pos_min], NoiseSpec(alpha=alpha_1, beta=beta_1))
     return ProportionalityRecord(
         alpha=spec.alpha,
         beta=spec.beta,
@@ -314,9 +309,7 @@ def write_sweep_csv(
     each draw on its own row. csv writes a float as its repr and None (a
     ratio with a vanishing denominator) as a blank cell."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if meta:
-            for key in sorted(meta):
-                fh.write(f"#{key}={meta[key]}\n")
+        write_meta_lines(fh, meta or {})
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_SWEEP_COLUMNS)
         for rec, dp in zip(edm_records, dp_records, strict=True):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import ctypes
 import json
-import os
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -19,7 +18,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import _BLAS_THREAD_VARIABLES
 from .data import TabularDataset, check_float, check_int
 
 
@@ -267,11 +265,10 @@ def _train_loop(
     into a buffer reused across steps, so the set is never materialized.
     """
     n_all, d = X.shape
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.size and (rows.min() < 0 or rows.max() >= n_all):
-            raise TrainingError(f"row positions outside 0..{n_all - 1}")
-    n = n_all if rows is None else len(rows)
+    rows = np.arange(n_all) if rows is None else np.asarray(rows, dtype=np.intp)
+    if rows.size and (rows.min() < 0 or rows.max() >= n_all):
+        raise TrainingError(f"row positions outside 0..{n_all - 1}")
+    n = len(rows)
     model = init_params(hp, d)
     tensors = tuple(t.copy() for t in model.tensors)
     is_mlp = model.is_mlp
@@ -281,9 +278,7 @@ def _train_loop(
     workspace = _hidden_workspace(m, d, hp.hidden_units) if is_mlp else None
     checkpoints: list[ModelParams] = []
     for epoch in range(hp.epochs):
-        order = np.random.default_rng(hp.seed + epoch).permutation(n)
-        if rows is not None:
-            order = rows[order]
+        order = rows[np.random.default_rng(hp.seed + epoch).permutation(n)]
         for bi, start in enumerate(range(0, n, hp.batch_size)):
             idx = order[start : start + hp.batch_size]
             # Positions are in range, so "clip" only skips numpy's buffered check.
@@ -343,11 +338,9 @@ def _openblas_thread_functions() -> tuple[Callable[[], int], Callable[[int], Non
 
 def _set_blas_threads(count: int) -> int | None:
     """Set the OpenBLAS thread count and return the previous one; None, with
-    nothing set, when the user chose a count or there is no OpenBLAS. An
-    unchanged count is not set again: after a fork, any set restarts
-    OpenBLAS's thread pool, whose new threads spin for ~0.1 s of CPU each."""
-    if any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
-        return None
+    nothing set, when there is no OpenBLAS. An unchanged count is not set
+    again: after a fork, any set restarts OpenBLAS's thread pool, whose new
+    threads spin for ~0.1 s of CPU each."""
     functions = _openblas_thread_functions()
     if functions is None:
         return None
@@ -379,13 +372,14 @@ def pool_map(fn: Callable, ctx: object, items: Sequence, jobs: int) -> list:
     the calls run in min(jobs, len(items)) worker processes (fn must then be
     module-level).
 
-    Every call runs with BLAS on one thread (`_set_blas_threads`): a training
-    step's GEMMs are too small for more threads to help, and idle BLAS
-    threads spin on the other cores. The caller is set to one thread first
-    and forked workers inherit it; _pool_init sets it in workers that were
-    not forked. The in-process loop then restores the previous count. After
-    workers were forked the caller keeps one thread, because a set call
-    after a fork restarts OpenBLAS's thread pool, whose new threads spin."""
+    Every call runs with BLAS on one thread (`_set_blas_threads`), whatever
+    the environment says: a training step's GEMMs are too small for more
+    threads to help, and idle BLAS threads spin on the other cores. The
+    caller is set to one thread first and forked workers inherit it;
+    _pool_init sets it in workers that were not forked. The in-process loop
+    then restores the previous count; after a fork the caller keeps one
+    thread, since a set call would restart OpenBLAS's spinning thread pool.
+    A dead worker (killed, or out of memory) is a TrainingError."""
     previous = _set_blas_threads(1)
     if jobs <= 1 or len(items) <= 1:
         try:
@@ -395,10 +389,13 @@ def pool_map(fn: Callable, ctx: object, items: Sequence, jobs: int) -> list:
                 _set_blas_threads(previous)
     # Imported here: loading the pool pulls in multiprocessing, which a call
     # that does not fork never needs.
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items)), initializer=_pool_init, initargs=(fn, ctx)) as pool:
-        return list(pool.map(_pool_call, items, chunksize=1))
+    try:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(items)), initializer=_pool_init, initargs=(fn, ctx)) as pool:
+            return list(pool.map(_pool_call, items, chunksize=1))
+    except BrokenProcessPool:
+        raise TrainingError("a worker process ended abruptly (killed, or out of memory?)") from None
 
 
 def check_trainable(train: TabularDataset) -> None:

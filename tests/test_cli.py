@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import re
 import shutil
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from fairtune.cli import main, render_table
+from fairtune.labelling import _grid_point_predictions
 from fairtune.tuning import TunerResult
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -376,6 +378,29 @@ def test_failed_prepare_rerun_keeps_the_previous_run(tmp_path, monkeypatch):
     assert {rel: (out / rel).read_bytes() for rel in _files(out)} == before
 
 
+_TEST_PROCESS = os.getpid()
+
+
+def _die_on_the_second_grid_point(ctx, hp):
+    # A worker process only: the test process must survive to check the exit.
+    if hp.learning_rate == 0.01 and os.getpid() != _TEST_PROCESS:
+        os._exit(9)
+    return _grid_point_predictions(ctx, hp)
+
+
+def test_a_dead_worker_is_a_one_line_data_error(tmp_path, capsys, monkeypatch):
+    import fairtune.labelling as labelling
+
+    config, out = load_synthetic_config(tmp_path)
+    assert main(["prepare", "--config", str(config)]) == 0
+    prepared = _files(out)
+    # Forked workers inherit the patch.
+    monkeypatch.setattr(labelling, "_grid_point_predictions", _die_on_the_second_grid_point)
+    assert main(["train-grid", "--config", str(config), "--jobs", "2"]) == 3
+    assert capsys.readouterr().err == "data error: a worker process ended abruptly (killed, or out of memory?)\n"
+    assert _files(out) == prepared
+
+
 def _drop_meta_line(key):
     def edit(path):
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -533,6 +558,17 @@ def test_label_damaged_grid_artifacts_are_data_errors(labeller_grid_run, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and len(err.splitlines()) == 1
     assert not (copy / "labelled_validation.csv").exists()
+
+
+def test_label_names_the_dtype_a_prediction_matrix_holds(labeller_grid_run, tmp_path, capsys):
+    config, out = labeller_grid_run
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    matrix = copy / "checkpoints" / "predictions.npy"
+    shape = np.load(matrix).shape
+    np.save(matrix, np.load(matrix).astype(np.float64))
+    assert main(["label", "--config", str(config), "--out", str(copy)]) == 3
+    assert capsys.readouterr().err == f"data error: {matrix}: holds float64 {shape}, expected int8 {shape}\n"
 
 
 @pytest.mark.parametrize(

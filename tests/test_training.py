@@ -12,7 +12,6 @@ import fairtune
 import fairtune.training as training
 from fairtune.data import TabularDataset
 from fairtune.training import (
-    _BLAS_THREAD_VARIABLES,
     HyperParams,
     ModelParams,
     TrainingError,
@@ -35,6 +34,10 @@ from fairtune.training import (
 )
 
 from reference import bce_with_logits, models_equal, regularized_loss, unblocked_logits
+
+# The environment variables that set a BLAS thread count; fairtune runs on one
+# thread whatever they say, and the tests below start with none of them set.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def dataset(X, y, split="train"):
@@ -587,17 +590,12 @@ print(json.dumps([count(None, 0), pool_map(count, None, [0], jobs=1), pool_map(c
 
 
 @needs_openblas
-def test_a_thread_count_the_user_set_is_left_alone():
-    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
-    env["OPENBLAS_NUM_THREADS"] = "2"
-    src = str(Path(fairtune.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _REPORT_THREADS], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    start, in_process, workers = json.loads(proc.stdout)
-    # OpenBLAS caps the variable at the CPUs this process may run on.
+def test_a_thread_count_the_user_set_is_overridden():
+    start, in_process, workers = _run_fresh(_REPORT_THREADS, OPENBLAS_NUM_THREADS="2")
+    # numpy loaded before fairtune.cli, so OpenBLAS started on the user's
+    # count, capped at the CPUs this process may run on.
     assert start == min(2, len(os.sched_getaffinity(0)))
-    assert in_process == [start] and workers == [start, start]
+    assert in_process == [1] and workers == [1, 1]
 
 
 def _train_with_thread_count(ctx, hp):
@@ -625,7 +623,7 @@ def test_one_blas_thread_leaves_training_bit_identical(blas_threads):
 
 # ---------------------------------------------------------------------------
 # Importing the package loads no numpy; importing the CLI starts OpenBLAS on
-# one thread unless the user chose a count or numpy was loaded first.
+# one thread, whatever the environment says, unless numpy was loaded first.
 # ---------------------------------------------------------------------------
 
 def _run_fresh(code, *args, **variables):
@@ -686,12 +684,32 @@ def test_importing_the_cli_starts_openblas_on_one_thread_and_leaves_the_environm
 
 
 @needs_openblas
-def test_importing_the_cli_leaves_a_thread_count_the_user_set():
-    counts, _, environ_kept = _run_fresh(_CLI_IMPORT, OPENBLAS_NUM_THREADS="2")
-    assert counts == [min(2, len(os.sched_getaffinity(0)))] and environ_kept
+def test_importing_the_cli_overrides_a_thread_count_the_user_set():
+    counts, threads, environ_kept = _run_fresh(_CLI_IMPORT, OPENBLAS_NUM_THREADS="2")
+    assert counts == [1] and threads == 1 and environ_kept
 
 
 @needs_openblas
 def test_importing_the_cli_after_numpy_leaves_the_thread_count():
     counts, _, environ_kept = _run_fresh(_CLI_IMPORT, "numpy-first")
     assert len(counts) == 2 and counts[1] == counts[0] and environ_kept
+
+
+_STEP2_SCORES = """
+import json
+import fairtune.cli
+import numpy as np
+from fairtune.labelling import score_labels_by_class
+rng = np.random.default_rng(3)
+features = rng.normal(size=(1000, 104))
+label_sets = rng.integers(0, 2, (64, 1000)).astype(np.int8)
+scores = score_labels_by_class(label_sets, features, np.ones(1000, dtype=np.int8))
+print(json.dumps([scores[y].tobytes().hex() for y in (0, 1)]))
+"""
+
+
+@needs_openblas
+def test_step2_scores_do_not_depend_on_a_thread_count_the_user_set():
+    # Every row is in class 1, so each product sums over 1,000 rows: at that
+    # length two OpenBLAS threads round differently from one.
+    assert _run_fresh(_STEP2_SCORES, OPENBLAS_NUM_THREADS="2") == _run_fresh(_STEP2_SCORES)

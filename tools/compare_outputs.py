@@ -2,15 +2,16 @@
 
     python tools/compare_outputs.py BASE_REV
 
-BASE_REV is checked out with `git worktree add` in a temporary directory,
-which is removed at the end. On that checkout and on this working tree, the
-script runs prepare -> train-grid -> label -> mc-sweep -> tune, skipping a
-command whose config section (`mc_noise`, `jtt`) is absent, and then
-`report` as a table and as JSON. It does so for configs/synthetic.json and
-for the `tune`, `label` and `pipeline_small` configs of
-perfbench/workloads.py at seed 1, each at --jobs 1 and --jobs 2. Both trees
-run here, in this interpreter, so BLAS differences between machines cannot
-show up as differences.
+BASE_REV's `src/` is extracted with `git archive` into a temporary
+directory, which is removed at the end. With that tree and with this working
+tree, the script runs prepare -> train-grid -> label -> mc-sweep -> tune,
+skipping a command whose config section (`mc_noise`, `jtt`) is absent, and
+then `report` as a table and as JSON. It does so for configs/synthetic.json
+and for the `tune`, `label` and `pipeline_small` configs of
+perfbench/workloads.py at seed 1, each three times: at --jobs 1, at --jobs 2,
+and at --jobs 1 with OPENBLAS_NUM_THREADS=2 exported (no thread variable is
+set for the other two). Both trees run here, in this interpreter, so BLAS
+differences between machines cannot show up as differences.
 
 Every one of those outputs is computed from thresholded predictions, so a
 change in the last bits of training reaches them only once it flips a
@@ -18,10 +19,14 @@ prediction. The --jobs 1 run therefore also stores `labeller_params.npy`:
 every epoch checkpoint's parameters of every labeller grid point, trained
 with `fairtune.train_erm` on that run's own `datasets/train.csv`.
 
-It prints one line per file: `same`, `differs`, `only in base` or `only in
-head`. It exits 1 if a command fails, or if a file differs (or exists in one
-tree only) that no `Outputs changed:` sentence of the newest CHANGES.md
-entry names in backquotes, by its path inside --out or by its file name.
+It prints one line per file of the --jobs 1 and --jobs 2 runs: `same`,
+`differs`, `only in base` or `only in head`. Inside each tree it then
+compares the --jobs 2 and the two-thread outputs with the --jobs 1 outputs
+(all but `labeller_params.npy`), and prints each file that differs. It exits
+1 if a command fails, if a file differs inside head, or if a file differs
+between the trees (or exists in one only) that no `Outputs changed:`
+sentence of the newest CHANGES.md entry names in backquotes, by its path
+inside --out or by its file name. A difference inside base is only printed.
 """
 
 from __future__ import annotations
@@ -40,7 +45,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 SEED = 1
-JOBS = ("1", "2")
+# Run name -> (--jobs, thread variables exported); `jobs1` is the reference.
+RUNS = {"jobs1": ("1", {}), "jobs2": ("2", {}), "blas2": ("1", {"OPENBLAS_NUM_THREADS": "2"})}
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CHAIN = ("prepare", "train-grid", "label", "mc-sweep", "tune")
 NEEDS = {"mc-sweep": "mc_noise", "tune": "jtt"}
 PARAMS_PROBE = """
@@ -63,15 +70,17 @@ def configs() -> dict[str, dict]:
     return cases
 
 
-def run_case(src: Path, raw: dict, jobs: str, where: Path) -> list[str]:
+def run_case(src: Path, raw: dict, run: str, where: Path) -> list[str]:
     """Run the chain and `report` with fairtune from `src` into `where`,
-    and at the first --jobs value the parameter probe; returns a line per
-    failed command."""
+    and in the `jobs1` run the parameter probe; returns a line per failed
+    command."""
     where.mkdir(parents=True)
     config = where / "config.json"
     config.write_text(json.dumps(raw), encoding="utf-8")
     out = where / "out"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    jobs, threads = RUNS[run]
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env.update(threads, PYTHONPATH=str(src))
     runs = [
         ["-m", "fairtune.cli", cmd, "--config", str(config), "--out", str(out), "--jobs", jobs]
         for cmd in CHAIN
@@ -79,7 +88,7 @@ def run_case(src: Path, raw: dict, jobs: str, where: Path) -> list[str]:
     ]
     if "jtt" in raw:
         runs += [["-m", "fairtune.cli", "report", str(out / "tuner_result.json"), "--format", f] for f in ("table", "json")]
-    if jobs == JOBS[0]:
+    if run == "jobs1":
         runs.append(["-c", PARAMS_PROBE, str(config), str(out / "datasets" / "train.csv"), "labeller_params.npy"])
     failures = []
     for args in runs:
@@ -117,38 +126,53 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     named = named_changes(ROOT / "CHANGES.md")
-    unexplained = failed = 0
+    unexplained = inside_head = failed = 0
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
-        base = Path(tmp) / "base"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet", str(base), argv[0]], check=True)
-        try:
-            for case, raw in configs().items():
-                for jobs in JOBS:
-                    tag = f"{case}-jobs{jobs}"
-                    trees = {}
-                    for tree, src in (("base", base / "src"), ("head", ROOT / "src")):
-                        where = Path(tmp) / tree / tag
-                        for failure in run_case(src, raw, jobs, where):
-                            print(f"FAILED      {tag} ({tree}) {failure}")
-                            failed += 1
-                        trees[tree] = files(where)
-                    for rel in sorted(trees["base"].keys() | trees["head"].keys()):
-                        old, new = trees["base"].get(rel), trees["head"].get(rel)
-                        if old == new:
-                            status = "same"
+        archive = Path(tmp) / "base.tar"
+        subprocess.run(["git", "-C", str(ROOT), "archive", "--prefix=base/", "-o", str(archive), argv[0], "src"], check=True)
+        subprocess.run(["tar", "-xf", str(archive), "-C", tmp], check=True)
+        trees = {"base": Path(tmp) / "base" / "src", "head": ROOT / "src"}
+        for case, raw in configs().items():
+            outputs = {}
+            for run in RUNS:
+                for tree, src in trees.items():
+                    where = Path(tmp) / tree / f"{case}-{run}"
+                    for failure in run_case(src, raw, run, where):
+                        print(f"FAILED      {case}-{run} ({tree}) {failure}")
+                        failed += 1
+                    outputs[tree, run] = files(where)
+            for run in ("jobs1", "jobs2"):
+                old_files, new_files = outputs["base", run], outputs["head", run]
+                for rel in sorted(old_files.keys() | new_files.keys()):
+                    old, new = old_files.get(rel), new_files.get(rel)
+                    if old == new:
+                        status = "same"
+                    else:
+                        status = "differs" if old is not None and new is not None else (
+                            "only in base" if new is None else "only in head"
+                        )
+                        if rel in named or Path(rel).name in named:
+                            status += " (named)"
                         else:
-                            status = "differs" if old is not None and new is not None else (
-                                "only in base" if new is None else "only in head"
-                            )
-                            if rel in named or Path(rel).name in named:
-                                status += " (named)"
-                            else:
-                                unexplained += 1
-                        print(f"{status:<12} {tag}/{rel}")
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base)], check=False)
-    print(f"{unexplained} unexplained difference(s), {failed} failed command(s)")
-    return 1 if unexplained or failed else 0
+                            unexplained += 1
+                    print(f"{status:<12} {case}-{run}/{rel}")
+            for tree in trees:
+                reference = outputs[tree, "jobs1"]
+                for run in ("jobs2", "blas2"):
+                    other = outputs[tree, run]
+                    differing = [
+                        rel
+                        for rel in sorted((reference.keys() | other.keys()) - {"labeller_params.npy"})
+                        if reference.get(rel) != other.get(rel)
+                    ]
+                    for rel in differing:
+                        print(f"{'differs':<12} {case}-{run}/{rel} from {case}-jobs1, inside {tree}")
+                    if tree == "head":
+                        inside_head += len(differing)
+                    if not differing:
+                        print(f"{'same':<12} {case}-{run} as {case}-jobs1, inside {tree}")
+    print(f"{unexplained} unexplained difference(s), {inside_head} inside head, {failed} failed command(s)")
+    return 1 if unexplained or inside_head or failed else 0
 
 
 if __name__ == "__main__":
