@@ -143,7 +143,9 @@ class TabularDataset:
                 f"length mismatch: {n} feature rows, {len(targets)} targets, "
                 f"{len(row_ids)} row_ids"
             )
-        if len(np.unique(row_ids)) != n:
+        # A sorted copy, not np.unique, whose first call imports numpy.ma.
+        ordered = np.sort(row_ids)
+        if (ordered[1:] == ordered[:-1]).any():
             raise DataError("row_ids must be unique")
         if self.split not in SPLIT_TAGS:
             raise DataError(f"unknown split tag {self.split!r}")

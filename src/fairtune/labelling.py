@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import TabularDataset
 from .metrics import EmptyGroupError
-from .training import HyperParams, block_stops, pool_map, predict, train_erm
+from .training import HyperParams, block_stops, one_blas_thread, pool_map, predict, train_erm
 
 
 class SelectionError(RuntimeError):
@@ -72,12 +72,15 @@ def labeller_predictions(
 EDM_BLOCK_CANDIDATES = 64  # label sets per product: 3 MB of float64 on a 6k-row class
 
 
+@one_blas_thread()
 def score_labels_by_class(label_sets: np.ndarray, features: np.ndarray, targets: np.ndarray) -> dict[int, np.ndarray]:
     """EDM score of each 0/1 pseudo-label set (one row per candidate) on each
     target class, from the class's feature sums: one product per block of
     EDM_BLOCK_CANDIDATES label sets gives the correct rows' sums, and the
     incorrect rows' are the class total minus them. NaN marks a skipped
-    candidate, whose correct or incorrect set is empty on that class."""
+    candidate, whose correct or incorrect set is empty on that class. The
+    products run on one BLAS thread, as training does, so the scores do not
+    depend on the caller's thread count."""
     label_sets = np.asarray(label_sets)
     features = np.asarray(features, dtype=np.float64)
     scores = {y: np.empty(len(label_sets)) for y in (0, 1)}

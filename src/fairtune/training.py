@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -104,12 +106,10 @@ class ModelParams:
 
 
 def _expit(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so no
+    exp overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def init_params(hp: HyperParams, feature_dim: int) -> ModelParams:
@@ -203,59 +203,53 @@ def predict(model: ModelParams, data) -> np.ndarray:
     return (logits(model, _features_of(data)) >= 0.0).astype(np.int8)
 
 
-def _hidden_workspace(m: int, d: int, h: int) -> tuple[np.ndarray, ...]:
-    """Hidden-layer step buffers for batches of up to m rows: z1, the ReLU
-    output and dz1 (m x h each), and gw1 (d x h)."""
-    return (np.empty((m, h)), np.empty((m, h)), np.empty((m, h)), np.empty((d, h)))
-
-
 def _gradients(
-    tensors: tuple[np.ndarray, ...],
-    is_mlp: bool,
-    X: np.ndarray,
-    y: np.ndarray,
-    weight_decay: float,
-    workspace: tuple[np.ndarray, ...] | None = None,
-) -> tuple[np.ndarray, ...]:
-    """Gradients of one batch. The hidden-layer step writes its intermediates
-    and gw1 into `workspace` (from `_hidden_workspace`, at least X.shape[0]
-    rows); the returned gw1 is then that buffer, valid until the next call."""
+    tensors: tuple[np.ndarray, ...], is_mlp: bool, X: np.ndarray, y: np.ndarray, weight_decay: float,
+    grads: tuple[np.ndarray, ...], workspace: np.ndarray,
+) -> None:
+    """Write the gradients of one batch into `grads`, one array per tensor.
+    The linear model is the output layer alone, on X. The hidden layer keeps
+    z1, its ReLU output and dz1 in `workspace`, a (3, >= X.shape[0], h) buffer."""
     m = X.shape[0]
-    if not is_mlp:
-        w, b = tensors
-        z = X @ w + b
-        dz = (_expit(z) - y) / m
-        return (X.T @ dz + 2.0 * weight_decay * w, np.asarray(dz.sum()))
-    w1, b1, w2, b2 = tensors
-    if workspace is None:
-        workspace = _hidden_workspace(m, *w1.shape)
-    z1, hidden, dz1, gw1 = workspace
-    z1, hidden, dz1 = z1[:m], hidden[:m], dz1[:m]
-    np.matmul(X, w1, out=z1)
-    z1 += b1
-    np.maximum(z1, 0.0, out=hidden)
-    z = hidden @ w2 + b2
-    dz = (_expit(z) - y) / m
-    gw2 = hidden.T @ dz + 2.0 * weight_decay * w2
-    gb2 = np.asarray(dz.sum())
-    np.multiply.outer(dz, w2, out=dz1)
-    dz1 *= z1 > 0.0
-    np.matmul(X.T, dz1, out=gw1)
-    gw1 += 2.0 * weight_decay * w1
-    gb1 = dz1.sum(axis=0)
-    return (gw1, gb1, gw2, gb2)
+    decay = 2.0 * weight_decay
+    (w2, b2), (gw2, gb2) = tensors[-2:], grads[-2:]
+    hidden = X
+    if is_mlp:
+        (w1, b1), (gw1, gb1) = tensors[:2], grads[:2]
+        z1, hidden, dz1 = workspace[:, :m]
+        np.matmul(X, w1, out=z1)
+        z1 += b1
+        np.maximum(z1, 0.0, out=hidden)
+    dz = (_expit(hidden @ w2 + b2) - y) / m
+    np.matmul(hidden.T, dz, out=gw2)
+    gw2 += decay * w2
+    gb2[...] = dz.sum()
+    if is_mlp:
+        np.multiply.outer(dz, w2, out=dz1)
+        dz1 *= z1 > 0.0
+        np.matmul(X.T, dz1, out=gw1)
+        gw1 += decay * w1
+        dz1.sum(axis=0, out=gb1)
 
 
 def gradients(model: ModelParams, X: np.ndarray, y: np.ndarray, weight_decay: float) -> tuple[np.ndarray, ...]:
     """Analytic gradient, w.r.t. each model tensor, of the training loss: mean
     binary cross-entropy plus weight_decay times the sum of squared weights
     (biases excluded)."""
-    return _gradients(model.tensors, model.is_mlp, np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64), weight_decay)
+    X = np.asarray(X, dtype=np.float64)
+    grads = tuple(np.empty_like(t) for t in model.tensors)
+    workspace = np.empty((3, X.shape[0], model.hidden_units))
+    _gradients(model.tensors, model.is_mlp, X, np.asarray(y, dtype=np.float64), weight_decay, grads, workspace)
+    return grads
 
 
-def _train_loop(
-    X: np.ndarray, y: np.ndarray, hp: HyperParams, rows: np.ndarray | None = None
-) -> list[ModelParams]:
+def _tensor_views(vector: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
+    """One view per shape, of consecutive slices of the flat `vector`."""
+    stops = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    return tuple(part.reshape(shape) for part, shape in zip(np.split(vector, stops), shapes))
+
+
+def _train_loop(X: np.ndarray, y: np.ndarray, hp: HyperParams, rows: np.ndarray | None = None) -> list[ModelParams]:
     """Train on the rows of X (float64 features) and y (float64 targets),
     returning the checkpoint after every epoch.
 
@@ -263,6 +257,10 @@ def _train_loop(
     order and with repeats (an upsampled set); None means each row once.
     Each epoch shuffles that list, and each batch is gathered from X and y
     into a buffer reused across steps, so the set is never materialized.
+    The parameters are one flat vector and the gradients another, with the
+    tensors as views: each step writes every gradient into its view, then
+    makes one finiteness check and one update. A checkpoint's tensors are
+    views of one copy of the parameter vector.
     """
     n_all, d = X.shape
     rows = np.arange(n_all) if rows is None else np.asarray(rows, dtype=np.intp)
@@ -270,12 +268,13 @@ def _train_loop(
         raise TrainingError(f"row positions outside 0..{n_all - 1}")
     n = len(rows)
     model = init_params(hp, d)
-    tensors = tuple(t.copy() for t in model.tensors)
-    is_mlp = model.is_mlp
-    lr = hp.learning_rate
+    shapes = [t.shape for t in model.tensors]
+    params = np.concatenate([t.ravel() for t in model.tensors])
+    grad = np.empty_like(params)
+    tensors, grads = _tensor_views(params, shapes), _tensor_views(grad, shapes)
     m = min(hp.batch_size, n)
     X_batch, y_batch = np.empty((m, d)), np.empty(m)
-    workspace = _hidden_workspace(m, d, hp.hidden_units) if is_mlp else None
+    workspace = np.empty((3, m, hp.hidden_units))
     checkpoints: list[ModelParams] = []
     for epoch in range(hp.epochs):
         order = rows[np.random.default_rng(hp.seed + epoch).permutation(n)]
@@ -284,14 +283,13 @@ def _train_loop(
             # Positions are in range, so "clip" only skips numpy's buffered check.
             Xb = np.take(X, idx, axis=0, out=X_batch[: len(idx)], mode="clip")
             yb = np.take(y, idx, out=y_batch[: len(idx)], mode="clip")
-            grads = _gradients(tensors, is_mlp, Xb, yb, hp.weight_decay, workspace)
-            if not all(np.isfinite(g).all() for g in grads):
+            _gradients(tensors, model.is_mlp, Xb, yb, hp.weight_decay, grads, workspace)
+            if not np.isfinite(grad).all():
                 raise TrainingError(f"non-finite gradient at epoch {epoch}, batch {bi}")
-            for t, g in zip(tensors, grads):
-                t -= lr * g
+            params -= hp.learning_rate * grad
         checkpoints.append(
             ModelParams(
-                tensors=tuple(t.copy() for t in tensors),
+                tensors=_tensor_views(params.copy(), shapes),
                 hidden_units=hp.hidden_units,
                 feature_dim=d,
                 trained_epochs=epoch + 1,
@@ -351,6 +349,18 @@ def _set_blas_threads(count: int) -> int | None:
     return previous
 
 
+@contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore the caller's
+    count (`_set_blas_threads`). Also a decorator."""
+    previous = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            _set_blas_threads(previous)
+
+
 # (fn, ctx) of pool_map, set in its worker processes only: ctx is sent once
 # per worker, not once per item.
 _POOL_STATE: tuple[Callable, object] | None = None
@@ -375,18 +385,16 @@ def pool_map(fn: Callable, ctx: object, items: Sequence, jobs: int) -> list:
     Every call runs with BLAS on one thread (`_set_blas_threads`), whatever
     the environment says: a training step's GEMMs are too small for more
     threads to help, and idle BLAS threads spin on the other cores. The
-    caller is set to one thread first and forked workers inherit it;
-    _pool_init sets it in workers that were not forked. The in-process loop
-    then restores the previous count; after a fork the caller keeps one
-    thread, since a set call would restart OpenBLAS's spinning thread pool.
-    A dead worker (killed, or out of memory) is a TrainingError."""
-    previous = _set_blas_threads(1)
+    in-process loop runs under `one_blas_thread`, which then restores the
+    caller's count. Before forking, the caller is set to one thread, which
+    forked workers inherit (_pool_init sets it in workers that were not
+    forked), and keeps it: a set call after a fork would restart OpenBLAS's
+    spinning thread pool. A dead worker (killed, or out of memory) is a
+    TrainingError."""
     if jobs <= 1 or len(items) <= 1:
-        try:
+        with one_blas_thread():
             return [fn(ctx, item) for item in items]
-        finally:
-            if previous is not None:
-                _set_blas_threads(previous)
+    _set_blas_threads(1)
     # Imported here: loading the pool pulls in multiprocessing, which a call
     # that does not fork never needs.
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor

@@ -10,6 +10,9 @@ They raise the library's EmptyGroupError with the library's messages.
 
 `regularized_loss` is the training objective whose gradient the library
 computes analytically; `models_equal` compares checkpoints bit for bit.
+`masked_expit` is the logistic function in two masked branches, one per
+sign of z, which the library's one-expression `_expit` must equal bit for
+bit.
 `unblocked_logits` scores the whole matrix at once, the formula that the
 library's `logits` computes block by block.
 
@@ -51,6 +54,16 @@ _MLP_DECAY = (True, False, True, False)
 
 def decay_mask(model: ModelParams) -> tuple[bool, ...]:
     return _MLP_DECAY if model.is_mlp else _LINEAR_DECAY
+
+
+def masked_expit(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) where z >= 0, exp(z) / (1 + exp(z)) elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def bce_with_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -3,11 +3,14 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairtune.cli
 from fairtune.cli import main, render_table
 from fairtune.labelling import _grid_point_predictions
 from fairtune.tuning import TunerResult
@@ -292,6 +295,26 @@ def test_train_grid_parallel_matches_sequential(tmp_path):
     assert sorted(p.name for p in (outs[0] / "checkpoints").iterdir()) == ["index.json", "predictions.npy"]
     for name in ("index.json", "predictions.npy"):
         assert (outs[0] / "checkpoints" / name).read_bytes() == (outs[1] / "checkpoints" / name).read_bytes()
+
+
+_RUN_AND_LIST_MASKED_ARRAYS = """
+import json, sys
+from fairtune.cli import main
+status = main(sys.argv[1:])
+print(json.dumps([status, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_no_command_imports_numpy_masked_arrays(tmp_path):
+    # numpy.ma takes ~10 ms to import; np.unique's first call loads it.
+    config, out = load_synthetic_config(tmp_path)
+    src = str(Path(fairtune.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for command in ("prepare", "train-grid", "label", "tune"):
+        args = [sys.executable, "-c", _RUN_AND_LIST_MASKED_ARRAYS, command, "--config", str(config), "--out", str(out)]
+        proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, False], command
 
 
 def _files(out):

@@ -15,7 +15,6 @@ from fairtune.training import (
     HyperParams,
     ModelParams,
     TrainingError,
-    _expit,
     _openblas_thread_functions,
     _pool_init,
     _train_loop,
@@ -33,7 +32,7 @@ from fairtune.training import (
     upsampled_positions,
 )
 
-from reference import bce_with_logits, models_equal, regularized_loss, unblocked_logits
+from reference import bce_with_logits, masked_expit, models_equal, regularized_loss, unblocked_logits
 
 # The environment variables that set a BLAS thread count; fairtune runs on one
 # thread whatever they say, and the tests below start with none of them set.
@@ -247,7 +246,17 @@ def test_blocked_scoring_equals_the_unblocked_formula_bit_for_bit(n, hidden, d):
     assert z.shape == (n,) and z.dtype == np.float64
     assert np.array_equal(z.view(np.int64), expected.view(np.int64))
     assert np.array_equal(labels, (expected >= 0.0).astype(np.int8)) and labels.dtype == np.int8
-    assert np.array_equal(proba.view(np.int64), _expit(expected).view(np.int64))
+    assert np.array_equal(proba.view(np.int64), masked_expit(expected).view(np.int64))
+
+
+def test_expit_equals_the_masked_two_branch_formula_bit_for_bit():
+    special = np.array([0.0, 1e-320, 36.7, 709.0, 745.0, 1e308, np.inf])
+    rng = np.random.default_rng(5)
+    spread = rng.normal(size=10**5) * 10.0 ** rng.uniform(-3.0, 3.0, 10**5)
+    for z in (np.concatenate([special, -special]), spread):
+        got, expected = training._expit(z), masked_expit(z)
+        assert got.dtype == np.float64 and got.shape == z.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_predict_holds_one_block_of_hidden_units_whatever_the_row_count():
@@ -377,13 +386,13 @@ def reference_gradients(tensors, is_mlp, X, y, weight_decay):
     if not is_mlp:
         w, b = tensors
         z = X @ w + b
-        dz = (_expit(z) - y) / m
+        dz = (masked_expit(z) - y) / m
         return (X.T @ dz + 2.0 * weight_decay * w, np.asarray(dz.sum()))
     w1, b1, w2, b2 = tensors
     z1 = X @ w1 + b1
     hidden = np.maximum(z1, 0.0)
     z = hidden @ w2 + b2
-    dz = (_expit(z) - y) / m
+    dz = (masked_expit(z) - y) / m
     gw2 = hidden.T @ dz + 2.0 * weight_decay * w2
     gb2 = np.asarray(dz.sum())
     dh = np.outer(dz, w2)
@@ -713,3 +722,40 @@ def test_step2_scores_do_not_depend_on_a_thread_count_the_user_set():
     # Every row is in class 1, so each product sums over 1,000 rows: at that
     # length two OpenBLAS threads round differently from one.
     assert _run_fresh(_STEP2_SCORES, OPENBLAS_NUM_THREADS="2") == _run_fresh(_STEP2_SCORES)
+
+
+_SELECT_LABELLER = """
+import json
+import numpy as np
+from fairtune.data import TabularDataset
+from fairtune.labelling import select_labeller
+from fairtune.training import HyperParams, _openblas_thread_functions
+get = _openblas_thread_functions()[0]
+before = get()
+candidates = [(HyperParams(learning_rate=0.1), epoch) for epoch in range(1, 65)]
+winners = []
+for seed in range(4):
+    rng = np.random.default_rng(seed)
+    validation = TabularDataset(
+        features=rng.normal(size=(2000, 104)),
+        targets=np.repeat(np.array([0, 1], dtype=np.int8), 1000),
+        row_ids=np.arange(2000),
+        split="validation",
+    )
+    predictions = rng.integers(0, 2, (64, 2000)).astype(np.int8)
+    by_class = select_labeller(predictions, candidates, validation).by_class
+    winners += [[by_class[y].candidate_index, by_class[y].edm_score.hex()] for y in (0, 1)]
+print(json.dumps([before, get(), winners]))
+"""
+
+
+@needs_openblas
+def test_step2_in_library_use_runs_on_one_thread_and_restores_the_count():
+    # numpy is loaded before fairtune.cli (never imported here), so OpenBLAS
+    # starts on its default count, one thread per CPU. 64 label sets x 1,000
+    # rows per class x 104 features is long enough for two threads to round
+    # some candidates' scores differently from one; over four draws, some
+    # winning score is among them.
+    before, after, scores = _run_fresh(_SELECT_LABELLER)
+    assert after == before
+    assert scores == _run_fresh(_SELECT_LABELLER, OPENBLAS_NUM_THREADS="1")[2]

@@ -15,14 +15,19 @@ differences between machines cannot show up as differences.
 
 Every one of those outputs is computed from thresholded predictions, so a
 change in the last bits of training reaches them only once it flips a
-prediction. The --jobs 1 run therefore also stores `labeller_params.npy`:
-every epoch checkpoint's parameters of every labeller grid point, trained
-with `fairtune.train_erm` on that run's own `datasets/train.csv`.
+prediction. Each run therefore also stores trained parameters, computed
+from that run's own `datasets/train.csv` through `pool_map` at the run's
+--jobs: `labeller_params.npy`, every epoch checkpoint of every labeller grid
+point (`train_erm`), and, for a config with a `jtt` section,
+`stage2_params.npy`, every epoch checkpoint of the first stage-2 grid point
+(`train_upsampled`, with every third training row repeated at the largest
+lambda), which covers the hidden-layer step where the labeller grid is
+linear.
 
 It prints one line per file of the --jobs 1 and --jobs 2 runs: `same`,
 `differs`, `only in base` or `only in head`. Inside each tree it then
-compares the --jobs 2 and the two-thread outputs with the --jobs 1 outputs
-(all but `labeller_params.npy`), and prints each file that differs. It exits
+compares the --jobs 2 and the two-thread outputs, parameters included, with
+the --jobs 1 outputs, and prints each file that differs. It exits
 1 if a command fails, if a file differs inside head, or if a file differs
 between the trees (or exists in one only) that no `Outputs changed:`
 sentence of the newest CHANGES.md entry names in backquotes, by its path
@@ -50,14 +55,35 @@ RUNS = {"jobs1": ("1", {}), "jobs2": ("2", {}), "blas2": ("1", {"OPENBLAS_NUM_TH
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CHAIN = ("prepare", "train-grid", "label", "mc-sweep", "tune")
 NEEDS = {"mc-sweep": "mc_noise", "tune": "jtt"}
+# Run as a file, not with -c, so that pool workers started without fork can
+# import its functions.
 PARAMS_PROBE = """
 import sys
 import numpy as np
-from fairtune import read_dataset, train_erm
+from fairtune import read_dataset, train_erm, train_upsampled
 from fairtune.config import load_config
-grid, train = load_config(sys.argv[1]).labeller_grid, read_dataset(sys.argv[2])
-params = [t.ravel() for hp in grid for model in train_erm(train, hp) for t in model.tensors]
-np.save(sys.argv[3], np.concatenate(params), allow_pickle=False)
+from fairtune.training import pool_map
+
+
+def flat(checkpoints):
+    return np.concatenate([t.ravel() for model in checkpoints for t in model.tensors])
+
+
+def labeller(train, hp):
+    return flat(train_erm(train, hp))
+
+
+def stage2(ctx, hp):
+    train, lam = ctx
+    return flat(train_upsampled(train, train.row_ids[::3], lam, hp))
+
+
+if __name__ == "__main__":
+    config, train, jobs = load_config(sys.argv[1]), read_dataset(sys.argv[2]), int(sys.argv[3])
+    np.save("labeller_params.npy", np.concatenate(pool_map(labeller, train, config.labeller_grid, jobs)))
+    if config.jtt is not None:
+        ctx, grid = (train, max(config.jtt.lambda_grid)), config.jtt.stage2_grid[:1]
+        np.save("stage2_params.npy", np.concatenate(pool_map(stage2, ctx, grid, jobs)))
 """
 
 
@@ -71,9 +97,8 @@ def configs() -> dict[str, dict]:
 
 
 def run_case(src: Path, raw: dict, run: str, where: Path) -> list[str]:
-    """Run the chain and `report` with fairtune from `src` into `where`,
-    and in the `jobs1` run the parameter probe; returns a line per failed
-    command."""
+    """Run the chain, `report` and the parameter probe with fairtune from
+    `src` into `where`; returns a line per failed command."""
     where.mkdir(parents=True)
     config = where / "config.json"
     config.write_text(json.dumps(raw), encoding="utf-8")
@@ -88,8 +113,9 @@ def run_case(src: Path, raw: dict, run: str, where: Path) -> list[str]:
     ]
     if "jtt" in raw:
         runs += [["-m", "fairtune.cli", "report", str(out / "tuner_result.json"), "--format", f] for f in ("table", "json")]
-    if run == "jobs1":
-        runs.append(["-c", PARAMS_PROBE, str(config), str(out / "datasets" / "train.csv"), "labeller_params.npy"])
+    probe = where / "params_probe.py"
+    probe.write_text(PARAMS_PROBE, encoding="utf-8")
+    runs.append([str(probe), str(config), str(out / "datasets" / "train.csv"), jobs])
     failures = []
     for args in runs:
         proc = subprocess.run([sys.executable, *args], cwd=where, env=env, capture_output=True, text=True)
@@ -106,7 +132,7 @@ def files(case_dir: Path) -> dict[str, bytes]:
     """The outputs of one case: every file under out/ by its path there, the
     two report renderings and the probed parameters."""
     found = {str(p.relative_to(case_dir / "out")): p for p in (case_dir / "out").rglob("*") if p.is_file()}
-    found.update({p.name: p for p in [*case_dir.glob("report.*"), *case_dir.glob("labeller_params.npy")]})
+    found.update({p.name: p for p in [*case_dir.glob("report.*"), *case_dir.glob("*_params.npy")]})
     return {rel: p.read_bytes() for rel, p in found.items()}
 
 
@@ -162,7 +188,7 @@ def main(argv: list[str]) -> int:
                     other = outputs[tree, run]
                     differing = [
                         rel
-                        for rel in sorted((reference.keys() | other.keys()) - {"labeller_params.npy"})
+                        for rel in sorted(reference.keys() | other.keys())
                         if reference.get(rel) != other.get(rel)
                     ]
                     for rel in differing:
