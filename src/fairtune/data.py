@@ -2,8 +2,11 @@
 and the canonical dataset files (write_dataset / read_dataset): a CSV of the
 reserved columns plus, for data with features, a binary float64 matrix.
 
-All datasets are immutable after construction (arrays are frozen) and safe to
-share between threads. Every source of randomness is an explicit integer seed.
+A dataset cannot be changed through its own arrays, which are read-only: its
+features, row ids and numeric mask are views of the caller's arrays, copied
+only to convert their dtype or make them contiguous, and its targets and
+sensitive values are new int8 arrays. The caller's arrays stay writable.
+Every source of randomness is an explicit integer seed.
 """
 
 from __future__ import annotations
@@ -98,7 +101,9 @@ def check_binary(values, what: str) -> np.ndarray:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """A read-only view of `a` made contiguous: the caller's own array, when
+    it is already contiguous, is neither copied nor frozen."""
+    a = np.ascontiguousarray(a).view()
     a.flags.writeable = False
     return a
 

@@ -5,6 +5,9 @@ network. Training is plain mini-batch gradient descent on mean binary
 cross-entropy plus an L2 penalty on weights (biases excluded); batch order
 comes from a per-epoch shuffle seeded with seed + epoch, so the checkpoint
 after epoch k of a long run equals the final checkpoint of a k-epoch run.
+A model's parameters are one float64 vector (`ModelParams.params`); the
+training loop updates one such vector in place and checkpoints a copy of it
+after each epoch. `tensor_layout` alone declares each architecture's tensors.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import TabularDataset, check_float, check_int
+from .data import TabularDataset, _frozen, check_float, check_int
 
 
 class TrainingError(RuntimeError):
@@ -68,33 +71,49 @@ class HyperParams:
         return cls(**d)
 
 
-# Tensor names per architecture, in tensor order.
-_LINEAR_NAMES = ("w", "b")
-_MLP_NAMES = ("w1", "b1", "w2", "b2")
+def tensor_layout(feature_dim: int, hidden_units: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(name, shape) of each tensor of a model, in parameter-vector order:
+    (w, b) for the logistic model, (w1, b1, w2, b2) for the hidden-layer
+    network."""
+    d, h = feature_dim, hidden_units
+    if h == 0:
+        return (("w", (d,)), ("b", ()))
+    return (("w1", (d, h)), ("b1", (h,)), ("w2", (h,)), ("b2", ()))
+
+
+def _tensor_views(vector: np.ndarray, feature_dim: int, hidden_units: int) -> tuple[np.ndarray, ...]:
+    """One view per `tensor_layout` tensor, of consecutive slices of the flat
+    `vector`, whose length must be the layout's."""
+    layout = tensor_layout(feature_dim, hidden_units)
+    stops = np.cumsum([math.prod(shape) for _, shape in layout])
+    if vector.shape != (stops[-1],):
+        raise TrainingError(f"parameter vector of shape {vector.shape} does not match architecture {layout}")
+    return tuple(part.reshape(shape) for part, (_, shape) in zip(np.split(vector, stops[:-1]), layout))
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Immutable trained parameters plus their provenance."""
+    """Trained parameters plus their provenance: `params` is one float64
+    vector of every tensor of the architecture hp.hidden_units selects, and
+    `tensors` are its views in `tensor_layout` order, all read-only (`_frozen`)."""
 
-    tensors: tuple[np.ndarray, ...]
-    hidden_units: int
+    params: np.ndarray
     feature_dim: int
     trained_epochs: int
     hp: HyperParams
 
     def __post_init__(self) -> None:
-        frozen = []
-        for t in self.tensors:
-            t = np.asarray(t, dtype=np.float64)
-            t.flags.writeable = False
-            frozen.append(t)
-        d, h = self.feature_dim, self.hidden_units
-        expected = ((d, h), (h,), (h,), ()) if h > 0 else ((d,), ())
-        shapes = tuple(t.shape for t in frozen)
-        if shapes != expected:
-            raise TrainingError(f"tensor shapes {shapes} do not match architecture {expected}")
-        object.__setattr__(self, "tensors", tuple(frozen))
+        params = _frozen(np.asarray(self.params, dtype=np.float64))
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "tensors", _tensor_views(params, self.feature_dim, self.hidden_units))
+
+    def __reduce__(self):
+        # A pickle holds the vector alone; unpickling rebuilds the views.
+        return ModelParams, (self.params, self.feature_dim, self.trained_epochs, self.hp)
+
+    @property
+    def hidden_units(self) -> int:
+        return self.hp.hidden_units
 
     @property
     def is_mlp(self) -> bool:
@@ -102,7 +121,7 @@ class ModelParams:
 
     @property
     def tensor_names(self) -> tuple[str, ...]:
-        return _MLP_NAMES if self.is_mlp else _LINEAR_NAMES
+        return tuple(name for name, _ in tensor_layout(self.feature_dim, self.hidden_units))
 
 
 def _expit(z: np.ndarray) -> np.ndarray:
@@ -118,26 +137,14 @@ def init_params(hp: HyperParams, feature_dim: int) -> ModelParams:
     Logistic model starts at zero; the hidden-layer network draws uniform
     values in +-1/sqrt(fan_in) from hp.seed.
     """
-    if hp.hidden_units == 0:
-        tensors = (np.zeros(feature_dim), np.zeros(()))
+    d, h = feature_dim, hp.hidden_units
+    if h == 0:
+        params = np.zeros(d + 1)
     else:
         rng = np.random.default_rng(hp.seed)
-        h = hp.hidden_units
-        k1 = 1.0 / np.sqrt(feature_dim)
-        k2 = 1.0 / np.sqrt(h)
-        tensors = (
-            rng.uniform(-k1, k1, (feature_dim, h)),
-            rng.uniform(-k1, k1, h),
-            rng.uniform(-k2, k2, h),
-            rng.uniform(-k2, k2, ()),
-        )
-    return ModelParams(
-        tensors=tensors,
-        hidden_units=hp.hidden_units,
-        feature_dim=feature_dim,
-        trained_epochs=0,
-        hp=hp,
-    )
+        k1, k2 = 1.0 / np.sqrt(d), 1.0 / np.sqrt(h)  # bounds of (w1, b1), then of (w2, b2)
+        params = np.concatenate((rng.uniform(-k1, k1, (d + 1) * h), rng.uniform(-k2, k2, h + 1)))
+    return ModelParams(params=params, feature_dim=d, trained_epochs=0, hp=hp)
 
 
 # Rows per block of `logits`: a 1,024 x 64 hidden-layer buffer is 512 KiB.
@@ -156,13 +163,14 @@ def block_stops(n: int, rows: int = SCORE_BLOCK_ROWS) -> list[int]:
 
 def logits(model: ModelParams, X: np.ndarray) -> np.ndarray:
     """Per-row logit of X's rows, scored in blocks of SCORE_BLOCK_ROWS rows
-    (the last block takes up to one row more). The hidden layer of each block
-    is computed in one buffer that every block reuses, and each block's
-    output goes straight into the result, so scoring holds O(block x hidden)
-    memory whatever the row count. The results do not depend on the block
-    size: on one BLAS thread, as every training process runs (`pool_map`),
-    they equal np.maximum(X @ w1 + b1, 0) @ w2 + b2 (X @ w + b for the
-    linear model) bit for bit."""
+    (the last block takes up to one row more). The linear model is the
+    output layer alone, on X. The hidden layer of each block is computed in
+    one buffer that every block reuses, and each block's output goes straight
+    into the result, so scoring holds O(block x hidden) memory whatever the
+    row count. The results do not depend on the block size: on one BLAS
+    thread, as every training process runs (`pool_map`), they equal
+    np.maximum(X @ w1 + b1, 0) @ w2 + b2 (X @ w + b for the linear model)
+    bit for bit."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.feature_dim:
         raise TrainingError(
@@ -170,22 +178,20 @@ def logits(model: ModelParams, X: np.ndarray) -> np.ndarray:
         )
     n = X.shape[0]
     out = np.empty(n)
-    start = 0
+    w2, b2 = model.tensors[-2:]
     if model.is_mlp:
-        w1, b1, w2, bias = model.tensors
+        w1, b1 = model.tensors[:2]
         buffer = np.empty((min(n, SCORE_BLOCK_ROWS + 1), model.hidden_units))
-        for stop in block_stops(n):
-            hidden = np.matmul(X[start:stop], w1, out=buffer[: stop - start])
+    start = 0
+    for stop in block_stops(n):
+        hidden = X[start:stop]
+        if model.is_mlp:
+            hidden = np.matmul(hidden, w1, out=buffer[: stop - start])
             hidden += b1
             np.maximum(hidden, 0.0, out=hidden)
-            np.matmul(hidden, w2, out=out[start:stop])
-            start = stop
-    else:
-        w, bias = model.tensors
-        for stop in block_stops(n):
-            np.matmul(X[start:stop], w, out=out[start:stop])
-            start = stop
-    out += bias
+        np.matmul(hidden, w2, out=out[start:stop])
+        start = stop
+    out += b2
     return out
 
 
@@ -243,12 +249,6 @@ def gradients(model: ModelParams, X: np.ndarray, y: np.ndarray, weight_decay: fl
     return grads
 
 
-def _tensor_views(vector: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
-    """One view per shape, of consecutive slices of the flat `vector`."""
-    stops = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-    return tuple(part.reshape(shape) for part, shape in zip(np.split(vector, stops), shapes))
-
-
 def _train_loop(X: np.ndarray, y: np.ndarray, hp: HyperParams, rows: np.ndarray | None = None) -> list[ModelParams]:
     """Train on the rows of X (float64 features) and y (float64 targets),
     returning the checkpoint after every epoch.
@@ -257,10 +257,10 @@ def _train_loop(X: np.ndarray, y: np.ndarray, hp: HyperParams, rows: np.ndarray 
     order and with repeats (an upsampled set); None means each row once.
     Each epoch shuffles that list, and each batch is gathered from X and y
     into a buffer reused across steps, so the set is never materialized.
-    The parameters are one flat vector and the gradients another, with the
-    tensors as views: each step writes every gradient into its view, then
-    makes one finiteness check and one update. A checkpoint's tensors are
-    views of one copy of the parameter vector.
+    The parameters are a copy of init_params' vector and the gradients
+    another vector of its layout, with the tensors as views: each step writes
+    every gradient into its view, then makes one finiteness check and one
+    update. Each epoch's checkpoint wraps one copy of the parameter vector.
     """
     n_all, d = X.shape
     rows = np.arange(n_all) if rows is None else np.asarray(rows, dtype=np.intp)
@@ -268,10 +268,8 @@ def _train_loop(X: np.ndarray, y: np.ndarray, hp: HyperParams, rows: np.ndarray 
         raise TrainingError(f"row positions outside 0..{n_all - 1}")
     n = len(rows)
     model = init_params(hp, d)
-    shapes = [t.shape for t in model.tensors]
-    params = np.concatenate([t.ravel() for t in model.tensors])
-    grad = np.empty_like(params)
-    tensors, grads = _tensor_views(params, shapes), _tensor_views(grad, shapes)
+    params, grad = model.params.copy(), np.empty_like(model.params)
+    tensors, grads = _tensor_views(params, d, hp.hidden_units), _tensor_views(grad, d, hp.hidden_units)
     m = min(hp.batch_size, n)
     X_batch, y_batch = np.empty((m, d)), np.empty(m)
     workspace = np.empty((3, m, hp.hidden_units))
@@ -287,15 +285,7 @@ def _train_loop(X: np.ndarray, y: np.ndarray, hp: HyperParams, rows: np.ndarray 
             if not np.isfinite(grad).all():
                 raise TrainingError(f"non-finite gradient at epoch {epoch}, batch {bi}")
             params -= hp.learning_rate * grad
-        checkpoints.append(
-            ModelParams(
-                tensors=_tensor_views(params.copy(), shapes),
-                hidden_units=hp.hidden_units,
-                feature_dim=d,
-                trained_epochs=epoch + 1,
-                hp=hp,
-            )
-        )
+        checkpoints.append(ModelParams(params=params.copy(), feature_dim=d, trained_epochs=epoch + 1, hp=hp))
     return checkpoints
 
 
@@ -486,21 +476,21 @@ def save_model(model: ModelParams, path: str | Path, meta: Mapping[str, str] | N
 
 
 def load_model(path: str | Path) -> ModelParams:
+    """Read a save_model file whose tensors fit its hyperparams' architecture."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format_version") != _FORMAT_VERSION:
         raise TrainingError(f"{path}: unsupported checkpoint format {payload.get('format_version')!r}")
     hp = HyperParams.from_dict(payload["hyperparams"])
-    names = _MLP_NAMES if payload["architecture"] == "mlp" else _LINEAR_NAMES
-    tensors = []
-    for name in names:
-        raw = payload["tensors"][name]
-        t = np.asarray([float.fromhex(v) for v in raw["data"]], dtype=np.float64)
-        tensors.append(t.reshape(raw["shape"]))
+    feature_dim = int(payload["feature_dim"])
+    expected = {name: (shape, math.prod(shape)) for name, shape in tensor_layout(feature_dim, hp.hidden_units)}
+    stored = {name: (tuple(t["shape"]), len(t["data"])) for name, t in payload["tensors"].items()}
+    if payload["hidden_units"] != hp.hidden_units or stored != expected:
+        raise TrainingError(f"{path}: hidden_units or tensors {stored} disagree with its hyperparams")
+    params = [float.fromhex(v) for name in expected for v in payload["tensors"][name]["data"]]
     return ModelParams(
-        tensors=tuple(tensors),
-        hidden_units=int(payload["hidden_units"]),
-        feature_dim=int(payload["feature_dim"]),
+        params=np.asarray(params, dtype=np.float64),
+        feature_dim=feature_dim,
         trained_epochs=int(payload["trained_epochs"]),
         hp=hp,
     )

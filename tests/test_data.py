@@ -433,6 +433,18 @@ def test_dataset_invariants():
         ds.features[0, 0] = 5.0  # frozen
 
 
+def test_dataset_holds_read_only_views_and_leaves_the_callers_arrays_writable():
+    X = np.arange(6.0).reshape(3, 2)
+    row_ids = np.array([4, 5, 6], dtype=np.int64)
+    mask = np.array([True, False])
+    ds = TabularDataset(features=X, targets=[0, 1, 0], row_ids=row_ids, numeric_mask=mask)
+    for given, held in ((X, ds.features), (row_ids, ds.row_ids), (mask, ds.numeric_mask)):
+        assert np.shares_memory(given, held)
+        assert given.flags.writeable
+        assert not held.flags.writeable
+    X += 1
+
+
 def test_round_trip_bit_exact(tmp_path, planted):
     train, _, _ = planted
     path = tmp_path / "train.csv"

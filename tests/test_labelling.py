@@ -22,8 +22,7 @@ from conftest import planted_splits
 def linear_model(w, b):
     w = np.asarray(w, dtype=np.float64)
     return ModelParams(
-        tensors=(w, np.asarray(float(b))),
-        hidden_units=0,
+        params=np.append(w, float(b)),
         feature_dim=w.shape[0],
         trained_epochs=0,
         hp=HyperParams(learning_rate=0.1),

@@ -264,8 +264,7 @@ def test_pseudo_equal_truth_metrics_coincide():
 
 def constant_one_model(d):
     return ModelParams(
-        tensors=(np.zeros(d), np.asarray(50.0)),
-        hidden_units=0,
+        params=np.append(np.zeros(d), 50.0),
         feature_dim=d,
         trained_epochs=0,
         hp=HyperParams(learning_rate=0.1),
@@ -285,8 +284,7 @@ def test_full_report_all_correct_model(planted):
     sens = rng.integers(0, 2, 40)
     data = TabularDataset(features=X, targets=targets, row_ids=np.arange(40), split="test", sensitive=sens)
     perfect = ModelParams(
-        tensors=(np.array([100.0, 0.0]), np.asarray(0.0)),
-        hidden_units=0,
+        params=np.array([100.0, 0.0, 0.0]),
         feature_dim=2,
         trained_epochs=0,
         hp=HyperParams(learning_rate=0.1),

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -63,8 +64,7 @@ def perturbed(model, tensor_index, flat_index, h):
     tensors = [t.copy() for t in model.tensors]
     tensors[tensor_index].ravel()[flat_index] += h
     return ModelParams(
-        tensors=tuple(tensors),
-        hidden_units=model.hidden_units,
+        params=np.concatenate([t.ravel() for t in tensors]),
         feature_dim=model.feature_dim,
         trained_epochs=model.trained_epochs,
         hp=model.hp,
@@ -190,8 +190,7 @@ def test_predict_zero_model_tie_rule():
 
 def test_predict_saturates():
     model = ModelParams(
-        tensors=(np.array([10.0]), np.asarray(0.0)),
-        hidden_units=0,
+        params=np.array([10.0, 0.0]),
         feature_dim=1,
         trained_epochs=0,
         hp=HyperParams(learning_rate=0.1),
@@ -218,8 +217,7 @@ def _random_model(d, hidden, seed):
     rng = np.random.default_rng(seed)
     shapes = ((d, hidden), (hidden,), (hidden,), ()) if hidden else ((d,), ())
     return ModelParams(
-        tensors=tuple(rng.normal(size=s) for s in shapes),
-        hidden_units=hidden,
+        params=np.concatenate([rng.normal(size=s).ravel() for s in shapes]),
         feature_dim=d,
         trained_epochs=1,
         hp=HyperParams(learning_rate=0.1, hidden_units=hidden),
@@ -373,6 +371,129 @@ def test_checkpoint_round_trip(tmp_path, hidden):
     path2 = tmp_path / "model2.json"
     save_model(model, path2, meta={"config_sha256": "deadbeef"})
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize(("hidden", "length"), [(0, 2), (0, 4), (2, 8), (2, 10), (3, 9)])
+def test_params_length_must_match_the_architecture(hidden, length):
+    # d = 2: the linear model has 2 + 1 parameters, two hidden units have 9.
+    hp = HyperParams(learning_rate=0.1, hidden_units=hidden)
+    with pytest.raises(TrainingError, match="does not match architecture"):
+        ModelParams(params=np.zeros(length), feature_dim=2, trained_epochs=0, hp=hp)
+
+
+def test_model_params_freezes_views_of_one_buffer_not_the_callers_vector():
+    vector = np.arange(9.0)
+    hp = HyperParams(learning_rate=0.1, hidden_units=2)
+    model = ModelParams(params=vector, feature_dim=2, trained_epochs=0, hp=hp)
+    vector[0] = -1.0
+    assert vector.flags.writeable
+    assert not model.params.flags.writeable
+    assert model.tensor_names == ("w1", "b1", "w2", "b2")
+    assert [t.shape for t in model.tensors] == [(2, 2), (2,), (2,), ()]
+    for t in model.tensors:
+        assert not t.flags.writeable
+        assert np.shares_memory(t, model.params)
+    back = pickle.loads(pickle.dumps(model))
+    assert models_equal(back, model)
+    assert not back.params.flags.writeable
+    assert all(np.shares_memory(t, back.params) for t in back.tensors)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: p.update(hidden_units=3),
+        lambda p: p["hyperparams"].update(hidden_units=0),
+        lambda p: p["tensors"]["w1"].update(shape=[1, 4]),
+        lambda p: p["tensors"]["b1"]["data"].append(p["tensors"]["w1"]["data"].pop()),
+        lambda p: p.update(feature_dim=4),
+    ],
+)
+def test_load_model_rejects_tensors_that_disagree_with_the_hyperparams(tmp_path, edit):
+    hp = HyperParams(learning_rate=0.1, hidden_units=2)
+    path = tmp_path / "model.json"
+    save_model(init_params(hp, 2), path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(TrainingError, match="disagree with its hyperparams"):
+        load_model(path)
+
+
+# save_model's file of init_params(hp, 2), for the hp in the test below and
+# meta {"config_sha256": "deadbeef"}, written when a model held one array per
+# tensor instead of one parameter vector.
+_SAVED_MODEL = """{
+ "architecture": "mlp",
+ "feature_dim": 2,
+ "format_version": 1,
+ "hidden_units": 2,
+ "hyperparams": {
+  "batch_size": 8,
+  "epochs": 3,
+  "hidden_units": 2,
+  "learning_rate": 0.5,
+  "seed": 7,
+  "weight_decay": 0.25
+ },
+ "meta": {
+  "config_sha256": "deadbeef"
+ },
+ "tensors": {
+  "b1": {
+   "data": [
+    "-0x1.2163dfa517eb9p-2",
+    "0x1.0e7b4941beb14p-1"
+   ],
+   "shape": [
+    2
+   ]
+  },
+  "b2": {
+   "data": [
+    "0x1.ae33d61d2e360p-2"
+   ],
+   "shape": []
+  },
+  "w1": {
+   "data": [
+    "0x1.6a50af29f8430p-3",
+    "0x1.1f9d0f4091654p-1",
+    "0x1.8f3c4b58e31d0p-2",
+    "-0x1.8df1476b1b6f6p-2"
+   ],
+   "shape": [
+    2,
+    2
+   ]
+  },
+  "w2": {
+   "data": [
+    "-0x1.6639e7358f345p-1",
+    "0x1.d1303d99e13b8p-2"
+   ],
+   "shape": [
+    2
+   ]
+  }
+ },
+ "trained_epochs": 0
+}
+"""
+
+
+def test_load_model_reads_files_saved_by_the_per_tensor_model_bit_for_bit(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(_SAVED_MODEL)
+    model = load_model(path)
+    hp = HyperParams(learning_rate=0.5, weight_decay=0.25, epochs=3, batch_size=8, seed=7, hidden_units=2)
+    assert models_equal(model, init_params(hp, 2))
+    assert model.hp == hp and model.trained_epochs == 0
+    tensors = json.loads(_SAVED_MODEL)["tensors"]
+    stored = [float.fromhex(v) for name in ("w1", "b1", "w2", "b2") for v in tensors[name]["data"]]
+    assert model.params.tobytes() == np.array(stored).tobytes()
+    save_model(model, tmp_path / "again.json", meta={"config_sha256": "deadbeef"})
+    assert (tmp_path / "again.json").read_text() == _SAVED_MODEL
 
 
 # ---------------------------------------------------------------------------
