@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import TabularDataset, check_binary
+from .data import TabularDataset, check_binary, check_float, check_int
 from .training import ModelParams, predict
 
 SUBGROUPS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -171,17 +171,35 @@ class FairnessReport:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "FairnessReport":
-        def parse_key(k: str) -> tuple[int, int]:
-            return (int(k[1]), int(k[4]))
+        """The report of a stored to_dict(). Raises ValueError for a value no
+        report holds: a rate outside [0, 1], a subgroup count below 1, a key
+        that names no subgroup of SUBGROUPS."""
+        def rate(value, what: str) -> float:
+            value = check_float(value, what)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{what}: must be in [0, 1], got {value}")
+            return value
 
+        keys = {f"y{y}_a{a}": (y, a) for y, a in SUBGROUPS}
+
+        def per_subgroup(name: str, parse) -> dict:
+            cells = d.get(name, {})
+            unknown = sorted(set(cells) - set(keys))
+            if unknown:
+                raise ValueError(f"{name}: {unknown} name no subgroup")
+            return {keys[k]: parse(v, f"{name}.{k}") for k, v in cells.items()}
+
+        source = d.get("sensitive_source", "ground_truth")
+        if not isinstance(source, str):
+            raise ValueError(f"sensitive_source: expected str, got {type(source).__name__}")
         return cls(
-            avg_accuracy=float(d["avg_accuracy"]),
-            dp_gap=None if d.get("dp_gap") is None else float(d["dp_gap"]),
-            eo_gap=None if d.get("eo_gap") is None else float(d["eo_gap"]),
-            wga=None if d.get("wga") is None else float(d["wga"]),
-            subgroup_accuracy={parse_key(k): float(v) for k, v in d.get("subgroup_accuracy", {}).items()},
-            subgroup_counts={parse_key(k): int(v) for k, v in d.get("subgroup_counts", {}).items()},
-            sensitive_source=str(d.get("sensitive_source", "ground_truth")),
+            avg_accuracy=rate(d["avg_accuracy"], "avg_accuracy"),
+            dp_gap=None if d.get("dp_gap") is None else rate(d["dp_gap"], "dp_gap"),
+            eo_gap=None if d.get("eo_gap") is None else rate(d["eo_gap"], "eo_gap"),
+            wga=None if d.get("wga") is None else rate(d["wga"], "wga"),
+            subgroup_accuracy=per_subgroup("subgroup_accuracy", rate),
+            subgroup_counts=per_subgroup("subgroup_counts", lambda v, what: check_int(v, what, 1)),
+            sensitive_source=source,
         )
 
 

@@ -63,6 +63,8 @@ class HyperParams:
         """The grid point of a config object or of a stored to_dict(). A key
         that names no field is an error, so a typo cannot fall back to the
         field's default."""
+        if not isinstance(d, Mapping):
+            raise ValueError(f"grid point: expected an object, got {type(d).__name__}")
         for key in d:
             if key not in cls.__dataclass_fields__:
                 raise ValueError(f"{key}: unknown key")
@@ -161,16 +163,28 @@ def block_stops(n: int, rows: int = SCORE_BLOCK_ROWS) -> list[int]:
     return stops + [n] if n else []
 
 
+def _forward(tensors: tuple[np.ndarray, ...], X: np.ndarray, out: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """Write the logits of X's rows into `out` and return what the output
+    layer read: X for the linear model (w, b), max(X @ w1 + b1, 0) in `buffer`
+    (>= X.shape[0] rows) for the hidden-layer network (w1, b1, w2, b2)."""
+    hidden = X
+    if len(tensors) == 4:
+        hidden = np.matmul(X, tensors[0], out=buffer[: X.shape[0]])
+        hidden += tensors[1]
+        np.maximum(hidden, 0.0, out=hidden)
+    np.matmul(hidden, tensors[-2], out=out)
+    out += tensors[-1]
+    return hidden
+
+
 def logits(model: ModelParams, X: np.ndarray) -> np.ndarray:
     """Per-row logit of X's rows, scored in blocks of SCORE_BLOCK_ROWS rows
-    (the last block takes up to one row more). The linear model is the
-    output layer alone, on X. The hidden layer of each block is computed in
-    one buffer that every block reuses, and each block's output goes straight
-    into the result, so scoring holds O(block x hidden) memory whatever the
-    row count. The results do not depend on the block size: on one BLAS
-    thread, as every training process runs (`pool_map`), they equal
-    np.maximum(X @ w1 + b1, 0) @ w2 + b2 (X @ w + b for the linear model)
-    bit for bit."""
+    (the last block takes up to one row more). Every block reuses one
+    hidden-layer buffer and writes straight into the result, so scoring holds
+    O(block x hidden) memory whatever the row count. The results do not
+    depend on the block size: on one BLAS thread, as every training process
+    runs (`pool_map`), they equal np.maximum(X @ w1 + b1, 0) @ w2 + b2
+    (X @ w + b for the linear model) bit for bit."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.feature_dim:
         raise TrainingError(
@@ -178,20 +192,10 @@ def logits(model: ModelParams, X: np.ndarray) -> np.ndarray:
         )
     n = X.shape[0]
     out = np.empty(n)
-    w2, b2 = model.tensors[-2:]
-    if model.is_mlp:
-        w1, b1 = model.tensors[:2]
-        buffer = np.empty((min(n, SCORE_BLOCK_ROWS + 1), model.hidden_units))
-    start = 0
-    for stop in block_stops(n):
-        hidden = X[start:stop]
-        if model.is_mlp:
-            hidden = np.matmul(hidden, w1, out=buffer[: stop - start])
-            hidden += b1
-            np.maximum(hidden, 0.0, out=hidden)
-        np.matmul(hidden, w2, out=out[start:stop])
-        start = stop
-    out += b2
+    buffer = np.empty((min(n, SCORE_BLOCK_ROWS + 1), model.hidden_units))
+    stops = block_stops(n)
+    for start, stop in zip([0] + stops, stops):
+        _forward(model.tensors, X[start:stop], out[start:stop], buffer)
     return out
 
 
@@ -210,29 +214,26 @@ def predict(model: ModelParams, data) -> np.ndarray:
 
 
 def _gradients(
-    tensors: tuple[np.ndarray, ...], is_mlp: bool, X: np.ndarray, y: np.ndarray, weight_decay: float,
-    grads: tuple[np.ndarray, ...], workspace: np.ndarray,
+    tensors: tuple[np.ndarray, ...], X: np.ndarray, y: np.ndarray, weight_decay: float,
+    grads: tuple[np.ndarray, ...], workspace: tuple[np.ndarray, np.ndarray],
 ) -> None:
     """Write the gradients of one batch into `grads`, one array per tensor.
-    The linear model is the output layer alone, on X. The hidden layer keeps
-    z1, its ReLU output and dz1 in `workspace`, a (3, >= X.shape[0], h) buffer."""
+    `workspace` holds a (2, >= m, h) buffer, for the activations and dz1, and
+    >= m logits (m = X.shape[0]). The ReLU mask hidden > 0 equals z1 > 0, as
+    neither a signed zero nor NaN is > 0."""
     m = X.shape[0]
     decay = 2.0 * weight_decay
-    (w2, b2), (gw2, gb2) = tensors[-2:], grads[-2:]
-    hidden = X
-    if is_mlp:
-        (w1, b1), (gw1, gb1) = tensors[:2], grads[:2]
-        z1, hidden, dz1 = workspace[:, :m]
-        np.matmul(X, w1, out=z1)
-        z1 += b1
-        np.maximum(z1, 0.0, out=hidden)
-    dz = (_expit(hidden @ w2 + b2) - y) / m
+    buffers, z = workspace[0], workspace[1][:m]
+    hidden = _forward(tensors, X, z, buffers[0])
+    dz = (_expit(z) - y) / m
+    w2, (gw2, gb2) = tensors[-2], grads[-2:]
     np.matmul(hidden.T, dz, out=gw2)
     gw2 += decay * w2
     gb2[...] = dz.sum()
-    if is_mlp:
+    if len(tensors) == 4:
+        w1, (gw1, gb1), dz1 = tensors[0], grads[:2], buffers[1, :m]
         np.multiply.outer(dz, w2, out=dz1)
-        dz1 *= z1 > 0.0
+        dz1 *= hidden > 0.0
         np.matmul(X.T, dz1, out=gw1)
         gw1 += decay * w1
         dz1.sum(axis=0, out=gb1)
@@ -244,8 +245,8 @@ def gradients(model: ModelParams, X: np.ndarray, y: np.ndarray, weight_decay: fl
     (biases excluded)."""
     X = np.asarray(X, dtype=np.float64)
     grads = tuple(np.empty_like(t) for t in model.tensors)
-    workspace = np.empty((3, X.shape[0], model.hidden_units))
-    _gradients(model.tensors, model.is_mlp, X, np.asarray(y, dtype=np.float64), weight_decay, grads, workspace)
+    workspace = (np.empty((2, X.shape[0], model.hidden_units)), np.empty(X.shape[0]))
+    _gradients(model.tensors, X, np.asarray(y, dtype=np.float64), weight_decay, grads, workspace)
     return grads
 
 
@@ -272,7 +273,7 @@ def _train_loop(X: np.ndarray, y: np.ndarray, hp: HyperParams, rows: np.ndarray 
     tensors, grads = _tensor_views(params, d, hp.hidden_units), _tensor_views(grad, d, hp.hidden_units)
     m = min(hp.batch_size, n)
     X_batch, y_batch = np.empty((m, d)), np.empty(m)
-    workspace = np.empty((3, m, hp.hidden_units))
+    workspace = (np.empty((2, m, hp.hidden_units)), np.empty(m))
     checkpoints: list[ModelParams] = []
     for epoch in range(hp.epochs):
         order = rows[np.random.default_rng(hp.seed + epoch).permutation(n)]
@@ -281,7 +282,7 @@ def _train_loop(X: np.ndarray, y: np.ndarray, hp: HyperParams, rows: np.ndarray 
             # Positions are in range, so "clip" only skips numpy's buffered check.
             Xb = np.take(X, idx, axis=0, out=X_batch[: len(idx)], mode="clip")
             yb = np.take(y, idx, out=y_batch[: len(idx)], mode="clip")
-            _gradients(tensors, model.is_mlp, Xb, yb, hp.weight_decay, grads, workspace)
+            _gradients(tensors, Xb, yb, hp.weight_decay, grads, workspace)
             if not np.isfinite(grad).all():
                 raise TrainingError(f"non-finite gradient at epoch {epoch}, batch {bi}")
             params -= hp.learning_rate * grad

@@ -122,14 +122,29 @@ class CandidateRef:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "CandidateRef":
+        """A stored to_dict(): a "jtt" candidate names its stage-1 point, T and
+        lambda, an "erm" candidate none of them, and the epoch is one that
+        stage 2 trains."""
+        kind = d["kind"]
+        if kind not in ("jtt", "erm"):
+            raise ValueError(f"kind: must be 'jtt' or 'erm', got {kind!r}")
+        if [d.get(key) is not None for key in ("stage1", "t", "lambda")] != [kind == "jtt"] * 3:
+            raise ValueError(f"stage1, t, lambda: a 'jtt' candidate sets all three, an 'erm' one none; got {kind!r}")
+        plain_fallback = d.get("plain_fallback", False)
+        if not isinstance(plain_fallback, bool):
+            raise ValueError(f"plain_fallback: expected bool, got {type(plain_fallback).__name__}")
+        stage2 = HyperParams.from_dict(d["stage2"])
+        epoch = check_int(d["epoch"], "epoch", 1)
+        if epoch > stage2.epochs:
+            raise ValueError(f"epoch: stage 2 trains {stage2.epochs} epochs, got {epoch}")
         return cls(
-            kind=d["kind"],
-            stage2=HyperParams.from_dict(d["stage2"]),
-            epoch=check_int(d["epoch"], "epoch", 1),
+            kind=kind,
+            stage2=stage2,
+            epoch=epoch,
             stage1=None if d.get("stage1") is None else HyperParams.from_dict(d["stage1"]),
             t=None if d.get("t") is None else check_int(d["t"], "t", 1),
             lam=None if d.get("lambda") is None else check_int(d["lambda"], "lambda", 1),
-            plain_fallback=bool(d.get("plain_fallback", False)),
+            plain_fallback=plain_fallback,
         )
 
 
@@ -300,8 +315,11 @@ class BinOutcome:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "BinOutcome":
+        lo, hi = check_pair(d["bin"], "bin", "lo, hi")
+        if not lo < hi:
+            raise ValueError(f"bin: [{lo}, {hi}) is empty")
         return cls(
-            bin=(float(d["bin"][0]), float(d["bin"][1])),
+            bin=(lo, hi),
             winner=None if d.get("winner") is None else CandidateRef.from_dict(d["winner"]),
             validation=None if d.get("validation") is None else FairnessReport.from_dict(d["validation"]),
             test=None if d.get("test") is None else FairnessReport.from_dict(d["test"]),

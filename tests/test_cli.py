@@ -139,6 +139,11 @@ def test_report_fractional_winner_integer_is_a_data_error(pipeline, tmp_path, ca
     assert len(err.splitlines()) == 1
 
 
+def _won(result):
+    """The first JTT bin of a stored result that has a winner."""
+    return next(b for b in result["bins"] if b["winner"])
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -146,8 +151,29 @@ def test_report_fractional_winner_integer_is_a_data_error(pipeline, tmp_path, ca
         (lambda r: r.update(sensitive_source="foo"), "sensitive_source: must be"),
         (lambda r: r.update(bins=[]), "bins and erm_bins must list the same"),
         (lambda r: r["erm_bins"][0].update(bin=[0.0, 0.5]), "bins and erm_bins must list the same"),
+        (lambda r: _won(r)["validation"]["subgroup_accuracy"].update(y9_a9=0.5), "['y9_a9'] name no subgroup"),
+        (lambda r: _won(r)["test"].update(avg_accuracy=7.5), "avg_accuracy: must be in [0, 1], got 7.5"),
+        (lambda r: _won(r)["test"].update(avg_accuracy="0.5"), "avg_accuracy: expected float, got str"),
+        (lambda r: _won(r)["validation"].update(dp_gap=2.0), "dp_gap: must be in [0, 1], got 2.0"),
+        (lambda r: _won(r)["test"]["subgroup_counts"].update(y0_a0=-3), "subgroup_counts.y0_a0: must be >= 1"),
+        (lambda r: _won(r)["validation"].update(sensitive_source=5), "sensitive_source: expected str, got int"),
+        (lambda r: _won(r)["winner"].update(kind="bogus"), "kind: must be 'jtt' or 'erm', got 'bogus'"),
+        (lambda r: _won(r)["winner"].update(t=None), "a 'jtt' candidate sets all three"),
+        (lambda r: r["erm_baseline"]["winner"].update(t=1), "an 'erm' one none"),
+        (lambda r: _won(r)["winner"].update(plain_fallback="no"), "plain_fallback: expected bool, got str"),
+        (lambda r: _won(r)["winner"].update(epoch=99), "epoch: stage 2 trains"),
+        (lambda r: _won(r)["winner"].update(stage2="abc"), "grid point: expected an object, got str"),
+        (
+            lambda r: [b.update(bin=[0.9, 0.1]) for b in (r["bins"][0], r["erm_bins"][0])],
+            "bin: [0.9, 0.1) is empty",
+        ),
     ],
-    ids=["unknown_objective", "unknown_source", "empty_bins", "mismatched_erm_bin"],
+    ids=[
+        "unknown_objective", "unknown_source", "empty_bins", "mismatched_erm_bin", "unknown_subgroup",
+        "accuracy_above_one", "accuracy_as_text", "gap_above_one", "negative_count", "numeric_report_source",
+        "unknown_kind", "jtt_without_t", "erm_with_t", "text_plain_fallback", "epoch_beyond_stage2",
+        "text_grid_point", "inverted_bin",
+    ],
 )
 def test_report_inconsistent_result_is_a_data_error(pipeline, tmp_path, capsys, damage, message):
     _, out = pipeline
@@ -178,7 +204,10 @@ def test_render_table_one_row_per_bin():
         "bins": [
             {
                 "bin": [0.8, 0.9],
-                "winner": {"kind": "jtt", "epoch": 3, "stage2": {"learning_rate": 0.1}},
+                "winner": {
+                    "kind": "jtt", "epoch": 3, "stage2": {"learning_rate": 0.1, "epochs": 3},
+                    "stage1": {"learning_rate": 0.1}, "t": 1, "lambda": 2,
+                },
                 "validation": {"avg_accuracy": 0.85, "dp_gap": 0.05, "eo_gap": None, "wga": None},
                 "test": {"avg_accuracy": 0.84, "dp_gap": 0.06, "eo_gap": None, "wga": None},
             },

@@ -540,6 +540,7 @@ def reference_train_loop(X, y, hp, rows=None):
     return checkpoints
 
 
+@pytest.mark.parametrize("weight_decay", [0.01, 0.0])
 @pytest.mark.parametrize("hidden", [0, 5])
 @pytest.mark.parametrize("upsampled", [False, True])
 @pytest.mark.parametrize(
@@ -547,13 +548,13 @@ def reference_train_loop(X, y, hp, rows=None):
     [(96, 16), (100, 32), (37, 64)],
     ids=["even-batches", "ragged-last-batch", "batch-above-n"],
 )
-def test_buffered_loop_matches_allocating_reference_bit_for_bit(hidden, upsampled, n, batch_size):
+def test_buffered_loop_matches_allocating_reference_bit_for_bit(hidden, upsampled, n, batch_size, weight_decay):
     rng = np.random.default_rng(n + hidden)
     X = rng.normal(size=(n, 3))
     y = rng.integers(0, 2, n).astype(np.float64)
     rows = upsampled_positions(n, rng.choice(n, n // 4, replace=False), 3) if upsampled else None
     hp = HyperParams(
-        learning_rate=0.3, weight_decay=0.01, epochs=4, batch_size=batch_size, seed=n, hidden_units=hidden
+        learning_rate=0.3, weight_decay=weight_decay, epochs=4, batch_size=batch_size, seed=n, hidden_units=hidden
     )
     got = _train_loop(X, y, hp, rows)
     expected = reference_train_loop(X, y, hp, rows)
@@ -562,6 +563,27 @@ def test_buffered_loop_matches_allocating_reference_bit_for_bit(hidden, upsample
         for t, r in zip(ckpt.tensors, ref):
             assert t.shape == r.shape
             assert np.array_equal(t.view(np.int64), r.view(np.int64))
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_gradients_mask_dead_and_zero_units_as_the_reference_does(weight_decay):
+    # The step masks the ReLU with its output, the reference with its input:
+    # unit 0 is dead on every row, and unit 1's pre-activation is a signed
+    # zero on every row, where dz1, gw1 and gb1 can hold signed zeros.
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(40, 3))
+    y = rng.integers(0, 2, 40).astype(np.float64)
+    w1, b1 = rng.normal(size=(3, 4)), rng.normal(size=4)
+    w1[:, 1], b1[:2] = 0.0, (-1e3, -0.0)
+    params = np.concatenate((w1.ravel(), b1, rng.normal(size=5)))
+    model = ModelParams(params=params, feature_dim=3, trained_epochs=0, hp=HyperParams(learning_rate=0.1, hidden_units=4))
+    z1 = X @ w1 + b1
+    assert (z1[:, 0] < 0.0).all() and (z1[:, 1] == 0.0).all() and (z1[:, 2:] > 0.0).any()
+    got = gradients(model, X, y, weight_decay)
+    expected = reference_gradients(model.tensors, True, X, y, weight_decay)
+    for g, r in zip(got, expected):
+        assert g.shape == r.shape
+        assert np.array_equal(g.view(np.int64), r.view(np.int64))
 
 
 def test_train_loop_rejects_row_positions_out_of_range():
