@@ -409,6 +409,9 @@ def main(argv=None) -> int:
     except (DataError, TrainingError, EmptyGroupError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"data error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_DATA_ERROR
 
 
 if __name__ == "__main__":

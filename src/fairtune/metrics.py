@@ -171,36 +171,38 @@ class FairnessReport:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "FairnessReport":
-        """The report of a stored to_dict(). Raises ValueError for a value no
-        report holds: a rate outside [0, 1], a subgroup count below 1, a key
-        that names no subgroup of SUBGROUPS."""
-        def rate(value, what: str) -> float:
-            value = check_float(value, what)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{what}: must be in [0, 1], got {value}")
-            return value
+        """The report whose to_dict() is `d`, rebuilt by `report_from_counts`
+        from round(accuracy * count) correct rows per subgroup."""
+        n = np.zeros((2, 2, 2), dtype=object)  # Python ints hold any stored count exactly
+        for y, a in SUBGROUPS:
+            key = f"y{y}_a{a}"
+            if key in d["subgroup_counts"]:
+                size = check_int(d["subgroup_counts"][key], f"subgroup_counts.{key}", 1)
+                acc = check_float(d["subgroup_accuracy"][key], f"subgroup_accuracy.{key}")
+                num, den = acc.as_integer_ratio()
+                correct = (2 * num * size + den) // (2 * den)  # acc * size rounded, exactly
+                if not 0 <= correct <= size:
+                    raise ValueError(f"subgroup_accuracy.{key}: stored {acc} gives {correct} correct of {size} rows")
+                n[y, a, y], n[y, a, 1 - y] = correct, size - correct
+        report = report_from_counts(n, d["sensitive_source"], require=())
+        check_round_trip(d, report.to_dict(), "its subgroup counts give")
+        return report
 
-        keys = {f"y{y}_a{a}": (y, a) for y, a in SUBGROUPS}
 
-        def per_subgroup(name: str, parse) -> dict:
-            cells = d.get(name, {})
-            unknown = sorted(set(cells) - set(keys))
-            if unknown:
-                raise ValueError(f"{name}: {unknown} name no subgroup")
-            return {keys[k]: parse(v, f"{name}.{k}") for k, v in cells.items()}
-
-        source = d.get("sensitive_source", "ground_truth")
-        if not isinstance(source, str):
-            raise ValueError(f"sensitive_source: expected str, got {type(source).__name__}")
-        return cls(
-            avg_accuracy=rate(d["avg_accuracy"], "avg_accuracy"),
-            dp_gap=None if d.get("dp_gap") is None else rate(d["dp_gap"], "dp_gap"),
-            eo_gap=None if d.get("eo_gap") is None else rate(d["eo_gap"], "eo_gap"),
-            wga=None if d.get("wga") is None else rate(d["wga"], "wga"),
-            subgroup_accuracy=per_subgroup("subgroup_accuracy", rate),
-            subgroup_counts=per_subgroup("subgroup_counts", lambda v, what: check_int(v, what, 1)),
-            sensitive_source=source,
-        )
+def check_round_trip(stored, written, writer: str, path: str = "") -> None:
+    """Raises ValueError at the first key or index, in `written`'s order, where
+    `stored` differs in value or type from `written`, what `writer` gives for it."""
+    if isinstance(stored, (dict, list)) and type(stored) is type(written):
+        stored, written = (v if isinstance(v, dict) else dict(enumerate(v)) for v in (stored, written))
+        for key in {**written, **stored}:
+            at = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key
+            if key not in stored:
+                raise ValueError(f"{at}: missing, but {writer} {written[key]!r}")
+            if key not in written:
+                raise ValueError(f"{at}: stored {stored[key]!r}, but {writer} no such key")
+            check_round_trip(stored[key], written[key], writer, at)
+    elif type(stored) is not type(written) or stored != written:
+        raise ValueError(f"{path}: stored {stored!r}, but {writer} {written!r}")
 
 
 def confusion_counts(predictions, targets, sensitive) -> np.ndarray:

@@ -31,6 +31,7 @@ from .metrics import (
     METRIC_NAMES,
     EmptyGroupError,
     FairnessReport,
+    check_round_trip,
     confusion_counts,
     report_from_counts,
 )
@@ -42,6 +43,8 @@ from .training import train_erm, train_upsampled  # noqa: F401
 
 GROUND_TRUTH = "ground_truth"
 PSEUDO = "pseudo"
+# The bin of the unconstrained plain baseline: every validation accuracy lies in it.
+ERM_BASELINE_BIN = (0.0, 1.0 + 1e-12)
 
 _MINIMIZED = {"dp_gap": True, "eo_gap": True, "wga": False}
 
@@ -123,28 +126,26 @@ class CandidateRef:
     @classmethod
     def from_dict(cls, d: Mapping) -> "CandidateRef":
         """A stored to_dict(): a "jtt" candidate names its stage-1 point, T and
-        lambda, an "erm" candidate none of them, and the epoch is one that
-        stage 2 trains."""
+        lambda, an "erm" candidate none of them; stage 2 trains its epoch."""
         kind = d["kind"]
         if kind not in ("jtt", "erm"):
             raise ValueError(f"kind: must be 'jtt' or 'erm', got {kind!r}")
-        if [d.get(key) is not None for key in ("stage1", "t", "lambda")] != [kind == "jtt"] * 3:
+        if [d[key] is not None for key in ("stage1", "t", "lambda")] != [kind == "jtt"] * 3:
             raise ValueError(f"stage1, t, lambda: a 'jtt' candidate sets all three, an 'erm' one none; got {kind!r}")
-        plain_fallback = d.get("plain_fallback", False)
+        plain_fallback = d["plain_fallback"]
         if not isinstance(plain_fallback, bool):
             raise ValueError(f"plain_fallback: expected bool, got {type(plain_fallback).__name__}")
+        if plain_fallback and kind == "erm":
+            raise ValueError("plain_fallback: an 'erm' candidate has no stage 1 to fall back from, got True")
         stage2 = HyperParams.from_dict(d["stage2"])
         epoch = check_int(d["epoch"], "epoch", 1)
         if epoch > stage2.epochs:
             raise ValueError(f"epoch: stage 2 trains {stage2.epochs} epochs, got {epoch}")
         return cls(
-            kind=kind,
-            stage2=stage2,
-            epoch=epoch,
-            stage1=None if d.get("stage1") is None else HyperParams.from_dict(d["stage1"]),
-            t=None if d.get("t") is None else check_int(d["t"], "t", 1),
-            lam=None if d.get("lambda") is None else check_int(d["lambda"], "lambda", 1),
-            plain_fallback=plain_fallback,
+            kind=kind, stage2=stage2, epoch=epoch, plain_fallback=plain_fallback,
+            stage1=None if d["stage1"] is None else HyperParams.from_dict(d["stage1"]),
+            t=None if d["t"] is None else check_int(d["t"], "t", 1),
+            lam=None if d["lambda"] is None else check_int(d["lambda"], "lambda", 1),
         )
 
 
@@ -313,17 +314,34 @@ class BinOutcome:
             "test": None if self.test is None else self.test.to_dict(),
         }
 
+    def _check_written(self, where: str, kind: str, objective: str) -> None:
+        """Raises ValueError unless `grid_search` could write this outcome at
+        `where`, whose winners are of `kind`: a winner exactly when both
+        reports, a validation accuracy inside the bin, and an objective."""
+        if len({part is None for part in (self.winner, self.validation, self.test)}) > 1:
+            raise ValueError(f"{where}: a tuner writes a winner and both its reports, or none of them")
+        if self.winner is None:
+            return
+        if self.winner.kind != kind:
+            raise ValueError(f"{where}.winner.kind: a tuner writes {kind!r} winners here, got {self.winner.kind!r}")
+        (lo, hi), acc = self.bin, self.validation.avg_accuracy
+        if not lo <= acc < hi:
+            raise ValueError(f"{where}.validation.avg_accuracy: {acc} lies outside the bin [{lo}, {hi})")
+        if self.validation.metric(objective) is None:
+            raise ValueError(f"{where}.validation.{objective}: a winner's objective is never None")
+
     @classmethod
-    def from_dict(cls, d: Mapping) -> "BinOutcome":
+    def from_dict(cls, d: Mapping, source: str) -> "BinOutcome":
+        """A stored to_dict(), its reports labelled as a tuner scores them."""
         lo, hi = check_pair(d["bin"], "bin", "lo, hi")
         if not lo < hi:
             raise ValueError(f"bin: [{lo}, {hi}) is empty")
-        return cls(
-            bin=(lo, hi),
-            winner=None if d.get("winner") is None else CandidateRef.from_dict(d["winner"]),
-            validation=None if d.get("validation") is None else FairnessReport.from_dict(d["validation"]),
-            test=None if d.get("test") is None else FairnessReport.from_dict(d["test"]),
+        on = {"validation": source, "test": GROUND_TRUTH}  # the sensitive labels a tuner scores each report on
+        reports = (
+            None if d[k] is None else replace(FairnessReport.from_dict(d[k]), sensitive_source=on[k]) for k in on
         )
+        winner = None if d["winner"] is None else CandidateRef.from_dict(d["winner"])
+        return cls((lo, hi), winner, *reports)
 
 
 @dataclass(frozen=True)
@@ -349,17 +367,24 @@ class TunerResult:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TunerResult":
-        """Raises ValueError where no tuner run could have written `d`."""
-        _check_selection_rule(d["objective"], d["sensitive_source"])
-        result = cls(
-            objective=d["objective"],
-            sensitive_source=d["sensitive_source"],
-            bins=tuple(BinOutcome.from_dict(b) for b in d["bins"]),
-            erm_bins=tuple(BinOutcome.from_dict(b) for b in d["erm_bins"]),
-            erm_baseline=None if d.get("erm_baseline") is None else BinOutcome.from_dict(d["erm_baseline"]),
-        )
+        """The result whose to_dict() is `d`; raises ValueError where no tuner
+        run could have written `d`, naming the first key of `d` that differs."""
+        objective, source = d["objective"], d["sensitive_source"]
+        _check_selection_rule(objective, source)
+        bins, erm_bins = (tuple(BinOutcome.from_dict(b, source) for b in d[key]) for key in ("bins", "erm_bins"))
+        baseline = None if d["erm_baseline"] is None else BinOutcome.from_dict(d["erm_baseline"], source)
+        result = cls(objective, source, bins, erm_bins, baseline)
+        check_round_trip(d, result.to_dict(), "a tuner writes")
         if not result.bins or [b.bin for b in result.bins] != [b.bin for b in result.erm_bins]:
             raise ValueError("bins and erm_bins must list the same nonempty accuracy bins in the same order")
+        outcomes = [(f"bins[{i}]", "jtt", b) for i, b in enumerate(bins)]
+        outcomes += [(f"erm_bins[{i}]", "erm", b) for i, b in enumerate(erm_bins)]
+        if baseline is not None:
+            if baseline.bin != ERM_BASELINE_BIN:
+                raise ValueError(f"erm_baseline.bin: a tuner writes {list(ERM_BASELINE_BIN)}, got {list(baseline.bin)}")
+            outcomes.append(("erm_baseline", "erm", baseline))
+        for where, kind, outcome in outcomes:
+            outcome._check_written(where, kind, objective)
         return result
 
 
@@ -437,5 +462,5 @@ def grid_search(
         sensitive_source=config.sensitive_source,
         bins=tuple(outcome(b, bn) for b, bn in zip(jtt_best, bins)),
         erm_bins=tuple(outcome(b, bn) for b, bn in zip(erm_best, bins)),
-        erm_baseline=None if erm_overall is None else outcome(erm_overall, (0.0, 1.0 + 1e-12)),
+        erm_baseline=None if erm_overall is None else outcome(erm_overall, ERM_BASELINE_BIN),
     )

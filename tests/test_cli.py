@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import os
@@ -13,7 +14,9 @@ import pytest
 import fairtune.cli
 from fairtune.cli import main, render_table
 from fairtune.labelling import _grid_point_predictions
-from fairtune.tuning import TunerResult
+from fairtune.metrics import report_from_counts
+from fairtune.training import HyperParams
+from fairtune.tuning import CandidateRef, TunerResult
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -144,6 +147,24 @@ def _won(result):
     return next(b for b in result["bins"] if b["winner"])
 
 
+def _erm_winner_in_its_jtt_bin(result):
+    i = next(i for i, b in enumerate(result["erm_bins"]) if b["winner"])
+    result["bins"][i] = copy.deepcopy(result["erm_bins"][i])
+
+
+def _move_won_bin(result, lo_hi):
+    i = next(i for i, b in enumerate(result["bins"]) if b["winner"])
+    result["bins"][i]["bin"] = result["erm_bins"][i]["bin"] = lo_hi
+
+
+def _won_on_one_group(result):
+    # Validation counts without a row of group a=0, so no DP gap: 81 of 100
+    # rows correct, inside the bin [0.8, 0.825).
+    counts = np.array([[[0, 0], [41, 9]], [[0, 0], [10, 40]]])
+    _won(result)["validation"] = report_from_counts(counts, result["sensitive_source"], require=()).to_dict()
+    _move_won_bin(result, [0.8, 0.825])
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -151,12 +172,12 @@ def _won(result):
         (lambda r: r.update(sensitive_source="foo"), "sensitive_source: must be"),
         (lambda r: r.update(bins=[]), "bins and erm_bins must list the same"),
         (lambda r: r["erm_bins"][0].update(bin=[0.0, 0.5]), "bins and erm_bins must list the same"),
-        (lambda r: _won(r)["validation"]["subgroup_accuracy"].update(y9_a9=0.5), "['y9_a9'] name no subgroup"),
-        (lambda r: _won(r)["test"].update(avg_accuracy=7.5), "avg_accuracy: must be in [0, 1], got 7.5"),
-        (lambda r: _won(r)["test"].update(avg_accuracy="0.5"), "avg_accuracy: expected float, got str"),
-        (lambda r: _won(r)["validation"].update(dp_gap=2.0), "dp_gap: must be in [0, 1], got 2.0"),
+        (lambda r: _won(r)["validation"]["subgroup_accuracy"].update(y9_a9=0.5), "subgroup_accuracy.y9_a9: stored 0.5"),
+        (lambda r: _won(r)["test"].update(avg_accuracy=7.5), "avg_accuracy: stored 7.5, but its subgroup counts give"),
+        (lambda r: _won(r)["test"].update(avg_accuracy="0.5"), "avg_accuracy: stored '0.5', but"),
+        (lambda r: _won(r)["validation"].update(dp_gap=2.0), "dp_gap: stored 2.0, but its subgroup counts give"),
         (lambda r: _won(r)["test"]["subgroup_counts"].update(y0_a0=-3), "subgroup_counts.y0_a0: must be >= 1"),
-        (lambda r: _won(r)["validation"].update(sensitive_source=5), "sensitive_source: expected str, got int"),
+        (lambda r: _won(r)["validation"].update(sensitive_source=5), "validation.sensitive_source: stored 5, but"),
         (lambda r: _won(r)["winner"].update(kind="bogus"), "kind: must be 'jtt' or 'erm', got 'bogus'"),
         (lambda r: _won(r)["winner"].update(t=None), "a 'jtt' candidate sets all three"),
         (lambda r: r["erm_baseline"]["winner"].update(t=1), "an 'erm' one none"),
@@ -167,12 +188,28 @@ def _won(result):
             lambda r: [b.update(bin=[0.9, 0.1]) for b in (r["bins"][0], r["erm_bins"][0])],
             "bin: [0.9, 0.1) is empty",
         ),
+        (lambda r: _won(r).update(validation=None, test=None), "a tuner writes a winner and both its reports"),
+        (_erm_winner_in_its_jtt_bin, "winner.kind: a tuner writes 'jtt' winners here, got 'erm'"),
+        (lambda r: _won(r)["test"].pop("subgroup_counts"), "KeyError: 'subgroup_counts'"),
+        (lambda r: _won(r)["winner"].pop("plain_fallback"), "KeyError: 'plain_fallback'"),
+        (lambda r: r.update(extra=1), "extra: stored 1, but a tuner writes no such key"),
+        (lambda r: _won(r)["validation"].update(sensitive_source="bogus"), "sensitive_source: stored 'bogus', but"),
+        (lambda r: _won(r).update(winner=None), "a tuner writes a winner and both its reports"),
+        (lambda r: _move_won_bin(r, [0.1, 0.2]), "lies outside the bin [0.1, 0.2)"),
+        (lambda r: _won(r)["validation"].update(dp_gap=None), "dp_gap: stored None, but its subgroup counts give"),
+        (lambda r: _won(r)["test"].update(dp_gap=0.01234), "dp_gap: stored 0.01234, but its subgroup counts give"),
+        (_won_on_one_group, "validation.dp_gap: a winner's objective is never None"),
+        (lambda r: r["erm_baseline"].update(bin=[0.0, 0.9]), "erm_baseline.bin: a tuner writes [0.0, 1.000000000001]"),
+        (lambda r: r["erm_baseline"]["winner"].update(plain_fallback=True), "an 'erm' candidate has no stage 1"),
     ],
     ids=[
         "unknown_objective", "unknown_source", "empty_bins", "mismatched_erm_bin", "unknown_subgroup",
         "accuracy_above_one", "accuracy_as_text", "gap_above_one", "negative_count", "numeric_report_source",
         "unknown_kind", "jtt_without_t", "erm_with_t", "text_plain_fallback", "epoch_beyond_stage2",
-        "text_grid_point", "inverted_bin",
+        "text_grid_point", "inverted_bin", "winner_without_reports", "erm_winner_in_jtt_bin",
+        "report_without_counts", "winner_without_plain_fallback", "extra_top_level_key", "bogus_report_source",
+        "reports_without_winner", "winner_outside_its_bin", "validation_objective_null", "test_gap_changed",
+        "winner_without_objective", "moved_baseline_bin", "erm_plain_fallback",
     ],
 )
 def test_report_inconsistent_result_is_a_data_error(pipeline, tmp_path, capsys, damage, message):
@@ -198,25 +235,23 @@ def test_report_wrong_schema_result_is_a_data_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 def test_render_table_one_row_per_bin():
+    # The validation counts give the (85.0, 5.0) cell: 40 rows, 34 correct,
+    # and 10 of 20 against 9 of 20 positive predictions by group.
+    validation = report_from_counts(np.array([[[8, 2], [9, 0]], [[3, 7], [1, 10]]]), "pseudo", require=())
+    test = report_from_counts(np.array([[[9, 1], [9, 1]], [[2, 8], [0, 10]]]), require=())
+    winner = CandidateRef(
+        kind="jtt", stage2=HyperParams(learning_rate=0.1, epochs=3), epoch=3,
+        stage1=HyperParams(learning_rate=0.1), t=1, lam=2,
+    )
+    empty = {"winner": None, "validation": None, "test": None}
     raw = {
         "objective": "dp_gap",
         "sensitive_source": "pseudo",
         "bins": [
-            {
-                "bin": [0.8, 0.9],
-                "winner": {
-                    "kind": "jtt", "epoch": 3, "stage2": {"learning_rate": 0.1, "epochs": 3},
-                    "stage1": {"learning_rate": 0.1}, "t": 1, "lambda": 2,
-                },
-                "validation": {"avg_accuracy": 0.85, "dp_gap": 0.05, "eo_gap": None, "wga": None},
-                "test": {"avg_accuracy": 0.84, "dp_gap": 0.06, "eo_gap": None, "wga": None},
-            },
-            {"bin": [0.9, 1.0], "winner": None, "validation": None, "test": None},
+            {"bin": [0.8, 0.9], "winner": winner.to_dict(), "validation": validation.to_dict(), "test": test.to_dict()},
+            {"bin": [0.9, 1.0], **empty},
         ],
-        "erm_bins": [
-            {"bin": [0.8, 0.9], "winner": None, "validation": None, "test": None},
-            {"bin": [0.9, 1.0], "winner": None, "validation": None, "test": None},
-        ],
+        "erm_bins": [{"bin": [0.8, 0.9], **empty}, {"bin": [0.9, 1.0], **empty}],
         "erm_baseline": None,
     }
     table = render_table(TunerResult.from_dict(raw))
@@ -224,6 +259,56 @@ def test_render_table_one_row_per_bin():
     assert sum(1 for l in lines if "[80.0,90.0)" in l) == 1
     assert sum(1 for l in lines if "(85.0, 5.0)" in l) == 1
     assert sum(1 for l in lines if "(empty)" in l) >= 1
+
+
+def _leaf_paths(node, path=()):
+    """The key path of every value of a JSON document that is no object or list."""
+    if not isinstance(node, (dict, list)):
+        yield path
+        return
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield from _leaf_paths(child, (*path, key))
+
+
+def _key_paths(node, path=()):
+    """The key path of every object key of a JSON document."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield (*path, key)
+            yield from _key_paths(child, (*path, key))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _key_paths(child, (*path, i))
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "replacement", [None, "x", -1, 1.5, True, _DELETE], ids=["null", "text", "minus_one", "fraction", "true", "deleted"]
+)
+def test_report_of_a_result_with_any_value_replaced_exits_0_or_3(pipeline, tmp_path, capsys, replacement):
+    # Every leaf of a stored result in turn (every key, for a deletion):
+    # `report` accepts the file or rejects it in one line, never raising.
+    _, out = pipeline
+    text = (out / "tuner_result.json").read_text()
+    stored = json.loads(text)["result"]
+    paths = list(_key_paths(stored) if replacement is _DELETE else _leaf_paths(stored))
+    assert len(paths) > 100
+    damaged = tmp_path / "damaged.json"
+    for path in paths:
+        payload = json.loads(text)
+        node = payload["result"]
+        for key in path[:-1]:
+            node = node[key]
+        if replacement is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = replacement
+        damaged.write_text(json.dumps(payload))
+        code = main(["report", str(damaged)])
+        err = capsys.readouterr().err
+        assert (code, len(err.splitlines())) in ((0, 0), (3, 1)), (path, err)
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -451,6 +536,22 @@ def test_a_dead_worker_is_a_one_line_data_error(tmp_path, capsys, monkeypatch):
     assert main(["train-grid", "--config", str(config), "--jobs", "2"]) == 3
     assert capsys.readouterr().err == "data error: a worker process ended abruptly (killed, or out of memory?)\n"
     assert _files(out) == prepared
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_out_of_memory_is_a_one_line_data_error(tmp_path, capsys, jobs):
+    # 10**13 hidden units at d=2 ask for a 218 TiB parameter vector, more
+    # than a 64-bit address space maps, so numpy refuses it at once without
+    # touching memory.
+    grid = json.loads((CONFIGS / "synthetic.json").read_text())["labeller_grid"]
+    grid[0]["hidden_units"] = 10**13
+    config, out = load_synthetic_config(tmp_path, labeller_grid=grid)
+    assert main(["prepare", "--config", str(config)]) == 0
+    prepared = {rel: (out / rel).read_bytes() for rel in _files(out)}
+    assert main(["train-grid", "--config", str(config), "--jobs", jobs]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: out of memory: Unable to allocate") and len(err.splitlines()) == 1
+    assert {rel: (out / rel).read_bytes() for rel in _files(out)} == prepared
 
 
 def _drop_meta_line(key):

@@ -337,6 +337,35 @@ def test_report_round_trip():
     assert back == rep
 
 
+# Counts of any size, also beyond int64 and float range, with rows somewhere.
+count_cubes = st.lists(
+    st.one_of(st.integers(0, 50), st.integers(0, 2**70), st.integers(2**1030, 2**1040)), min_size=8, max_size=8
+).filter(any)
+
+
+@settings(max_examples=400, deadline=None)
+@given(count_cubes, st.sampled_from(["ground_truth", "pseudo"]))
+def test_report_read_back_from_its_subgroup_counts(cells, source):
+    # A stored report is rebuilt from its subgroup counts and accuracies.
+    # Below 2**53 rows per subgroup the accuracy fixes the correct rows, so
+    # the report reads back exactly; above, a rebuilt count may differ, and
+    # the file then reads exactly or is rejected with one ValueError.
+    rep = report_from_counts(np.array(cells, dtype=object).reshape(2, 2, 2), source, require=())
+    try:
+        back = FairnessReport.from_dict(rep.to_dict())
+    except ValueError:
+        assert max(rep.subgroup_counts.values()) >= 2**53
+    else:
+        assert back == rep
+
+
+def test_report_with_an_impossible_subgroup_accuracy_is_rejected():
+    stored = report_from_counts(np.array([[[3, 1], [2, 2]], [[1, 3], [0, 4]]]), require=()).to_dict()
+    stored["subgroup_accuracy"]["y0_a0"] = 1.5
+    with pytest.raises(ValueError, match=r"subgroup_accuracy.y0_a0: stored 1.5 gives 6 correct of 4 rows"):
+        FairnessReport.from_dict(stored)
+
+
 def test_metrics_within_unit_interval():
     rng = np.random.default_rng(21)
     for _ in range(20):
