@@ -21,11 +21,18 @@ error, 3 data error, 4 selection failure.
 Unless numpy was loaded first, importing this module loads numpy with
 OpenBLAS on one thread, whatever the thread variables say, so no idle BLAS
 thread spins on another core and no output depends on a thread count.
+
+A command's process enters through `run()`, which freezes the heap its
+imports built before it calls `main()`: no garbage collection walks those
+objects again, during the run, in a forked worker or at exit. `main()` and
+importing this module leave the garbage collector as they find it, so a
+test or a library caller keeps its own settings.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import shutil
@@ -331,8 +338,7 @@ def render_table(result: TunerResult) -> str:
     for outcome, erm_outcome in zip(result.bins, result.erm_bins):
         lo, hi = outcome.bin
         entries += [(f"[{100 * lo:.1f},{100 * hi:.1f})", "jtt", outcome), ("", "erm", erm_outcome)]
-    if result.erm_baseline is not None and not result.erm_baseline.empty:
-        entries.append(("unconstrained", "erm", result.erm_baseline))
+    entries.append(("unconstrained", "erm", result.erm_baseline))
     rows = [["bin", "method", "validation", "test"]]
     for tag, method, outcome in entries:
         cells = [_fmt_pair(report, result.objective) for report in (outcome.validation, outcome.test)]
@@ -414,5 +420,11 @@ def main(argv=None) -> int:
         return EXIT_DATA_ERROR
 
 
+def run() -> int:
+    """main() in a process of its own: `fairtune ...` or `python -m fairtune.cli ...`."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

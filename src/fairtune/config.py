@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from .data import DatasetSchema, SchemaError, SyntheticSpec, check_fractions, check_int, check_pair
+from .data import MAX_SIZE, DatasetSchema, SchemaError, SyntheticSpec, check_fractions, check_int, check_pair
 from .noise import NoiseSpec
 from .training import HyperParams
 from .tuning import JttConfig
@@ -92,7 +92,7 @@ class McNoiseSection:
         for i, (alpha, beta) in enumerate(cells):
             _at(f"grid[{i}]", NoiseSpec, alpha, beta)
         object.__setattr__(self, "grid", cells)
-        object.__setattr__(self, "n_samples", check_int(self.n_samples, "n_samples", 1))
+        object.__setattr__(self, "n_samples", check_int(self.n_samples, "n_samples", 1, MAX_SIZE))
         object.__setattr__(self, "seed", check_int(self.seed, "seed", 0))
         if self.split not in MC_SPLITS:
             raise ValueError(f"split: expected one of {MC_SPLITS}, got {self.split!r}")

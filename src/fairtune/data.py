@@ -45,9 +45,18 @@ class EmptySplitError(DataError):
     """A requested split received zero rows."""
 
 
-def check_int(value, what: str, minimum: int) -> int:
-    """`value` as an int >= minimum. numpy integers pass; bools, which
-    Python would take as 0 or 1, and floats, which would truncate, do not."""
+# The largest size a config may set (rows of a block, samples, hidden units,
+# epochs, batch rows, repeats). Such a size times a data dimension of up to
+# 2**12 (features, batch rows) in 16-byte elements stays under 2**60 bytes,
+# so its size fits np.intp: numpy refuses what a machine cannot hold with a
+# MemoryError (exit 3), never with the ValueError of an overflowing size.
+MAX_SIZE = 2**44
+
+
+def check_int(value, what: str, minimum: int, maximum: int | None = None) -> int:
+    """`value` as an int >= minimum (and <= maximum, if given). numpy integers
+    pass; bools, which Python would take as 0 or 1, and floats, which would
+    truncate, do not."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{what}: expected int, got bool")
     try:
@@ -56,6 +65,8 @@ def check_int(value, what: str, minimum: int) -> int:
         raise ValueError(f"{what}: expected int, got {type(value).__name__}") from None
     if value < minimum:
         raise ValueError(f"{what}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{what}: must be <= {maximum}, got {value}")
     return value
 
 
@@ -449,7 +460,7 @@ class BlockSpec:
     var: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "count", check_int(self.count, "count", 0))
+        object.__setattr__(self, "count", check_int(self.count, "count", 0, MAX_SIZE))
         mean = tuple(check_float(v, f"mean[{j}]") for j, v in enumerate(self.mean))
         var = tuple(check_float(v, f"var[{j}]") for j, v in enumerate(self.var))
         if len(mean) != len(var):

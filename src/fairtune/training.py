@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import TabularDataset, _frozen, check_float, check_int
+from .data import MAX_SIZE, TabularDataset, _frozen, check_float, check_int
 
 
 class TrainingError(RuntimeError):
@@ -52,8 +52,9 @@ class HyperParams:
             raise ValueError(f"learning_rate: must be > 0, got {self.learning_rate}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay: must be >= 0, got {self.weight_decay}")
-        for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0), ("hidden_units", 0)):
-            object.__setattr__(self, name, check_int(getattr(self, name), name, minimum))
+        for name, minimum in (("epochs", 1), ("batch_size", 1), ("hidden_units", 0)):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, minimum, MAX_SIZE))
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0))
 
     def to_dict(self) -> dict:
         return asdict(self)

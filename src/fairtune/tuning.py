@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import TabularDataset, check_int, check_pair
+from .data import MAX_SIZE, TabularDataset, check_int, check_pair
 from .metrics import (
     METRIC_NAMES,
     EmptyGroupError,
@@ -56,6 +56,20 @@ def _check_selection_rule(objective: str, sensitive_source: str) -> None:
         raise ValueError(f"sensitive_source: must be {PSEUDO!r} or {GROUND_TRUTH!r}, got {sensitive_source!r}")
 
 
+def check_bins(bins, name: str) -> tuple[tuple[float, float], ...]:
+    """`bins` as half-open accuracy bins [lo, hi): pairs of numbers with
+    lo < hi, no two of which overlap."""
+    bins = tuple(check_pair(b, f"{name}[{i}]", "lo, hi") for i, b in enumerate(bins))
+    for i, (lo, hi) in enumerate(bins):
+        if not lo < hi:
+            raise ValueError(f"{name}[{i}]: bin [{lo}, {hi}) is empty")
+    ordered = sorted(bins)
+    for (lo1, hi1), (lo2, _) in zip(ordered, ordered[1:]):
+        if hi1 > lo2:
+            raise ValueError(f"{name}: bins [{lo1}, {hi1}) and [{lo2}, ...) overlap")
+    return bins
+
+
 @dataclass(frozen=True)
 class JttConfig:
     """Search space and selection rule for the two-stage tuner."""
@@ -77,19 +91,11 @@ class JttConfig:
                 if not isinstance(hp, HyperParams):
                     raise ValueError(f"{name}[{i}]: expected HyperParams, got {type(hp).__name__}")
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        for name in ("t_grid", "lambda_grid"):
-            values = tuple(check_int(v, f"{name}[{i}]", 1) for i, v in enumerate(getattr(self, name)))
+        for name, maximum in (("t_grid", None), ("lambda_grid", MAX_SIZE)):
+            values = tuple(check_int(v, f"{name}[{i}]", 1, maximum) for i, v in enumerate(getattr(self, name)))
             object.__setattr__(self, name, values)
         _check_selection_rule(self.objective, self.sensitive_source)
-        bins = tuple(check_pair(b, f"accuracy_bins[{i}]", "lo, hi") for i, b in enumerate(self.accuracy_bins))
-        for i, (lo, hi) in enumerate(bins):
-            if not lo < hi:
-                raise ValueError(f"accuracy_bins[{i}]: bin [{lo}, {hi}) is empty")
-        ordered = sorted(bins)
-        for (lo1, hi1), (lo2, _) in zip(ordered, ordered[1:]):
-            if hi1 > lo2:
-                raise ValueError(f"accuracy_bins: bins [{lo1}, {hi1}) and [{lo2}, ...) overlap")
-        object.__setattr__(self, "accuracy_bins", bins)
+        object.__setattr__(self, "accuracy_bins", check_bins(self.accuracy_bins, "accuracy_bins"))
 
     def to_dict(self) -> dict:
         # The grids go through HyperParams.to_dict, which decides what a grid
@@ -334,8 +340,6 @@ class BinOutcome:
     def from_dict(cls, d: Mapping, source: str) -> "BinOutcome":
         """A stored to_dict(), its reports labelled as a tuner scores them."""
         lo, hi = check_pair(d["bin"], "bin", "lo, hi")
-        if not lo < hi:
-            raise ValueError(f"bin: [{lo}, {hi}) is empty")
         on = {"validation": source, "test": GROUND_TRUTH}  # the sensitive labels a tuner scores each report on
         reports = (
             None if d[k] is None else replace(FairnessReport.from_dict(d[k]), sensitive_source=on[k]) for k in on
@@ -354,7 +358,7 @@ class TunerResult:
     sensitive_source: str
     bins: tuple[BinOutcome, ...]
     erm_bins: tuple[BinOutcome, ...]
-    erm_baseline: BinOutcome | None
+    erm_baseline: BinOutcome
 
     def to_dict(self) -> dict:
         return {
@@ -362,7 +366,7 @@ class TunerResult:
             "sensitive_source": self.sensitive_source,
             "bins": [b.to_dict() for b in self.bins],
             "erm_bins": [b.to_dict() for b in self.erm_bins],
-            "erm_baseline": None if self.erm_baseline is None else self.erm_baseline.to_dict(),
+            "erm_baseline": self.erm_baseline.to_dict(),
         }
 
     @classmethod
@@ -371,18 +375,22 @@ class TunerResult:
         run could have written `d`, naming the first key of `d` that differs."""
         objective, source = d["objective"], d["sensitive_source"]
         _check_selection_rule(objective, source)
+        if d["erm_baseline"] is None:
+            raise ValueError("erm_baseline: a tuner always writes the plain baseline, got null")
         bins, erm_bins = (tuple(BinOutcome.from_dict(b, source) for b in d[key]) for key in ("bins", "erm_bins"))
-        baseline = None if d["erm_baseline"] is None else BinOutcome.from_dict(d["erm_baseline"], source)
+        baseline = BinOutcome.from_dict(d["erm_baseline"], source)
         result = cls(objective, source, bins, erm_bins, baseline)
         check_round_trip(d, result.to_dict(), "a tuner writes")
         if not result.bins or [b.bin for b in result.bins] != [b.bin for b in result.erm_bins]:
             raise ValueError("bins and erm_bins must list the same nonempty accuracy bins in the same order")
+        check_bins([b.bin for b in bins], "bins")
+        if baseline.bin != ERM_BASELINE_BIN:
+            raise ValueError(f"erm_baseline.bin: a tuner writes {list(ERM_BASELINE_BIN)}, got {list(baseline.bin)}")
+        if baseline.empty:
+            raise ValueError("erm_baseline.winner: a tuner always writes the plain baseline's winner, got null")
         outcomes = [(f"bins[{i}]", "jtt", b) for i, b in enumerate(bins)]
         outcomes += [(f"erm_bins[{i}]", "erm", b) for i, b in enumerate(erm_bins)]
-        if baseline is not None:
-            if baseline.bin != ERM_BASELINE_BIN:
-                raise ValueError(f"erm_baseline.bin: a tuner writes {list(ERM_BASELINE_BIN)}, got {list(baseline.bin)}")
-            outcomes.append(("erm_baseline", "erm", baseline))
+        outcomes.append(("erm_baseline", "erm", baseline))
         for where, kind, outcome in outcomes:
             outcome._check_written(where, kind, objective)
         return result
@@ -462,5 +470,5 @@ def grid_search(
         sensitive_source=config.sensitive_source,
         bins=tuple(outcome(b, bn) for b, bn in zip(jtt_best, bins)),
         erm_bins=tuple(outcome(b, bn) for b, bn in zip(erm_best, bins)),
-        erm_baseline=None if erm_overall is None else outcome(erm_overall, ERM_BASELINE_BIN),
+        erm_baseline=outcome(erm_overall, ERM_BASELINE_BIN),
     )

@@ -1,4 +1,5 @@
 import copy
+import gc
 import io
 import json
 import os
@@ -13,10 +14,12 @@ import pytest
 
 import fairtune.cli
 from fairtune.cli import main, render_table
+from fairtune.config import parse_config
+from fairtune.data import MAX_SIZE
 from fairtune.labelling import _grid_point_predictions
 from fairtune.metrics import report_from_counts
 from fairtune.training import HyperParams
-from fairtune.tuning import CandidateRef, TunerResult
+from fairtune.tuning import ERM_BASELINE_BIN, CandidateRef, TunerResult
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -186,7 +189,7 @@ def _won_on_one_group(result):
         (lambda r: _won(r)["winner"].update(stage2="abc"), "grid point: expected an object, got str"),
         (
             lambda r: [b.update(bin=[0.9, 0.1]) for b in (r["bins"][0], r["erm_bins"][0])],
-            "bin: [0.9, 0.1) is empty",
+            "bins[0]: bin [0.9, 0.1) is empty",
         ),
         (lambda r: _won(r).update(validation=None, test=None), "a tuner writes a winner and both its reports"),
         (_erm_winner_in_its_jtt_bin, "winner.kind: a tuner writes 'jtt' winners here, got 'erm'"),
@@ -201,6 +204,15 @@ def _won_on_one_group(result):
         (_won_on_one_group, "validation.dp_gap: a winner's objective is never None"),
         (lambda r: r["erm_baseline"].update(bin=[0.0, 0.9]), "erm_baseline.bin: a tuner writes [0.0, 1.000000000001]"),
         (lambda r: r["erm_baseline"]["winner"].update(plain_fallback=True), "an 'erm' candidate has no stage 1"),
+        (
+            lambda r: [b.update(bin=[0.8, 0.86]) for b in (r["bins"][0], r["erm_bins"][0])],
+            "bins: bins [0.8, 0.86) and [0.825, ...) overlap",
+        ),
+        (
+            lambda r: r["erm_baseline"].update(winner=None, validation=None, test=None),
+            "erm_baseline.winner: a tuner always writes the plain baseline's winner, got null",
+        ),
+        (lambda r: r.update(erm_baseline=None), "erm_baseline: a tuner always writes the plain baseline, got null"),
     ],
     ids=[
         "unknown_objective", "unknown_source", "empty_bins", "mismatched_erm_bin", "unknown_subgroup",
@@ -209,7 +221,8 @@ def _won_on_one_group(result):
         "text_grid_point", "inverted_bin", "winner_without_reports", "erm_winner_in_jtt_bin",
         "report_without_counts", "winner_without_plain_fallback", "extra_top_level_key", "bogus_report_source",
         "reports_without_winner", "winner_outside_its_bin", "validation_objective_null", "test_gap_changed",
-        "winner_without_objective", "moved_baseline_bin", "erm_plain_fallback",
+        "winner_without_objective", "moved_baseline_bin", "erm_plain_fallback", "overlapping_bins",
+        "baseline_without_winner", "null_baseline",
     ],
 )
 def test_report_inconsistent_result_is_a_data_error(pipeline, tmp_path, capsys, damage, message):
@@ -243,6 +256,13 @@ def test_render_table_one_row_per_bin():
         kind="jtt", stage2=HyperParams(learning_rate=0.1, epochs=3), epoch=3,
         stage1=HyperParams(learning_rate=0.1), t=1, lam=2,
     )
+    # The plain baseline scores 36 of 40 validation rows: the (90.0, 10.0) cell.
+    baseline = {
+        "bin": list(ERM_BASELINE_BIN),
+        "winner": CandidateRef(kind="erm", stage2=HyperParams(learning_rate=0.1, epochs=3), epoch=2).to_dict(),
+        "validation": report_from_counts(np.array([[[9, 1], [9, 1]], [[2, 8], [0, 10]]]), "pseudo", require=()).to_dict(),
+        "test": test.to_dict(),
+    }
     empty = {"winner": None, "validation": None, "test": None}
     raw = {
         "objective": "dp_gap",
@@ -252,10 +272,11 @@ def test_render_table_one_row_per_bin():
             {"bin": [0.9, 1.0], **empty},
         ],
         "erm_bins": [{"bin": [0.8, 0.9], **empty}, {"bin": [0.9, 1.0], **empty}],
-        "erm_baseline": None,
+        "erm_baseline": baseline,
     }
     table = render_table(TunerResult.from_dict(raw))
     lines = table.splitlines()
+    assert [l.split()[2:4] for l in lines if l.startswith("unconstrained")] == [["(90.0,", "10.0)"]]
     assert sum(1 for l in lines if "[80.0,90.0)" in l) == 1
     assert sum(1 for l in lines if "(85.0, 5.0)" in l) == 1
     assert sum(1 for l in lines if "(empty)" in l) >= 1
@@ -552,6 +573,36 @@ def test_out_of_memory_is_a_one_line_data_error(tmp_path, capsys, jobs):
     err = capsys.readouterr().err
     assert err.startswith("data error: out of memory: Unable to allocate") and len(err.splitlines()) == 1
     assert {rel: (out / rel).read_bytes() for rel in _files(out)} == prepared
+
+
+def test_run_freezes_the_import_heap_before_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fairtune.cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(fairtune.cli, "main", lambda: calls.append("main") or 7)
+    assert fairtune.cli.run() == 7
+    assert calls == ["freeze", "main"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_enabled", "gc_disabled"])
+def test_main_leaves_the_garbage_collector_as_it_was(pipeline, capsys, enabled):
+    _, out = pipeline
+    frozen = gc.get_freeze_count()
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["report", str(out / "tuner_result.json")]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+
+
+def test_both_process_entries_name_run():
+    root = CONFIGS.parent
+    cli_source = (root / "src" / "fairtune" / "cli.py").read_text(encoding="utf-8")
+    assert cli_source.endswith('\nif __name__ == "__main__":\n    raise SystemExit(run())\n')
+    scripts = (root / "pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]\n", 1)[1]
+    assert scripts.split("\n", 1)[0] == 'fairtune = "fairtune.cli:run"'
 
 
 def _drop_meta_line(key):
@@ -966,6 +1017,7 @@ def test_negative_seed_is_a_one_line_config_error(tmp_path, capsys, edit, args, 
 
 
 BIN_CELL = "expected [lo, hi], two numbers"
+OVERSIZED = f"must be <= {MAX_SIZE}, got {2**62}"
 BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
 
 
@@ -1008,6 +1060,13 @@ BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
         (_with_value(("mc_noise",), "n_sample", 50), "mc_noise.n_sample: unknown key"),
         (_with_value(("split",), "fractions", [0.6, 0.2, 0.1]), "split.fractions: must sum to 1, got 0.9"),
         (_with_value(("mc_noise",), "grid", [[0.2, 1.5]]), "mc_noise.grid[0].beta: must lie in [0, 1], got 1.5"),
+        # Past MAX_SIZE numpy's size arithmetic could overflow np.intp, and its
+        # ValueError would end the command in a traceback.
+        (_with_value(("labeller_grid", 0), "hidden_units", 2**62), f"labeller_grid[0].hidden_units: {OVERSIZED}"),
+        (_with_value(("labeller_grid", 0), "hidden_units", MAX_SIZE + 1), f"labeller_grid[0].hidden_units: must be <= {MAX_SIZE}, got {MAX_SIZE + 1}"),
+        (_with_value(BLOCK, "count", 2**62), f"dataset.synthetic.blocks.y1_a1.count: {OVERSIZED}"),
+        (_with_value(("mc_noise",), "n_samples", 2**62), f"mc_noise.n_samples: {OVERSIZED}"),
+        (_with_value(("jtt",), "lambda_grid", [5, 2**62]), f"jtt.lambda_grid[1]: {OVERSIZED}"),
     ],
     ids=[
         "grid-text",
@@ -1046,6 +1105,11 @@ BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
         "mc-noise-unknown-key",
         "split-fractions-sum",
         "grid-rate-above-one",
+        "hidden-units-2**62",
+        "hidden-units-above-max",
+        "block-count-2**62",
+        "n-samples-2**62",
+        "lambda-grid-2**62",
     ],
 )
 def test_malformed_config_number_is_a_one_line_config_error(tmp_path, capsys, edit, message):
@@ -1058,6 +1122,16 @@ def test_malformed_config_number_is_a_one_line_config_error(tmp_path, capsys, ed
     err = capsys.readouterr().err
     assert err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_largest_config_sizes_are_accepted(tmp_path):
+    raw = json.loads((CONFIGS / "synthetic.json").read_text())
+    raw["labeller_grid"][0]["hidden_units"] = raw["mc_noise"]["n_samples"] = MAX_SIZE
+    raw["dataset"]["synthetic"]["blocks"]["y1_a1"]["count"] = MAX_SIZE
+    raw["jtt"]["lambda_grid"] = [MAX_SIZE]
+    config = parse_config(raw)
+    assert config.labeller_grid[0].hidden_units == config.mc_noise.n_samples == MAX_SIZE
+    assert config.synthetic.blocks[(1, 1)].count == config.jtt.lambda_grid[0] == MAX_SIZE
 
 
 def test_config_path_naming_a_directory_is_a_config_error(capsys):
