@@ -38,6 +38,7 @@ import os
 import shutil
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -139,12 +140,6 @@ def _meta(config: ExperimentConfig) -> dict[str, str]:
     return {"config_sha256": config.canonical_hash(), "tool_version": __version__}
 
 
-def _write_split(outputs: _Outputs, relative: str, data: TabularDataset, config: ExperimentConfig) -> None:
-    """Write a dataset CSV (and its features matrix) that records its row
-    count, so that readers reject a copy cut at a line end."""
-    write_dataset(data, outputs.path(relative), meta={**_meta(config), "n_rows": str(data.n_rows)})
-
-
 def _require_artifact(path: Path, producer: str) -> Path:
     if not path.exists():
         raise DataError(f"missing upstream artifact {path} (run '{producer}' first)")
@@ -183,7 +178,7 @@ def cmd_prepare(config: ExperimentConfig, args: argparse.Namespace) -> int:
     std = fit_standardizer(train)
     with _Outputs(out) as outputs:
         for name, ds in (("train", train), ("validation", validation), ("test", test)):
-            _write_split(outputs, f"datasets/{name}.csv", apply_standardizer(std, ds), config)
+            write_dataset(apply_standardizer(std, ds), outputs.path(f"datasets/{name}.csv"), meta=_meta(config))
         outputs.text(
             "standardizer.json",
             _json_text(
@@ -195,7 +190,7 @@ def cmd_prepare(config: ExperimentConfig, args: argparse.Namespace) -> int:
                 }
             ),
         )
-    print(f"prepared {data.n_rows} rows -> {out / 'datasets'}")
+    print(f"prepared {len(data.row_ids)} rows -> {out / 'datasets'}")
     return EXIT_OK
 
 
@@ -224,7 +219,7 @@ def _parse_artifact(path: Path, what: str, parse):
         raise DataError(f"malformed {what} {path}: {type(exc).__name__}: {exc}") from None
 
 
-def _load_predictions(out: Path, config: ExperimentConfig, n_rows: int) -> tuple[np.ndarray, list[tuple[HyperParams, int]]]:
+def _load_predictions(out: Path, config: ExperimentConfig, n_validation: int) -> tuple[np.ndarray, list[tuple[HyperParams, int]]]:
     """The stored candidate predictions and each row's (hyper-params, epoch),
     restricted to the candidates the labelling policy admits. index.json
     records this config's hash, so its rows are `labeller_candidates` of this
@@ -234,7 +229,7 @@ def _load_predictions(out: Path, config: ExperimentConfig, n_rows: int) -> tuple
     stored = _parse_artifact(index_path, "candidate index", lambda index: index.get("config_sha256"))
     _check_provenance(index_path, config, stored)
     candidates = labeller_candidates(config.labeller_grid)
-    predictions = read_matrix(matrix_path, np.int8, (len(candidates), n_rows))
+    predictions = read_matrix(matrix_path, np.int8, (len(candidates), n_validation))
     if config.labelling_policy == "final_epoch":
         keep = [i for i, (hp, epoch) in enumerate(candidates) if epoch == hp.epochs]
         predictions, candidates = predictions[keep], [candidates[i] for i in keep]
@@ -244,18 +239,12 @@ def _load_predictions(out: Path, config: ExperimentConfig, n_rows: int) -> tuple
 def cmd_label(config: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(config.output_dir)
     validation = _read_split(out, "validation", config)
-    predictions, candidates = _load_predictions(out, config, validation.n_rows)
+    predictions, candidates = _load_predictions(out, config, len(validation.row_ids))
     labelled = select_labeller(predictions, candidates, validation)
     # The readers of labelled_validation.csv take the reserved columns only.
-    labels = TabularDataset(
-        features=np.empty((validation.n_rows, 0)),
-        targets=validation.targets,
-        row_ids=validation.row_ids,
-        split=validation.split,
-        sensitive=labelled.pseudo,
-    )
+    labels = replace(validation, features=validation.features[:, :0], feature_names=None, sensitive=labelled.pseudo)
     with _Outputs(out) as outputs:
-        _write_split(outputs, "labelled_validation.csv", labels, config)
+        write_dataset(labels, outputs.path("labelled_validation.csv"), meta=_meta(config))
         outputs.text(
             "labelling.json",
             _json_text(

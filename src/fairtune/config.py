@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from .data import MAX_SIZE, DatasetSchema, SchemaError, SyntheticSpec, check_fractions, check_int, check_pair
+from .data import MAX_SIZE, DatasetSchema, SyntheticSpec, check_fractions, check_int, check_pair
 from .noise import NoiseSpec
 from .training import HyperParams
 from .tuning import JttConfig
@@ -107,7 +107,6 @@ _KEYS = {
     "dataset": ("kind", "synthetic", "csv"),
     "dataset.synthetic": tuple(f.name for f in fields(SyntheticSpec)),
     "dataset.csv": ("path", "schema", "schema_path"),
-    "dataset.csv.schema": tuple(f.name for f in fields(DatasetSchema)),
     "split": ("fractions", "seed"),
     "labelling": ("policy",),
     "jtt": tuple(f.name for f in fields(JttConfig)),
@@ -197,11 +196,7 @@ def parse_config(
             schema_raw = _read_json(p)
         if not isinstance(schema_raw, dict):
             _fail("dataset.csv.schema", f"expected dict, got {type(schema_raw).__name__}")
-        _section(schema_raw, "dataset.csv.schema")
-        try:
-            schema = DatasetSchema.from_dict(schema_raw)
-        except SchemaError as exc:
-            _fail("dataset.csv.schema", str(exc))
+        schema = _at("dataset.csv.schema", DatasetSchema.from_dict, schema_raw)
     else:
         _fail("dataset.kind", f"expected 'synthetic' or 'csv', got {kind!r}")
 

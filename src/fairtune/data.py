@@ -229,30 +229,33 @@ class DatasetSchema:
     categorical_vocab: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        cols = tuple((str(n), str(k)) for n, k in self.feature_columns)
-        if not cols:
-            raise SchemaError("schema needs at least one feature column")
+        if not isinstance(self.feature_columns, (list, tuple)) or not self.feature_columns:
+            raise SchemaError("feature_columns: expected a nonempty list of [name, kind] pairs")
+        cols = tuple(_column(c, f"feature_columns[{i}]", "name, kind") for i, c in enumerate(self.feature_columns))
         names = [n for n, _ in cols]
         if len(set(names)) != len(names):
-            raise SchemaError("duplicate feature column names")
-        for name, kind in cols:
+            raise SchemaError("feature_columns: duplicate column names")
+        for i, (name, kind) in enumerate(cols):
             if kind not in (NUMERIC, CATEGORICAL):
-                raise SchemaError(f"column {name!r}: unknown kind {kind!r}")
-        vocab = {str(k): tuple(str(c) for c in v) for k, v in dict(self.categorical_vocab).items()}
+                raise SchemaError(f"feature_columns[{i}]: column {name!r}: unknown kind {kind!r}")
+        vocab = self.categorical_vocab
+        if not isinstance(vocab, Mapping) or not all(isinstance(v, (list, tuple)) for v in vocab.values()):
+            raise SchemaError("categorical_vocab: expected an object of category lists")
+        vocab = {str(k): tuple(str(c) for c in v) for k, v in vocab.items()}
         for name, kind in cols:
             if kind == CATEGORICAL:
-                if name not in vocab or not vocab[name]:
-                    raise SchemaError(f"categorical column {name!r} has no vocabulary")
+                if not vocab.get(name):
+                    raise SchemaError(f"categorical_vocab.{name}: categorical column {name!r} has no vocabulary")
                 if len(set(vocab[name])) != len(vocab[name]):
-                    raise SchemaError(f"column {name!r}: duplicate vocabulary entries")
-        target = (str(self.target_column[0]), str(self.target_column[1]))
+                    raise SchemaError(f"categorical_vocab.{name}: duplicate vocabulary entries")
+        target = _column(self.target_column, "target_column", "name, token")
         if target[0] in names:
-            raise SchemaError("target column must not appear in feature_columns")
+            raise SchemaError("target_column: the target column must not appear in feature_columns")
         sens = self.sensitive_column
         if sens is not None:
-            sens = (str(sens[0]), str(sens[1]))
+            sens = _column(sens, "sensitive_column", "name, token")
             if sens[0] == target[0]:
-                raise SchemaError("sensitive column must differ from the target column")
+                raise SchemaError("sensitive_column: the sensitive column must differ from the target column")
         object.__setattr__(self, "feature_columns", cols)
         object.__setattr__(self, "target_column", target)
         object.__setattr__(self, "sensitive_column", sens)
@@ -270,19 +273,22 @@ class DatasetSchema:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "DatasetSchema":
-        try:
-            return cls(
-                feature_columns=tuple((c[0], c[1]) for c in d["feature_columns"]),
-                target_column=(d["target_column"][0], d["target_column"][1]),
-                sensitive_column=(
-                    (d["sensitive_column"][0], d["sensitive_column"][1])
-                    if d.get("sensitive_column")
-                    else None
-                ),
-                categorical_vocab=d.get("categorical_vocab", {}),
-            )
-        except (KeyError, IndexError, TypeError) as exc:
-            raise SchemaError(f"malformed schema definition: {exc}") from exc
+        """The schema of a to_dict()-shaped object. A key that names no
+        field is an error, so a typo cannot fall back to a default."""
+        for key in d:
+            if key not in cls.__dataclass_fields__:
+                raise SchemaError(f"{key}: unknown key")
+        for key in ("feature_columns", "target_column"):
+            if key not in d:
+                raise SchemaError(f"{key}: missing required key")
+        return cls(**d)
+
+
+def _column(entry, what: str, names: str) -> tuple[str, str]:
+    """A schema column entry, [name, kind] or [name, token], as two strings."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        raise SchemaError(f"{what}: expected [{names}], a list of two items")
+    return str(entry[0]), str(entry[1])
 
 
 def _read_columns(path: Path, names: Sequence[str]) -> dict[str, list[str]]:
@@ -569,11 +575,11 @@ def write_dataset(data: TabularDataset, path: str | Path, meta: Mapping[str, str
     columns, also their float64 (n_rows, d) matrix as `<stem>.features.npy`
     next to it, whose name, sha256 and feature names the CSV records, so
     read_dataset restores the features bit-exactly and rejects any other
-    matrix. Metadata is stored as leading '#key=value' lines; an `n_rows`
-    entry makes readers reject a file holding any other number of rows.
+    matrix. Metadata is stored as leading '#key=value' lines, `meta`'s and
+    `n_rows`, the row count, so read_dataset rejects a file cut at a line end.
     """
     path = Path(path)
-    meta = dict(meta or {})
+    meta = {**(meta or {}), "n_rows": str(data.n_rows)}
     if data.n_features:
         matrix = path.with_name(path.stem + ".features.npy")
         with open(matrix, "wb") as fh:
@@ -628,16 +634,14 @@ def _scan_dataset(path: Path) -> tuple[dict[str, str], dict]:
     if not rows[-1].endswith("\n"):
         # write_dataset ends every line with one: the file was cut short.
         raise DataError(f"{path}:{numbers[-1]}: last line lacks its newline (truncated file?)")
-    header = tuple(rows[0].rstrip("\r\n").split(","))
-    if header[: len(_RESERVED)] != _RESERVED:
-        raise DataError(f"{path}: not a canonical dataset file (bad reserved columns)")
-    if header != _RESERVED:
-        raise DataError(f"{path}: feature columns stored as text, an older layout; re-run 'prepare'")
+    if rows[0].rstrip("\r\n") != ",".join(_RESERVED):
+        raise DataError(f"{path}: not a canonical dataset file (its header is not {','.join(_RESERVED)}); re-run 'prepare'")
     del numbers[0], rows[0]
     meta = _meta_lines(lines)
     recorded = meta.get("n_rows")
-    if recorded is not None and recorded != str(len(rows)):
-        raise DataError(f"{path}: {len(rows)} data rows, but the file records n_rows={recorded} (truncated file?)")
+    if recorded != str(len(rows)):
+        stated = "no n_rows" if recorded is None else f"n_rows={recorded}"
+        raise DataError(f"{path}: {len(rows)} data rows, but the file records {stated} (truncated file?)")
     row_ids: list[int] = []
     targets: list[int] = []
     sens: list[int | None] = []

@@ -80,7 +80,8 @@ def score_labels_by_class(label_sets: np.ndarray, features: np.ndarray, targets:
     incorrect rows' are the class total minus them. NaN marks a skipped
     candidate, whose correct or incorrect set is empty on that class. The
     products run on one BLAS thread, as training does, so the scores do not
-    depend on the caller's thread count."""
+    depend on the caller's thread count. Candidates with the same labels on
+    a class take the first one's score: a product rounds a row by its place."""
     label_sets = np.asarray(label_sets)
     features = np.asarray(features, dtype=np.float64)
     scores = {y: np.empty(len(label_sets)) for y in (0, 1)}
@@ -96,6 +97,10 @@ def score_labels_by_class(label_sets: np.ndarray, features: np.ndarray, targets:
                 gaps = sums / counts[:, None] - (total - sums) / (n - counts[:, None])
             scores[y][start:stop] = np.where((counts > 0) & (counts < n), np.linalg.norm(gaps, axis=1), np.nan)
             start = stop
+        # Keyed on each row's bytes, not np.unique, whose first call imports numpy.ma.
+        first: dict[bytes, int] = {}
+        for i, labels in enumerate(label_sets[:, rows]):
+            scores[y][i] = scores[y][first.setdefault(labels.tobytes(), i)]
     return scores
 
 

@@ -27,7 +27,7 @@ from .data import MAX_SIZE, TabularDataset, _frozen, check_float, check_int
 
 
 class TrainingError(RuntimeError):
-    """Training failed (non-finite loss/gradient, bad inputs)."""
+    """Training failed (a diverging run, bad inputs)."""
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,10 @@ def logits(model: ModelParams, X: np.ndarray) -> np.ndarray:
     out = np.empty(n)
     buffer = np.empty((min(n, SCORE_BLOCK_ROWS + 1), model.hidden_units))
     stops = block_stops(n)
-    for start, stop in zip([0] + stops, stops):
-        _forward(model.tensors, X[start:stop], out[start:stop], buffer)
+    # Huge finite parameters can overflow to inf or NaN logits (NaN predicts 0).
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop in zip([0] + stops, stops):
+            _forward(model.tensors, X[start:stop], out[start:stop], buffer)
     return out
 
 
@@ -261,8 +263,10 @@ def _train_loop(X: np.ndarray, y: np.ndarray, hp: HyperParams, rows: np.ndarray 
     into a buffer reused across steps, so the set is never materialized.
     The parameters are a copy of init_params' vector and the gradients
     another vector of its layout, with the tensors as views: each step writes
-    every gradient into its view, then makes one finiteness check and one
-    update. Each epoch's checkpoint wraps one copy of the parameter vector.
+    every gradient into its view, makes one update and checks the updated
+    parameters, so a non-finite gradient or an overflowing update raises at
+    its batch, with no numpy warning. Each epoch's checkpoint wraps one copy
+    of the parameter vector.
     """
     n_all, d = X.shape
     rows = np.arange(n_all) if rows is None else np.asarray(rows, dtype=np.intp)
@@ -276,18 +280,19 @@ def _train_loop(X: np.ndarray, y: np.ndarray, hp: HyperParams, rows: np.ndarray 
     X_batch, y_batch = np.empty((m, d)), np.empty(m)
     workspace = (np.empty((2, m, hp.hidden_units)), np.empty(m))
     checkpoints: list[ModelParams] = []
-    for epoch in range(hp.epochs):
-        order = rows[np.random.default_rng(hp.seed + epoch).permutation(n)]
-        for bi, start in enumerate(range(0, n, hp.batch_size)):
-            idx = order[start : start + hp.batch_size]
-            # Positions are in range, so "clip" only skips numpy's buffered check.
-            Xb = np.take(X, idx, axis=0, out=X_batch[: len(idx)], mode="clip")
-            yb = np.take(y, idx, out=y_batch[: len(idx)], mode="clip")
-            _gradients(tensors, Xb, yb, hp.weight_decay, grads, workspace)
-            if not np.isfinite(grad).all():
-                raise TrainingError(f"non-finite gradient at epoch {epoch}, batch {bi}")
-            params -= hp.learning_rate * grad
-        checkpoints.append(ModelParams(params=params.copy(), feature_dim=d, trained_epochs=epoch + 1, hp=hp))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(hp.epochs):
+            order = rows[np.random.default_rng(hp.seed + epoch).permutation(n)]
+            for bi, start in enumerate(range(0, n, hp.batch_size)):
+                idx = order[start : start + hp.batch_size]
+                # Positions are in range, so "clip" only skips numpy's buffered check.
+                Xb = np.take(X, idx, axis=0, out=X_batch[: len(idx)], mode="clip")
+                yb = np.take(y, idx, out=y_batch[: len(idx)], mode="clip")
+                _gradients(tensors, Xb, yb, hp.weight_decay, grads, workspace)
+                params -= hp.learning_rate * grad
+                if not np.isfinite(params).all():
+                    raise TrainingError(f"training diverged: non-finite parameters at epoch {epoch}, batch {bi}")
+            checkpoints.append(ModelParams(params=params.copy(), feature_dim=d, trained_epochs=epoch + 1, hp=hp))
     return checkpoints
 
 

@@ -850,10 +850,12 @@ def _blank_sensitive(text):
         # with the validation rows they were computed for.
         (_swap_rows, r" does not label the rows of the validation split"),
         (_blank_sensitive, r" carries no pseudo labels"),
+        (lambda text: re.sub(r"^(\d+,[01]),[01],", r"\1,,", text, count=1, flags=re.M), r": sensitive column is partially blank"),
+        (lambda text: "".join(line for line in text.splitlines(keepends=True) if line.startswith("#")), r": empty dataset file"),
     ],
     ids=[
         "blank-line", "trailing-comma", "bad-row-id", "mixed-split", "shifted-cells", "duplicate-row", "bad-count",
-        "reordered-rows", "no-pseudo",
+        "reordered-rows", "no-pseudo", "partly-blank-pseudo", "only-comment-lines",
     ],
 )
 def test_tune_damaged_labelled_validation_is_a_data_error(pipeline, tmp_path, capsys, damage, message):
@@ -991,6 +993,16 @@ def _with_seed(section, key="seed"):
     return _with_value(section, key, -3)
 
 
+def _csv_section(**csv):
+    """A config edit that makes the dataset a CSV one with these csv keys."""
+    return _with_value((), "dataset", {"kind": "csv", "csv": {"path": "raw.csv", **csv}})
+
+
+def _schema_with(key, value):
+    """A config edit that declares SCHEMA_JSON's schema inline, with `key` set to `value`."""
+    return _csv_section(schema={**json.loads(SCHEMA_JSON), key: value})
+
+
 @pytest.mark.parametrize(
     "edit, args, field",
     [
@@ -1018,6 +1030,7 @@ def test_negative_seed_is_a_one_line_config_error(tmp_path, capsys, edit, args, 
 
 BIN_CELL = "expected [lo, hi], two numbers"
 OVERSIZED = f"must be <= {MAX_SIZE}, got {2**62}"
+NAME_TOKEN = "expected [name, token], a list of two items"
 BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
 
 
@@ -1067,6 +1080,26 @@ BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
         (_with_value(BLOCK, "count", 2**62), f"dataset.synthetic.blocks.y1_a1.count: {OVERSIZED}"),
         (_with_value(("mc_noise",), "n_samples", 2**62), f"mc_noise.n_samples: {OVERSIZED}"),
         (_with_value(("jtt",), "lambda_grid", [5, 2**62]), f"jtt.lambda_grid[1]: {OVERSIZED}"),
+        (_with_value((), "split", []), "split: expected dict, got list"),
+        (_with_value((), "labeller_grid", []), "labeller_grid: expected a nonempty list of hyper-parameter objects"),
+        (_with_value((), "labeller_grid", [0.1]), "labeller_grid[0]: expected an object"),
+        (_with_value(("dataset",), "kind", "parquet"), "dataset.kind: expected 'synthetic' or 'csv', got 'parquet'"),
+        (_with_value(("labelling",), "policy", "best"), "labelling.policy: expected one of ('every_epoch', 'final_epoch'), got 'best'"),
+        (_csv_section(schema={}, schema_path="schema.json"), "dataset.csv: exactly one of 'schema' and 'schema_path' is required"),
+        (_csv_section(), "dataset.csv: exactly one of 'schema' and 'schema_path' is required"),
+        (_csv_section(schema=[]), "dataset.csv.schema: expected dict, got list"),
+        (_csv_section(schema={"target_column": ["income", ">50K"]}), "dataset.csv.schema.feature_columns: missing required key"),
+        # Each schema entry below once parsed, sliced: "income" as the column
+        # 'i' with the token 'n', "FM" as the categories 'F' and 'M'.
+        (_schema_with("target_column", "income"), f"dataset.csv.schema.target_column: {NAME_TOKEN}"),
+        (_schema_with("sensitive_column", "sex"), f"dataset.csv.schema.sensitive_column: {NAME_TOKEN}"),
+        (
+            _schema_with("feature_columns", [["age", "numeric", "categorical"]]),
+            "dataset.csv.schema.feature_columns[0]: expected [name, kind], a list of two items",
+        ),
+        (_schema_with("target_column", ["income", ">50K", "<=50K"]), f"dataset.csv.schema.target_column: {NAME_TOKEN}"),
+        (_schema_with("categorical_vocab", {"sex": "FM"}), "dataset.csv.schema.categorical_vocab: expected an object of category lists"),
+        (_schema_with("feature_columns", 5), "dataset.csv.schema.feature_columns: expected a nonempty list of [name, kind] pairs"),
     ],
     ids=[
         "grid-text",
@@ -1110,6 +1143,21 @@ BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
         "block-count-2**62",
         "n-samples-2**62",
         "lambda-grid-2**62",
+        "section-list",
+        "empty-grid",
+        "grid-point-number",
+        "unknown-kind",
+        "unknown-policy",
+        "schema-and-path",
+        "neither-schema",
+        "schema-list",
+        "schema-missing-key",
+        "schema-target-text",
+        "schema-sensitive-text",
+        "schema-column-three-items",
+        "schema-target-three-items",
+        "schema-vocabulary-text",
+        "schema-columns-number",
     ],
 )
 def test_malformed_config_number_is_a_one_line_config_error(tmp_path, capsys, edit, message):
@@ -1187,3 +1235,100 @@ def test_mc_sweep_on_coincident_group_means_is_a_one_line_data_error(tmp_path, c
     assert main(["mc-sweep", "--config", str(config)]) == 3
     err = capsys.readouterr().err
     assert err == "data error: clean group means coincide; the EDM ratio is undefined\n"
+
+
+def _edited_config(tmp_path, edit):
+    """The synthetic config, edited by edit(raw), written to tmp_path."""
+    raw = json.loads((CONFIGS / "synthetic.json").read_text())
+    raw["output_dir"] = str(tmp_path / "out")
+    edit(raw)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    return config
+
+
+def test_config_files_that_cannot_hold_a_config_are_one_line_config_errors(tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    missing_schema = _edited_config(tmp_path, _csv_section(schema_path="absent.json"))
+    for config, message in (
+        (listed, "configuration root must be an object"),
+        (tmp_path / "absent.json", f"config file not found: {tmp_path / 'absent.json'}"),
+        (missing_schema, f"dataset.csv.schema_path: no such file: {tmp_path / 'absent.json'}"),
+    ):
+        assert main(["prepare", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, section", [("mc-sweep", "mc_noise"), ("tune", "jtt")], ids=["mc-sweep", "tune"]
+)
+def test_command_without_its_section_is_a_one_line_config_error(tmp_path, capsys, command, section):
+    config = _edited_config(tmp_path, lambda raw: raw.pop(section))
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"config error: {section}: section required for {command}\n"
+
+
+def test_report_of_a_missing_file_is_a_data_error(tmp_path, capsys):
+    assert main(["report", str(tmp_path / "absent.json")]) == 3
+    assert capsys.readouterr().err == f"data error: no such result file: {tmp_path / 'absent.json'}\n"
+
+
+@pytest.mark.parametrize(
+    "source, commands, message",
+    [
+        ("ground_truth", ("prepare",), "validation set has no ground-truth sensitive attributes"),
+        ("pseudo", ("prepare", "train-grid", "label"), "test set has no ground-truth sensitive attributes"),
+    ],
+    ids=["ground-truth", "pseudo"],
+)
+def test_tune_on_data_without_sensitive_groups_is_a_data_error(tmp_path, capsys, source, commands, message):
+    # Income follows age with noise, so the labellers err on both classes.
+    rng = np.random.default_rng(0)
+    ages = rng.integers(17, 91, 400)
+    rich = ages + rng.normal(0, 15, 400) > 50
+    rows = (b"%d,%s,%s\n" % (a, b"MF"[i % 2 : i % 2 + 1], b">50K" if r else b"<=50K") for i, (a, r) in enumerate(zip(ages, rich)))
+    (tmp_path / "raw.csv").write_bytes(b"age,sex,income\n" + b"".join(rows))
+    schema = json.loads(SCHEMA_JSON)
+    del schema["sensitive_column"]
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+
+    def edit(raw):
+        raw["dataset"] = {"kind": "csv", "csv": {"path": "raw.csv", "schema_path": "schema.json"}}
+        raw["jtt"]["sensitive_source"] = source
+
+    config = _edited_config(tmp_path, edit)
+    for command in commands:
+        assert main([command, "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["tune", "--config", str(config)]) == 3
+    assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+def _cli_process(*args):
+    """`python -W error -m fairtune.cli ARGS`: a numpy warning would end it
+    in a traceback."""
+    src = str(Path(fairtune.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, "-W", "error", "-m", "fairtune.cli", *args]
+    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_a_diverging_stage2_point_is_a_one_line_data_error(tmp_path):
+    config = _edited_config(tmp_path, _with_value(("jtt", "stage2_grid", 0), "learning_rate", 1e300))
+    for command in ("prepare", "train-grid", "label"):
+        assert main([command, "--config", str(config)]) == 0
+    proc = _cli_process("tune", "--config", str(config))
+    assert proc.returncode == 3
+    assert re.fullmatch(r"data error: training diverged: non-finite parameters at epoch 0, batch \d+\n", proc.stderr)
+
+
+@pytest.mark.parametrize("hidden", [0, 8])
+def test_a_huge_finite_labeller_scores_without_warnings(tmp_path, hidden):
+    # One step of 1.79e308 times a finite gradient stays finite, and scoring
+    # those parameters overflows.
+    point = {"learning_rate": 1.79e308, "epochs": 1, "batch_size": 4096, "hidden_units": hidden}
+    config = _edited_config(tmp_path, lambda raw: raw["labeller_grid"].insert(0, point))
+    assert main(["prepare", "--config", str(config)]) == 0
+    proc = _cli_process("train-grid", "--config", str(config))
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -266,6 +267,27 @@ def test_schema_validation():
     assert round_trip == SCHEMA
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(sensitive_colum=["sex", "M"]), r"^sensitive_colum: unknown key$"),
+        (lambda d: d.pop("target_column"), r"^target_column: missing required key$"),
+        (lambda d: d.update(target_column="income"), r"^target_column: expected \[name, token\], a list of two items$"),
+        (lambda d: d.update(sensitive_column="sex"), r"^sensitive_column: expected \[name, token\], a list of two items$"),
+        (lambda d: d["feature_columns"][0].append("x"), r"^feature_columns\[0\]: expected \[name, kind\], a list of two items$"),
+        (lambda d: d.update(categorical_vocab={"sex": "FM"}), r"^categorical_vocab: expected an object of category lists$"),
+        (lambda d: d.update(feature_columns=[]), r"^feature_columns: expected a nonempty list of \[name, kind\] pairs$"),
+    ],
+    ids=["unknown-key", "missing-key", "target-text", "sensitive-text", "column-three-items", "vocabulary-text", "no-columns"],
+)
+def test_schema_from_dict_takes_each_entry_whole(edit, message):
+    # Slicing would have read "income" as the column 'i' with the token 'n'.
+    d = SCHEMA.to_dict()
+    edit(d)
+    with pytest.raises(SchemaError, match=message):
+        DatasetSchema.from_dict(d)
+
+
 def make_dataset(features, targets, split_tag="train", sensitive=None, numeric_mask=None):
     features = np.asarray(features, dtype=np.float64)
     return TabularDataset(
@@ -461,6 +483,7 @@ def test_round_trip_bit_exact(tmp_path, planted):
         "feature_names": '["x0", "x1"]',
         "features_file": "train.features.npy",
         "features_sha256": hashlib.sha256(train.features).hexdigest(),
+        "n_rows": str(train.n_rows),
         "tool_version": "0.1.0",
     }
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv", "train.features.npy"]
@@ -521,17 +544,17 @@ def _features_file(edit):
     return lambda path: edit(path.with_name(path.stem + ".features.npy"))
 
 
-# Line numbers: 1-4 metadata (config_sha256 and the three features keys),
-# 5 header, 6-13 the eight data rows.
+# Line numbers: 1-5 metadata (config_sha256, the three features keys and
+# n_rows), 6 header, 7-14 the eight data rows.
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_cut_in_row(4, 4), r"ds\.csv:9: last line lacks its newline"),
-        (_text(lambda text: text[:-1]), r"ds\.csv:13: last line lacks its newline"),
-        (_edit_line(4, lambda ln: ln.rsplit(",", 1)[0] + "\n", 4), r"ds\.csv:9: 3 fields, expected 4"),
+        (_cut_in_row(4, 5), r"ds\.csv:10: last line lacks its newline"),
+        (_text(lambda text: text[:-1]), r"ds\.csv:14: last line lacks its newline"),
+        (_edit_line(4, lambda ln: ln.rsplit(",", 1)[0] + "\n", 5), r"ds\.csv:10: 3 fields, expected 4"),
         (
-            _edit_line(4, lambda ln: ln.replace(",,", ",1.2.3,"), 4),
-            r"ds\.csv:9: invalid literal for int\(\) with base 10: '1\.2\.3'",
+            _edit_line(4, lambda ln: ln.replace(",,", ",1.2.3,"), 5),
+            r"ds\.csv:10: invalid literal for int\(\) with base 10: '1\.2\.3'",
         ),
     ],
     ids=["cut-mid-row", "drop-last-newline", "short-row", "garbled-cell"],
@@ -691,16 +714,6 @@ def _copy_matrix_of(other):
     return corrupt
 
 
-def _earlier_text_layout(path):
-    """The CSV as earlier versions wrote it: the features as repr text."""
-    ds = read_dataset(path)
-    lines = [f"#{key}={value}\n" for key, value in dataset_file_meta(path).items() if not key.startswith("feature")]
-    lines.append("__row_id,__target,__sensitive,__split,x0\n")
-    lines += [f"{i},{t},{s},train,{x!r}\n" for i, t, s, (x,) in zip(ds.row_ids, ds.targets, ds.sensitive, ds.features.tolist())]
-    path.write_text("".join(lines), encoding="utf-8")
-    path.with_name("ds.features.npy").unlink()
-
-
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -746,14 +759,19 @@ def test_features_file_faults(tmp_path, corrupt, message):
     assert len(str(exc.value).splitlines()) == 1
 
 
+HEADER_MESSAGE = r"ds\.csv: not a canonical dataset file \(its header is not __row_id,__target,__sensitive,__split\); re-run 'prepare'$"
+
+
 def test_earlier_text_layout_asks_for_prepare(tmp_path):
+    # Earlier versions wrote the features as text columns after the four
+    # reserved ones; that header, like any other, gets the one message.
     ds = make_dataset([[i + 0.25] for i in range(8)], [0, 1] * 4, sensitive=[1, 0] * 4)
     path = tmp_path / "ds.csv"
-    write_dataset(ds, path, meta={"config_sha256": "abc", "n_rows": "8"})
-    _earlier_text_layout(path)
-    assert dataset_file_meta(path) == {"config_sha256": "abc", "n_rows": "8"}
-    with pytest.raises(DataError, match=r"ds\.csv: feature columns stored as text, an older layout; re-run 'prepare'"):
-        read_dataset(path)
+    for header in ("__row_id,__target,__sensitive,__split,x0", "__row_id,__target,__split", "row_id,target,sensitive,split"):
+        write_dataset(ds, path, meta={"config_sha256": "abc"})
+        _text(lambda text: text.replace("__row_id,__target,__sensitive,__split\n", header + "\n"))(path)
+        with pytest.raises(DataError, match=HEADER_MESSAGE):
+            read_dataset(path)
 
 
 def test_comment_lines_between_rows_are_skipped(tmp_path):
@@ -775,20 +793,22 @@ def test_comment_lines_between_rows_are_skipped(tmp_path):
         read_dataset(path)
 
 
-def test_files_without_a_row_count_still_read(tmp_path):
-    # Without n_rows, a CSV cut at a line end still reads; a features matrix,
-    # which keeps every row, then no longer matches it.
-    for d in (1, 0):
+def test_files_without_a_row_count_are_refused(tmp_path):
+    # Every file records its own row count, whatever `meta` holds, so a CSV
+    # cut at a line end is refused, with or without a features matrix; so is
+    # a file that records no count.
+    for d, meta in itertools.product((1, 0), (None, {"config_sha256": "abc"}, {"n_rows": "7"})):
         ds = make_dataset(np.arange(3.0).reshape(3, 1)[:, :d] + 1.5, [0, 1, 0])
-        path = tmp_path / f"ds{d}.csv"
-        write_dataset(ds, path, meta={"config_sha256": "abc"})
+        path = tmp_path / "ds.csv"
+        write_dataset(ds, path, meta=meta)
+        assert dataset_file_meta(path)["n_rows"] == "3"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(lines[:-1]), encoding="utf-8")
-        if d:
-            with pytest.raises(DataError, match=r"ds1\.features\.npy: holds float64 \(3, 1\), expected float64 \(2, 1\)"):
-                read_dataset(path)
-        else:
-            assert read_dataset(path).n_rows == 2
+        with pytest.raises(DataError, match=r"ds\.csv: 2 data rows, but the file records n_rows=3 \(truncated file\?\)$"):
+            read_dataset(path)
+        path.write_text("".join(line for line in lines if not line.startswith("#n_rows=")), encoding="utf-8")
+        with pytest.raises(DataError, match=r"ds\.csv: 3 data rows, but the file records no n_rows \(truncated file\?\)$"):
+            read_dataset(path)
 
 
 def test_non_utf8_input_files_are_data_errors(tmp_path):

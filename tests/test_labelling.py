@@ -277,6 +277,28 @@ def test_score_labels_by_class_skips_degenerate_candidates():
     assert not np.isnan(scores[0][1]) and not np.isnan(scores[1][1])
 
 
+def test_identical_label_sets_score_identically_so_the_earliest_wins():
+    # A hypothesis example of the oracle test below. At d = 1 the block
+    # product rounds a row by its position in its block: candidates 92, 172
+    # and 177 hold one label set on class 1, yet 177 used to score
+    # 3.29223059476997 and the other two 3.2922305947699697, so 177 won.
+    rng = np.random.default_rng(8181)
+    features = rng.normal(size=(27, 1))
+    targets = np.arange(27) % 2
+    label_sets = (rng.random((178, 27)) < rng.random((178, 1))).astype(np.int8)
+    rows = targets == 1
+    assert [i for i, labels in enumerate(label_sets) if np.array_equal(labels[rows], label_sets[92][rows])] == [92, 172, 177]
+    scores = score_labels_by_class(label_sets, features, targets)
+    assert scores[1][92] == scores[1][172] == scores[1][177] == np.nanmax(scores[1])
+    # Candidates 31 and 78 hold the complement of 92's labels on class 1,
+    # whose EDM is the same; labelling every row correct takes them out.
+    complement = [i for i, labels in enumerate(label_sets) if np.array_equal(labels[rows], 1 - label_sets[92][rows])]
+    assert complement == [31, 78]
+    label_sets[complement] = 1
+    chosen, _ = select_by_labels(label_sets, dataset(features, targets))
+    assert chosen[1].candidate_index == 92
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

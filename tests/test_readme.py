@@ -1,9 +1,13 @@
-"""The README's library snippet runs as written on planted data."""
+"""The README's library snippet runs as written on planted data, and its
+config reference lists every key a config may hold."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from fairtune import HyperParams, JttConfig, PseudoLabelledValidation, TunerResult
+from fairtune.config import _KEYS
+from fairtune.data import DatasetSchema
 
 from conftest import planted_splits
 
@@ -33,3 +37,15 @@ def test_readme_library_use_runs():
     assert isinstance(scope["labelled"], PseudoLabelledValidation)
     assert isinstance(scope["result"], TunerResult)
     assert scope["result"].sensitive_source == "pseudo"
+
+
+def test_config_reference_lists_every_config_key():
+    table = README.read_text(encoding="utf-8").split("| key | type | default | read by |\n", 1)[1].split("\n\n", 1)[0]
+    listed = [re.match(r"\| (grid point )?`([^`]+)` \|", row) for row in table.splitlines()[1:]]
+    assert all(listed), table
+    keys = [("grid point " if m.group(1) else "") + m.group(2) for m in listed]
+    expected = {f"{path}.{key}" if path else key for path, names in _KEYS.items() for key in names}
+    expected |= {f"dataset.csv.schema.{f.name}" for f in fields(DatasetSchema)}
+    expected |= {f"grid point {f.name}" for f in fields(HyperParams)}
+    assert len(keys) == len(set(keys))
+    assert set(keys) == expected

@@ -332,12 +332,34 @@ def test_upsampled_rejects_bad_input():
         train_upsampled(train.take(np.arange(0)), (), 2, HyperParams(learning_rate=0.1))
 
 
+DIVERGED = r"^training diverged: non-finite parameters at epoch \d+, batch \d+$"
+
+
 def test_non_finite_gradient_reported():
     train = blobs(n=16, seed=1)
     hp = HyperParams(learning_rate=1.0, weight_decay=1e160, epochs=5, batch_size=16, seed=0)
-    with np.errstate(over="ignore"):
-        with pytest.raises(TrainingError, match=r"non-finite gradient at epoch \d+, batch \d+"):
-            train_erm(train, hp)
+    with pytest.raises(TrainingError, match=DIVERGED):
+        train_erm(train, hp)
+
+
+@pytest.mark.parametrize("hidden", [0, 8])
+def test_an_update_that_overflows_is_reported_at_its_batch(hidden):
+    # The gradient is finite; the learning rate times it is not.
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(50, 3)) * 100
+    y = (X[:, 0] > 0).astype(np.float64)
+    hp = HyperParams(learning_rate=1e308, epochs=1, batch_size=64, hidden_units=hidden)
+    with pytest.raises(TrainingError, match=r"^training diverged: non-finite parameters at epoch 0, batch 0$"):
+        _train_loop(X, y, hp)
+
+
+def test_scoring_huge_finite_parameters_is_silent():
+    # Logits that overflow to NaN or -inf predict 0, with no numpy warning
+    # (the suite also runs with warnings as errors, in development mode).
+    hp = HyperParams(learning_rate=0.1)
+    model = ModelParams(params=np.array([1e308, 1e308, 1e308, 0.0]), feature_dim=3, trained_epochs=1, hp=hp)
+    X = np.array([[10.0, -10.0, 0.0], [-10.0, -10.0, 0.0], [1.0, 0.0, 0.0]])
+    assert predict(model, X).tolist() == [0, 0, 1]
 
 
 def test_non_finite_features_rejected():
