@@ -91,3 +91,14 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
+
+
+def run() -> int:
+    """The `fairtune` console script: `fairtune.cli.run()`, with the cyclic
+    garbage collector off while numpy and fairtune load."""
+    import gc
+
+    gc.disable()
+    from .cli import run as run_command
+
+    return run_command()

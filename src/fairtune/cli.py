@@ -22,17 +22,31 @@ Unless numpy was loaded first, importing this module loads numpy with
 OpenBLAS on one thread, whatever the thread variables say, so no idle BLAS
 thread spins on another core and no output depends on a thread count.
 
-A command's process enters through `run()`, which freezes the heap its
-imports built before it calls `main()`: no garbage collection walks those
-objects again, during the run, in a forked worker or at exit. `main()` and
-importing this module leave the garbage collector as they find it, so a
-test or a library caller keeps its own settings.
+A command's process (`python -m fairtune.cli`, or the `fairtune` console
+script through `fairtune.run()`) imports numpy and fairtune with the cyclic
+garbage collector off and enters through `run()`, which freezes the heap
+those imports built, turns the collector back on, calls `main()`, flushes
+standard output and ends the process without the interpreter's teardown:
+no collection walks that heap during the imports, the run, a forked worker
+or the exit, and nothing frees it object by object. Standard output that
+cannot be written is then a data error. An exception escaping `main()`, and
+a process that a profiler or tracer watches, exit the normal way. `main()`
+and importing this module leave the garbage collector as they find it, so
+a test or a library caller keeps its own settings.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
+
+# Before any other import, in this module's own process only: the imports
+# below (numpy's above all) would run ~37 collections over objects that
+# `run()` freezes anyway. An import of `fairtune.cli` leaves the collector
+# as the caller set it.
+if __name__ == "__main__":
+    gc.disable()
+
+import argparse
 import json
 import os
 import shutil
@@ -409,10 +423,36 @@ def main(argv=None) -> int:
         return EXIT_DATA_ERROR
 
 
+def _observed() -> bool:
+    """Whether a profiler or tracer watches this process (cProfile, a
+    debugger, coverage): it reports when the interpreter exits normally."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+; cProfile hooks in there
+    hooked = monitoring is not None and any(monitoring.get_tool(i) for i in range(6))
+    return hooked or sys.getprofile() is not None or sys.gettrace() is not None
+
+
 def run() -> int:
-    """main() in a process of its own: `fairtune ...` or `python -m fairtune.cli ...`."""
+    """main() in a process of its own: `fairtune ...` or `python -m fairtune.cli ...`.
+    It ends in os._exit, as the module docstring says: main() has closed
+    every file and joined every worker by then."""
     gc.freeze()
-    return main()
+    gc.enable()
+    code = main()
+    if _observed():
+        return code
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        if code == EXIT_OK:  # a failed command has said why already
+            print(f"data error: cannot write standard output: {exc}", file=sys.stderr)
+            code = EXIT_DATA_ERROR
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to report it
+    os._exit(code)
 
 
 if __name__ == "__main__":

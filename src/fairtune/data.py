@@ -573,10 +573,12 @@ def write_dataset(data: TabularDataset, path: str | Path, meta: Mapping[str, str
     """Write the canonical dataset CSV of the reserved columns __row_id,
     __target, __sensitive (blank when absent) and __split; with feature
     columns, also their float64 (n_rows, d) matrix as `<stem>.features.npy`
-    next to it, whose name, sha256 and feature names the CSV records, so
-    read_dataset restores the features bit-exactly and rejects any other
-    matrix. Metadata is stored as leading '#key=value' lines, `meta`'s and
-    `n_rows`, the row count, so read_dataset rejects a file cut at a line end.
+    next to it, whose name and feature names the CSV records with the
+    `_rows_digest` of the features and reserved columns, so read_dataset
+    restores the features bit-exactly and rejects any other matrix and any
+    edited or reordered rows. Metadata is stored as leading '#key=value'
+    lines, `meta`'s and `n_rows`, the row count, so read_dataset rejects a
+    file cut at a line end.
     """
     path = Path(path)
     meta = {**(meta or {}), "n_rows": str(data.n_rows)}
@@ -588,7 +590,7 @@ def write_dataset(data: TabularDataset, path: str | Path, meta: Mapping[str, str
         meta.update(
             feature_names=json.dumps(list(names)),
             features_file=matrix.name,
-            features_sha256=hashlib.sha256(data.features).hexdigest(),
+            rows_sha256=_rows_digest(data),
         )
     sens = [""] * data.n_rows if data.sensitive is None else data.sensitive.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -598,6 +600,17 @@ def write_dataset(data: TabularDataset, path: str | Path, meta: Mapping[str, str
             f"{row_id},{target},{s},{data.split}\n"
             for row_id, target, s in zip(data.row_ids.tolist(), data.targets.tolist(), sens)
         )
+
+
+def _rows_digest(data: TabularDataset) -> str:
+    """sha256 of a dataset's rows in order: the features matrix, then the
+    row ids, targets and sensitive values (none when absent), each as its
+    array's bytes. It ties CSV line i to matrix row i."""
+    digest = hashlib.sha256(data.features)
+    for column in (data.row_ids, data.targets, data.sensitive):
+        if column is not None:
+            digest.update(column)
+    return digest.hexdigest()
 
 
 def write_meta_lines(fh, meta: Mapping[str, str]) -> None:
@@ -701,10 +714,12 @@ def read_dataset(path: str | Path) -> TabularDataset:
         raise DataError(f"{path}: malformed features metadata ({type(exc).__name__}: {exc})") from None
     if not matrix.exists():
         raise DataError(f"{matrix}: missing, but {path.name} records it (re-run 'prepare')")
-    features = read_matrix(matrix, np.float64, (n, len(names)))
-    if hashlib.sha256(np.ascontiguousarray(features)).hexdigest() != meta.get("features_sha256"):
-        raise DataError(f"{matrix}: sha256 differs from the one {path.name} records (from another 'prepare'?)")
-    return TabularDataset(features=features, feature_names=names, **reserved)
+    data = TabularDataset(features=read_matrix(matrix, np.float64, (n, len(names))), feature_names=names, **reserved)
+    if _rows_digest(data) != meta.get("rows_sha256"):
+        raise DataError(
+            f"{path}: its rows and {matrix.name} differ from the digest it records (edited, reordered or from another 'prepare'?)"
+        )
+    return data
 
 
 def dataset_file_meta(path: str | Path) -> dict[str, str]:

@@ -1,3 +1,4 @@
+import ast
 import copy
 import gc
 import io
@@ -575,12 +576,65 @@ def test_out_of_memory_is_a_one_line_data_error(tmp_path, capsys, jobs):
     assert {rel: (out / rel).read_bytes() for rel in _files(out)} == prepared
 
 
-def test_run_freezes_the_import_heap_before_main(monkeypatch):
+class _Stream(io.StringIO):
+    """A standard stream whose flushes are logged, and fail if asked to."""
+
+    def __init__(self, calls, name, fails=False):
+        super().__init__()
+        self.calls, self.name, self.fails = calls, name, fails
+
+    def flush(self):
+        self.calls.append(f"flush {self.name}")
+        if self.fails:
+            raise OSError(28, "No space left on device")
+
+
+def _run_in_process(monkeypatch, code, observed=False, stdout_fails=False):
+    """fairtune.cli.run() around a main() that returns `code`: the calls it
+    made, in order, what it wrote to stderr and what it returned."""
     calls = []
     monkeypatch.setattr(fairtune.cli.gc, "freeze", lambda: calls.append("freeze"))
-    monkeypatch.setattr(fairtune.cli, "main", lambda: calls.append("main") or 7)
-    assert fairtune.cli.run() == 7
-    assert calls == ["freeze", "main"]
+    monkeypatch.setattr(fairtune.cli.gc, "enable", lambda: calls.append("enable"))
+    monkeypatch.setattr(fairtune.cli, "main", lambda: calls.append("main") or code)
+    monkeypatch.setattr(fairtune.cli, "_observed", lambda: observed)
+    monkeypatch.setattr(fairtune.cli.os, "_exit", lambda status: calls.append(f"exit {status}"))
+    stderr = _Stream(calls, "stderr")
+    monkeypatch.setattr(sys, "stdout", _Stream(calls, "stdout", stdout_fails))
+    monkeypatch.setattr(sys, "stderr", stderr)
+    returned = fairtune.cli.run()
+    return calls, stderr.getvalue(), returned
+
+
+def test_run_freezes_the_import_heap_before_main(monkeypatch):
+    calls, err, returned = _run_in_process(monkeypatch, 7)
+    assert calls == ["freeze", "enable", "main", "flush stdout", "flush stderr", "exit 7"]
+    assert (err, returned) == ("", None)
+
+
+@pytest.mark.parametrize(
+    "code, status, message",
+    [(0, 3, "data error: cannot write standard output: [Errno 28] No space left on device\n"), (4, 4, "")],
+    ids=["command_succeeded", "command_failed"],
+)
+def test_run_reports_standard_output_that_cannot_be_written(monkeypatch, code, status, message):
+    # A failed command has printed its own line already.
+    calls, err, _ = _run_in_process(monkeypatch, code, stdout_fails=True)
+    assert calls == ["freeze", "enable", "main", "flush stdout", "flush stderr", f"exit {status}"]
+    assert err == message
+
+
+def test_run_under_a_profiler_or_tracer_returns_the_exit_code(monkeypatch):
+    calls, _, returned = _run_in_process(monkeypatch, 7, observed=True)
+    assert (calls, returned) == (["freeze", "enable", "main"], 7)
+
+
+def test_a_profile_function_is_observed():
+    before = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        assert fairtune.cli._observed()
+    finally:
+        sys.setprofile(before)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc_enabled", "gc_disabled"])
@@ -600,9 +654,102 @@ def test_main_leaves_the_garbage_collector_as_it_was(pipeline, capsys, enabled):
 def test_both_process_entries_name_run():
     root = CONFIGS.parent
     cli_source = (root / "src" / "fairtune" / "cli.py").read_text(encoding="utf-8")
+    # The collector goes off before the first import after gc's own.
+    body = [ast.unparse(node) for node in ast.parse(cli_source).body[1:4]]
+    assert body == ["from __future__ import annotations", "import gc", "if __name__ == '__main__':\n    gc.disable()"]
     assert cli_source.endswith('\nif __name__ == "__main__":\n    raise SystemExit(run())\n')
     scripts = (root / "pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]\n", 1)[1]
-    assert scripts.split("\n", 1)[0] == 'fairtune = "fairtune.cli:run"'
+    assert scripts.split("\n", 1)[0] == 'fairtune = "fairtune:run"'
+
+
+def _process(*args, env=None, stdout=subprocess.PIPE):
+    """`python ARGS` with src/ first on the import path."""
+    src = str(Path(fairtune.cli.__file__).resolve().parents[1])
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=300)
+
+
+def _main_exit(args):
+    try:
+        return main(args)
+    except SystemExit as exc:  # --version, --help and usage errors
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "args, status",
+    [
+        (["report", "{out}/tuner_result.json"], 0),
+        (["report", "{out}/tuner_result.json", "--format", "json"], 0),
+        (["--version"], 0),
+        (["prepare", "--config", "{out}/no-such-config.json"], 2),
+        (["prepare"], 2),
+        (["report", "{out}/no-such-result.json"], 3),
+    ],
+    ids=["report_table", "report_json", "version", "missing_config", "usage_error", "missing_result"],
+)
+def test_a_command_process_exits_as_main_returns(pipeline, capsys, args, status):
+    args = [arg.format(out=pipeline[1]) for arg in args]
+    assert _main_exit(args) == status
+    expected = capsys.readouterr()
+    proc = _process("-m", "fairtune.cli", *args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, expected.out, expected.err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("form", ["table", "json"])
+def test_standard_output_that_cannot_be_written_is_a_data_error(pipeline, form):
+    # Buffered standard output: the table fails when run() flushes it, the
+    # longer JSON already while report writes it.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = _process("-m", "fairtune.cli", "report", str(pipeline[1] / "tuner_result.json"), "--format", form, env=env, stdout=full)
+    assert proc.returncode == 3
+    assert re.fullmatch(r"data error: .*No space left on device\n", proc.stderr)
+
+
+def test_a_profiled_command_exits_normally(pipeline, capsys):
+    result = str(pipeline[1] / "tuner_result.json")
+    assert main(["report", result]) == 0
+    table = capsys.readouterr().out
+    proc = _process("-m", "cProfile", "-m", "fairtune.cli", "report", result)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(table) and "function calls" in proc.stdout[len(table):]
+
+
+# Starts a command the way `python -m fairtune.cli` (`module`) or the
+# `fairtune` console script (`script`) does, and prints, when run() freezes
+# the heap, how often the entry turned the collector off, whether it is
+# still off, and how many collections ran since: none may run while numpy
+# and fairtune load. (Compiling cli.py, where no bytecode is cached, comes
+# before the first line of `python -m fairtune.cli` runs.)
+_COUNT_COLLECTIONS_UNTIL_RUN = """
+import gc, json, runpy, sys
+def collections():
+    return sum(stats["collections"] for stats in gc.get_stats())
+disable, freeze, start = gc.disable, gc.freeze, []
+def count_and_disable():
+    start.append(collections())
+    disable()
+def report_and_freeze():
+    print(json.dumps([len(start), gc.isenabled(), collections() - start[0]]), file=sys.stderr)
+    freeze()
+gc.disable, gc.freeze = count_and_disable, report_and_freeze
+if sys.argv.pop(1) == "module":
+    runpy.run_module("fairtune.cli", run_name="__main__", alter_sys=True)
+else:
+    from fairtune import run
+    sys.exit(run())
+"""
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+def test_no_collection_runs_before_run_starts(pipeline, entry):
+    proc = _process("-c", _COUNT_COLLECTIONS_UNTIL_RUN, entry, "report", str(pipeline[1] / "tuner_result.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr) == [1, False, 0]
+    assert proc.stdout.startswith("objective: ")
 
 
 def _drop_meta_line(key):
@@ -871,6 +1018,36 @@ def test_tune_damaged_labelled_validation_is_a_data_error(pipeline, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and len(err.splitlines()) == 1
     assert re.match(r"data error: \S*labelled_validation\.csv" + message, err)
+
+
+def _swap_first_targets(text):
+    """Swap the first data lines of target 0 and of target 1."""
+    lines = text.splitlines(keepends=True)
+    first = {}
+    for i, line in enumerate(lines):
+        if not line.startswith(("#", "__")):
+            first.setdefault(line.split(",")[1], i)
+    lines[first["0"]], lines[first["1"]] = lines[first["1"]], lines[first["0"]]
+    return "".join(lines)
+
+
+def _flip_first_target(text):
+    return re.sub(r"^(\d+),([01]),", lambda m: f"{m[1]},{1 - int(m[2])},", text, count=1, flags=re.M)
+
+
+@pytest.mark.parametrize("damage", [_swap_first_targets, _flip_first_target], ids=["rows-swapped", "target-flipped"])
+def test_train_grid_on_reordered_or_relabelled_rows_is_a_data_error(pipeline, tmp_path, capsys, damage):
+    config, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    path = copy / "datasets" / "train.csv"
+    text = path.read_text()
+    damaged = damage(text)
+    assert damaged != text and len(damaged) == len(text)
+    path.write_text(damaged)
+    assert main(["train-grid", "--config", str(config), "--out", str(copy)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"data error: \S*train\.csv: its rows and train\.features\.npy differ from the digest it records .*\n", err)
 
 
 def test_dataset_files_keep_the_layout_perfbench_reads(pipeline):
@@ -1308,10 +1485,7 @@ def test_tune_on_data_without_sensitive_groups_is_a_data_error(tmp_path, capsys,
 def _cli_process(*args):
     """`python -W error -m fairtune.cli ARGS`: a numpy warning would end it
     in a traceback."""
-    src = str(Path(fairtune.cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    command = [sys.executable, "-W", "error", "-m", "fairtune.cli", *args]
-    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+    return _process("-W", "error", "-m", "fairtune.cli", *args)
 
 
 def test_a_diverging_stage2_point_is_a_one_line_data_error(tmp_path):

@@ -482,8 +482,10 @@ def test_round_trip_bit_exact(tmp_path, planted):
         "config_sha256": "abc",
         "feature_names": '["x0", "x1"]',
         "features_file": "train.features.npy",
-        "features_sha256": hashlib.sha256(train.features).hexdigest(),
         "n_rows": str(train.n_rows),
+        "rows_sha256": hashlib.sha256(
+            b"".join(a.tobytes() for a in (train.features, train.row_ids, train.targets, train.sensitive))
+        ).hexdigest(),
         "tool_version": "0.1.0",
     }
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv", "train.features.npy"]
@@ -537,6 +539,17 @@ def _cut_in_row(k, meta_lines):
         return "".join(lines[: meta_lines + k]) + lines[meta_lines + k][:3]
 
     return _text(corrupt)
+
+
+def _swap_lines(i, j):
+    """Swap file lines i and j (0-based) of the text."""
+
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        lines[i], lines[j] = lines[j], lines[i]
+        return "".join(lines)
+
+    return edit
 
 
 def _features_file(edit):
@@ -679,7 +692,11 @@ def _flip_last_bit(npy):
         (_edit_line(2, lambda ln: "1.5" + ln[1:], 5), r"ds\.csv:8: invalid literal for int\(\)"),
         (_edit_line(2, lambda ln: ln[ln.index(","):], 5), r"ds\.csv:8: invalid literal for int\(\)"),
         # The last row's feature changed.
-        (_features_file(_flip_last_bit), r"ds\.features\.npy: sha256 differs from the one ds\.csv records"),
+        (_features_file(_flip_last_bit), r"ds\.csv: its rows and ds\.features\.npy differ from the digest it records"),
+        # The first two data rows swapped, a target and a sensitive value flipped.
+        (_text(_swap_lines(6, 7)), r"ds\.csv: its rows and ds\.features\.npy differ from the digest it records"),
+        (_edit_line(3, lambda ln: ln.replace(",0,", ",1,", 1), 5), r"ds\.csv: its rows and ds\.features\.npy differ from the digest it records"),
+        (_edit_line(3, lambda ln: ln.replace(",1,train", ",0,train"), 5), r"ds\.csv: its rows and ds\.features\.npy differ from the digest it records"),
         (
             _text(lambda text: "".join(text.splitlines(keepends=True)[:8])),
             r"ds\.csv: 2 data rows, but the file records n_rows=8",
@@ -689,6 +706,7 @@ def _flip_last_bit(npy):
     ],
     ids=[
         "blank-line", "trailing-comma", "float-row-id", "empty-row-id", "bad-float-last-row",
+        "rows-swapped", "target-flipped", "sensitive-flipped",
         "cut-at-line-end", "extra-row", "cut-mid-row",
     ],
 )
@@ -730,10 +748,10 @@ def _copy_matrix_of(other):
         (_save_over(lambda m: m.astype(np.float32)), r"ds\.features\.npy: holds float32 \(8, 1\), expected float64 \(8, 1\)"),
         (_save_over(lambda m: m[:-1]), r"ds\.features\.npy: holds float64 \(7, 1\), expected float64 \(8, 1\)"),
         (_save_over(lambda m: np.hstack([m, m])), r"ds\.features\.npy: holds float64 \(8, 2\), expected float64 \(8, 1\)"),
-        (_save_over(lambda m: m + 1.0), r"ds\.features\.npy: sha256 differs from the one ds\.csv records"),
+        (_save_over(lambda m: m + 1.0), r"ds\.csv: its rows and ds\.features\.npy differ from the digest it records"),
         (
             _copy_matrix_of(make_dataset([[i + 0.5] for i in range(8)], [0, 1] * 4, sensitive=[1, 0] * 4)),
-            r"ds\.features\.npy: sha256 differs from the one ds\.csv records \(from another 'prepare'\?\)",
+            r"ds\.csv: its rows and ds\.features\.npy differ from the digest it records \(edited, reordered or from another 'prepare'\?\)",
         ),
         (
             _text(lambda text: text.replace("#features_file=ds.features.npy", "#features_file=../ds.features.npy")),
