@@ -361,10 +361,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not path.exists():
         raise DataError(f"no such result file: {path}")
     payload, result = _parse_artifact(path, "result file", lambda p: (p, TunerResult.from_dict(p["result"])))
-    if args.format == "json":
-        sys.stdout.write(_json_text(payload))
-    else:
-        sys.stdout.write(render_table(result))
+    if sys.stdout is None:  # what Python sets when it starts with descriptor 1 closed
+        raise DataError("cannot write standard output: descriptor 1 is closed")
+    sys.stdout.write(_json_text(payload) if args.format == "json" else render_table(result))
     return EXIT_OK
 
 

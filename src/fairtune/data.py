@@ -571,27 +571,21 @@ def generate_synthetic(spec: SyntheticSpec) -> TabularDataset:
 
 def write_dataset(data: TabularDataset, path: str | Path, meta: Mapping[str, str] | None = None) -> None:
     """Write the canonical dataset CSV of the reserved columns __row_id,
-    __target, __sensitive (blank when absent) and __split; with feature
-    columns, also their float64 (n_rows, d) matrix as `<stem>.features.npy`
-    next to it, whose name and feature names the CSV records with the
-    `_rows_digest` of the features and reserved columns, so read_dataset
-    restores the features bit-exactly and rejects any other matrix and any
-    edited or reordered rows. Metadata is stored as leading '#key=value'
-    lines, `meta`'s and `n_rows`, the row count, so read_dataset rejects a
-    file cut at a line end.
+    __target, __sensitive (blank when absent) and __split, with `meta` and
+    the `_rows_digest` of its rows (`rows_sha256`) as leading '#key=value'
+    lines; with feature columns, also their float64 (n, d) matrix as
+    `<stem>.features.npy` next to it, whose name and feature names the CSV
+    records. read_dataset restores the features bit-exactly and rejects any
+    other matrix and any edited, added, removed or reordered row.
     """
     path = Path(path)
-    meta = {**(meta or {}), "n_rows": str(data.n_rows)}
+    meta = {**(meta or {}), "rows_sha256": _rows_digest(data)}
     if data.n_features:
         matrix = path.with_name(path.stem + ".features.npy")
         with open(matrix, "wb") as fh:
             np.save(fh, data.features, allow_pickle=False)
         names = data.feature_names or tuple(f"x{j}" for j in range(data.n_features))
-        meta.update(
-            feature_names=json.dumps(list(names)),
-            features_file=matrix.name,
-            rows_sha256=_rows_digest(data),
-        )
+        meta.update(feature_names=json.dumps(list(names)), features_file=matrix.name)
     sens = [""] * data.n_rows if data.sensitive is None else data.sensitive.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         write_meta_lines(fh, meta)
@@ -603,9 +597,10 @@ def write_dataset(data: TabularDataset, path: str | Path, meta: Mapping[str, str
 
 
 def _rows_digest(data: TabularDataset) -> str:
-    """sha256 of a dataset's rows in order: the features matrix, then the
-    row ids, targets and sensitive values (none when absent), each as its
-    array's bytes. It ties CSV line i to matrix row i."""
+    """sha256 of a dataset's rows in order: the features matrix (no bytes
+    when it has no columns), then the row ids, targets and sensitive values
+    (none when absent), each as its array's bytes. It ties CSV line i to
+    matrix row i, and it changes with the row count."""
     digest = hashlib.sha256(data.features)
     for column in (data.row_ids, data.targets, data.sensitive):
         if column is not None:
@@ -636,30 +631,15 @@ def _scan_dataset(path: Path) -> tuple[dict[str, str], dict]:
     """
     with _utf8(path), open(path, newline="", encoding="utf-8") as fh:
         lines = fh.readlines()
-    numbers: list[int] = []
-    rows: list[str] = []
-    for number, line in enumerate(lines, start=1):
-        if not line.startswith("#"):
-            numbers.append(number)
-            rows.append(line)
-    if not rows:
-        raise DataError(f"{path}: empty dataset file")
-    if not rows[-1].endswith("\n"):
-        # write_dataset ends every line with one: the file was cut short.
-        raise DataError(f"{path}:{numbers[-1]}: last line lacks its newline (truncated file?)")
-    if rows[0].rstrip("\r\n") != ",".join(_RESERVED):
+    rows = ((number, line) for number, line in enumerate(lines, start=1) if not line.startswith("#"))
+    header = next(rows, (0, ""))[1]  # "" in a file of '#' lines only
+    if header and header.rstrip("\r\n") != ",".join(_RESERVED):
         raise DataError(f"{path}: not a canonical dataset file (its header is not {','.join(_RESERVED)}); re-run 'prepare'")
-    del numbers[0], rows[0]
-    meta = _meta_lines(lines)
-    recorded = meta.get("n_rows")
-    if recorded != str(len(rows)):
-        stated = "no n_rows" if recorded is None else f"n_rows={recorded}"
-        raise DataError(f"{path}: {len(rows)} data rows, but the file records {stated} (truncated file?)")
     row_ids: list[int] = []
     targets: list[int] = []
     sens: list[int | None] = []
     splits: set[str] = set()
-    for number, line in zip(numbers, rows):
+    for number, line in rows:
         try:
             if line.count(",") != len(_RESERVED) - 1:
                 fields = line.count(",") + 1 if line.strip("\r\n") else 0
@@ -671,6 +651,8 @@ def _scan_dataset(path: Path) -> tuple[dict[str, str], dict]:
         except ValueError as exc:
             raise DataError(f"{path}:{number}: {exc}") from None
         splits.add(tag)
+    if not row_ids:
+        raise DataError(f"{path}: empty dataset file")
     splits = {tag.rstrip("\r\n") for tag in splits}
     if len(splits) != 1:
         raise DataError(f"{path}: mixed split tags {sorted(splits)}")
@@ -683,42 +665,54 @@ def _scan_dataset(path: Path) -> tuple[dict[str, str], dict]:
         "split": splits.pop(),
         "sensitive": None if blank else np.asarray(sens, dtype=np.int8),
     }
-    return meta, reserved
+    return _meta_lines(lines), reserved
 
 
-def read_matrix(path: Path, dtype, shape: tuple[int, ...]) -> np.ndarray:
-    """The array of an .npy file that must hold `dtype` values in `shape`;
-    any other file (an .npz archive, a cut file) is a DataError naming it."""
+def read_matrix(path: Path, dtype, shape: tuple[int | None, ...]) -> np.ndarray:
+    """The array of an .npy file that must hold `dtype` values in `shape`,
+    where a size of None may be any; any other file (an .npz archive, a cut
+    file) is a DataError naming it."""
     try:
         # The npy reader itself: np.load would return an archive for a .npz.
         with open(path, "rb") as fh:
             array = np.lib.format.read_array(fh, allow_pickle=False)
     except (OSError, ValueError, EOFError) as exc:
         raise DataError(f"{path}: not a readable .npy file ({type(exc).__name__}: {exc})") from None
+    if array.ndim == len(shape):
+        shape = tuple(size if want is None else want for want, size in zip(shape, array.shape))
     if array.dtype != dtype or array.shape != shape:
         raise DataError(f"{path}: holds {array.dtype} {array.shape}, expected {np.dtype(dtype)} {shape}")
     return array
 
 
 def read_dataset(path: str | Path) -> TabularDataset:
-    """Read canonical dataset files back; inverse of write_dataset."""
+    """Read canonical dataset files back; inverse of write_dataset. Every
+    file, with or without a features matrix, must give the `_rows_digest`
+    it records; each error names the CSV or the matrix."""
     path = Path(path)
     meta, reserved = _scan_dataset(path)
     n = len(reserved["row_ids"])
-    if "features_file" not in meta:
-        return TabularDataset(features=np.empty((n, 0)), **reserved)
+    features, names, hashed = np.empty((n, 0)), None, "its rows"
+    if "features_file" in meta:
+        try:
+            names = tuple(json.loads(meta["feature_names"]))
+            matrix = path.with_name(meta["features_file"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed features metadata ({type(exc).__name__}: {exc})") from None
+        if not matrix.exists():
+            raise DataError(f"{matrix}: missing, but {path.name} records it (re-run 'prepare')")
+        features = read_matrix(matrix, np.float64, (None, len(names)))
+        hashed = f"its rows and {matrix.name}"
+    # A row count the matrix does not share may be either file's damage.
+    unmatched = DataError(f"{path}: {hashed} differ from the digest it records (edited, cut, reordered or from another run?)")
+    if len(features) != n:
+        raise unmatched
     try:
-        names = tuple(json.loads(meta["feature_names"]))
-        matrix = path.with_name(meta["features_file"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed features metadata ({type(exc).__name__}: {exc})") from None
-    if not matrix.exists():
-        raise DataError(f"{matrix}: missing, but {path.name} records it (re-run 'prepare')")
-    data = TabularDataset(features=read_matrix(matrix, np.float64, (n, len(names))), feature_names=names, **reserved)
+        data = TabularDataset(features=features, feature_names=names, **reserved)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if _rows_digest(data) != meta.get("rows_sha256"):
-        raise DataError(
-            f"{path}: its rows and {matrix.name} differ from the digest it records (edited, reordered or from another 'prepare'?)"
-        )
+        raise unmatched
     return data
 
 

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -662,12 +663,14 @@ def test_both_process_entries_name_run():
     assert scripts.split("\n", 1)[0] == 'fairtune = "fairtune:run"'
 
 
-def _process(*args, env=None, stdout=subprocess.PIPE):
+def _process(*args, env=None, stdout=subprocess.PIPE, preexec_fn=None):
     """`python ARGS` with src/ first on the import path."""
     src = str(Path(fairtune.cli.__file__).resolve().parents[1])
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=300)
+    return subprocess.run(
+        [sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=300, preexec_fn=preexec_fn
+    )
 
 
 def _main_exit(args):
@@ -707,6 +710,16 @@ def test_standard_output_that_cannot_be_written_is_a_data_error(pipeline, form):
         proc = _process("-m", "fairtune.cli", "report", str(pipeline[1] / "tuner_result.json"), "--format", form, env=env, stdout=full)
     assert proc.returncode == 3
     assert re.fullmatch(r"data error: .*No space left on device\n", proc.stderr)
+
+
+@pytest.mark.parametrize("form", ["table", "json"])
+def test_report_with_standard_output_closed_is_a_data_error(pipeline, form):
+    # Descriptor 1 closed before the interpreter starts (`>&-` in a shell):
+    # Python then sets sys.stdout to None.
+    result = str(pipeline[1] / "tuner_result.json")
+    proc = _process("-m", "fairtune.cli", "report", result, "--format", form, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "data error: cannot write standard output: descriptor 1 is closed\n"
 
 
 def test_a_profiled_command_exits_normally(pipeline, capsys):
@@ -979,8 +992,11 @@ def _swap_rows(text):
     return "".join(lines)
 
 
-def _blank_sensitive(text):
-    return re.sub(r"^(\d+,[01]),[01],", r"\1,,", text, flags=re.M)
+def _flip_first_pseudo_labels(text):
+    return re.sub(r"^(\d+,[01]),([01]),", lambda m: f"{m[1]},{1 - int(m[2])},", text, count=5, flags=re.M)
+
+
+UNMATCHED = r": its rows differ from the digest it records \(edited, cut, reordered or from another run\?\)$"
 
 
 @pytest.mark.parametrize(
@@ -991,18 +1007,16 @@ def _blank_sensitive(text):
         (_damage_row(lambda ln: "x" + ln), r":11: invalid literal for int\(\)"),
         (_damage_row(lambda ln: ln.replace(",validation\n", ",test\n")), r": mixed split tags"),
         (_damage_row(lambda ln: ln.replace(",validation\n", ",,validation\n")), r":11: 5 fields, expected 4"),
-        (lambda text: text + text.splitlines(keepends=True)[-1], r": 401 data rows, but the file records n_rows=400"),
-        (lambda text: text.replace("#n_rows=", "#n_rows=1"), r": 400 data rows, but the file records n_rows=1400"),
-        # The row-id check in `tune` is all that keeps pseudo labels aligned
-        # with the validation rows they were computed for.
-        (_swap_rows, r" does not label the rows of the validation split"),
-        (_blank_sensitive, r" carries no pseudo labels"),
+        (lambda text: text + text.splitlines(keepends=True)[-1], r": row_ids must be unique$"),
+        (lambda text: text + "999999,0,1,validation\n", UNMATCHED),
+        (_swap_rows, UNMATCHED),
+        (_flip_first_pseudo_labels, UNMATCHED),
         (lambda text: re.sub(r"^(\d+,[01]),[01],", r"\1,,", text, count=1, flags=re.M), r": sensitive column is partially blank"),
         (lambda text: "".join(line for line in text.splitlines(keepends=True) if line.startswith("#")), r": empty dataset file"),
     ],
     ids=[
-        "blank-line", "trailing-comma", "bad-row-id", "mixed-split", "shifted-cells", "duplicate-row", "bad-count",
-        "reordered-rows", "no-pseudo", "partly-blank-pseudo", "only-comment-lines",
+        "blank-line", "trailing-comma", "bad-row-id", "mixed-split", "shifted-cells", "duplicate-row", "extra-row",
+        "reordered-rows", "flipped-pseudo", "partly-blank-pseudo", "only-comment-lines",
     ],
 )
 def test_tune_damaged_labelled_validation_is_a_data_error(pipeline, tmp_path, capsys, damage, message):
@@ -1018,6 +1032,32 @@ def test_tune_damaged_labelled_validation_is_a_data_error(pipeline, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and len(err.splitlines()) == 1
     assert re.match(r"data error: \S*labelled_validation\.csv" + message, err)
+
+
+@pytest.mark.parametrize(
+    "relabel, message",
+    [
+        (lambda labelled: replace(labelled, sensitive=None), " carries no pseudo labels"),
+        # The row-id check in `tune` is all that keeps pseudo labels aligned
+        # with the validation rows they were computed for.
+        (lambda labelled: labelled.take(np.arange(labelled.n_rows)[::-1]), " does not label the rows of the validation split"),
+        (lambda labelled: labelled.take(np.arange(labelled.n_rows - 1)), " does not label the rows of the validation split"),
+    ],
+    ids=["no-pseudo", "reordered-rows", "missing-row"],
+)
+def test_tune_refuses_intact_labels_of_other_rows(pipeline, tmp_path, capsys, relabel, message):
+    # Written by write_dataset with the config's metadata, so the file reads
+    # back and only `tune`'s own checks can refuse it.
+    from fairtune.config import load_config
+    from fairtune.data import read_dataset, write_dataset
+
+    config, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    path = copy / "labelled_validation.csv"
+    write_dataset(relabel(read_dataset(path)), path, meta=fairtune.cli._meta(load_config(config)))
+    assert main(["tune", "--config", str(config), "--out", str(copy)]) == 3
+    assert capsys.readouterr().err == f"data error: {path}{message}\n"
 
 
 def _swap_first_targets(text):

@@ -482,7 +482,6 @@ def test_round_trip_bit_exact(tmp_path, planted):
         "config_sha256": "abc",
         "feature_names": '["x0", "x1"]',
         "features_file": "train.features.npy",
-        "n_rows": str(train.n_rows),
         "rows_sha256": hashlib.sha256(
             b"".join(a.tobytes() for a in (train.features, train.row_ids, train.targets, train.sensitive))
         ).hexdigest(),
@@ -557,20 +556,21 @@ def _features_file(edit):
     return lambda path: edit(path.with_name(path.stem + ".features.npy"))
 
 
-# Line numbers: 1-5 metadata (config_sha256, the three features keys and
-# n_rows), 6 header, 7-14 the eight data rows.
+# Line numbers: 1-4 metadata (config_sha256, feature_names, features_file
+# and rows_sha256), 5 header, 6-13 the eight data rows.
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_cut_in_row(4, 5), r"ds\.csv:10: last line lacks its newline"),
-        (_text(lambda text: text[:-1]), r"ds\.csv:14: last line lacks its newline"),
-        (_edit_line(4, lambda ln: ln.rsplit(",", 1)[0] + "\n", 5), r"ds\.csv:10: 3 fields, expected 4"),
+        (_cut_in_row(4, 4), r"ds\.csv:9: 2 fields, expected 4"),
+        (_cut_in_row(8, 4), r"ds\.csv:13: 2 fields, expected 4"),
+        (_text(lambda text: text[:-4]), r"ds\.csv: mixed split tags \['tr', 'train'\]"),
+        (_edit_line(4, lambda ln: ln.rsplit(",", 1)[0] + "\n", 4), r"ds\.csv:9: 3 fields, expected 4"),
         (
-            _edit_line(4, lambda ln: ln.replace(",,", ",1.2.3,"), 5),
-            r"ds\.csv:10: invalid literal for int\(\) with base 10: '1\.2\.3'",
+            _edit_line(4, lambda ln: ln.replace(",,", ",1.2.3,"), 4),
+            r"ds\.csv:9: invalid literal for int\(\) with base 10: '1\.2\.3'",
         ),
     ],
-    ids=["cut-mid-row", "drop-last-newline", "short-row", "garbled-cell"],
+    ids=["cut-mid-row", "cut-in-last-row", "cut-in-last-tag", "short-row", "garbled-cell"],
 )
 def test_read_rejects_damaged_rows_with_their_line(tmp_path, corrupt, message):
     ds = make_dataset([[i + 0.25] for i in range(8)], [0, 1] * 4)
@@ -579,6 +579,21 @@ def test_read_rejects_damaged_rows_with_their_line(tmp_path, corrupt, message):
     corrupt(path)
     with pytest.raises(DataError, match=message):
         read_dataset(path)
+
+
+def test_a_file_that_lost_only_its_last_newline_reads_back_equal(tmp_path):
+    # It still holds every row; a cut anywhere else fails a check.
+    for d in (1, 0):
+        ds = make_dataset(np.arange(3.0).reshape(3, 1)[:, :d] + 1.5, [0, 1, 0], sensitive=[1, 1, 0])
+        path = tmp_path / "ds.csv"
+        write_dataset(ds, path)
+        _text(lambda text: text[:-1])(path)
+        back = read_dataset(path)
+        np.testing.assert_array_equal(back.features, ds.features)
+        np.testing.assert_array_equal(back.row_ids, ds.row_ids)
+        np.testing.assert_array_equal(back.targets, ds.targets)
+        np.testing.assert_array_equal(back.sensitive, ds.sensitive)
+        assert back.split == ds.split
 
 
 # Floats whose text form stresses a parser: subnormals, signed zeros, the
@@ -597,7 +612,7 @@ EDGE_FLOATS = (
     d=st.integers(0, 8),
     with_sensitive=st.booleans(),
     tag=st.sampled_from(("train", "validation", "test", "all")),
-    meta=st.sampled_from((None, {"n_rows"}, {"config_sha256", "n_rows"})),
+    meta=st.sampled_from((None, {"rows_sha256"}, {"config_sha256", "rows_sha256"})),
 )
 def test_round_trip_property(tmp_path_factory, data, n, d, with_sensitive, tag, meta):
     cell = st.one_of(st.floats(allow_nan=False), st.sampled_from(EDGE_FLOATS))
@@ -611,7 +626,7 @@ def test_round_trip_property(tmp_path_factory, data, n, d, with_sensitive, tag, 
         sensitive=data.draw(bits) if with_sensitive else None,
     )
     path = tmp_path_factory.mktemp("rt") / "ds.csv"
-    write_dataset(ds, path, meta=meta and {key: str(n) if key == "n_rows" else "x" for key in meta})
+    write_dataset(ds, path, meta=meta and {key: "x" for key in meta})
     back = read_dataset(path)
     np.testing.assert_array_equal(back.features.view(np.int64), ds.features.view(np.int64))
     np.testing.assert_array_equal(back.row_ids, ds.row_ids)
@@ -658,7 +673,7 @@ def test_read_matches_per_cell_float_oracle(tmp_path):
         sensitive=rng.integers(0, 2, n),
     )
     path = tmp_path / "census.csv"
-    write_dataset(ds, path, meta={"n_rows": str(n)})
+    write_dataset(ds, path)
     features = np.array([[float(repr(v)) for v in row] for row in ds.features.tolist()], dtype=np.float64)
     row_ids, targets, sensitive, splits = _reference_read(path)
     back = read_dataset(path)
@@ -682,38 +697,44 @@ def _flip_last_bit(npy):
     npy.write_bytes(bytes(raw))
 
 
-# Line numbers: 1-5 metadata (config_sha256, the three features keys and
-# n_rows), 6 header, 7-14 the eight data rows.
+# Line numbers: 1-4 metadata (config_sha256, feature_names, features_file
+# and rows_sha256), 5 header, 6-13 the eight data rows.
+DIGEST_MESSAGE = r"ds\.csv: its rows and ds\.features\.npy differ from the digest it records"
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_edit_line(3, lambda ln: "\n", 5), r"ds\.csv:9: 0 fields, expected 4"),
-        (_edit_line(3, lambda ln: ln[:-1] + ",\n", 5), r"ds\.csv:9: 5 fields, expected 4"),
-        (_edit_line(2, lambda ln: "1.5" + ln[1:], 5), r"ds\.csv:8: invalid literal for int\(\)"),
-        (_edit_line(2, lambda ln: ln[ln.index(","):], 5), r"ds\.csv:8: invalid literal for int\(\)"),
+        (_edit_line(3, lambda ln: "\n", 4), r"ds\.csv:8: 0 fields, expected 4"),
+        (_edit_line(3, lambda ln: ln[:-1] + ",\n", 4), r"ds\.csv:8: 5 fields, expected 4"),
+        (_edit_line(2, lambda ln: "1.5" + ln[1:], 4), r"ds\.csv:7: invalid literal for int\(\)"),
+        (_edit_line(2, lambda ln: ln[ln.index(","):], 4), r"ds\.csv:7: invalid literal for int\(\)"),
+        # Row 3's id made a copy of row 1's.
+        (_edit_line(3, lambda ln: "0" + ln[ln.index(","):], 4), r"ds\.csv: row_ids must be unique$"),
         # The last row's feature changed.
-        (_features_file(_flip_last_bit), r"ds\.csv: its rows and ds\.features\.npy differ from the digest it records"),
+        (_features_file(_flip_last_bit), DIGEST_MESSAGE),
         # The first two data rows swapped, a target and a sensitive value flipped.
-        (_text(_swap_lines(6, 7)), r"ds\.csv: its rows and ds\.features\.npy differ from the digest it records"),
-        (_edit_line(3, lambda ln: ln.replace(",0,", ",1,", 1), 5), r"ds\.csv: its rows and ds\.features\.npy differ from the digest it records"),
-        (_edit_line(3, lambda ln: ln.replace(",1,train", ",0,train"), 5), r"ds\.csv: its rows and ds\.features\.npy differ from the digest it records"),
-        (
-            _text(lambda text: "".join(text.splitlines(keepends=True)[:8])),
-            r"ds\.csv: 2 data rows, but the file records n_rows=8",
-        ),
-        (_text(lambda text: text + "8,0,1,train\n"), r"ds\.csv: 9 data rows, but the file records n_rows=8"),
-        (_cut_in_row(4, 5), r"ds\.csv:10: last line lacks its newline"),
+        (_text(_swap_lines(5, 6)), DIGEST_MESSAGE),
+        (_edit_line(3, lambda ln: ln.replace(",0,", ",1,", 1), 4), DIGEST_MESSAGE),
+        (_edit_line(3, lambda ln: ln.replace(",1,train", ",0,train"), 4), DIGEST_MESSAGE),
+        # Cut at a line end, a row added, a row duplicated: the matrix is
+        # intact, and the CSV is blamed.
+        (_text(lambda text: "".join(text.splitlines(keepends=True)[:8])), DIGEST_MESSAGE),
+        (_text(lambda text: "".join(text.splitlines(keepends=True)[:5])), r"ds\.csv: empty dataset file$"),
+        (_text(lambda text: text + "8,0,1,train\n"), DIGEST_MESSAGE),
+        (_edit_line(3, lambda ln: ln + ln, 4), DIGEST_MESSAGE),
+        (_cut_in_row(4, 4), r"ds\.csv:9: 2 fields, expected 4"),
     ],
     ids=[
-        "blank-line", "trailing-comma", "float-row-id", "empty-row-id", "bad-float-last-row",
+        "blank-line", "trailing-comma", "float-row-id", "empty-row-id", "duplicate-row-id", "bad-float-last-row",
         "rows-swapped", "target-flipped", "sensitive-flipped",
-        "cut-at-line-end", "extra-row", "cut-mid-row",
+        "cut-at-line-end", "cut-after-header", "extra-row", "duplicated-row", "cut-mid-row",
     ],
 )
 def test_reader_fault_injection(tmp_path, corrupt, message):
     ds = make_dataset([[i + 0.25] for i in range(8)], [0, 1] * 4, sensitive=[1, 0] * 4)
     path = tmp_path / "ds.csv"
-    write_dataset(ds, path, meta={"config_sha256": "abc", "n_rows": "8"})
+    write_dataset(ds, path, meta={"config_sha256": "abc"})
     corrupt(path)
     with pytest.raises(DataError, match=message):
         read_dataset(path)
@@ -746,12 +767,13 @@ def _copy_matrix_of(other):
             r"ds\.features\.npy: not a readable \.npy file \(ValueError: the magic string is not correct",
         ),
         (_save_over(lambda m: m.astype(np.float32)), r"ds\.features\.npy: holds float32 \(8, 1\), expected float64 \(8, 1\)"),
-        (_save_over(lambda m: m[:-1]), r"ds\.features\.npy: holds float64 \(7, 1\), expected float64 \(8, 1\)"),
+        (_save_over(lambda m: m[:-1]), DIGEST_MESSAGE),
         (_save_over(lambda m: np.hstack([m, m])), r"ds\.features\.npy: holds float64 \(8, 2\), expected float64 \(8, 1\)"),
-        (_save_over(lambda m: m + 1.0), r"ds\.csv: its rows and ds\.features\.npy differ from the digest it records"),
+        (_save_over(lambda m: m[:, 0]), r"ds\.features\.npy: holds float64 \(8,\), expected float64 \(None, 1\)"),
+        (_save_over(lambda m: m + 1.0), DIGEST_MESSAGE),
         (
             _copy_matrix_of(make_dataset([[i + 0.5] for i in range(8)], [0, 1] * 4, sensitive=[1, 0] * 4)),
-            r"ds\.csv: its rows and ds\.features\.npy differ from the digest it records \(edited, reordered or from another 'prepare'\?\)",
+            DIGEST_MESSAGE + r" \(edited, cut, reordered or from another run\?\)$",
         ),
         (
             _text(lambda text: text.replace("#features_file=ds.features.npy", "#features_file=../ds.features.npy")),
@@ -763,14 +785,14 @@ def _copy_matrix_of(other):
         ),
     ],
     ids=[
-        "missing", "truncated", "empty", "not-npy", "wrong-dtype", "missing-row", "wrong-width",
+        "missing", "truncated", "empty", "not-npy", "wrong-dtype", "missing-row", "wrong-width", "one-dimensional",
         "digest-mismatch", "stale-matrix", "name-outside-directory", "malformed-names",
     ],
 )
 def test_features_file_faults(tmp_path, corrupt, message):
     ds = make_dataset([[i + 0.25] for i in range(8)], [0, 1] * 4, sensitive=[1, 0] * 4)
     path = tmp_path / "ds.csv"
-    write_dataset(ds, path, meta={"config_sha256": "abc", "n_rows": "8"})
+    write_dataset(ds, path, meta={"config_sha256": "abc"})
     corrupt(path)
     with pytest.raises(DataError, match=message) as exc:
         read_dataset(path)
@@ -795,7 +817,7 @@ def test_earlier_text_layout_asks_for_prepare(tmp_path):
 def test_comment_lines_between_rows_are_skipped(tmp_path):
     ds = make_dataset([[i + 0.25, -i * 1e-5] for i in range(6)], [0, 1] * 3)
     path = tmp_path / "ds.csv"
-    write_dataset(ds, path, meta={"n_rows": "6"})
+    write_dataset(ds, path, meta={"config_sha256": "abc"})
     # Lines 1-4 metadata, 5 header, 6-11 the six data rows.
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     lines.insert(7, "# a note\n")
@@ -811,21 +833,25 @@ def test_comment_lines_between_rows_are_skipped(tmp_path):
         read_dataset(path)
 
 
-def test_files_without_a_row_count_are_refused(tmp_path):
-    # Every file records its own row count, whatever `meta` holds, so a CSV
-    # cut at a line end is refused, with or without a features matrix; so is
-    # a file that records no count.
-    for d, meta in itertools.product((1, 0), (None, {"config_sha256": "abc"}, {"n_rows": "7"})):
-        ds = make_dataset(np.arange(3.0).reshape(3, 1)[:, :d] + 1.5, [0, 1, 0])
+def test_a_file_cut_at_a_line_end_is_refused(tmp_path):
+    # Every file records the digest of its rows, whatever `meta` holds, so a
+    # CSV cut at a line end is refused, with or without a features matrix;
+    # so is a file that records no digest.
+    for d, meta in itertools.product((1, 0), (None, {"config_sha256": "abc"}, {"rows_sha256": "x"})):
+        ds = make_dataset(np.arange(3.0).reshape(3, 1)[:, :d] + 1.5, [0, 1, 0], sensitive=[1, 0, 0])
         path = tmp_path / "ds.csv"
         write_dataset(ds, path, meta=meta)
-        assert dataset_file_meta(path)["n_rows"] == "3"
+        back = read_dataset(path)
+        np.testing.assert_array_equal(back.features, ds.features)
+        np.testing.assert_array_equal(back.sensitive, ds.sensitive)
+        rows = "its rows and ds\\.features\\.npy" if d else "its rows"
+        message = rf"ds\.csv: {rows} differ from the digest it records \(edited, cut, reordered or from another run\?\)$"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(lines[:-1]), encoding="utf-8")
-        with pytest.raises(DataError, match=r"ds\.csv: 2 data rows, but the file records n_rows=3 \(truncated file\?\)$"):
+        with pytest.raises(DataError, match=message):
             read_dataset(path)
-        path.write_text("".join(line for line in lines if not line.startswith("#n_rows=")), encoding="utf-8")
-        with pytest.raises(DataError, match=r"ds\.csv: 3 data rows, but the file records no n_rows \(truncated file\?\)$"):
+        path.write_text("".join(line for line in lines if not line.startswith("#rows_sha256=")), encoding="utf-8")
+        with pytest.raises(DataError, match=message):
             read_dataset(path)
 
 
