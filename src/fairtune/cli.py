@@ -75,7 +75,7 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import LABELLING_POLICY, ConfigError, ExperimentConfig, load_config
 from .data import (
     DataError,
     TabularDataset,
@@ -171,15 +171,18 @@ def _check_provenance(path: Path, config: ExperimentConfig, stored) -> None:
         )
 
 
-def _read_upstream(path: Path, producer: str, config: ExperimentConfig) -> TabularDataset:
-    """The dataset file `producer` wrote for this configuration."""
+def _read_upstream(path: Path, producer: str, config: ExperimentConfig, tag: str) -> TabularDataset:
+    """The dataset file of the `tag` split that `producer` wrote for this configuration."""
     _require_artifact(path, producer)
     _check_provenance(path, config, dataset_file_meta(path).get("config_sha256"))
-    return read_dataset(path)
+    data = read_dataset(path)
+    if data.split != tag:
+        raise DataError(f"{path}: split tag {data.split!r}, expected {tag!r}")
+    return data
 
 
 def _read_split(out: Path, name: str, config: ExperimentConfig) -> TabularDataset:
-    return _read_upstream(out / "datasets" / f"{name}.csv", "prepare", config)
+    return _read_upstream(out / "datasets" / f"{name}.csv", "prepare", config, name)
 
 
 def cmd_prepare(config: ExperimentConfig, args: argparse.Namespace) -> int:
@@ -234,20 +237,15 @@ def _parse_artifact(path: Path, what: str, parse):
 
 
 def _load_predictions(out: Path, config: ExperimentConfig, n_validation: int) -> tuple[np.ndarray, list[tuple[HyperParams, int]]]:
-    """The stored candidate predictions and each row's (hyper-params, epoch),
-    restricted to the candidates the labelling policy admits. index.json
-    records this config's hash, so its rows are `labeller_candidates` of this
-    config's grid; it is read for that hash only."""
+    """The stored candidate predictions and each row's (hyper-params, epoch):
+    index.json records this config's hash, so its rows are `labeller_candidates`
+    of this config's grid; it is read for that hash only."""
     index_path = _require_artifact(out / "checkpoints" / "index.json", "train-grid")
     matrix_path = _require_artifact(out / "checkpoints" / "predictions.npy", "train-grid")
     stored = _parse_artifact(index_path, "candidate index", lambda index: index.get("config_sha256"))
     _check_provenance(index_path, config, stored)
     candidates = labeller_candidates(config.labeller_grid)
-    predictions = read_matrix(matrix_path, np.int8, (len(candidates), n_validation))
-    if config.labelling_policy == "final_epoch":
-        keep = [i for i, (hp, epoch) in enumerate(candidates) if epoch == hp.epochs]
-        predictions, candidates = predictions[keep], [candidates[i] for i in keep]
-    return predictions, candidates
+    return read_matrix(matrix_path, np.int8, (len(candidates), n_validation)), candidates
 
 
 def cmd_label(config: ExperimentConfig, args: argparse.Namespace) -> int:
@@ -265,7 +263,7 @@ def cmd_label(config: ExperimentConfig, args: argparse.Namespace) -> int:
                 {
                     "by_class": {str(y): sel.to_dict() for y, sel in labelled.by_class.items()},
                     "n_candidates": len(candidates),
-                    "policy": config.labelling_policy,
+                    "policy": LABELLING_POLICY,
                     **_meta(config),
                 }
             ),
@@ -314,7 +312,7 @@ def cmd_tune(config: ExperimentConfig, args: argparse.Namespace) -> int:
     pseudo = None
     if config.jtt.sensitive_source == "pseudo":
         path = out / "labelled_validation.csv"
-        labelled = _read_upstream(path, "label", config)
+        labelled = _read_upstream(path, "label", config, "validation")
         if labelled.sensitive is None:
             raise DataError(f"{path} carries no pseudo labels")
         if not np.array_equal(labelled.row_ids, validation.row_ids):

@@ -23,12 +23,13 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from .data import MAX_SIZE, DatasetSchema, SyntheticSpec, check_fractions, check_int, check_pair
+from .data import MAX_SIZE, DatasetSchema, SyntheticSpec, check_fractions, check_int, check_keys, check_pair
 from .noise import NoiseSpec
 from .training import HyperParams
 from .tuning import JttConfig
 
-LABELLING_POLICIES = ("every_epoch", "final_epoch")
+# The one labelling policy, which the config hash records: every epoch of every grid point is a candidate.
+LABELLING_POLICY = "every_epoch"
 MC_SPLITS = ("train", "validation", "test")
 
 
@@ -40,25 +41,21 @@ def _fail(path: str, msg: str) -> None:
     raise ConfigError(f"{path}: {msg}")
 
 
-def _section(d: Mapping, path: str) -> Mapping:
-    """d, the config object at `path`, once each of its keys is known."""
-    for key in d:
-        if key not in _KEYS[path]:
-            _fail(f"{path}.{key}" if path else key, "unknown key")
-    return d
+def _section(d: Mapping, path: str, required=()) -> Mapping:
+    """d, the config object at `path`, once `check_keys` passes it: each key
+    is one of _KEYS[path], and each of `required` is there."""
+    return _at(path, check_keys, d, _KEYS[path], required)
 
 
-def _get(d: Mapping, path: str, key: str, kind: type, required: bool = True, default=None):
-    """d[key], which must be a `kind` (dict, list or str); numbers are left
-    to the constructor that holds them."""
-    here = f"{path}.{key}" if path else key
-    if key not in d:
-        if required:
-            _fail(here, "missing required key")
-        return default
-    value = d[key]
+def _get(d: Mapping, path: str, key: str, kind: type, default=None):
+    """d[key], which must be a `kind` (dict, list or str), or `default` if d
+    has no `key`: a key without a default is required. Numbers are left to
+    the constructor that holds them."""
+    if default is None:
+        _section(d, path, (key,))
+    value = d.get(key, default)
     if not isinstance(value, kind):
-        _fail(here, f"expected {kind.__name__}, got {type(value).__name__}")
+        _fail(f"{path}.{key}" if path else key, f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -98,14 +95,12 @@ class McNoiseSection:
             raise ValueError(f"split: expected one of {MC_SPLITS}, got {self.split!r}")
 
 
-# The keys each config object may hold, by path: a key outside its list is
-# an error, so a typo cannot fall back to a default. A section that one
-# type holds whole takes that type's fields; HyperParams.from_dict checks
-# the keys of grid points the same way.
+# The keys each config section may hold, by path; a section that one type holds
+# whole takes its fields. The objects a type reads itself (`from_dict` of
+# SyntheticSpec, DatasetSchema and HyperParams) check theirs the same way.
 _KEYS = {
     "": ("seed", "output_dir", "dataset", "split", "labeller_grid", "labelling", "jtt", "mc_noise"),
     "dataset": ("kind", "synthetic", "csv"),
-    "dataset.synthetic": tuple(f.name for f in fields(SyntheticSpec)),
     "dataset.csv": ("path", "schema", "schema_path"),
     "split": ("fractions", "seed"),
     "labelling": ("policy",),
@@ -125,7 +120,6 @@ class ExperimentConfig:
     split_fractions: tuple[float, float, float]
     split_seed: int
     labeller_grid: tuple[HyperParams, ...]
-    labelling_policy: str
     jtt: JttConfig | None
     mc_noise: McNoiseSection | None
 
@@ -138,7 +132,7 @@ class ExperimentConfig:
             "dataset": {"kind": self.dataset_kind},
             "split": {"fractions": list(self.split_fractions), "seed": self.split_seed},
             "labeller_grid": [hp.to_dict() for hp in self.labeller_grid],
-            "labelling": {"policy": self.labelling_policy},
+            "labelling": {"policy": LABELLING_POLICY},
         }
         if self.synthetic is not None:
             d["dataset"]["synthetic"] = self.synthetic.to_dict()
@@ -176,7 +170,7 @@ def parse_config(
     csv_path = None
     schema = None
     if kind == "synthetic":
-        spec_raw = {"seed": master, **_section(_get(dataset, "dataset", "synthetic", dict), "dataset.synthetic")}
+        spec_raw = {"seed": master, **_get(dataset, "dataset", "synthetic", dict)}
         synthetic = _at("dataset.synthetic", SyntheticSpec.from_dict, spec_raw)
     elif kind == "csv":
         csv_section = _section(_get(dataset, "dataset", "csv", dict), "dataset.csv")
@@ -207,11 +201,10 @@ def parse_config(
     model_seed = master + 2
     labeller_grid = _grid(_get(raw, "", "labeller_grid", list), "labeller_grid", model_seed)
 
-    labelling = _get(raw, "", "labelling", dict, required=False, default={"policy": "every_epoch"})
-    _section(labelling, "labelling")
-    policy = _get(labelling, "labelling", "policy", str, required=False, default="every_epoch")
-    if policy not in LABELLING_POLICIES:
-        _fail("labelling.policy", f"expected one of {LABELLING_POLICIES}, got {policy!r}")
+    labelling = _section(_get(raw, "", "labelling", dict, default={}), "labelling")
+    policy = _get(labelling, "labelling", "policy", str, default=LABELLING_POLICY)
+    if policy != LABELLING_POLICY:
+        _fail("labelling.policy", f"expected {LABELLING_POLICY!r}, got {policy!r}")
 
     jtt = None
     if "jtt" in raw:
@@ -225,7 +218,7 @@ def parse_config(
             stage2_grid=_grid(_get(j, "jtt", "stage2_grid", list), "jtt.stage2_grid", model_seed),
             objective=_get(j, "jtt", "objective", str),
             accuracy_bins=_get(j, "jtt", "accuracy_bins", list),
-            sensitive_source=_get(j, "jtt", "sensitive_source", str, required=False, default="pseudo"),
+            sensitive_source=_get(j, "jtt", "sensitive_source", str, default="pseudo"),
         )
 
     mc = None
@@ -237,7 +230,7 @@ def parse_config(
             grid=_get(m, "mc_noise", "grid", list),
             n_samples=m.get("n_samples", 100_000),
             seed=m.get("seed", master + 3),
-            split=_get(m, "mc_noise", "split", str, required=False, default="validation"),
+            split=_get(m, "mc_noise", "split", str, default="validation"),
         )
 
     return ExperimentConfig(
@@ -250,7 +243,6 @@ def parse_config(
         split_fractions=fractions,
         split_seed=split_seed,
         labeller_grid=labeller_grid,
-        labelling_policy=policy,
         jtt=jtt,
         mc_noise=mc,
     )

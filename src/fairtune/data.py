@@ -90,6 +90,18 @@ def check_pair(cell, what: str, names: str) -> tuple[float, float]:
     raise ValueError(f"{what}: expected [{names}], two numbers")
 
 
+def check_keys(d: Mapping, allowed, required=(), error: type = ValueError) -> Mapping:
+    """`d`, a JSON object, once each of its keys is one of `allowed` and it holds
+    each of `required`; the caller prefixes its path to the "<key>: ..." error."""
+    for key in d:
+        if key not in allowed:
+            raise error(f"{key}: unknown key")
+    for key in required:
+        if key not in d:
+            raise error(f"{key}: missing required key")
+    return d
+
+
 def check_fractions(fractions) -> tuple[float, float, float]:
     """The (train, validation, test) fractions of `split`: three finite
     numbers >= 0 that sum to 1."""
@@ -273,15 +285,9 @@ class DatasetSchema:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "DatasetSchema":
-        """The schema of a to_dict()-shaped object. A key that names no
-        field is an error, so a typo cannot fall back to a default."""
-        for key in d:
-            if key not in cls.__dataclass_fields__:
-                raise SchemaError(f"{key}: unknown key")
-        for key in ("feature_columns", "target_column"):
-            if key not in d:
-                raise SchemaError(f"{key}: missing required key")
-        return cls(**d)
+        """The schema of a to_dict()-shaped object, whose keys `check_keys`
+        checks against the fields."""
+        return cls(**check_keys(d, cls.__dataclass_fields__, ("feature_columns", "target_column"), SchemaError))
 
 
 def _column(entry, what: str, names: str) -> tuple[str, str]:
@@ -467,15 +473,16 @@ class BlockSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "count", check_int(self.count, "count", 0, MAX_SIZE))
-        mean = tuple(check_float(v, f"mean[{j}]") for j, v in enumerate(self.mean))
-        var = tuple(check_float(v, f"var[{j}]") for j, v in enumerate(self.var))
-        if len(mean) != len(var):
-            raise DataError(f"var: {len(var)} entries, but mean has {len(mean)}")
-        for j, v in enumerate(var):
+        for name in ("mean", "var"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple, np.ndarray)):
+                raise DataError(f"{name}: expected a list of numbers, got {type(values).__name__}")
+            object.__setattr__(self, name, tuple(check_float(v, f"{name}[{j}]") for j, v in enumerate(values)))
+        if len(self.mean) != len(self.var):
+            raise DataError(f"var: {len(self.var)} entries, but mean has {len(self.mean)}")
+        for j, v in enumerate(self.var):
             if v <= 0:
                 raise DataError(f"var[{j}]: must be > 0, got {v}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "var", var)
 
 
 # Canonical sampling order of the four (y, a) cells.
@@ -520,20 +527,25 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SyntheticSpec":
-        """The spec of a to_dict()-shaped object; an error names the key
-        path inside it, e.g. "blocks.y1_a1.count: ..."."""
-        blocks = {}
-        for (y, a) in BLOCK_ORDER:
-            path = f"blocks.y{y}_a{a}"
-            try:
-                raw = d["blocks"][f"y{y}_a{a}"]
-                blocks[(y, a)] = BlockSpec(count=raw["count"], mean=raw["mean"], var=raw["var"])
-            except (KeyError, TypeError) as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-                raise DataError(f"{path}: expected an object of count, mean and var ({reason})") from None
-            except ValueError as exc:
-                raise DataError(f"{path}.{exc}") from None
+        """The spec of a to_dict()-shaped object, whose `blocks` hold exactly
+        the four cells and each cell exactly its count, mean and var; an
+        error names the key path inside it, e.g. "blocks.y1_a1.count: ..."."""
+        check_keys(d, cls.__dataclass_fields__, ("blocks",), DataError)
+        cells = {f"y{y}_a{a}": (y, a) for y, a in BLOCK_ORDER}
+        raw = _spec_object(d["blocks"], "blocks", tuple(cells))
+        keys = ("count", "mean", "var")
+        blocks = {cell: _spec_object(raw[name], f"blocks.{name}", keys, BlockSpec) for name, cell in cells.items()}
         return cls(blocks=blocks, seed=d.get("seed", 0))
+
+
+def _spec_object(value, path: str, keys: tuple[str, ...], build=dict):
+    """build(**value) of the JSON object at `path` of a spec, which holds exactly `keys`."""
+    if not isinstance(value, Mapping):
+        raise DataError(f"{path}: expected an object of {', '.join(keys)}, got {type(value).__name__}")
+    try:
+        return build(**check_keys(value, keys, keys))
+    except ValueError as exc:
+        raise DataError(f"{path}.{exc}") from None
 
 
 def generate_synthetic(spec: SyntheticSpec) -> TabularDataset:
@@ -579,6 +591,8 @@ def write_dataset(data: TabularDataset, path: str | Path, meta: Mapping[str, str
     other matrix and any edited, added, removed or reordered row.
     """
     path = Path(path)
+    if not data.n_rows:
+        raise DataError(f"{path}: empty dataset, not written (a dataset file holds at least one row)")
     meta = {**(meta or {}), "rows_sha256": _rows_digest(data)}
     if data.n_features:
         matrix = path.with_name(path.stem + ".features.npy")

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import MAX_SIZE, TabularDataset, _frozen, check_float, check_int
+from .data import MAX_SIZE, TabularDataset, _frozen, check_float, check_int, check_keys
 
 
 class TrainingError(RuntimeError):
@@ -61,17 +61,11 @@ class HyperParams:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "HyperParams":
-        """The grid point of a config object or of a stored to_dict(). A key
-        that names no field is an error, so a typo cannot fall back to the
-        field's default."""
+        """The grid point of a config object or of a stored to_dict(), whose
+        keys `check_keys` checks against the fields."""
         if not isinstance(d, Mapping):
             raise ValueError(f"grid point: expected an object, got {type(d).__name__}")
-        for key in d:
-            if key not in cls.__dataclass_fields__:
-                raise ValueError(f"{key}: unknown key")
-        if "learning_rate" not in d:
-            raise ValueError("learning_rate: missing required key")
-        return cls(**d)
+        return cls(**check_keys(d, cls.__dataclass_fields__, ("learning_rate",)))
 
 
 def tensor_layout(feature_dim: int, hidden_units: int) -> tuple[tuple[str, tuple[int, ...]], ...]:

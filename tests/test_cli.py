@@ -359,8 +359,9 @@ def test_seed_mismatch_detected(tmp_path, capsys):
 def test_selection_failure_exit_code(tmp_path, capsys):
     raw = json.loads((CONFIGS / "synthetic.json").read_text())
     raw["output_dir"] = str(tmp_path / "perfect")
-    # fully separated blobs and a strong labeller: every candidate classifies
-    # the validation split perfectly, so no class has an incorrect set
+    # fully separated blobs and a strong labeller: every candidate, from the
+    # first epoch on, classifies the validation split perfectly, so no class
+    # has an incorrect set
     for block in raw["dataset"]["synthetic"]["blocks"].values():
         block["var"] = [0.01, 0.01]
     raw["dataset"]["synthetic"]["blocks"]["y1_a0"]["mean"] = [8.0, 0.0]
@@ -368,7 +369,6 @@ def test_selection_failure_exit_code(tmp_path, capsys):
     raw["dataset"]["synthetic"]["blocks"]["y0_a0"]["mean"] = [-8.0, 0.0]
     raw["dataset"]["synthetic"]["blocks"]["y0_a1"]["mean"] = [-8.0, 0.5]
     raw["labeller_grid"] = [{"learning_rate": 0.5, "epochs": 10, "batch_size": 64}]
-    raw["labelling"] = {"policy": "final_epoch"}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
     assert main(["prepare", "--config", str(config)]) == 0
@@ -813,21 +813,17 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     assert err.startswith("usage: ") and "--jobs" in err
 
 
-@pytest.mark.parametrize("policy", ["every_epoch", "final_epoch"])
-def test_label_matches_library_selection(tmp_path, policy):
+def test_label_matches_library_selection(tmp_path):
     from fairtune.config import load_config
     from fairtune.data import read_dataset
     from fairtune.labelling import labeller_predictions, select_labeller
 
-    config, out = load_synthetic_config(tmp_path, labelling={"policy": policy})
+    config, out = load_synthetic_config(tmp_path)
     for command in ("prepare", "train-grid", "label"):
         assert main([command, "--config", str(config)]) == 0
     train = read_dataset(out / "datasets" / "train.csv")
     validation = read_dataset(out / "datasets" / "validation.csv")
     predictions, candidates = labeller_predictions(train, validation, load_config(config).labeller_grid)
-    if policy == "final_epoch":
-        keep = [i for i, (hp, epoch) in enumerate(candidates) if epoch == hp.epochs]
-        predictions, candidates = predictions[keep], [candidates[i] for i in keep]
     expected = select_labeller(predictions, candidates, validation)
     labelled = read_dataset(out / "labelled_validation.csv")
     np.testing.assert_array_equal(labelled.sensitive, expected.pseudo)
@@ -1060,6 +1056,28 @@ def test_tune_refuses_intact_labels_of_other_rows(pipeline, tmp_path, capsys, re
     assert capsys.readouterr().err == f"data error: {path}{message}\n"
 
 
+@pytest.mark.parametrize(
+    "command, rel, tag, other",
+    [
+        ("train-grid", "datasets/train.csv", "train", "validation"),
+        ("label", "datasets/validation.csv", "validation", "test"),
+        ("tune", "datasets/test.csv", "test", "train"),
+        ("tune", "labelled_validation.csv", "validation", "train"),
+    ],
+    ids=["train", "validation", "test", "labelled-validation"],
+)
+def test_a_dataset_file_tagged_with_another_split_is_a_data_error(pipeline, tmp_path, capsys, command, rel, tag, other):
+    # The split tag is outside the rows digest: only the reader's own check
+    # can tell a file of one split from another's.
+    config, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    path = copy / rel
+    path.write_text(path.read_text().replace(f",{tag}\n", f",{other}\n"))
+    assert main([command, "--config", str(config), "--out", str(copy)]) == 3
+    assert capsys.readouterr().err == f"data error: {path}: split tag {other!r}, expected {tag!r}\n"
+
+
 def _swap_first_targets(text):
     """Swap the first data lines of target 0 and of target 1."""
     lines = text.splitlines(keepends=True)
@@ -1276,18 +1294,11 @@ BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
         (_with_value(BLOCK, "var", ["1.0", 1.0]), "dataset.synthetic.blocks.y1_a1.var[0]: expected float, got str"),
         (_with_value(BLOCK, "mean", [True, 0.0]), "dataset.synthetic.blocks.y1_a1.mean[0]: expected float, got bool"),
         (_with_value(BLOCK, "mean", [float("nan"), 0.0]), "dataset.synthetic.blocks.y1_a1.mean[0]: must be finite, got nan"),
+        (_with_value(BLOCK, "mean", 5), "dataset.synthetic.blocks.y1_a1.mean: expected a list of numbers, got int"),
+        (_with_value(BLOCK[:-1], "y1_a1", 900), "dataset.synthetic.blocks.y1_a1: expected an object of count, mean, var, got int"),
+        (_with_value(BLOCK[:-2], "blocks", []), "dataset.synthetic.blocks: expected an object of y1_a1, y1_a0, y0_a1, y0_a0, got list"),
         (_with_value(("dataset", "synthetic"), "seed", "7"), "dataset.synthetic.seed: expected int, got str"),
         (_with_value((), "seed", 1.5), "seed: expected int, got float"),
-        (_with_value(("labeller_grid", 0), "epoch", 5), "labeller_grid[0].epoch: unknown key"),
-        (_with_value((), "sed", 7), "sed: unknown key"),
-        (_with_value(("dataset",), "knd", "csv"), "dataset.knd: unknown key"),
-        (_with_value(("dataset", "synthetic"), "sed", 7), "dataset.synthetic.sed: unknown key"),
-        (_with_value((), "dataset", {"kind": "csv", "csv": {"path": "raw.csv", "schema_pth": "schema.json"}}), "dataset.csv.schema_pth: unknown key"),
-        (_with_value((), "dataset", {"kind": "csv", "csv": {"path": "raw.csv", "schema": {"sensitive_colum": ["sex", "M"]}}}), "dataset.csv.schema.sensitive_colum: unknown key"),
-        (_with_value(("split",), "sed", 7), "split.sed: unknown key"),
-        (_with_value(("labelling",), "polcy", "final_epoch"), "labelling.polcy: unknown key"),
-        (_with_value(("jtt",), "sensitive_sorce", "ground_truth"), "jtt.sensitive_sorce: unknown key"),
-        (_with_value(("mc_noise",), "n_sample", 50), "mc_noise.n_sample: unknown key"),
         (_with_value(("split",), "fractions", [0.6, 0.2, 0.1]), "split.fractions: must sum to 1, got 0.9"),
         (_with_value(("mc_noise",), "grid", [[0.2, 1.5]]), "mc_noise.grid[0].beta: must lie in [0, 1], got 1.5"),
         # Past MAX_SIZE numpy's size arithmetic could overflow np.intp, and its
@@ -1301,7 +1312,8 @@ BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
         (_with_value((), "labeller_grid", []), "labeller_grid: expected a nonempty list of hyper-parameter objects"),
         (_with_value((), "labeller_grid", [0.1]), "labeller_grid[0]: expected an object"),
         (_with_value(("dataset",), "kind", "parquet"), "dataset.kind: expected 'synthetic' or 'csv', got 'parquet'"),
-        (_with_value(("labelling",), "policy", "best"), "labelling.policy: expected one of ('every_epoch', 'final_epoch'), got 'best'"),
+        (_with_value(("labelling",), "policy", "best"), "labelling.policy: expected 'every_epoch', got 'best'"),
+        (_with_value(("labelling",), "policy", "final_epoch"), "labelling.policy: expected 'every_epoch', got 'final_epoch'"),
         (_csv_section(schema={}, schema_path="schema.json"), "dataset.csv: exactly one of 'schema' and 'schema_path' is required"),
         (_csv_section(), "dataset.csv: exactly one of 'schema' and 'schema_path' is required"),
         (_csv_section(schema=[]), "dataset.csv.schema: expected dict, got list"),
@@ -1341,18 +1353,11 @@ BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
         "block-var-text",
         "block-mean-bool",
         "block-mean-nan",
+        "block-mean-number",
+        "block-number",
+        "blocks-list",
         "synthetic-seed-text",
         "master-seed-non-integral",
-        "grid-point-unknown-key",
-        "root-unknown-key",
-        "dataset-unknown-key",
-        "synthetic-unknown-key",
-        "csv-unknown-key",
-        "csv-schema-unknown-key",
-        "split-unknown-key",
-        "labelling-unknown-key",
-        "jtt-unknown-key",
-        "mc-noise-unknown-key",
         "split-fractions-sum",
         "grid-rate-above-one",
         "hidden-units-2**62",
@@ -1365,6 +1370,7 @@ BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
         "grid-point-number",
         "unknown-kind",
         "unknown-policy",
+        "final-epoch-policy",
         "schema-and-path",
         "neither-schema",
         "schema-list",
@@ -1386,6 +1392,64 @@ def test_malformed_config_number_is_a_one_line_config_error(tmp_path, capsys, ed
     assert main(["prepare", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _objects(node, steps=()):
+    """The steps to every JSON object inside `node`, `node` itself first."""
+    if isinstance(node, dict):
+        yield steps
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _objects(child, steps + (key,))
+
+
+def _json_path(steps):
+    return "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in steps).lstrip(".")
+
+
+def _without(section, key):
+    """A config edit that removes `key` from a section of the synthetic config."""
+
+    def edit(raw):
+        target = raw
+        for name in section:
+            target = target[name]
+        del target[key]
+
+    return edit
+
+
+KEY_CASES = [
+    # Every object of configs/synthetic.json, from the root to each block and
+    # grid point, then the objects of an inline CSV schema.
+    *(
+        (_with_value(steps, "typo", 9), _json_path(steps + ("typo",)) + ": unknown key", _json_path(steps) or "root")
+        for steps in _objects(json.loads((CONFIGS / "synthetic.json").read_text()))
+    ),
+    (_csv_section(schema=json.loads(SCHEMA_JSON), typo=9), "dataset.csv.typo: unknown key", "dataset.csv"),
+    (_schema_with("typo", 9), "dataset.csv.schema.typo: unknown key", "dataset.csv.schema"),
+    (_with_value(BLOCK, "vars", [9, 9]), "dataset.synthetic.blocks.y1_a1.vars: unknown key", "block-vars"),
+    (
+        _with_value(BLOCK[:-1], "y2_a1", {"count": 9, "mean": [0.0, 0.0], "var": [1.0, 1.0]}),
+        "dataset.synthetic.blocks.y2_a1: unknown key",
+        "fifth-cell",
+    ),
+    (_without(BLOCK[:-1], "y0_a0"), "dataset.synthetic.blocks.y0_a0: missing required key", "missing-cell"),
+    (_without(BLOCK, "var"), "dataset.synthetic.blocks.y1_a1.var: missing required key", "missing-var"),
+    (_without(BLOCK[:-2], "blocks"), "dataset.synthetic.blocks: missing required key", "missing-blocks"),
+    (_without((), "split"), "split: missing required key", "missing-split"),
+    (_without(("jtt",), "objective"), "jtt.objective: missing required key", "missing-objective"),
+    (_without(("labeller_grid", 0), "learning_rate"), "labeller_grid[0].learning_rate: missing required key", "missing-rate"),
+]
+
+
+@pytest.mark.parametrize("edit, message", [case[:2] for case in KEY_CASES], ids=[case[2] for case in KEY_CASES])
+def test_every_config_object_takes_only_its_own_keys(tmp_path, capsys, edit, message):
+    assert main(["prepare", "--config", str(_edited_config(tmp_path, edit))]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -500,6 +500,19 @@ def test_round_trip_without_sensitive(tmp_path):
     np.testing.assert_array_equal(back.features, ds.features)
 
 
+@pytest.mark.parametrize("d", [0, 2])
+def test_every_dataset_written_reads_back(tmp_path, d):
+    # read_dataset refuses a file without rows, so write_dataset writes none.
+    one_row = TabularDataset(features=np.ones((1, d)), targets=[1], row_ids=[7], split="test", sensitive=[0])
+    write_dataset(one_row, tmp_path / "one.csv")
+    back = read_dataset(tmp_path / "one.csv")
+    assert (back.features.shape, back.row_ids.tolist(), back.sensitive.tolist(), back.split) == ((1, d), [7], [0], "test")
+    empty = one_row.take(np.arange(0))
+    with pytest.raises(DataError, match=r"empty\.csv: empty dataset, not written"):
+        write_dataset(empty, tmp_path / "empty.csv")
+    assert not list(tmp_path.glob("empty*"))
+
+
 def test_write_is_deterministic(tmp_path, planted):
     train, _, _ = planted
     a, b = tmp_path / "a", tmp_path / "b"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from fairtune import HyperParams, JttConfig, PseudoLabelledValidation, TunerResult
 from fairtune.config import _KEYS
-from fairtune.data import DatasetSchema
+from fairtune.data import DatasetSchema, SyntheticSpec
 
 from conftest import planted_splits
 
@@ -45,6 +45,7 @@ def test_config_reference_lists_every_config_key():
     assert all(listed), table
     keys = [("grid point " if m.group(1) else "") + m.group(2) for m in listed]
     expected = {f"{path}.{key}" if path else key for path, names in _KEYS.items() for key in names}
+    expected |= {f"dataset.synthetic.{f.name}" for f in fields(SyntheticSpec)}
     expected |= {f"dataset.csv.schema.{f.name}" for f in fields(DatasetSchema)}
     expected |= {f"grid point {f.name}" for f in fields(HyperParams)}
     assert len(keys) == len(set(keys))
