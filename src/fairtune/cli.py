@@ -5,7 +5,7 @@ artifacts of the previous one:
 
     prepare     build, split and standardize the dataset
     train-grid  train the labeller grid, storing every epoch checkpoint's
-                validation predictions
+                validation predictions as bits
     label       select the pseudo labeller and label the validation split
     mc-sweep    run the contamination-noise sweep on the clean groups
     tune        run the accuracy-constrained two-stage search
@@ -17,6 +17,16 @@ tool version, and a command reads an upstream artifact only if it records
 this config's hash. A command's outputs land in the output directory
 together, or, if it fails, none of them do. Exit codes: 0 ok, 2 config
 error, 3 data error, 4 selection failure.
+
+`train-grid` stores one bit per candidate and validation row, its 0/1
+prediction, in `checkpoints/predictions.npy`: a uint8 matrix with one row
+per candidate in `labeller_candidates` order, each row packed by
+`np.packbits` in numpy's default big bit order into ceil(n_val/8) bytes.
+`checkpoints/index.json` lists each row's grid index, hyper-parameters and
+epoch, and records `predictions_sha256`, the sha256 of the matrix's bytes.
+`label` reads `index.json` for the config hash and that digest only,
+refuses a matrix that does not give the digest, and reads the rows back
+with `np.unpackbits(..., axis=1, count=n_val)`.
 
 Unless numpy was loaded first, importing this module loads numpy with
 OpenBLAS on one thread, whatever the thread variables say, so no idle BLAS
@@ -47,6 +57,7 @@ if __name__ == "__main__":
     gc.disable()
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -216,14 +227,18 @@ def cmd_train_grid(config: ExperimentConfig, args: argparse.Namespace) -> int:
     train = _read_split(out, "train", config)
     validation = _read_split(out, "validation", config)
     predictions, _ = labeller_predictions(train, validation, config.labeller_grid, args.jobs)
+    packed = np.packbits(predictions, axis=1)
     index = [
         {"grid_index": gi, "hyperparams": hp.to_dict(), "epoch": epoch}
         for gi, hp in enumerate(config.labeller_grid)
         for epoch in range(1, hp.epochs + 1)
     ]
     with _Outputs(out) as outputs:
-        np.save(outputs.path("checkpoints/predictions.npy"), predictions, allow_pickle=False)
-        outputs.text("checkpoints/index.json", _json_text({"candidates": index, **_meta(config)}))
+        np.save(outputs.path("checkpoints/predictions.npy"), packed, allow_pickle=False)
+        outputs.text(
+            "checkpoints/index.json",
+            _json_text({"candidates": index, "predictions_sha256": _bits_digest(packed), **_meta(config)}),
+        )
     print(f"stored validation predictions of {len(index)} candidates -> {out / 'checkpoints'}")
     return EXIT_OK
 
@@ -236,16 +251,30 @@ def _parse_artifact(path: Path, what: str, parse):
         raise DataError(f"malformed {what} {path}: {type(exc).__name__}: {exc}") from None
 
 
+def _bits_digest(packed: np.ndarray) -> str:
+    """sha256 of a packed prediction matrix's bytes, row after row."""
+    return hashlib.sha256(np.ascontiguousarray(packed)).hexdigest()
+
+
 def _load_predictions(out: Path, config: ExperimentConfig, n_validation: int) -> tuple[np.ndarray, list[tuple[HyperParams, int]]]:
-    """The stored candidate predictions and each row's (hyper-params, epoch):
+    """The stored candidate predictions, unpacked to the int8 0/1 matrix
+    `labeller_predictions` returns, and each row's (hyper-params, epoch):
     index.json records this config's hash, so its rows are `labeller_candidates`
-    of this config's grid; it is read for that hash only."""
+    of this config's grid, and the digest of predictions.npy's packed bits."""
     index_path = _require_artifact(out / "checkpoints" / "index.json", "train-grid")
     matrix_path = _require_artifact(out / "checkpoints" / "predictions.npy", "train-grid")
-    stored = _parse_artifact(index_path, "candidate index", lambda index: index.get("config_sha256"))
+    stored, digest = _parse_artifact(
+        index_path, "candidate index", lambda index: (index.get("config_sha256"), index.get("predictions_sha256"))
+    )
     _check_provenance(index_path, config, stored)
     candidates = labeller_candidates(config.labeller_grid)
-    return read_matrix(matrix_path, np.int8, (len(candidates), n_validation)), candidates
+    packed = read_matrix(matrix_path, np.uint8, (len(candidates), (n_validation + 7) // 8))
+    if _bits_digest(packed) != digest:
+        raise DataError(
+            f"{matrix_path}: differs from the predictions_sha256 {index_path.name} records "
+            "(edited, or from another run?); re-run 'train-grid'"
+        )
+    return np.unpackbits(packed, axis=1, count=n_validation).view(np.int8), candidates
 
 
 def cmd_label(config: ExperimentConfig, args: argparse.Namespace) -> int:

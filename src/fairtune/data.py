@@ -260,6 +260,9 @@ class DatasetSchema:
                     raise SchemaError(f"categorical_vocab.{name}: categorical column {name!r} has no vocabulary")
                 if len(set(vocab[name])) != len(vocab[name]):
                     raise SchemaError(f"categorical_vocab.{name}: duplicate vocabulary entries")
+        for name in vocab:
+            if (name, CATEGORICAL) not in cols:
+                raise SchemaError(f"categorical_vocab.{name}: names no categorical feature column")
         target = _column(self.target_column, "target_column", "name, token")
         if target[0] in names:
             raise SchemaError("target_column: the target column must not appear in feature_columns")

@@ -813,17 +813,25 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     assert err.startswith("usage: ") and "--jobs" in err
 
 
-def test_label_matches_library_selection(tmp_path):
+@pytest.mark.parametrize("y1_a1_count, n_validation", [(900, 400), (915, 403)], ids=["whole-bytes", "padded-last-byte"])
+def test_label_matches_library_selection(tmp_path, y1_a1_count, n_validation):
     from fairtune.config import load_config
     from fairtune.data import read_dataset
     from fairtune.labelling import labeller_predictions, select_labeller
 
-    config, out = load_synthetic_config(tmp_path)
+    dataset = json.loads((CONFIGS / "synthetic.json").read_text())["dataset"]
+    dataset["synthetic"]["blocks"]["y1_a1"]["count"] = y1_a1_count
+    config, out = load_synthetic_config(tmp_path, dataset=dataset)
     for command in ("prepare", "train-grid", "label"):
         assert main([command, "--config", str(config)]) == 0
     train = read_dataset(out / "datasets" / "train.csv")
     validation = read_dataset(out / "datasets" / "validation.csv")
+    assert validation.n_rows == n_validation
     predictions, candidates = labeller_predictions(train, validation, load_config(config).labeller_grid)
+    # One bit per prediction, each candidate's row packed into whole bytes.
+    packed = np.load(out / "checkpoints" / "predictions.npy")
+    assert packed.dtype == np.uint8 and packed.shape == (len(candidates), (n_validation + 7) // 8)
+    np.testing.assert_array_equal(np.unpackbits(packed, axis=1, count=n_validation), predictions)
     expected = select_labeller(predictions, candidates, validation)
     labelled = read_dataset(out / "labelled_validation.csv")
     np.testing.assert_array_equal(labelled.sensitive, expected.pseudo)
@@ -901,12 +909,15 @@ def _fractional_epoch(text):
         _damage_matrix(lambda raw, m: _npy_bytes(m[:-1])),
         _damage_matrix(lambda raw, m: _npy_bytes(m[0])),
         _damage_matrix(lambda raw, m: _npz_bytes(m)),
+        _damage_matrix(lambda raw, m: _npy_bytes(np.bitwise_xor(m, np.eye(*m.shape, dtype=np.uint8)))),
+        _damage_matrix(lambda raw, m: _npy_bytes(np.unpackbits(m, axis=1).astype(np.int8))),
     ],
     ids=[
         "index-truncated", "index-empty", "index-no-candidates", "index-entry-missing-key",
         "index-entry-not-object", "index-not-object",
         "matrix-truncated", "matrix-empty", "matrix-not-npy", "matrix-float64",
-        "matrix-short-rows", "matrix-missing-row", "matrix-1d", "npz-archive",
+        "matrix-short-rows", "matrix-missing-row", "matrix-1d", "npz-archive", "matrix-bits-flipped",
+        "matrix-unpacked",
     ],
 )
 def test_label_damaged_grid_artifacts_are_data_errors(labeller_grid_run, tmp_path, capsys, damage):
@@ -916,7 +927,7 @@ def test_label_damaged_grid_artifacts_are_data_errors(labeller_grid_run, tmp_pat
     damage(copy / "checkpoints")
     assert main(["label", "--config", str(config), "--out", str(copy)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and len(err.splitlines()) == 1
+    assert err.startswith("data error: ") and str(copy / "checkpoints") in err and len(err.splitlines()) == 1
     assert not (copy / "labelled_validation.csv").exists()
 
 
@@ -928,15 +939,16 @@ def test_label_names_the_dtype_a_prediction_matrix_holds(labeller_grid_run, tmp_
     shape = np.load(matrix).shape
     np.save(matrix, np.load(matrix).astype(np.float64))
     assert main(["label", "--config", str(config), "--out", str(copy)]) == 3
-    assert capsys.readouterr().err == f"data error: {matrix}: holds float64 {shape}, expected int8 {shape}\n"
+    assert capsys.readouterr().err == f"data error: {matrix}: holds float64 {shape}, expected uint8 {shape}\n"
 
 
 @pytest.mark.parametrize(
     "edit", [_shorten_index, _fractional_epoch], ids=["index-shorter-than-matrix", "index-epoch-fractional"]
 )
-def test_label_reads_index_json_for_its_hash_only(labeller_grid_run, tmp_path, edit):
-    # index.json is the audit table of predictions.npy's rows; its hash says
-    # they are the candidates of this config's labeller grid.
+def test_label_reads_index_json_for_its_hashes_only(labeller_grid_run, tmp_path, edit):
+    # index.json is the audit table of predictions.npy's rows; its config hash
+    # says they are the candidates of this config's labeller grid, and its
+    # predictions_sha256 that the matrix is the one train-grid wrote.
     config, out = labeller_grid_run
     outputs = []
     for name, damage in (("plain", None), ("edited", _damage_index(edit))):
@@ -1328,6 +1340,14 @@ BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
         ),
         (_schema_with("target_column", ["income", ">50K", "<=50K"]), f"dataset.csv.schema.target_column: {NAME_TOKEN}"),
         (_schema_with("categorical_vocab", {"sex": "FM"}), "dataset.csv.schema.categorical_vocab: expected an object of category lists"),
+        (
+            _schema_with("categorical_vocab", {"sex": ["F", "M"], "sx": ["F", "M"]}),
+            "dataset.csv.schema.categorical_vocab.sx: names no categorical feature column",
+        ),
+        (
+            _schema_with("categorical_vocab", {"sex": ["F", "M"], "age": ["1"]}),
+            "dataset.csv.schema.categorical_vocab.age: names no categorical feature column",
+        ),
         (_schema_with("feature_columns", 5), "dataset.csv.schema.feature_columns: expected a nonempty list of [name, kind] pairs"),
     ],
     ids=[
@@ -1380,6 +1400,8 @@ BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
         "schema-column-three-items",
         "schema-target-three-items",
         "schema-vocabulary-text",
+        "schema-vocabulary-of-no-column",
+        "schema-vocabulary-of-numeric-column",
         "schema-columns-number",
     ],
 )

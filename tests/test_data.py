@@ -277,8 +277,13 @@ def test_schema_validation():
         (lambda d: d["feature_columns"][0].append("x"), r"^feature_columns\[0\]: expected \[name, kind\], a list of two items$"),
         (lambda d: d.update(categorical_vocab={"sex": "FM"}), r"^categorical_vocab: expected an object of category lists$"),
         (lambda d: d.update(feature_columns=[]), r"^feature_columns: expected a nonempty list of \[name, kind\] pairs$"),
+        (lambda d: d["categorical_vocab"].update(sx=["F", "M"]), r"^categorical_vocab\.sx: names no categorical feature column$"),
+        (lambda d: d["categorical_vocab"].update(age=["1"]), r"^categorical_vocab\.age: names no categorical feature column$"),
     ],
-    ids=["unknown-key", "missing-key", "target-text", "sensitive-text", "column-three-items", "vocabulary-text", "no-columns"],
+    ids=[
+        "unknown-key", "missing-key", "target-text", "sensitive-text", "column-three-items", "vocabulary-text",
+        "no-columns", "vocabulary-of-no-column", "vocabulary-of-numeric-column",
+    ],
 )
 def test_schema_from_dict_takes_each_entry_whole(edit, message):
     # Slicing would have read "income" as the column 'i' with the token 'n'.
