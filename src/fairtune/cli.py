@@ -9,7 +9,7 @@ artifacts of the previous one:
     label       select the pseudo labeller and label the validation split
     mc-sweep    run the contamination-noise sweep on the clean groups
     tune        run the accuracy-constrained two-stage search
-    report      render a stored tuner result as a table or JSON
+    report      render a stored tuner result as a table
 
 Commands are idempotent: given identical inputs and seeds they rewrite
 byte-identical outputs. Every output embeds the resolved config hash and the
@@ -57,7 +57,6 @@ if __name__ == "__main__":
     gc.disable()
 
 import argparse
-import hashlib
 import json
 import os
 import shutil
@@ -86,11 +85,12 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
-from .config import LABELLING_POLICY, ConfigError, ExperimentConfig, load_config
+from .config import LABELLING_POLICY, MC_SPLIT, ConfigError, ExperimentConfig, load_config
 from .data import (
     DataError,
     TabularDataset,
     apply_standardizer,
+    array_digest,
     dataset_file_meta,
     fit_standardizer,
     generate_synthetic,
@@ -237,7 +237,7 @@ def cmd_train_grid(config: ExperimentConfig, args: argparse.Namespace) -> int:
         np.save(outputs.path("checkpoints/predictions.npy"), packed, allow_pickle=False)
         outputs.text(
             "checkpoints/index.json",
-            _json_text({"candidates": index, "predictions_sha256": _bits_digest(packed), **_meta(config)}),
+            _json_text({"candidates": index, "predictions_sha256": array_digest(packed), **_meta(config)}),
         )
     print(f"stored validation predictions of {len(index)} candidates -> {out / 'checkpoints'}")
     return EXIT_OK
@@ -249,11 +249,6 @@ def _parse_artifact(path: Path, what: str, parse):
         return parse(json.loads(path.read_text(encoding="utf-8")))
     except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
         raise DataError(f"malformed {what} {path}: {type(exc).__name__}: {exc}") from None
-
-
-def _bits_digest(packed: np.ndarray) -> str:
-    """sha256 of a packed prediction matrix's bytes, row after row."""
-    return hashlib.sha256(np.ascontiguousarray(packed)).hexdigest()
 
 
 def _load_predictions(out: Path, config: ExperimentConfig, n_validation: int) -> tuple[np.ndarray, list[tuple[HyperParams, int]]]:
@@ -269,7 +264,7 @@ def _load_predictions(out: Path, config: ExperimentConfig, n_validation: int) ->
     _check_provenance(index_path, config, stored)
     candidates = labeller_candidates(config.labeller_grid)
     packed = read_matrix(matrix_path, np.uint8, (len(candidates), (n_validation + 7) // 8))
-    if _bits_digest(packed) != digest:
+    if array_digest(packed) != digest:
         raise DataError(
             f"{matrix_path}: differs from the predictions_sha256 {index_path.name} records "
             "(edited, or from another run?); re-run 'train-grid'"
@@ -307,9 +302,9 @@ def cmd_mc_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
     if config.mc_noise is None:
         raise ConfigError("mc_noise: section required for mc-sweep")
     out = Path(config.output_dir)
-    data = _read_split(out, config.mc_noise.split, config)
+    data = _read_split(out, MC_SPLIT, config)
     if data.sensitive is None:
-        raise DataError(f"{config.mc_noise.split} split carries no ground-truth sensitive attributes")
+        raise DataError(f"{MC_SPLIT} split carries no ground-truth sensitive attributes")
     maj = data.features[data.sensitive == 1]
     mino = data.features[data.sensitive == 0]
     y_maj = data.targets[data.sensitive == 1]
@@ -384,13 +379,11 @@ def render_table(result: TunerResult) -> str:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    path = Path(args.result)
-    if not path.exists():
-        raise DataError(f"no such result file: {path}")
-    payload, result = _parse_artifact(path, "result file", lambda p: (p, TunerResult.from_dict(p["result"])))
+    path = _require_artifact(Path(args.result), "tune")
+    result = _parse_artifact(path, "result file", lambda payload: TunerResult.from_dict(payload["result"]))
     if sys.stdout is None:  # what Python sets when it starts with descriptor 1 closed
         raise DataError("cannot write standard output: descriptor 1 is closed")
-    sys.stdout.write(_json_text(payload) if args.format == "json" else render_table(result))
+    sys.stdout.write(render_table(result))
     return EXIT_OK
 
 
@@ -423,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
     rep = sub.add_parser("report")
     rep.add_argument("result", help="tuner result JSON file")
-    rep.add_argument("--format", choices=("table", "json"), default="table")
     rep.set_defaults(fn=None)
     return parser
 

@@ -30,7 +30,8 @@ from .tuning import JttConfig
 
 # The one labelling policy, which the config hash records: every epoch of every grid point is a candidate.
 LABELLING_POLICY = "every_epoch"
-MC_SPLITS = ("train", "validation", "test")
+# The one split `mc-sweep` reads, which the config hash records.
+MC_SPLIT = "validation"
 
 
 class ConfigError(ValueError):
@@ -82,7 +83,6 @@ class McNoiseSection:
     grid: tuple[tuple[float, float], ...]
     n_samples: int
     seed: int
-    split: str = "validation"
 
     def __post_init__(self) -> None:
         cells = tuple(check_pair(cell, f"grid[{i}]", "alpha, beta") for i, cell in enumerate(self.grid))
@@ -91,8 +91,6 @@ class McNoiseSection:
         object.__setattr__(self, "grid", cells)
         object.__setattr__(self, "n_samples", check_int(self.n_samples, "n_samples", 1, MAX_SIZE))
         object.__setattr__(self, "seed", check_int(self.seed, "seed", 0))
-        if self.split not in MC_SPLITS:
-            raise ValueError(f"split: expected one of {MC_SPLITS}, got {self.split!r}")
 
 
 # The keys each config section may hold, by path; a section that one type holds
@@ -101,7 +99,7 @@ class McNoiseSection:
 _KEYS = {
     "": ("seed", "output_dir", "dataset", "split", "labeller_grid", "labelling", "jtt", "mc_noise"),
     "dataset": ("kind", "synthetic", "csv"),
-    "dataset.csv": ("path", "schema", "schema_path"),
+    "dataset.csv": ("path", "schema_path"),
     "split": ("fractions", "seed"),
     "labelling": ("policy",),
     "jtt": tuple(f.name for f in fields(JttConfig)),
@@ -141,7 +139,7 @@ class ExperimentConfig:
         if self.jtt is not None:
             d["jtt"] = self.jtt.to_dict()
         if self.mc_noise is not None:
-            d["mc_noise"] = asdict(self.mc_noise)
+            d["mc_noise"] = {**asdict(self.mc_noise), "split": MC_SPLIT}
         return d
 
     def canonical_hash(self) -> str:
@@ -177,17 +175,12 @@ def parse_config(
         csv_path = _get(csv_section, "dataset.csv", "path", str)
         if base_dir is not None and not Path(csv_path).is_absolute():
             csv_path = str(base_dir / csv_path)
-        schema_raw = csv_section.get("schema")
-        schema_path = csv_section.get("schema_path")
-        if (schema_raw is None) == (schema_path is None):
-            _fail("dataset.csv", "exactly one of 'schema' and 'schema_path' is required")
-        if schema_path is not None:
-            p = Path(schema_path)
-            if base_dir is not None and not p.is_absolute():
-                p = base_dir / p
-            if not p.exists():
-                _fail("dataset.csv.schema_path", f"no such file: {p}")
-            schema_raw = _read_json(p)
+        p = Path(_get(csv_section, "dataset.csv", "schema_path", str))
+        if base_dir is not None and not p.is_absolute():
+            p = base_dir / p
+        if not p.exists():
+            _fail("dataset.csv.schema_path", f"no such file: {p}")
+        schema_raw = _read_json(p)
         if not isinstance(schema_raw, dict):
             _fail("dataset.csv.schema", f"expected dict, got {type(schema_raw).__name__}")
         schema = _at("dataset.csv.schema", DatasetSchema.from_dict, schema_raw)
@@ -230,7 +223,6 @@ def parse_config(
             grid=_get(m, "mc_noise", "grid", list),
             n_samples=m.get("n_samples", 100_000),
             seed=m.get("seed", master + 3),
-            split=_get(m, "mc_noise", "split", str, default="validation"),
         )
 
     return ExperimentConfig(

@@ -613,16 +613,22 @@ def write_dataset(data: TabularDataset, path: str | Path, meta: Mapping[str, str
         )
 
 
-def _rows_digest(data: TabularDataset) -> str:
-    """sha256 of a dataset's rows in order: the features matrix (no bytes
-    when it has no columns), then the row ids, targets and sensitive values
-    (none when absent), each as its array's bytes. It ties CSV line i to
-    matrix row i, and it changes with the row count."""
-    digest = hashlib.sha256(data.features)
-    for column in (data.row_ids, data.targets, data.sensitive):
-        if column is not None:
-            digest.update(column)
+def array_digest(*arrays: np.ndarray | None) -> str:
+    """sha256 of the arrays' bytes, one array after another, each in row-major
+    order; a None adds no bytes."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        if array is not None:
+            digest.update(np.ascontiguousarray(array))
     return digest.hexdigest()
+
+
+def _rows_digest(data: TabularDataset) -> str:
+    """`array_digest` of a dataset's rows in order: the features matrix (no
+    bytes when it has no columns), then the row ids, targets and sensitive
+    values (none when absent). It ties CSV line i to matrix row i, and it
+    changes with the row count."""
+    return array_digest(data.features, data.row_ids, data.targets, data.sensitive)
 
 
 def write_meta_lines(fh, meta: Mapping[str, str]) -> None:

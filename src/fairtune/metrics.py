@@ -151,7 +151,6 @@ class FairnessReport:
     wga: float | None
     subgroup_accuracy: Mapping[tuple[int, int], float]
     subgroup_counts: Mapping[tuple[int, int], int]
-    sensitive_source: str = "ground_truth"
 
     def metric(self, name: str) -> float | None:
         if name not in METRIC_NAMES:
@@ -166,7 +165,6 @@ class FairnessReport:
             "wga": self.wga,
             "subgroup_accuracy": {f"y{y}_a{a}": v for (y, a), v in sorted(self.subgroup_accuracy.items())},
             "subgroup_counts": {f"y{y}_a{a}": v for (y, a), v in sorted(self.subgroup_counts.items())},
-            "sensitive_source": self.sensitive_source,
         }
 
     @classmethod
@@ -184,7 +182,7 @@ class FairnessReport:
                 if not 0 <= correct <= size:
                     raise ValueError(f"subgroup_accuracy.{key}: stored {acc} gives {correct} correct of {size} rows")
                 n[y, a, y], n[y, a, 1 - y] = correct, size - correct
-        report = report_from_counts(n, d["sensitive_source"], require=())
+        report = report_from_counts(n, require=())
         check_round_trip(d, report.to_dict(), "its subgroup counts give")
         return report
 
@@ -218,7 +216,6 @@ def confusion_counts(predictions, targets, sensitive) -> np.ndarray:
 
 def report_from_counts(
     counts,
-    sensitive_source: str = "ground_truth",
     require: tuple[str, ...] = METRIC_NAMES,
 ) -> FairnessReport:
     """Assemble a FairnessReport from the counts of `confusion_counts`.
@@ -267,7 +264,6 @@ def report_from_counts(
         wga=values["wga"],
         subgroup_accuracy=accs,
         subgroup_counts={g: sizes[g] for g in accs},
-        sensitive_source=sensitive_source,
     )
 
 
@@ -275,30 +271,26 @@ def report_from_predictions(
     predictions,
     targets,
     sensitive,
-    sensitive_source: str = "ground_truth",
     require: tuple[str, ...] = METRIC_NAMES,
 ) -> FairnessReport:
     """`report_from_counts` over the confusion counts of these predictions."""
     counts = confusion_counts(predictions, targets, sensitive)
-    return report_from_counts(counts, sensitive_source=sensitive_source, require=require)
+    return report_from_counts(counts, require=require)
 
 
 def full_report(
     model: ModelParams,
     data: TabularDataset,
     sensitive: np.ndarray | None = None,
-    sensitive_source: str = "ground_truth",
     require: tuple[str, ...] = METRIC_NAMES,
 ) -> FairnessReport:
     """Predict once on `data` and assemble every metric.
 
     `sensitive` overrides the dataset's own attribute column (used to score
-    with pseudo labels); `sensitive_source` records which one was used.
+    with pseudo labels).
     """
     sens = data.sensitive if sensitive is None else sensitive
     if sens is None:
         raise EmptyGroupError("dataset has no sensitive attributes and none were provided")
     preds = predict(model, data)
-    return report_from_predictions(
-        preds, data.targets, sens, sensitive_source=sensitive_source, require=require
-    )
+    return report_from_predictions(preds, data.targets, sens, require=require)

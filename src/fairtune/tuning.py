@@ -251,7 +251,7 @@ def _evaluate_task(ctx: dict, task: _Task) -> _TaskResult:
     if task.stage2 not in ctx["stage2_grid"]:
         return _TaskResult(scores=(), counts={}, mistakes=mistakes)
     val_counts = [confusion_counts(predict(ckpt, ctx["val_X"]), ctx["val_y"], ctx["val_sens"]) for ckpt in ckpts]
-    reports = [report_from_counts(c, ctx["source"], require=(ctx["objective"],)) for c in val_counts]
+    reports = [report_from_counts(c, require=(ctx["objective"],)) for c in val_counts]
     scores = tuple((r.avg_accuracy, r.metric(ctx["objective"])) for r in reports)
     counts = {
         epoch: (
@@ -337,13 +337,10 @@ class BinOutcome:
             raise ValueError(f"{where}.validation.{objective}: a winner's objective is never None")
 
     @classmethod
-    def from_dict(cls, d: Mapping, source: str) -> "BinOutcome":
-        """A stored to_dict(), its reports labelled as a tuner scores them."""
+    def from_dict(cls, d: Mapping) -> "BinOutcome":
+        """A stored to_dict()."""
         lo, hi = check_pair(d["bin"], "bin", "lo, hi")
-        on = {"validation": source, "test": GROUND_TRUTH}  # the sensitive labels a tuner scores each report on
-        reports = (
-            None if d[k] is None else replace(FairnessReport.from_dict(d[k]), sensitive_source=on[k]) for k in on
-        )
+        reports = (None if d[k] is None else FairnessReport.from_dict(d[k]) for k in ("validation", "test"))
         winner = None if d["winner"] is None else CandidateRef.from_dict(d["winner"])
         return cls((lo, hi), winner, *reports)
 
@@ -352,6 +349,8 @@ class BinOutcome:
 class TunerResult:
     """Per-bin winners for the two-stage search, per-bin plain-training
     winners, and the unconstrained plain baseline (best validation accuracy).
+    Each validation report reads the `sensitive_source` labels, each test
+    report the test split's ground truth.
     """
 
     objective: str
@@ -377,8 +376,8 @@ class TunerResult:
         _check_selection_rule(objective, source)
         if d["erm_baseline"] is None:
             raise ValueError("erm_baseline: a tuner always writes the plain baseline, got null")
-        bins, erm_bins = (tuple(BinOutcome.from_dict(b, source) for b in d[key]) for key in ("bins", "erm_bins"))
-        baseline = BinOutcome.from_dict(d["erm_baseline"], source)
+        bins, erm_bins = (tuple(BinOutcome.from_dict(b) for b in d[key]) for key in ("bins", "erm_bins"))
+        baseline = BinOutcome.from_dict(d["erm_baseline"])
         result = cls(objective, source, bins, erm_bins, baseline)
         check_round_trip(d, result.to_dict(), "a tuner writes")
         if not result.bins or [b.bin for b in result.bins] != [b.bin for b in result.erm_bins]:
@@ -424,7 +423,6 @@ def grid_search(
         "stage2_grid": frozenset(config.stage2_grid),
         "bins": config.accuracy_bins,
         "objective": config.objective,
-        "source": config.sensitive_source,
     }
     # Wave 1: the plain run of every distinct stage-1 point, which also
     # returns its training mistakes at each T within its epochs.
@@ -458,8 +456,8 @@ def grid_search(
         return BinOutcome(
             bin=bin_,
             winner=replace(ref, epoch=epoch),
-            validation=report_from_counts(val_counts, config.sensitive_source, require=(config.objective,)),
-            test=report_from_counts(test_counts, GROUND_TRUTH, require=()),
+            validation=report_from_counts(val_counts, require=(config.objective,)),
+            test=report_from_counts(test_counts, require=()),
         )
 
     bins, minimize = config.accuracy_bins, _MINIMIZED[config.objective]

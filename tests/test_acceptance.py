@@ -307,14 +307,14 @@ def test_criterion_9_income_benchmark_reproduction():
     )
 
 
-def test_adult_config_declares_the_criterion_9_search():
+def test_adult_config_declares_the_criterion_9_search(tmp_path):
     """configs/adult.json, whose CSV is not shipped, parses to criterion 9's
     grids and search; its grid points, which name no seed, train with the
     master seed + 2 where criterion 9 uses 0."""
     raw = json.loads((REPO / "configs" / "adult.json").read_text())
-    csv_section = raw["dataset"]["csv"]
-    del csv_section["schema_path"]
-    csv_section["schema"] = {"feature_columns": [["age", "numeric"]], "target_column": ["income", ">50K"]}
+    schema = tmp_path / "adult.schema.json"
+    schema.write_text(json.dumps({"feature_columns": [["age", "numeric"]], "target_column": ["income", ">50K"]}))
+    raw["dataset"]["csv"]["schema_path"] = str(schema)
     config = parse_config(raw, base_dir=REPO / "configs")
     grid = adult_model_grid(seed=raw["seed"] + 2)
     assert config.labeller_grid == grid

@@ -103,7 +103,7 @@ def test_rerun_is_byte_identical(pipeline, tmp_path):
     assert (out / "tuner_result.json").read_bytes() == before_tune
 
 
-def test_report_table_and_json(pipeline, capsys):
+def test_report_table(pipeline, capsys):
     _, out = pipeline
     result_file = out / "tuner_result.json"
     assert main(["report", str(result_file)]) == 0
@@ -111,9 +111,6 @@ def test_report_table_and_json(pipeline, capsys):
     assert "objective: dp_gap" in table
     assert "[82.5,85.0)" in table
     assert "unconstrained" in table
-    assert main(["report", str(result_file), "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert TunerResult.from_dict(payload["result"]) is not None
 
 
 
@@ -166,7 +163,7 @@ def _won_on_one_group(result):
     # Validation counts without a row of group a=0, so no DP gap: 81 of 100
     # rows correct, inside the bin [0.8, 0.825).
     counts = np.array([[[0, 0], [41, 9]], [[0, 0], [10, 40]]])
-    _won(result)["validation"] = report_from_counts(counts, result["sensitive_source"], require=()).to_dict()
+    _won(result)["validation"] = report_from_counts(counts, require=()).to_dict()
     _move_won_bin(result, [0.8, 0.825])
 
 
@@ -182,7 +179,10 @@ def _won_on_one_group(result):
         (lambda r: _won(r)["test"].update(avg_accuracy="0.5"), "avg_accuracy: stored '0.5', but"),
         (lambda r: _won(r)["validation"].update(dp_gap=2.0), "dp_gap: stored 2.0, but its subgroup counts give"),
         (lambda r: _won(r)["test"]["subgroup_counts"].update(y0_a0=-3), "subgroup_counts.y0_a0: must be >= 1"),
-        (lambda r: _won(r)["validation"].update(sensitive_source=5), "validation.sensitive_source: stored 5, but"),
+        (
+            lambda r: _won(r)["validation"].update(sensitive_source="pseudo"),
+            "sensitive_source: stored 'pseudo', but its subgroup counts give no such key",
+        ),
         (lambda r: _won(r)["winner"].update(kind="bogus"), "kind: must be 'jtt' or 'erm', got 'bogus'"),
         (lambda r: _won(r)["winner"].update(t=None), "a 'jtt' candidate sets all three"),
         (lambda r: r["erm_baseline"]["winner"].update(t=1), "an 'erm' one none"),
@@ -198,7 +198,10 @@ def _won_on_one_group(result):
         (lambda r: _won(r)["test"].pop("subgroup_counts"), "KeyError: 'subgroup_counts'"),
         (lambda r: _won(r)["winner"].pop("plain_fallback"), "KeyError: 'plain_fallback'"),
         (lambda r: r.update(extra=1), "extra: stored 1, but a tuner writes no such key"),
-        (lambda r: _won(r)["validation"].update(sensitive_source="bogus"), "sensitive_source: stored 'bogus', but"),
+        (
+            lambda r: _won(r)["test"].update(sensitive_source="ground_truth"),
+            "sensitive_source: stored 'ground_truth', but its subgroup counts give no such key",
+        ),
         (lambda r: _won(r).update(winner=None), "a tuner writes a winner and both its reports"),
         (lambda r: _move_won_bin(r, [0.1, 0.2]), "lies outside the bin [0.1, 0.2)"),
         (lambda r: _won(r)["validation"].update(dp_gap=None), "dp_gap: stored None, but its subgroup counts give"),
@@ -218,10 +221,10 @@ def _won_on_one_group(result):
     ],
     ids=[
         "unknown_objective", "unknown_source", "empty_bins", "mismatched_erm_bin", "unknown_subgroup",
-        "accuracy_above_one", "accuracy_as_text", "gap_above_one", "negative_count", "numeric_report_source",
+        "accuracy_above_one", "accuracy_as_text", "gap_above_one", "negative_count", "validation_report_source",
         "unknown_kind", "jtt_without_t", "erm_with_t", "text_plain_fallback", "epoch_beyond_stage2",
         "text_grid_point", "inverted_bin", "winner_without_reports", "erm_winner_in_jtt_bin",
-        "report_without_counts", "winner_without_plain_fallback", "extra_top_level_key", "bogus_report_source",
+        "report_without_counts", "winner_without_plain_fallback", "extra_top_level_key", "test_report_source",
         "reports_without_winner", "winner_outside_its_bin", "validation_objective_null", "test_gap_changed",
         "winner_without_objective", "moved_baseline_bin", "erm_plain_fallback", "overlapping_bins",
         "baseline_without_winner", "null_baseline",
@@ -233,12 +236,10 @@ def test_report_inconsistent_result_is_a_data_error(pipeline, tmp_path, capsys, 
     damage(payload["result"])
     damaged = tmp_path / "damaged.json"
     damaged.write_text(json.dumps(payload))
-    for fmt in ("table", "json"):
-        code = main(["report", str(damaged), "--format", fmt])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert err.startswith("data error: ") and message in err
-        assert len(err.splitlines()) == 1
+    code, err = report_exit_and_stderr(damaged, capsys)
+    assert code == 3
+    assert err.startswith("data error: ") and message in err
+    assert len(err.splitlines()) == 1
 
 
 def test_report_wrong_schema_result_is_a_data_error(tmp_path, capsys):
@@ -252,7 +253,7 @@ def test_report_wrong_schema_result_is_a_data_error(tmp_path, capsys):
 def test_render_table_one_row_per_bin():
     # The validation counts give the (85.0, 5.0) cell: 40 rows, 34 correct,
     # and 10 of 20 against 9 of 20 positive predictions by group.
-    validation = report_from_counts(np.array([[[8, 2], [9, 0]], [[3, 7], [1, 10]]]), "pseudo", require=())
+    validation = report_from_counts(np.array([[[8, 2], [9, 0]], [[3, 7], [1, 10]]]), require=())
     test = report_from_counts(np.array([[[9, 1], [9, 1]], [[2, 8], [0, 10]]]), require=())
     winner = CandidateRef(
         kind="jtt", stage2=HyperParams(learning_rate=0.1, epochs=3), epoch=3,
@@ -262,7 +263,7 @@ def test_render_table_one_row_per_bin():
     baseline = {
         "bin": list(ERM_BASELINE_BIN),
         "winner": CandidateRef(kind="erm", stage2=HyperParams(learning_rate=0.1, epochs=3), epoch=2).to_dict(),
-        "validation": report_from_counts(np.array([[[9, 1], [9, 1]], [[2, 8], [0, 10]]]), "pseudo", require=()).to_dict(),
+        "validation": report_from_counts(np.array([[[9, 1], [9, 1]], [[2, 8], [0, 10]]]), require=()).to_dict(),
         "test": test.to_dict(),
     }
     empty = {"winner": None, "validation": None, "test": None}
@@ -684,13 +685,12 @@ def _main_exit(args):
     "args, status",
     [
         (["report", "{out}/tuner_result.json"], 0),
-        (["report", "{out}/tuner_result.json", "--format", "json"], 0),
         (["--version"], 0),
         (["prepare", "--config", "{out}/no-such-config.json"], 2),
         (["prepare"], 2),
         (["report", "{out}/no-such-result.json"], 3),
     ],
-    ids=["report_table", "report_json", "version", "missing_config", "usage_error", "missing_result"],
+    ids=["report_table", "version", "missing_config", "usage_error", "missing_result"],
 )
 def test_a_command_process_exits_as_main_returns(pipeline, capsys, args, status):
     args = [arg.format(out=pipeline[1]) for arg in args]
@@ -701,23 +701,35 @@ def test_a_command_process_exits_as_main_returns(pipeline, capsys, args, status)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("form", ["table", "json"])
-def test_standard_output_that_cannot_be_written_is_a_data_error(pipeline, form):
-    # Buffered standard output: the table fails when run() flushes it, the
-    # longer JSON already while report writes it.
+def test_standard_output_that_cannot_be_written_is_a_data_error(pipeline):
+    # Buffered standard output: the table fails when run() flushes it.
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     with open("/dev/full", "w") as full:
-        proc = _process("-m", "fairtune.cli", "report", str(pipeline[1] / "tuner_result.json"), "--format", form, env=env, stdout=full)
+        proc = _process("-m", "fairtune.cli", "report", str(pipeline[1] / "tuner_result.json"), env=env, stdout=full)
     assert proc.returncode == 3
     assert re.fullmatch(r"data error: .*No space left on device\n", proc.stderr)
 
 
-@pytest.mark.parametrize("form", ["table", "json"])
-def test_report_with_standard_output_closed_is_a_data_error(pipeline, form):
+class _FullStream(io.StringIO):
+    """A standard stream whose every write fails, as on a full device."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_report_whose_write_fails_is_a_data_error(pipeline, monkeypatch, capsys):
+    # A table longer than standard output's buffer fails while report writes
+    # it, inside main(), not when run() flushes it.
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    assert main(["report", str(pipeline[1] / "tuner_result.json")]) == 3
+    assert capsys.readouterr().err == "data error: [Errno 28] No space left on device\n"
+
+
+def test_report_with_standard_output_closed_is_a_data_error(pipeline):
     # Descriptor 1 closed before the interpreter starts (`>&-` in a shell):
     # Python then sets sys.stdout to None.
     result = str(pipeline[1] / "tuner_result.json")
-    proc = _process("-m", "fairtune.cli", "report", result, "--format", form, preexec_fn=lambda: os.close(1))
+    proc = _process("-m", "fairtune.cli", "report", result, preexec_fn=lambda: os.close(1))
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == "data error: cannot write standard output: descriptor 1 is closed\n"
 
@@ -1240,14 +1252,23 @@ def _with_seed(section, key="seed"):
     return _with_value(section, key, -3)
 
 
-def _csv_section(**csv):
-    """A config edit that makes the dataset a CSV one with these csv keys."""
-    return _with_value((), "dataset", {"kind": "csv", "csv": {"path": "raw.csv", **csv}})
+def _csv_section(schema_file=None, **csv):
+    """A config edit that makes the dataset a CSV one with these csv keys;
+    with a `schema_file`, also the file schema.json next to the config,
+    holding it, which `schema_path` names."""
+
+    def edit(raw):
+        raw["dataset"] = {"kind": "csv", "csv": {"path": "raw.csv", **csv}}
+        if schema_file is not None:
+            raw["dataset"]["csv"]["schema_path"] = "schema.json"
+            return {"schema.json": schema_file}
+
+    return edit
 
 
 def _schema_with(key, value):
-    """A config edit that declares SCHEMA_JSON's schema inline, with `key` set to `value`."""
-    return _csv_section(schema={**json.loads(SCHEMA_JSON), key: value})
+    """A config edit that declares SCHEMA_JSON's schema, with `key` set to `value`."""
+    return _csv_section(schema_file={**json.loads(SCHEMA_JSON), key: value})
 
 
 @pytest.mark.parametrize(
@@ -1326,10 +1347,11 @@ BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
         (_with_value(("dataset",), "kind", "parquet"), "dataset.kind: expected 'synthetic' or 'csv', got 'parquet'"),
         (_with_value(("labelling",), "policy", "best"), "labelling.policy: expected 'every_epoch', got 'best'"),
         (_with_value(("labelling",), "policy", "final_epoch"), "labelling.policy: expected 'every_epoch', got 'final_epoch'"),
-        (_csv_section(schema={}, schema_path="schema.json"), "dataset.csv: exactly one of 'schema' and 'schema_path' is required"),
-        (_csv_section(), "dataset.csv: exactly one of 'schema' and 'schema_path' is required"),
-        (_csv_section(schema=[]), "dataset.csv.schema: expected dict, got list"),
-        (_csv_section(schema={"target_column": ["income", ">50K"]}), "dataset.csv.schema.feature_columns: missing required key"),
+        (_csv_section(schema_file=json.loads(SCHEMA_JSON), schema={}), "dataset.csv.schema: unknown key"),
+        (_csv_section(), "dataset.csv.schema_path: missing required key"),
+        (_csv_section(schema_path=5), "dataset.csv.schema_path: expected str, got int"),
+        (_csv_section(schema_file=[]), "dataset.csv.schema: expected dict, got list"),
+        (_csv_section(schema_file={"target_column": ["income", ">50K"]}), "dataset.csv.schema.feature_columns: missing required key"),
         # Each schema entry below once parsed, sliced: "income" as the column
         # 'i' with the token 'n', "FM" as the categories 'F' and 'M'.
         (_schema_with("target_column", "income"), f"dataset.csv.schema.target_column: {NAME_TOKEN}"),
@@ -1391,8 +1413,9 @@ BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
         "unknown-kind",
         "unknown-policy",
         "final-epoch-policy",
-        "schema-and-path",
-        "neither-schema",
+        "inline-schema",
+        "no-schema-path",
+        "schema-path-number",
         "schema-list",
         "schema-missing-key",
         "schema-target-text",
@@ -1406,12 +1429,7 @@ BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
     ],
 )
 def test_malformed_config_number_is_a_one_line_config_error(tmp_path, capsys, edit, message):
-    raw = json.loads((CONFIGS / "synthetic.json").read_text())
-    raw["output_dir"] = str(tmp_path / "out")
-    edit(raw)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(raw))
-    assert main(["prepare", "--config", str(config)]) == 2
+    assert main(["prepare", "--config", str(_edited_config(tmp_path, edit))]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
@@ -1446,13 +1464,14 @@ def _without(section, key):
 
 KEY_CASES = [
     # Every object of configs/synthetic.json, from the root to each block and
-    # grid point, then the objects of an inline CSV schema.
+    # grid point, then the objects of a CSV dataset and its schema file.
     *(
         (_with_value(steps, "typo", 9), _json_path(steps + ("typo",)) + ": unknown key", _json_path(steps) or "root")
         for steps in _objects(json.loads((CONFIGS / "synthetic.json").read_text()))
     ),
-    (_csv_section(schema=json.loads(SCHEMA_JSON), typo=9), "dataset.csv.typo: unknown key", "dataset.csv"),
+    (_csv_section(schema_file=json.loads(SCHEMA_JSON), typo=9), "dataset.csv.typo: unknown key", "dataset.csv"),
     (_schema_with("typo", 9), "dataset.csv.schema.typo: unknown key", "dataset.csv.schema"),
+    (_with_value(("mc_noise",), "split", "validation"), "mc_noise.split: unknown key", "mc-noise-split"),
     (_with_value(BLOCK, "vars", [9, 9]), "dataset.synthetic.blocks.y1_a1.vars: unknown key", "block-vars"),
     (
         _with_value(BLOCK[:-1], "y2_a1", {"count": 9, "mean": [0.0, 0.0], "var": [1.0, 1.0]}),
@@ -1541,10 +1560,12 @@ def test_mc_sweep_on_coincident_group_means_is_a_one_line_data_error(tmp_path, c
 
 
 def _edited_config(tmp_path, edit):
-    """The synthetic config, edited by edit(raw), written to tmp_path."""
+    """The synthetic config, edited by edit(raw), written to tmp_path, with
+    each JSON file {name: content} the edit returns next to it."""
     raw = json.loads((CONFIGS / "synthetic.json").read_text())
     raw["output_dir"] = str(tmp_path / "out")
-    edit(raw)
+    for name, content in (edit(raw) or {}).items():
+        (tmp_path / name).write_text(json.dumps(content))
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
     return config
@@ -1574,7 +1595,7 @@ def test_command_without_its_section_is_a_one_line_config_error(tmp_path, capsys
 
 def test_report_of_a_missing_file_is_a_data_error(tmp_path, capsys):
     assert main(["report", str(tmp_path / "absent.json")]) == 3
-    assert capsys.readouterr().err == f"data error: no such result file: {tmp_path / 'absent.json'}\n"
+    assert capsys.readouterr().err == f"data error: missing upstream artifact {tmp_path / 'absent.json'} (run 'tune' first)\n"
 
 
 @pytest.mark.parametrize(

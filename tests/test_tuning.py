@@ -152,7 +152,6 @@ LIBRARY_CASES = {
     "mc-n-samples-non-integral": (lambda: _mc(n_samples=2.5), "n_samples: expected int, got float"),
     "mc-n-samples-bool": (lambda: _mc(n_samples=True), "n_samples: expected int, got bool"),
     "mc-seed-text": (lambda: _mc(seed="7"), "seed: expected int, got str"),
-    "mc-split": (lambda: _mc(split="dev"), "split: expected one of ('train', 'validation', 'test'), got 'dev'"),
     "fractions-bool": (lambda: check_fractions((0.5, 0.5, True)), "fractions[2]: expected float, got bool"),
     "fractions-nan": (lambda: check_fractions((0.5, float("nan"), 0.5)), "fractions[1]: must be finite, got nan"),
     "fractions-sum": (lambda: check_fractions((0.6, 0.2, 0.1)), "fractions: must sum to 1, got 0.9"),
@@ -409,9 +408,7 @@ def test_winner_reports_equal_retrained_winners(source, lambda_grid, bins, plant
         assert any(o.winner.kind == "jtt" and not o.winner.plain_fallback for o in populated)
     for outcome in populated:
         model = rebuild_winner(train, outcome.winner)
-        validation_report = full_report(
-            model, validation, sensitive=val_sens, sensitive_source=source, require=("dp_gap",)
-        )
+        validation_report = full_report(model, validation, sensitive=val_sens, require=("dp_gap",))
         assert validation_report == outcome.validation
         assert full_report(model, test, require=()) == outcome.test
 

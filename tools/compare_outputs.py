@@ -6,11 +6,11 @@ BASE_REV's `src/` is extracted with `git archive` into a temporary
 directory, which is removed at the end. With that tree and with this working
 tree, the script runs prepare -> train-grid -> label -> mc-sweep -> tune,
 skipping a command whose config section (`mc_noise`, `jtt`) is absent, and
-then `report` as a table and as JSON. It does so for configs/synthetic.json
-and for the `tune`, `label` and `pipeline_small` configs of
-perfbench/workloads.py at seed 1, each three times: at --jobs 1, at --jobs 2,
-and at --jobs 1 with OPENBLAS_NUM_THREADS=2 exported (no thread variable is
-set for the other two). Both trees run here, in this interpreter, so BLAS
+then `report`, which renders the result as a table. It does so for
+configs/synthetic.json and for the `tune`, `label` and `pipeline_small`
+configs of perfbench/workloads.py at seed 1, each three times: at --jobs 1,
+at --jobs 2, and at --jobs 1 with OPENBLAS_NUM_THREADS=2 exported (no
+thread variable is set for the other two). Both trees run here, in this interpreter, so BLAS
 differences between machines cannot show up as differences.
 
 Every one of those outputs is computed from thresholded predictions, so a
@@ -112,7 +112,7 @@ def run_case(src: Path, raw: dict, run: str, where: Path) -> list[str]:
         if cmd not in NEEDS or NEEDS[cmd] in raw
     ]
     if "jtt" in raw:
-        runs += [["-m", "fairtune.cli", "report", str(out / "tuner_result.json"), "--format", f] for f in ("table", "json")]
+        runs.append(["-m", "fairtune.cli", "report", str(out / "tuner_result.json")])
     probe = where / "params_probe.py"
     probe.write_text(PARAMS_PROBE, encoding="utf-8")
     runs.append([str(probe), str(config), str(out / "datasets" / "train.csv"), jobs])
@@ -124,15 +124,15 @@ def run_case(src: Path, raw: dict, run: str, where: Path) -> list[str]:
             last = (proc.stderr.strip().splitlines() or ["(no stderr)"])[-1]
             failures.append(f"{what} exited {proc.returncode}: {last}")
         elif what == "report":
-            (where / f"report.{'txt' if args[-1] == 'table' else 'json'}").write_text(proc.stdout, encoding="utf-8")
+            (where / "report.txt").write_text(proc.stdout, encoding="utf-8")
     return failures
 
 
 def files(case_dir: Path) -> dict[str, bytes]:
     """The outputs of one case: every file under out/ by its path there, the
-    two report renderings and the probed parameters."""
+    report table and the probed parameters."""
     found = {str(p.relative_to(case_dir / "out")): p for p in (case_dir / "out").rglob("*") if p.is_file()}
-    found.update({p.name: p for p in [*case_dir.glob("report.*"), *case_dir.glob("*_params.npy")]})
+    found.update({p.name: p for p in [*case_dir.glob("report.txt"), *case_dir.glob("*_params.npy")]})
     return {rel: p.read_bytes() for rel, p in found.items()}
 
 
