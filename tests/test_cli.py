@@ -689,8 +689,9 @@ def _main_exit(args):
         (["prepare", "--config", "{out}/no-such-config.json"], 2),
         (["prepare"], 2),
         (["report", "{out}/no-such-result.json"], 3),
+        (["report", "{out}/tuner_result.json", "--format", "json"], 2),
     ],
-    ids=["report_table", "version", "missing_config", "usage_error", "missing_result"],
+    ids=["report_table", "version", "missing_config", "usage_error", "missing_result", "report_format_flag"],
 )
 def test_a_command_process_exits_as_main_returns(pipeline, capsys, args, status):
     args = [arg.format(out=pipeline[1]) for arg in args]
@@ -1492,6 +1493,15 @@ def test_every_config_object_takes_only_its_own_keys(tmp_path, capsys, edit, mes
     assert main(["prepare", "--config", str(_edited_config(tmp_path, edit))]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_mc_sweep_split_is_still_hashed_as_validation():
+    # mc-sweep always reads the validation split, and the resolved config
+    # records it under mc_noise as it did when the split was a config key,
+    # so configs/synthetic.json keeps the hash its earlier outputs carry.
+    config = parse_config(json.loads((CONFIGS / "synthetic.json").read_text()))
+    assert config.resolved_dict()["mc_noise"]["split"] == "validation"
+    assert config.canonical_hash() == "506648675f704a8e8f93a240d4b9d0dd6d599aa9dc7d51ec9bf51f5215a761c7"
 
 
 def test_largest_config_sizes_are_accepted(tmp_path):
