@@ -12,21 +12,23 @@ artifacts of the previous one:
     report      render a stored tuner result as a table
 
 Commands are idempotent: given identical inputs and seeds they rewrite
-byte-identical outputs. Every output embeds the resolved config hash and the
-tool version, and a command reads an upstream artifact only if it records
-this config's hash. A command's outputs land in the output directory
-together, or, if it fails, none of them do. Exit codes: 0 ok, 2 config
-error, 3 data error, 4 selection failure.
+byte-identical outputs. A command's outputs land in the output directory
+together, or, if it fails, none of them do; the last file to land is its
+manifest, `manifests/<command>.json`, which records the resolved config's
+hash, the tool version and the sha256 of every file the command wrote. A
+command reads an upstream file only if its producer's manifest records this
+config's hash and that file's digest; `report PATH` checks PATH against
+`manifests/tune.json` next to it. Exit codes: 0 ok, 2 config error, 3 data
+error, 4 selection failure.
 
 `train-grid` stores one bit per candidate and validation row, its 0/1
 prediction, in `checkpoints/predictions.npy`: a uint8 matrix with one row
 per candidate in `labeller_candidates` order, each row packed by
 `np.packbits` in numpy's default big bit order into ceil(n_val/8) bytes.
 `checkpoints/index.json` lists each row's grid index, hyper-parameters and
-epoch, and records `predictions_sha256`, the sha256 of the matrix's bytes.
-`label` reads `index.json` for the config hash and that digest only,
-refuses a matrix that does not give the digest, and reads the rows back
-with `np.unpackbits(..., axis=1, count=n_val)`.
+epoch. `label` takes the candidates from the config, whose hash pins the
+labeller grid, and reads the rows back with
+`np.unpackbits(..., axis=1, count=n_val)`.
 
 Unless numpy was loaded first, importing this module loads numpy with
 OpenBLAS on one thread, whatever the thread variables say, so no idle BLAS
@@ -90,8 +92,7 @@ from .data import (
     DataError,
     TabularDataset,
     apply_standardizer,
-    array_digest,
-    dataset_file_meta,
+    file_digest,
     fit_standardizer,
     generate_synthetic,
     load_csv,
@@ -124,12 +125,12 @@ EXIT_SELECTION_FAILURE = 4
 class _Outputs:
     """A command's outputs as one unit. Each is written at its path relative
     to `out` inside one staging directory there (`.stage-*.tmp`); leaving
-    the `with` block normally moves them all into place, in sorted order,
-    and leaving it on an exception removes the stage, so `out` keeps what
-    it held."""
+    the `with` block normally writes the command's manifest, moves the
+    outputs into place in sorted order and the manifest last, and leaving it
+    on an exception removes the stage, so `out` keeps what it held."""
 
-    def __init__(self, out: Path) -> None:
-        self.out = out
+    def __init__(self, out: Path, command: str, config: ExperimentConfig) -> None:
+        self.out, self.command, self.config = out, command, config
 
     def __enter__(self) -> "_Outputs":
         self.out.mkdir(parents=True, exist_ok=True)
@@ -139,10 +140,14 @@ class _Outputs:
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
             if exc_type is None:
-                for staged in sorted(p for p in self.stage.rglob("*") if p.is_file()):
-                    target = self.out / staged.relative_to(self.stage)
+                staged = sorted(p for p in self.stage.rglob("*") if p.is_file())
+                files = {p.relative_to(self.stage).as_posix(): file_digest(p) for p in staged}
+                manifest = {"config_sha256": self.config.canonical_hash(), "files": files, "tool_version": __version__}
+                self.text(_manifest(self.command), _json_text(manifest))
+                for path in [*staged, self.stage / _manifest(self.command)]:
+                    target = self.out / path.relative_to(self.stage)
                     target.parent.mkdir(parents=True, exist_ok=True)
-                    os.replace(staged, target)
+                    os.replace(path, target)
         finally:
             shutil.rmtree(self.stage, ignore_errors=True)
 
@@ -161,31 +166,38 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _meta(config: ExperimentConfig) -> dict[str, str]:
-    return {"config_sha256": config.canonical_hash(), "tool_version": __version__}
+def _manifest(command: str) -> str:
+    return f"manifests/{command}.json"
 
 
-def _require_artifact(path: Path, producer: str) -> Path:
-    if not path.exists():
-        raise DataError(f"missing upstream artifact {path} (run '{producer}' first)")
-    return path
-
-
-def _check_provenance(path: Path, config: ExperimentConfig, stored) -> None:
-    """The one rule for an upstream artifact: it records this config's hash."""
-    if stored is None:
-        raise DataError(f"{path} records no config hash; re-run the pipeline")
-    if stored != config.canonical_hash():
+def _require_artifact(out: Path, relpath: str, producer: str, config: ExperimentConfig | None) -> Path:
+    """out/relpath, once the manifest `producer` wrote in `out` records this
+    config's hash (any, for None) and the sha256 of the file's bytes: the
+    one rule for reading an upstream file."""
+    path, manifest = out / relpath, out / _manifest(producer)
+    for required in (path, manifest):
+        if not required.exists():
+            raise DataError(f"missing upstream artifact {required} (run '{producer}' first)")
+    stored, digest = _parse_artifact(manifest, "manifest", lambda m: (m["config_sha256"], m["files"].get(relpath)))
+    if config is not None and stored != config.canonical_hash():
         raise DataError(
             f"{path} was produced by a different configuration "
             f"(hash {str(stored)[:12]}.. != {config.canonical_hash()[:12]}..); re-run the pipeline"
         )
+    if file_digest(path) != digest:
+        raise DataError(
+            f"{path}: differs from the sha256 {manifest} records (edited, cut or from another run?); re-run '{producer}'"
+        )
+    return path
 
 
-def _read_upstream(path: Path, producer: str, config: ExperimentConfig, tag: str) -> TabularDataset:
-    """The dataset file of the `tag` split that `producer` wrote for this configuration."""
-    _require_artifact(path, producer)
-    _check_provenance(path, config, dataset_file_meta(path).get("config_sha256"))
+def _read_upstream(out: Path, relpath: str, producer: str, config: ExperimentConfig, tag: str) -> TabularDataset:
+    """The dataset file of the `tag` split that `producer` wrote for this
+    configuration, with its features matrix."""
+    path = _require_artifact(out, relpath, producer, config)
+    matrix = relpath.removesuffix(".csv") + ".features.npy"
+    if (out / matrix).exists():
+        _require_artifact(out, matrix, producer, config)
     data = read_dataset(path)
     if data.split != tag:
         raise DataError(f"{path}: split tag {data.split!r}, expected {tag!r}")
@@ -193,7 +205,15 @@ def _read_upstream(path: Path, producer: str, config: ExperimentConfig, tag: str
 
 
 def _read_split(out: Path, name: str, config: ExperimentConfig) -> TabularDataset:
-    return _read_upstream(out / "datasets" / f"{name}.csv", "prepare", config, name)
+    return _read_upstream(out, f"datasets/{name}.csv", "prepare", config, name)
+
+
+def _parse_artifact(path: Path, what: str, parse):
+    """parse(payload) of a JSON artifact; a syntax or schema fault is a DataError."""
+    try:
+        return parse(json.loads(path.read_text(encoding="utf-8")))
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise DataError(f"malformed {what} {path}: {type(exc).__name__}: {exc}") from None
 
 
 def cmd_prepare(config: ExperimentConfig, args: argparse.Namespace) -> int:
@@ -204,9 +224,9 @@ def cmd_prepare(config: ExperimentConfig, args: argparse.Namespace) -> int:
         data = load_csv(config.csv_path, config.schema)
     train, validation, test = split(data, config.split_fractions, config.split_seed)
     std = fit_standardizer(train)
-    with _Outputs(out) as outputs:
+    with _Outputs(out, "prepare", config) as outputs:
         for name, ds in (("train", train), ("validation", validation), ("test", test)):
-            write_dataset(apply_standardizer(std, ds), outputs.path(f"datasets/{name}.csv"), meta=_meta(config))
+            write_dataset(apply_standardizer(std, ds), outputs.path(f"datasets/{name}.csv"))
         outputs.text(
             "standardizer.json",
             _json_text(
@@ -214,7 +234,6 @@ def cmd_prepare(config: ExperimentConfig, args: argparse.Namespace) -> int:
                     "mean": [float(v) for v in std.mean],
                     "scale": [float(v) for v in std.scale],
                     "apply_mask": [bool(v) for v in std.apply_mask],
-                    **_meta(config),
                 }
             ),
         )
@@ -233,42 +252,21 @@ def cmd_train_grid(config: ExperimentConfig, args: argparse.Namespace) -> int:
         for gi, hp in enumerate(config.labeller_grid)
         for epoch in range(1, hp.epochs + 1)
     ]
-    with _Outputs(out) as outputs:
+    with _Outputs(out, "train-grid", config) as outputs:
         np.save(outputs.path("checkpoints/predictions.npy"), packed, allow_pickle=False)
-        outputs.text(
-            "checkpoints/index.json",
-            _json_text({"candidates": index, "predictions_sha256": array_digest(packed), **_meta(config)}),
-        )
+        outputs.text("checkpoints/index.json", _json_text({"candidates": index}))
     print(f"stored validation predictions of {len(index)} candidates -> {out / 'checkpoints'}")
     return EXIT_OK
 
 
-def _parse_artifact(path: Path, what: str, parse):
-    """parse(payload) of a JSON artifact; a syntax or schema fault is a DataError."""
-    try:
-        return parse(json.loads(path.read_text(encoding="utf-8")))
-    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
-        raise DataError(f"malformed {what} {path}: {type(exc).__name__}: {exc}") from None
-
-
 def _load_predictions(out: Path, config: ExperimentConfig, n_validation: int) -> tuple[np.ndarray, list[tuple[HyperParams, int]]]:
     """The stored candidate predictions, unpacked to the int8 0/1 matrix
-    `labeller_predictions` returns, and each row's (hyper-params, epoch):
-    index.json records this config's hash, so its rows are `labeller_candidates`
-    of this config's grid, and the digest of predictions.npy's packed bits."""
-    index_path = _require_artifact(out / "checkpoints" / "index.json", "train-grid")
-    matrix_path = _require_artifact(out / "checkpoints" / "predictions.npy", "train-grid")
-    stored, digest = _parse_artifact(
-        index_path, "candidate index", lambda index: (index.get("config_sha256"), index.get("predictions_sha256"))
-    )
-    _check_provenance(index_path, config, stored)
+    `labeller_predictions` returns, and each row's (hyper-params, epoch);
+    index.json, the audit table of the rows, is checked but not parsed."""
+    _require_artifact(out, "checkpoints/index.json", "train-grid", config)
+    matrix = _require_artifact(out, "checkpoints/predictions.npy", "train-grid", config)
     candidates = labeller_candidates(config.labeller_grid)
-    packed = read_matrix(matrix_path, np.uint8, (len(candidates), (n_validation + 7) // 8))
-    if array_digest(packed) != digest:
-        raise DataError(
-            f"{matrix_path}: differs from the predictions_sha256 {index_path.name} records "
-            "(edited, or from another run?); re-run 'train-grid'"
-        )
+    packed = read_matrix(matrix, np.uint8, (len(candidates), (n_validation + 7) // 8))
     return np.unpackbits(packed, axis=1, count=n_validation).view(np.int8), candidates
 
 
@@ -279,8 +277,8 @@ def cmd_label(config: ExperimentConfig, args: argparse.Namespace) -> int:
     labelled = select_labeller(predictions, candidates, validation)
     # The readers of labelled_validation.csv take the reserved columns only.
     labels = replace(validation, features=validation.features[:, :0], feature_names=None, sensitive=labelled.pseudo)
-    with _Outputs(out) as outputs:
-        write_dataset(labels, outputs.path("labelled_validation.csv"), meta=_meta(config))
+    with _Outputs(out, "label", config) as outputs:
+        write_dataset(labels, outputs.path("labelled_validation.csv"))
         outputs.text(
             "labelling.json",
             _json_text(
@@ -288,7 +286,6 @@ def cmd_label(config: ExperimentConfig, args: argparse.Namespace) -> int:
                     "by_class": {str(y): sel.to_dict() for y, sel in labelled.by_class.items()},
                     "n_candidates": len(candidates),
                     "policy": LABELLING_POLICY,
-                    **_meta(config),
                 }
             ),
         )
@@ -320,8 +317,8 @@ def cmd_mc_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
         )
         for i, (a, b) in enumerate(mc.grid)
     ]
-    with _Outputs(out) as outputs:
-        write_sweep_csv(outputs.path("mc_sweep.csv"), edm_records, dp_records, meta=_meta(config))
+    with _Outputs(out, "mc-sweep", config) as outputs:
+        write_sweep_csv(outputs.path("mc_sweep.csv"), edm_records, dp_records)
     print(f"swept {len(mc.grid)} noise cells -> {out / 'mc_sweep.csv'}")
     return EXIT_OK
 
@@ -336,15 +333,15 @@ def cmd_tune(config: ExperimentConfig, args: argparse.Namespace) -> int:
     pseudo = None
     if config.jtt.sensitive_source == "pseudo":
         path = out / "labelled_validation.csv"
-        labelled = _read_upstream(path, "label", config, "validation")
+        labelled = _read_upstream(out, path.name, "label", config, "validation")
         if labelled.sensitive is None:
             raise DataError(f"{path} carries no pseudo labels")
         if not np.array_equal(labelled.row_ids, validation.row_ids):
             raise DataError(f"{path} does not label the rows of the validation split")
         pseudo = labelled.sensitive
     result = grid_search(train, validation, test, config.jtt, pseudo=pseudo, jobs=args.jobs)
-    with _Outputs(out) as outputs:
-        outputs.text("tuner_result.json", _json_text({"result": result.to_dict(), **_meta(config)}))
+    with _Outputs(out, "tune", config) as outputs:
+        outputs.text("tuner_result.json", _json_text({"result": result.to_dict()}))
     filled = sum(1 for b in result.bins if not b.empty)
     print(f"tuned: {filled}/{len(result.bins)} bins populated -> {out / 'tuner_result.json'}")
     return EXIT_OK
@@ -379,7 +376,8 @@ def render_table(result: TunerResult) -> str:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    path = _require_artifact(Path(args.result), "tune")
+    path = Path(args.result)
+    _require_artifact(path.parent, path.name, "tune", None)
     result = _parse_artifact(path, "result file", lambda payload: TunerResult.from_dict(payload["result"]))
     if sys.stdout is None:  # what Python sets when it starts with descriptor 1 closed
         raise DataError("cannot write standard output: descriptor 1 is closed")

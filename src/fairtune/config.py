@@ -10,9 +10,9 @@ so sections stay decorrelated:
     model training   seed + 2   (any grid hyper-params without a seed)
     noise sweeps     seed + 3
 
-The canonical hash of the fully resolved configuration is embedded in every
-output file, so artifacts can be traced back to the exact settings that
-produced them.
+The canonical hash of the fully resolved configuration is recorded in every
+command's manifest, so artifacts can be traced back to the exact settings
+that produced them.
 """
 
 from __future__ import annotations
@@ -180,10 +180,14 @@ def parse_config(
             p = base_dir / p
         if not p.exists():
             _fail("dataset.csv.schema_path", f"no such file: {p}")
+        # A fault inside the schema file names the file, not a config key.
         schema_raw = _read_json(p)
         if not isinstance(schema_raw, dict):
-            _fail("dataset.csv.schema", f"expected dict, got {type(schema_raw).__name__}")
-        schema = _at("dataset.csv.schema", DatasetSchema.from_dict, schema_raw)
+            _fail(str(p), f"expected dict, got {type(schema_raw).__name__}")
+        try:
+            schema = DatasetSchema.from_dict(schema_raw)
+        except ValueError as exc:
+            _fail(str(p), str(exc))
     else:
         _fail("dataset.kind", f"expected 'synthetic' or 'csv', got {kind!r}")
 

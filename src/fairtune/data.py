@@ -584,28 +584,26 @@ def generate_synthetic(spec: SyntheticSpec) -> TabularDataset:
     )
 
 
-def write_dataset(data: TabularDataset, path: str | Path, meta: Mapping[str, str] | None = None) -> None:
+def write_dataset(data: TabularDataset, path: str | Path) -> None:
     """Write the canonical dataset CSV of the reserved columns __row_id,
-    __target, __sensitive (blank when absent) and __split, with `meta` and
-    the `_rows_digest` of its rows (`rows_sha256`) as leading '#key=value'
-    lines; with feature columns, also their float64 (n, d) matrix as
-    `<stem>.features.npy` next to it, whose name and feature names the CSV
-    records. read_dataset restores the features bit-exactly and rejects any
-    other matrix and any edited, added, removed or reordered row.
+    __target, __sensitive (blank when absent) and __split; with feature
+    columns, also their float64 (n, d) matrix as `<stem>.features.npy` next
+    to it, whose name and feature names the CSV records in leading
+    '#key=value' lines. read_dataset restores the features bit-exactly.
     """
     path = Path(path)
     if not data.n_rows:
         raise DataError(f"{path}: empty dataset, not written (a dataset file holds at least one row)")
-    meta = {**(meta or {}), "rows_sha256": _rows_digest(data)}
+    meta = {}
     if data.n_features:
         matrix = path.with_name(path.stem + ".features.npy")
         with open(matrix, "wb") as fh:
             np.save(fh, data.features, allow_pickle=False)
         names = data.feature_names or tuple(f"x{j}" for j in range(data.n_features))
-        meta.update(feature_names=json.dumps(list(names)), features_file=matrix.name)
+        meta = {"feature_names": json.dumps(list(names)), "features_file": matrix.name}
     sens = [""] * data.n_rows if data.sensitive is None else data.sensitive.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        write_meta_lines(fh, meta)
+        fh.writelines(f"#{key}={meta[key]}\n" for key in sorted(meta))
         fh.write(",".join(_RESERVED) + "\n")
         fh.writelines(
             f"{row_id},{target},{s},{data.split}\n"
@@ -613,28 +611,13 @@ def write_dataset(data: TabularDataset, path: str | Path, meta: Mapping[str, str
         )
 
 
-def array_digest(*arrays: np.ndarray | None) -> str:
-    """sha256 of the arrays' bytes, one array after another, each in row-major
-    order; a None adds no bytes."""
+def file_digest(path: Path) -> str:
+    """sha256 of a file's bytes, read in 1 MiB blocks."""
     digest = hashlib.sha256()
-    for array in arrays:
-        if array is not None:
-            digest.update(np.ascontiguousarray(array))
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
     return digest.hexdigest()
-
-
-def _rows_digest(data: TabularDataset) -> str:
-    """`array_digest` of a dataset's rows in order: the features matrix (no
-    bytes when it has no columns), then the row ids, targets and sensitive
-    values (none when absent). It ties CSV line i to matrix row i, and it
-    changes with the row count."""
-    return array_digest(data.features, data.row_ids, data.targets, data.sensitive)
-
-
-def write_meta_lines(fh, meta: Mapping[str, str]) -> None:
-    """Write `meta` as the leading '#key=value' lines, in key order, that
-    _meta_lines reads back."""
-    fh.writelines(f"#{key}={meta[key]}\n" for key in sorted(meta))
 
 
 def _meta_lines(lines) -> dict[str, str]:
@@ -709,13 +692,12 @@ def read_matrix(path: Path, dtype, shape: tuple[int | None, ...]) -> np.ndarray:
 
 
 def read_dataset(path: str | Path) -> TabularDataset:
-    """Read canonical dataset files back; inverse of write_dataset. Every
-    file, with or without a features matrix, must give the `_rows_digest`
-    it records; each error names the CSV or the matrix."""
+    """Read canonical dataset files back; inverse of write_dataset. Each
+    error names the CSV or the matrix."""
     path = Path(path)
     meta, reserved = _scan_dataset(path)
     n = len(reserved["row_ids"])
-    features, names, hashed = np.empty((n, 0)), None, "its rows"
+    features, names = np.empty((n, 0)), None
     if "features_file" in meta:
         try:
             names = tuple(json.loads(meta["feature_names"]))
@@ -725,21 +707,9 @@ def read_dataset(path: str | Path) -> TabularDataset:
         if not matrix.exists():
             raise DataError(f"{matrix}: missing, but {path.name} records it (re-run 'prepare')")
         features = read_matrix(matrix, np.float64, (None, len(names)))
-        hashed = f"its rows and {matrix.name}"
-    # A row count the matrix does not share may be either file's damage.
-    unmatched = DataError(f"{path}: {hashed} differ from the digest it records (edited, cut, reordered or from another run?)")
-    if len(features) != n:
-        raise unmatched
+        if len(features) != n:
+            raise DataError(f"{path}: {n} rows, but {matrix.name} holds {len(features)}")
     try:
-        data = TabularDataset(features=features, feature_names=names, **reserved)
+        return TabularDataset(features=features, feature_names=names, **reserved)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    if _rows_digest(data) != meta.get("rows_sha256"):
-        raise unmatched
-    return data
-
-
-def dataset_file_meta(path: str | Path) -> dict[str, str]:
-    """Metadata key/value pairs stored in a canonical dataset file."""
-    with _utf8(path), open(path, encoding="utf-8") as fh:
-        return _meta_lines(fh)

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import TabularDataset, check_binary, check_float, check_int
+from .data import TabularDataset, check_binary, check_float, check_int, check_keys
 from .training import ModelParams, predict
 
 SUBGROUPS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -169,38 +169,24 @@ class FairnessReport:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "FairnessReport":
-        """The report whose to_dict() is `d`, rebuilt by `report_from_counts`
-        from round(accuracy * count) correct rows per subgroup."""
-        n = np.zeros((2, 2, 2), dtype=object)  # Python ints hold any stored count exactly
-        for y, a in SUBGROUPS:
-            key = f"y{y}_a{a}"
-            if key in d["subgroup_counts"]:
-                size = check_int(d["subgroup_counts"][key], f"subgroup_counts.{key}", 1)
-                acc = check_float(d["subgroup_accuracy"][key], f"subgroup_accuracy.{key}")
-                num, den = acc.as_integer_ratio()
-                correct = (2 * num * size + den) // (2 * den)  # acc * size rounded, exactly
-                if not 0 <= correct <= size:
-                    raise ValueError(f"subgroup_accuracy.{key}: stored {acc} gives {correct} correct of {size} rows")
-                n[y, a, y], n[y, a, 1 - y] = correct, size - correct
-        report = report_from_counts(n, require=())
-        check_round_trip(d, report.to_dict(), "its subgroup counts give")
-        return report
+        """The report whose to_dict() is `d`; its keys are the fields, and
+        each subgroup table's keys are cells "y<y>_a<a>"."""
+        check_keys(d, cls.__dataclass_fields__, cls.__dataclass_fields__)
+        cells = {f"y{y}_a{a}": (y, a) for y, a in SUBGROUPS}
 
+        def table(name: str, parse) -> dict:
+            try:
+                return {cells[key]: parse(value, key) for key, value in check_keys(d[name], cells).items()}
+            except ValueError as exc:
+                raise ValueError(f"{name}.{exc}") from None
 
-def check_round_trip(stored, written, writer: str, path: str = "") -> None:
-    """Raises ValueError at the first key or index, in `written`'s order, where
-    `stored` differs in value or type from `written`, what `writer` gives for it."""
-    if isinstance(stored, (dict, list)) and type(stored) is type(written):
-        stored, written = (v if isinstance(v, dict) else dict(enumerate(v)) for v in (stored, written))
-        for key in {**written, **stored}:
-            at = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key
-            if key not in stored:
-                raise ValueError(f"{at}: missing, but {writer} {written[key]!r}")
-            if key not in written:
-                raise ValueError(f"{at}: stored {stored[key]!r}, but {writer} no such key")
-            check_round_trip(stored[key], written[key], writer, at)
-    elif type(stored) is not type(written) or stored != written:
-        raise ValueError(f"{path}: stored {stored!r}, but {writer} {written!r}")
+        gaps = {name: None if d[name] is None else check_float(d[name], name) for name in METRIC_NAMES}
+        return cls(
+            avg_accuracy=check_float(d["avg_accuracy"], "avg_accuracy"),
+            subgroup_accuracy=table("subgroup_accuracy", check_float),
+            subgroup_counts=table("subgroup_counts", lambda value, key: check_int(value, key, 1)),
+            **gaps,
+        )
 
 
 def confusion_counts(predictions, targets, sensitive) -> np.ndarray:

@@ -14,11 +14,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .data import DataError, check_float, check_int, write_meta_lines
+from .data import DataError, check_float, check_int
 from .labelling import edm
 from .metrics import EmptyGroupError
 from .training import HyperParams, ModelParams, predict
@@ -288,14 +288,12 @@ def write_sweep_csv(
     path: str | Path,
     edm_records: Sequence[EdmSweepRecord],
     dp_records: Sequence[ProportionalityRecord],
-    meta: Mapping[str, str] | None = None,
 ) -> None:
     """Emit one CSV row per grid cell for external plotting; edm_records[i]
     and dp_records[i] are the draws of cell i, so a cell listed twice keeps
     each draw on its own row. csv writes a float as its repr and None (a
     ratio with a vanishing denominator) as a blank cell."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        write_meta_lines(fh, meta or {})
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_SWEEP_COLUMNS)
         for rec, dp in zip(edm_records, dp_records, strict=True):

@@ -26,15 +26,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import MAX_SIZE, TabularDataset, check_int, check_pair
-from .metrics import (
-    METRIC_NAMES,
-    EmptyGroupError,
-    FairnessReport,
-    check_round_trip,
-    confusion_counts,
-    report_from_counts,
-)
+from .data import MAX_SIZE, TabularDataset, check_int, check_keys, check_pair
+from .metrics import METRIC_NAMES, EmptyGroupError, FairnessReport, confusion_counts, report_from_counts
 from .training import HyperParams, _train_loop, check_trainable, pool_map, predict, upsampled_positions
 
 # Unused here, but perfbench/spans.py traces these names on this module.
@@ -133,7 +126,8 @@ class CandidateRef:
     def from_dict(cls, d: Mapping) -> "CandidateRef":
         """A stored to_dict(): a "jtt" candidate names its stage-1 point, T and
         lambda, an "erm" candidate none of them; stage 2 trains its epoch."""
-        kind = d["kind"]
+        keys = ("kind", "stage2", "epoch", "stage1", "t", "lambda", "plain_fallback")
+        kind = check_keys(d, keys, keys)["kind"]
         if kind not in ("jtt", "erm"):
             raise ValueError(f"kind: must be 'jtt' or 'erm', got {kind!r}")
         if [d[key] is not None for key in ("stage1", "t", "lambda")] != [kind == "jtt"] * 3:
@@ -320,25 +314,10 @@ class BinOutcome:
             "test": None if self.test is None else self.test.to_dict(),
         }
 
-    def _check_written(self, where: str, kind: str, objective: str) -> None:
-        """Raises ValueError unless `grid_search` could write this outcome at
-        `where`, whose winners are of `kind`: a winner exactly when both
-        reports, a validation accuracy inside the bin, and an objective."""
-        if len({part is None for part in (self.winner, self.validation, self.test)}) > 1:
-            raise ValueError(f"{where}: a tuner writes a winner and both its reports, or none of them")
-        if self.winner is None:
-            return
-        if self.winner.kind != kind:
-            raise ValueError(f"{where}.winner.kind: a tuner writes {kind!r} winners here, got {self.winner.kind!r}")
-        (lo, hi), acc = self.bin, self.validation.avg_accuracy
-        if not lo <= acc < hi:
-            raise ValueError(f"{where}.validation.avg_accuracy: {acc} lies outside the bin [{lo}, {hi})")
-        if self.validation.metric(objective) is None:
-            raise ValueError(f"{where}.validation.{objective}: a winner's objective is never None")
-
     @classmethod
     def from_dict(cls, d: Mapping) -> "BinOutcome":
         """A stored to_dict()."""
+        check_keys(d, cls.__dataclass_fields__, cls.__dataclass_fields__)
         lo, hi = check_pair(d["bin"], "bin", "lo, hi")
         reports = (None if d[k] is None else FairnessReport.from_dict(d[k]) for k in ("validation", "test"))
         winner = None if d["winner"] is None else CandidateRef.from_dict(d["winner"])
@@ -370,29 +349,12 @@ class TunerResult:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TunerResult":
-        """The result whose to_dict() is `d`; raises ValueError where no tuner
-        run could have written `d`, naming the first key of `d` that differs."""
-        objective, source = d["objective"], d["sensitive_source"]
-        _check_selection_rule(objective, source)
-        if d["erm_baseline"] is None:
-            raise ValueError("erm_baseline: a tuner always writes the plain baseline, got null")
+        """The result whose to_dict() is `d`; raises ValueError at the first
+        key it cannot parse."""
+        check_keys(d, cls.__dataclass_fields__, cls.__dataclass_fields__)
+        _check_selection_rule(d["objective"], d["sensitive_source"])
         bins, erm_bins = (tuple(BinOutcome.from_dict(b) for b in d[key]) for key in ("bins", "erm_bins"))
-        baseline = BinOutcome.from_dict(d["erm_baseline"])
-        result = cls(objective, source, bins, erm_bins, baseline)
-        check_round_trip(d, result.to_dict(), "a tuner writes")
-        if not result.bins or [b.bin for b in result.bins] != [b.bin for b in result.erm_bins]:
-            raise ValueError("bins and erm_bins must list the same nonempty accuracy bins in the same order")
-        check_bins([b.bin for b in bins], "bins")
-        if baseline.bin != ERM_BASELINE_BIN:
-            raise ValueError(f"erm_baseline.bin: a tuner writes {list(ERM_BASELINE_BIN)}, got {list(baseline.bin)}")
-        if baseline.empty:
-            raise ValueError("erm_baseline.winner: a tuner always writes the plain baseline's winner, got null")
-        outcomes = [(f"bins[{i}]", "jtt", b) for i, b in enumerate(bins)]
-        outcomes += [(f"erm_bins[{i}]", "erm", b) for i, b in enumerate(erm_bins)]
-        outcomes.append(("erm_baseline", "erm", baseline))
-        for where, kind, outcome in outcomes:
-            outcome._check_written(where, kind, objective)
-        return result
+        return cls(d["objective"], d["sensitive_source"], bins, erm_bins, BinOutcome.from_dict(d["erm_baseline"]))
 
 
 def grid_search(

@@ -1,6 +1,7 @@
 import ast
 import copy
 import gc
+import hashlib
 import io
 import json
 import os
@@ -79,18 +80,43 @@ def test_pipeline_tuner_bins_populated(pipeline):
 
 
 def test_pipeline_outputs_carry_provenance(pipeline):
-    config, out = pipeline
+    # One manifest per command holds the config hash, the tool version and
+    # the sha256 of each file the command wrote; no output holds either.
     from fairtune.config import load_config
-    from fairtune.data import dataset_file_meta
 
-    expected = load_config(config).canonical_hash()
-    meta = dataset_file_meta(out / "datasets" / "train.csv")
-    assert meta["config_sha256"] == expected
-    index = json.loads((out / "checkpoints" / "index.json").read_text())
-    assert index["config_sha256"] == expected
-    payload = json.loads((out / "tuner_result.json").read_text())
-    assert payload["config_sha256"] == expected
-    assert payload["tool_version"]
+    config, out = pipeline
+    listed = []
+    for command in ("prepare", "train-grid", "label", "mc-sweep", "tune"):
+        text = (out / "manifests" / f"{command}.json").read_text()
+        manifest = json.loads(text)
+        assert text == json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+        assert manifest["config_sha256"] == load_config(config).canonical_hash()
+        assert manifest["tool_version"] == fairtune.__version__
+        for rel, digest in manifest["files"].items():
+            content = (out / rel).read_bytes()
+            assert hashlib.sha256(content).hexdigest() == digest, rel
+            assert b"config_sha256" not in content and b"tool_version" not in content, rel
+        listed += manifest["files"]
+    assert sorted(listed) == [rel for rel in _files(out) if not rel.startswith("manifests/")]
+
+
+def _vouch_for(out, producer):
+    """Record the current bytes of `producer`'s files in its manifest, as if
+    `producer` had written them, so that only the reader's own checks can
+    refuse an edited file."""
+    path = out / "manifests" / f"{producer}.json"
+    manifest = json.loads(path.read_text())
+    manifest["files"] = {rel: hashlib.sha256((out / rel).read_bytes()).hexdigest() for rel in manifest["files"]}
+    path.write_text(json.dumps(manifest))
+
+
+def _digest_error(out, rel, producer):
+    """The line of a file whose bytes differ from what its producer's manifest records."""
+    manifest = out / "manifests" / f"{producer}.json"
+    return (
+        f"data error: {out / rel}: differs from the sha256 {manifest} records "
+        f"(edited, cut or from another run?); re-run '{producer}'\n"
+    )
 
 
 def test_rerun_is_byte_identical(pipeline, tmp_path):
@@ -119,29 +145,37 @@ def report_exit_and_stderr(path, capsys):
     return code, capsys.readouterr().err
 
 
-def test_report_truncated_result_is_a_data_error(pipeline, tmp_path, capsys):
+def _tuned_copy(pipeline, tmp_path):
+    """The path of a copy of tuner_result.json, next to a copy of the
+    manifest `tune` wrote with it."""
     _, out = pipeline
-    text = (out / "tuner_result.json").read_text()
-    truncated = tmp_path / "truncated.json"
-    truncated.write_text(text[: len(text) // 2])
-    code, err = report_exit_and_stderr(truncated, capsys)
-    assert code == 3
-    assert err.startswith("data error: ") and "JSONDecodeError" in err
-    assert len(err.splitlines()) == 1
+    copy = tmp_path / "out"
+    (copy / "manifests").mkdir(parents=True)
+    for rel in ("tuner_result.json", "manifests/tune.json"):
+        shutil.copyfile(out / rel, copy / rel)
+    return copy / "tuner_result.json"
+
+
+def _damaged_copy(pipeline, tmp_path, damage):
+    """_tuned_copy's result file, rewritten after damage(its "result")."""
+    path = _tuned_copy(pipeline, tmp_path)
+    payload = json.loads(path.read_text())
+    damage(payload["result"])
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_report_truncated_result_is_a_data_error(pipeline, tmp_path, capsys):
+    path = _tuned_copy(pipeline, tmp_path)
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    assert report_exit_and_stderr(path, capsys) == (3, _digest_error(path.parent, path.name, "tune"))
 
 
 @pytest.mark.parametrize("field", ["epoch", "t", "lambda"])
 def test_report_fractional_winner_integer_is_a_data_error(pipeline, tmp_path, capsys, field):
-    _, out = pipeline
-    payload = json.loads((out / "tuner_result.json").read_text())
-    winner = next(b["winner"] for b in payload["result"]["bins"] if b["winner"] and b["winner"]["t"] is not None)
-    winner[field] = winner[field] + 0.7
-    damaged = tmp_path / "damaged.json"
-    damaged.write_text(json.dumps(payload))
-    code, err = report_exit_and_stderr(damaged, capsys)
-    assert code == 3
-    assert err.startswith("data error: ") and f"{field}: expected int, got float" in err
-    assert len(err.splitlines()) == 1
+    path = _damaged_copy(pipeline, tmp_path, _fractional(field))
+    assert report_exit_and_stderr(path, capsys) == (3, _digest_error(path.parent, path.name, "tune"))
 
 
 def _won(result):
@@ -167,88 +201,106 @@ def _won_on_one_group(result):
     _move_won_bin(result, [0.8, 0.825])
 
 
+def _fractional(field):
+    def damage(result):
+        winner = next(b["winner"] for b in result["bins"] if b["winner"] and b["winner"]["t"] is not None)
+        winner[field] = winner[field] + 0.7
+
+    return damage
+
+
+# Results no tuner writes: `report` refuses each by the manifest's digest, and
+# those in PARSE_FAULTS are also what TunerResult.from_dict cannot parse.
+RESULT_DAMAGES = {
+    "unknown_objective": lambda r: r.update(objective="foo"),
+    "unknown_source": lambda r: r.update(sensitive_source="foo"),
+    "empty_bins": lambda r: r.update(bins=[]),
+    "mismatched_erm_bin": lambda r: r["erm_bins"][0].update(bin=[0.0, 0.5]),
+    "unknown_subgroup": lambda r: _won(r)["validation"]["subgroup_accuracy"].update(y9_a9=0.5),
+    "accuracy_above_one": lambda r: _won(r)["test"].update(avg_accuracy=7.5),
+    "accuracy_as_text": lambda r: _won(r)["test"].update(avg_accuracy="0.5"),
+    "gap_above_one": lambda r: _won(r)["validation"].update(dp_gap=2.0),
+    "negative_count": lambda r: _won(r)["test"]["subgroup_counts"].update(y0_a0=-3),
+    "validation_report_source": lambda r: _won(r)["validation"].update(sensitive_source="pseudo"),
+    "unknown_kind": lambda r: _won(r)["winner"].update(kind="bogus"),
+    "jtt_without_t": lambda r: _won(r)["winner"].update(t=None),
+    "erm_with_t": lambda r: r["erm_baseline"]["winner"].update(t=1),
+    "text_plain_fallback": lambda r: _won(r)["winner"].update(plain_fallback="no"),
+    "epoch_beyond_stage2": lambda r: _won(r)["winner"].update(epoch=99),
+    "text_grid_point": lambda r: _won(r)["winner"].update(stage2="abc"),
+    "inverted_bin": lambda r: [b.update(bin=[0.9, 0.1]) for b in (r["bins"][0], r["erm_bins"][0])],
+    "winner_without_reports": lambda r: _won(r).update(validation=None, test=None),
+    "erm_winner_in_jtt_bin": _erm_winner_in_its_jtt_bin,
+    "report_without_counts": lambda r: _won(r)["test"].pop("subgroup_counts"),
+    "winner_without_plain_fallback": lambda r: _won(r)["winner"].pop("plain_fallback"),
+    "extra_top_level_key": lambda r: r.update(extra=1),
+    "test_report_source": lambda r: _won(r)["test"].update(sensitive_source="ground_truth"),
+    "reports_without_winner": lambda r: _won(r).update(winner=None),
+    "winner_outside_its_bin": lambda r: _move_won_bin(r, [0.1, 0.2]),
+    "validation_objective_null": lambda r: _won(r)["validation"].update(dp_gap=None),
+    "test_gap_changed": lambda r: _won(r)["test"].update(dp_gap=0.01234),
+    "winner_without_objective": _won_on_one_group,
+    "moved_baseline_bin": lambda r: r["erm_baseline"].update(bin=[0.0, 0.9]),
+    "erm_plain_fallback": lambda r: r["erm_baseline"]["winner"].update(plain_fallback=True),
+    "overlapping_bins": lambda r: [b.update(bin=[0.8, 0.86]) for b in (r["bins"][0], r["erm_bins"][0])],
+    "baseline_without_winner": lambda r: r["erm_baseline"].update(winner=None, validation=None, test=None),
+    "null_baseline": lambda r: r.update(erm_baseline=None),
+    "extra_winner_key": lambda r: _won(r)["winner"].update(extra=1),
+}
+
+
+@pytest.mark.parametrize("damage", RESULT_DAMAGES.values(), ids=RESULT_DAMAGES.keys())
+def test_report_inconsistent_result_is_a_data_error(pipeline, tmp_path, capsys, damage):
+    path = _damaged_copy(pipeline, tmp_path, damage)
+    assert report_exit_and_stderr(path, capsys) == (3, _digest_error(path.parent, path.name, "tune"))
+
+
+PARSE_FAULTS = {
+    "unknown_objective": "objective: must be one of",
+    "unknown_source": "sensitive_source: must be",
+    "unknown_subgroup": "subgroup_accuracy.y9_a9: unknown key",
+    "accuracy_as_text": "avg_accuracy: expected float, got str",
+    "negative_count": "subgroup_counts.y0_a0: must be >= 1, got -3",
+    "validation_report_source": "sensitive_source: unknown key",
+    "unknown_kind": "kind: must be 'jtt' or 'erm', got 'bogus'",
+    "jtt_without_t": "a 'jtt' candidate sets all three",
+    "erm_with_t": "an 'erm' one none",
+    "text_plain_fallback": "plain_fallback: expected bool, got str",
+    "epoch_beyond_stage2": "epoch: stage 2 trains",
+    "text_grid_point": "grid point: expected an object, got str",
+    "report_without_counts": "subgroup_counts: missing required key",
+    "winner_without_plain_fallback": "plain_fallback: missing required key",
+    "extra_winner_key": "extra: unknown key",
+    "extra_top_level_key": "extra: unknown key",
+    "test_report_source": "sensitive_source: unknown key",
+    "erm_plain_fallback": "an 'erm' candidate has no stage 1",
+    "null_baseline": "'NoneType' object is not iterable",
+}
+
+
 @pytest.mark.parametrize(
     "damage, message",
-    [
-        (lambda r: r.update(objective="foo"), "objective: must be one of"),
-        (lambda r: r.update(sensitive_source="foo"), "sensitive_source: must be"),
-        (lambda r: r.update(bins=[]), "bins and erm_bins must list the same"),
-        (lambda r: r["erm_bins"][0].update(bin=[0.0, 0.5]), "bins and erm_bins must list the same"),
-        (lambda r: _won(r)["validation"]["subgroup_accuracy"].update(y9_a9=0.5), "subgroup_accuracy.y9_a9: stored 0.5"),
-        (lambda r: _won(r)["test"].update(avg_accuracy=7.5), "avg_accuracy: stored 7.5, but its subgroup counts give"),
-        (lambda r: _won(r)["test"].update(avg_accuracy="0.5"), "avg_accuracy: stored '0.5', but"),
-        (lambda r: _won(r)["validation"].update(dp_gap=2.0), "dp_gap: stored 2.0, but its subgroup counts give"),
-        (lambda r: _won(r)["test"]["subgroup_counts"].update(y0_a0=-3), "subgroup_counts.y0_a0: must be >= 1"),
-        (
-            lambda r: _won(r)["validation"].update(sensitive_source="pseudo"),
-            "sensitive_source: stored 'pseudo', but its subgroup counts give no such key",
-        ),
-        (lambda r: _won(r)["winner"].update(kind="bogus"), "kind: must be 'jtt' or 'erm', got 'bogus'"),
-        (lambda r: _won(r)["winner"].update(t=None), "a 'jtt' candidate sets all three"),
-        (lambda r: r["erm_baseline"]["winner"].update(t=1), "an 'erm' one none"),
-        (lambda r: _won(r)["winner"].update(plain_fallback="no"), "plain_fallback: expected bool, got str"),
-        (lambda r: _won(r)["winner"].update(epoch=99), "epoch: stage 2 trains"),
-        (lambda r: _won(r)["winner"].update(stage2="abc"), "grid point: expected an object, got str"),
-        (
-            lambda r: [b.update(bin=[0.9, 0.1]) for b in (r["bins"][0], r["erm_bins"][0])],
-            "bins[0]: bin [0.9, 0.1) is empty",
-        ),
-        (lambda r: _won(r).update(validation=None, test=None), "a tuner writes a winner and both its reports"),
-        (_erm_winner_in_its_jtt_bin, "winner.kind: a tuner writes 'jtt' winners here, got 'erm'"),
-        (lambda r: _won(r)["test"].pop("subgroup_counts"), "KeyError: 'subgroup_counts'"),
-        (lambda r: _won(r)["winner"].pop("plain_fallback"), "KeyError: 'plain_fallback'"),
-        (lambda r: r.update(extra=1), "extra: stored 1, but a tuner writes no such key"),
-        (
-            lambda r: _won(r)["test"].update(sensitive_source="ground_truth"),
-            "sensitive_source: stored 'ground_truth', but its subgroup counts give no such key",
-        ),
-        (lambda r: _won(r).update(winner=None), "a tuner writes a winner and both its reports"),
-        (lambda r: _move_won_bin(r, [0.1, 0.2]), "lies outside the bin [0.1, 0.2)"),
-        (lambda r: _won(r)["validation"].update(dp_gap=None), "dp_gap: stored None, but its subgroup counts give"),
-        (lambda r: _won(r)["test"].update(dp_gap=0.01234), "dp_gap: stored 0.01234, but its subgroup counts give"),
-        (_won_on_one_group, "validation.dp_gap: a winner's objective is never None"),
-        (lambda r: r["erm_baseline"].update(bin=[0.0, 0.9]), "erm_baseline.bin: a tuner writes [0.0, 1.000000000001]"),
-        (lambda r: r["erm_baseline"]["winner"].update(plain_fallback=True), "an 'erm' candidate has no stage 1"),
-        (
-            lambda r: [b.update(bin=[0.8, 0.86]) for b in (r["bins"][0], r["erm_bins"][0])],
-            "bins: bins [0.8, 0.86) and [0.825, ...) overlap",
-        ),
-        (
-            lambda r: r["erm_baseline"].update(winner=None, validation=None, test=None),
-            "erm_baseline.winner: a tuner always writes the plain baseline's winner, got null",
-        ),
-        (lambda r: r.update(erm_baseline=None), "erm_baseline: a tuner always writes the plain baseline, got null"),
-    ],
-    ids=[
-        "unknown_objective", "unknown_source", "empty_bins", "mismatched_erm_bin", "unknown_subgroup",
-        "accuracy_above_one", "accuracy_as_text", "gap_above_one", "negative_count", "validation_report_source",
-        "unknown_kind", "jtt_without_t", "erm_with_t", "text_plain_fallback", "epoch_beyond_stage2",
-        "text_grid_point", "inverted_bin", "winner_without_reports", "erm_winner_in_jtt_bin",
-        "report_without_counts", "winner_without_plain_fallback", "extra_top_level_key", "test_report_source",
-        "reports_without_winner", "winner_outside_its_bin", "validation_objective_null", "test_gap_changed",
-        "winner_without_objective", "moved_baseline_bin", "erm_plain_fallback", "overlapping_bins",
-        "baseline_without_winner", "null_baseline",
-    ],
+    [(RESULT_DAMAGES[name], message) for name, message in PARSE_FAULTS.items()]
+    + [(_fractional(field), f"{field}: expected int, got float") for field in ("epoch", "t", "lambda")],
+    ids=[*PARSE_FAULTS, "fractional_epoch", "fractional_t", "fractional_lambda"],
 )
-def test_report_inconsistent_result_is_a_data_error(pipeline, tmp_path, capsys, damage, message):
+def test_result_from_dict_names_what_it_cannot_parse(pipeline, damage, message):
     _, out = pipeline
-    payload = json.loads((out / "tuner_result.json").read_text())
-    damage(payload["result"])
-    damaged = tmp_path / "damaged.json"
-    damaged.write_text(json.dumps(payload))
-    code, err = report_exit_and_stderr(damaged, capsys)
-    assert code == 3
-    assert err.startswith("data error: ") and message in err
-    assert len(err.splitlines()) == 1
+    stored = json.loads((out / "tuner_result.json").read_text())["result"]
+    damage(stored)
+    with pytest.raises((ValueError, KeyError, TypeError)) as exc:
+        TunerResult.from_dict(stored)
+    assert message in str(exc.value)
 
 
-def test_report_wrong_schema_result_is_a_data_error(tmp_path, capsys):
-    wrong = tmp_path / "wrong.json"
-    wrong.write_text(json.dumps({"result": {}}))
-    code, err = report_exit_and_stderr(wrong, capsys)
-    assert code == 3
-    assert err.startswith("data error: ") and "'objective'" in err
-    assert len(err.splitlines()) == 1
+def test_report_wrong_schema_result_is_a_data_error(pipeline, tmp_path, capsys):
+    # A result the manifest vouches for, which still does not parse.
+    path = _tuned_copy(pipeline, tmp_path)
+    path.write_text(json.dumps({"result": {}}))
+    _vouch_for(path.parent, "tune")
+    code, err = report_exit_and_stderr(path, capsys)
+    assert (code, err) == (3, f"data error: malformed result file {path}: ValueError: objective: missing required key\n")
+
 
 def test_render_table_one_row_per_bin():
     # The validation counts give the (85.0, 5.0) cell: 40 rows, 34 correct,
@@ -312,27 +364,28 @@ _DELETE = object()
     "replacement", [None, "x", -1, 1.5, True, _DELETE], ids=["null", "text", "minus_one", "fraction", "true", "deleted"]
 )
 def test_report_of_a_result_with_any_value_replaced_exits_0_or_3(pipeline, tmp_path, capsys, replacement):
-    # Every leaf of a stored result in turn (every key, for a deletion):
-    # `report` accepts the file or rejects it in one line, never raising.
-    _, out = pipeline
-    text = (out / "tuner_result.json").read_text()
+    # Every leaf of a stored result in turn (every key, for a deletion), in a
+    # file the manifest vouches for: `report` accepts the file or rejects it
+    # in one line, never raising.
+    path = _tuned_copy(pipeline, tmp_path)
+    text = path.read_text()
     stored = json.loads(text)["result"]
     paths = list(_key_paths(stored) if replacement is _DELETE else _leaf_paths(stored))
     assert len(paths) > 100
-    damaged = tmp_path / "damaged.json"
-    for path in paths:
+    for leaf in paths:
         payload = json.loads(text)
         node = payload["result"]
-        for key in path[:-1]:
+        for key in leaf[:-1]:
             node = node[key]
         if replacement is _DELETE:
-            del node[path[-1]]
+            del node[leaf[-1]]
         else:
-            node[path[-1]] = replacement
-        damaged.write_text(json.dumps(payload))
-        code = main(["report", str(damaged)])
-        err = capsys.readouterr().err
-        assert (code, len(err.splitlines())) in ((0, 0), (3, 1)), (path, err)
+            node[leaf[-1]] = replacement
+        path.write_text(json.dumps(payload))
+        _vouch_for(path.parent, "tune")
+        code = main(["report", str(path)])
+        captured = capsys.readouterr()
+        assert (code, len(captured.err.splitlines())) in ((0, 0), (3, 1)), (leaf, captured.err)
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -413,15 +466,16 @@ def test_labelled_validation_holds_the_reserved_columns_only(pipeline):
 
 
 def test_tune_and_train_grid_outputs_do_not_depend_on_jobs(tmp_path):
+    # Every output and every manifest.
     config, _ = load_synthetic_config(tmp_path)
     outs = {}
-    for jobs in ("1", "3"):
+    for jobs in ("1", "2", "3"):
         out = tmp_path / f"jobs{jobs}"
-        for command in ("prepare", "train-grid", "label", "tune"):
+        for command in ("prepare", "train-grid", "label", "mc-sweep", "tune"):
             assert main([command, "--config", str(config), "--out", str(out), "--jobs", jobs]) == 0
-        outs[jobs] = out
-    for rel in ("checkpoints/index.json", "checkpoints/predictions.npy", "labelled_validation.csv", "tuner_result.json"):
-        assert (outs["1"] / rel).read_bytes() == (outs["3"] / rel).read_bytes(), rel
+        outs[jobs] = {rel: (out / rel).read_bytes() for rel in _files(out)}
+    assert len([rel for rel in outs["1"] if rel.startswith("manifests/")]) == 5
+    assert outs["1"] == outs["2"] == outs["3"]
 
 
 def test_train_grid_parallel_matches_sequential(tmp_path):
@@ -482,7 +536,7 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
 
     config, out = load_synthetic_config(tmp_path)
 
-    def failing_write_dataset(data, path, meta=None):
+    def failing_write_dataset(data, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("__row_id,__target,__sensitive,__split\n1,0,")
         raise DataError("disk full")
@@ -500,11 +554,11 @@ def test_failed_prepare_removes_both_files_of_every_split(tmp_path, monkeypatch)
     real = cli.write_dataset
     names = []
 
-    def write_two_then_fail(data, path, meta=None):
+    def write_two_then_fail(data, path):
         names.append(path.name)
         if len(names) == 3:
             raise DataError("disk full")
-        real(data, path, meta=meta)
+        real(data, path)
 
     monkeypatch.setattr(cli, "write_dataset", write_two_then_fail)
     assert main(["prepare", "--config", str(config)]) == 3
@@ -521,21 +575,40 @@ def test_failed_prepare_rerun_keeps_the_previous_run(tmp_path, monkeypatch):
     before = {rel: (out / rel).read_bytes() for rel in _files(out)}
     assert sorted(before) == [
         *(f"datasets/{name}.{ext}" for name in ("test", "train", "validation") for ext in ("csv", "features.npy")),
+        "manifests/prepare.json",
         "standardizer.json",
     ]
     real = cli.write_dataset
     names = []
 
-    def fail_on_the_second_split(data, path, meta=None):
+    def fail_on_the_second_split(data, path):
         names.append(path.name)
         if len(names) == 2:
             raise DataError("disk full")
-        real(data, path, meta=meta)
+        real(data, path)
 
     monkeypatch.setattr(cli, "write_dataset", fail_on_the_second_split)
     # Another seed, so a file the failed run replaced could not match by chance.
     assert main(["prepare", "--config", str(config), "--seed", "2"]) == 3
     assert names == ["train.csv", "validation.csv"]
+    assert {rel: (out / rel).read_bytes() for rel in _files(out)} == before
+
+
+def test_a_failure_while_the_manifest_is_written_keeps_the_previous_run(tmp_path, monkeypatch, capsys):
+    import fairtune.cli as cli
+
+    config, out = load_synthetic_config(tmp_path)
+    assert main(["prepare", "--config", str(config)]) == 0
+    before = {rel: (out / rel).read_bytes() for rel in _files(out)}
+    capsys.readouterr()
+
+    def unreadable(path):
+        raise OSError(5, "Input/output error", str(path))
+
+    monkeypatch.setattr(cli, "file_digest", unreadable)
+    assert main(["prepare", "--config", str(config), "--seed", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: [Errno 5] Input/output error: ") and len(err.splitlines()) == 1
     assert {rel: (out / rel).read_bytes() for rel in _files(out)} == before
 
 
@@ -778,42 +851,69 @@ def test_no_collection_runs_before_run_starts(pipeline, entry):
     assert proc.stdout.startswith("objective: ")
 
 
-def _drop_meta_line(key):
-    def edit(path):
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        path.write_text("".join(line for line in lines if not line.startswith(f"#{key}=")), encoding="utf-8")
-
-    return edit
-
-
-def _drop_json_key(key):
-    def edit(path):
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        del payload[key]
-        path.write_text(json.dumps(payload), encoding="utf-8")
-
-    return edit
+# (file, its producer, the command that reads it): one of each producer.
+READS = [
+    ("datasets/train.csv", "prepare", "train-grid"),
+    ("checkpoints/index.json", "train-grid", "label"),
+    ("labelled_validation.csv", "label", "tune"),
+]
 
 
-@pytest.mark.parametrize(
-    "rel, edit, command",
-    [
-        ("datasets/validation.csv", _drop_meta_line("config_sha256"), "train-grid"),
-        ("checkpoints/index.json", _drop_json_key("config_sha256"), "label"),
-        ("labelled_validation.csv", _drop_meta_line("config_sha256"), "tune"),
-    ],
-    ids=["validation-csv", "index-json", "labelled-validation"],
-)
-def test_artifact_without_a_config_hash_is_refused(pipeline, tmp_path, capsys, rel, edit, command):
+def _reader_args(command, config, copy):
+    if command == "report":
+        return ["report", str(copy / "tuner_result.json")]
+    return [command, "--config", str(config), "--out", str(copy)]
+
+
+@pytest.mark.parametrize("rel, producer, command", READS, ids=["prepare", "train-grid", "label"])
+def test_a_manifest_of_another_config_is_refused(pipeline, tmp_path, capsys, rel, producer, command):
     config, out = pipeline
     copy = tmp_path / "out"
     shutil.copytree(out, copy)
-    edit(copy / rel)
+    manifest = copy / "manifests" / f"{producer}.json"
+    manifest.write_text(manifest.read_text().replace(json.loads(manifest.read_text())["config_sha256"], "0" * 64))
     before = {p: (copy / p).read_bytes() for p in _files(copy)}
     assert main([command, "--config", str(config), "--out", str(copy)]) == 3
     err = capsys.readouterr().err
-    assert err == f"data error: {copy / rel} records no config hash; re-run the pipeline\n"
+    assert re.fullmatch(rf"data error: {re.escape(str(copy / rel))} was produced by a different configuration \(hash 000000000000\.\. != \w{{12}}\.\.\); re-run the pipeline\n", err), err
     assert {p: (copy / p).read_bytes() for p in _files(copy)} == before
+
+
+@pytest.mark.parametrize(
+    "producer, command", [("prepare", "train-grid"), ("train-grid", "label"), ("label", "tune"), ("tune", "report")],
+    ids=["prepare", "train-grid", "label", "tune"],
+)
+def test_a_deleted_manifest_is_refused(pipeline, tmp_path, capsys, producer, command):
+    config, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    manifest = copy / "manifests" / f"{producer}.json"
+    manifest.unlink()
+    assert main(_reader_args(command, config, copy)) == 3
+    assert capsys.readouterr().err == f"data error: missing upstream artifact {manifest} (run '{producer}' first)\n"
+
+
+@pytest.mark.parametrize(
+    "rel, producer, command",
+    [
+        ("datasets/train.features.npy", "prepare", "train-grid"),
+        ("datasets/test.csv", "prepare", "tune"),
+        *READS[1:],
+        ("checkpoints/predictions.npy", "train-grid", "label"),
+        ("tuner_result.json", "tune", "report"),
+    ],
+    ids=["features-matrix", "test-csv", "index-json", "labelled-validation", "predictions", "tuner-result"],
+)
+def test_an_output_edited_after_its_manifest_is_refused(pipeline, tmp_path, capsys, rel, producer, command):
+    # One byte changed at the end of the file, where no parse would notice it.
+    config, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    content = bytearray((copy / rel).read_bytes())
+    content[-1] ^= 1
+    (copy / rel).write_bytes(bytes(content))
+    assert main(_reader_args(command, config, copy)) == 3
+    assert capsys.readouterr().err == _digest_error(copy, rel, producer)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
@@ -924,13 +1024,15 @@ def _fractional_epoch(text):
         _damage_matrix(lambda raw, m: _npz_bytes(m)),
         _damage_matrix(lambda raw, m: _npy_bytes(np.bitwise_xor(m, np.eye(*m.shape, dtype=np.uint8)))),
         _damage_matrix(lambda raw, m: _npy_bytes(np.unpackbits(m, axis=1).astype(np.int8))),
+        _damage_index(_shorten_index),
+        _damage_index(_fractional_epoch),
     ],
     ids=[
         "index-truncated", "index-empty", "index-no-candidates", "index-entry-missing-key",
         "index-entry-not-object", "index-not-object",
         "matrix-truncated", "matrix-empty", "matrix-not-npy", "matrix-float64",
         "matrix-short-rows", "matrix-missing-row", "matrix-1d", "npz-archive", "matrix-bits-flipped",
-        "matrix-unpacked",
+        "matrix-unpacked", "index-shorter-than-matrix", "index-epoch-fractional",
     ],
 )
 def test_label_damaged_grid_artifacts_are_data_errors(labeller_grid_run, tmp_path, capsys, damage):
@@ -951,27 +1053,9 @@ def test_label_names_the_dtype_a_prediction_matrix_holds(labeller_grid_run, tmp_
     matrix = copy / "checkpoints" / "predictions.npy"
     shape = np.load(matrix).shape
     np.save(matrix, np.load(matrix).astype(np.float64))
+    _vouch_for(copy, "train-grid")
     assert main(["label", "--config", str(config), "--out", str(copy)]) == 3
     assert capsys.readouterr().err == f"data error: {matrix}: holds float64 {shape}, expected uint8 {shape}\n"
-
-
-@pytest.mark.parametrize(
-    "edit", [_shorten_index, _fractional_epoch], ids=["index-shorter-than-matrix", "index-epoch-fractional"]
-)
-def test_label_reads_index_json_for_its_hashes_only(labeller_grid_run, tmp_path, edit):
-    # index.json is the audit table of predictions.npy's rows; its config hash
-    # says they are the candidates of this config's labeller grid, and its
-    # predictions_sha256 that the matrix is the one train-grid wrote.
-    config, out = labeller_grid_run
-    outputs = []
-    for name, damage in (("plain", None), ("edited", _damage_index(edit))):
-        copy = tmp_path / name
-        shutil.copytree(out, copy)
-        if damage is not None:
-            damage(copy / "checkpoints")
-        assert main(["label", "--config", str(config), "--out", str(copy)]) == 0
-        outputs.append([(copy / rel).read_bytes() for rel in ("labelled_validation.csv", "labelling.json")])
-    assert outputs[0] == outputs[1]
 
 
 def _cut_mid_row(text):
@@ -1017,30 +1101,27 @@ def _flip_first_pseudo_labels(text):
     return re.sub(r"^(\d+,[01]),([01]),", lambda m: f"{m[1]},{1 - int(m[2])},", text, count=5, flags=re.M)
 
 
-UNMATCHED = r": its rows differ from the digest it records \(edited, cut, reordered or from another run\?\)$"
-
-
 @pytest.mark.parametrize(
-    "damage, message",
+    "damage",
     [
-        (_damage_row(lambda ln: "\n"), r":11: 0 fields, expected 4"),
-        (_damage_row(lambda ln: ln[:-1] + ",\n"), r":11: 5 fields, expected 4"),
-        (_damage_row(lambda ln: "x" + ln), r":11: invalid literal for int\(\)"),
-        (_damage_row(lambda ln: ln.replace(",validation\n", ",test\n")), r": mixed split tags"),
-        (_damage_row(lambda ln: ln.replace(",validation\n", ",,validation\n")), r":11: 5 fields, expected 4"),
-        (lambda text: text + text.splitlines(keepends=True)[-1], r": row_ids must be unique$"),
-        (lambda text: text + "999999,0,1,validation\n", UNMATCHED),
-        (_swap_rows, UNMATCHED),
-        (_flip_first_pseudo_labels, UNMATCHED),
-        (lambda text: re.sub(r"^(\d+,[01]),[01],", r"\1,,", text, count=1, flags=re.M), r": sensitive column is partially blank"),
-        (lambda text: "".join(line for line in text.splitlines(keepends=True) if line.startswith("#")), r": empty dataset file"),
+        _damage_row(lambda ln: "\n"),
+        _damage_row(lambda ln: ln[:-1] + ",\n"),
+        _damage_row(lambda ln: "x" + ln),
+        _damage_row(lambda ln: ln.replace(",validation\n", ",test\n")),
+        _damage_row(lambda ln: ln.replace(",validation\n", ",,validation\n")),
+        lambda text: text + text.splitlines(keepends=True)[-1],
+        lambda text: text + "999999,0,1,validation\n",
+        _swap_rows,
+        _flip_first_pseudo_labels,
+        lambda text: re.sub(r"^(\d+,[01]),[01],", r"\1,,", text, count=1, flags=re.M),
+        lambda text: "".join(line for line in text.splitlines(keepends=True) if line.startswith("#")),
     ],
     ids=[
         "blank-line", "trailing-comma", "bad-row-id", "mixed-split", "shifted-cells", "duplicate-row", "extra-row",
         "reordered-rows", "flipped-pseudo", "partly-blank-pseudo", "only-comment-lines",
     ],
 )
-def test_tune_damaged_labelled_validation_is_a_data_error(pipeline, tmp_path, capsys, damage, message):
+def test_tune_damaged_labelled_validation_is_a_data_error(pipeline, tmp_path, capsys, damage):
     config, out = pipeline
     copy = tmp_path / "out"
     shutil.copytree(out, copy)
@@ -1050,9 +1131,7 @@ def test_tune_damaged_labelled_validation_is_a_data_error(pipeline, tmp_path, ca
     assert damaged != text
     path.write_text(damaged)
     assert main(["tune", "--config", str(config), "--out", str(copy)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("data error: ") and len(err.splitlines()) == 1
-    assert re.match(r"data error: \S*labelled_validation\.csv" + message, err)
+    assert capsys.readouterr().err == _digest_error(copy, "labelled_validation.csv", "label")
 
 
 @pytest.mark.parametrize(
@@ -1067,16 +1146,16 @@ def test_tune_damaged_labelled_validation_is_a_data_error(pipeline, tmp_path, ca
     ids=["no-pseudo", "reordered-rows", "missing-row"],
 )
 def test_tune_refuses_intact_labels_of_other_rows(pipeline, tmp_path, capsys, relabel, message):
-    # Written by write_dataset with the config's metadata, so the file reads
-    # back and only `tune`'s own checks can refuse it.
-    from fairtune.config import load_config
+    # Written by write_dataset and recorded in the manifest of `label`, so the
+    # file reads back and only `tune`'s own checks can refuse it.
     from fairtune.data import read_dataset, write_dataset
 
     config, out = pipeline
     copy = tmp_path / "out"
     shutil.copytree(out, copy)
     path = copy / "labelled_validation.csv"
-    write_dataset(relabel(read_dataset(path)), path, meta=fairtune.cli._meta(load_config(config)))
+    write_dataset(relabel(read_dataset(path)), path)
+    _vouch_for(copy, "label")
     assert main(["tune", "--config", str(config), "--out", str(copy)]) == 3
     assert capsys.readouterr().err == f"data error: {path}{message}\n"
 
@@ -1092,13 +1171,14 @@ def test_tune_refuses_intact_labels_of_other_rows(pipeline, tmp_path, capsys, re
     ids=["train", "validation", "test", "labelled-validation"],
 )
 def test_a_dataset_file_tagged_with_another_split_is_a_data_error(pipeline, tmp_path, capsys, command, rel, tag, other):
-    # The split tag is outside the rows digest: only the reader's own check
-    # can tell a file of one split from another's.
+    # A file its producer's manifest records, tagged with another split: only
+    # the reader's own check can tell a file of one split from another's.
     config, out = pipeline
     copy = tmp_path / "out"
     shutil.copytree(out, copy)
     path = copy / rel
     path.write_text(path.read_text().replace(f",{tag}\n", f",{other}\n"))
+    _vouch_for(copy, "label" if rel == "labelled_validation.csv" else "prepare")
     assert main([command, "--config", str(config), "--out", str(copy)]) == 3
     assert capsys.readouterr().err == f"data error: {path}: split tag {other!r}, expected {tag!r}\n"
 
@@ -1129,8 +1209,7 @@ def test_train_grid_on_reordered_or_relabelled_rows_is_a_data_error(pipeline, tm
     assert damaged != text and len(damaged) == len(text)
     path.write_text(damaged)
     assert main(["train-grid", "--config", str(config), "--out", str(copy)]) == 3
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"data error: \S*train\.csv: its rows and train\.features\.npy differ from the digest it records .*\n", err)
+    assert capsys.readouterr().err == _digest_error(copy, "datasets/train.csv", "prepare")
 
 
 def test_dataset_files_keep_the_layout_perfbench_reads(pipeline):
@@ -1154,7 +1233,7 @@ def test_dataset_files_keep_the_layout_perfbench_reads(pipeline):
     np.testing.assert_array_equal(features.view(np.int64), expected.view(np.int64))
 
 
-NOT_UTF8 = b"#config_sha256=\xff\xfe\n" + np.random.default_rng(0).bytes(256)
+NOT_UTF8 = b"#note=\xff\xfe\n" + np.random.default_rng(0).bytes(256)
 
 
 def _csv_dataset_config(tmp_path, csv_bytes, schema_bytes):
@@ -1190,12 +1269,13 @@ def _non_utf8_raw_csv(tmp_path, pipeline):
     return _csv_dataset_config(tmp_path, b"age,sex,income\n" + RAW_CSV + NOT_UTF8, SCHEMA_JSON), "prepare", 3
 
 
-def _non_utf8_output(rel, command):
+def _non_utf8_output(rel, command, producer):
     def setup(tmp_path, pipeline):
         config, out = pipeline
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
         (copy / rel).write_bytes(NOT_UTF8)
+        _vouch_for(copy, producer)
         config_copy = tmp_path / "config.json"
         config_copy.write_text(config.read_text().replace(str(out), str(copy)))
         return config_copy, command, 3
@@ -1209,8 +1289,8 @@ def _non_utf8_output(rel, command):
         _non_utf8_config,
         _non_utf8_schema,
         _non_utf8_raw_csv,
-        _non_utf8_output("datasets/validation.csv", "label"),
-        _non_utf8_output("labelled_validation.csv", "tune"),
+        _non_utf8_output("datasets/validation.csv", "label", "prepare"),
+        _non_utf8_output("labelled_validation.csv", "tune", "label"),
     ],
     ids=["config", "schema-path", "raw-csv", "dataset-csv", "labelled-validation"],
 )
@@ -1298,6 +1378,8 @@ def test_negative_seed_is_a_one_line_config_error(tmp_path, capsys, edit, args, 
 
 
 BIN_CELL = "expected [lo, hi], two numbers"
+# Stands for the path of the schema file that `schema_path` names.
+SCHEMA_FILE = "<schema file>"
 OVERSIZED = f"must be <= {MAX_SIZE}, got {2**62}"
 NAME_TOKEN = "expected [name, token], a list of two items"
 BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
@@ -1351,27 +1433,27 @@ BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
         (_csv_section(schema_file=json.loads(SCHEMA_JSON), schema={}), "dataset.csv.schema: unknown key"),
         (_csv_section(), "dataset.csv.schema_path: missing required key"),
         (_csv_section(schema_path=5), "dataset.csv.schema_path: expected str, got int"),
-        (_csv_section(schema_file=[]), "dataset.csv.schema: expected dict, got list"),
-        (_csv_section(schema_file={"target_column": ["income", ">50K"]}), "dataset.csv.schema.feature_columns: missing required key"),
+        (_csv_section(schema_file=[]), f"{SCHEMA_FILE}: expected dict, got list"),
+        (_csv_section(schema_file={"target_column": ["income", ">50K"]}), f"{SCHEMA_FILE}: feature_columns: missing required key"),
         # Each schema entry below once parsed, sliced: "income" as the column
         # 'i' with the token 'n', "FM" as the categories 'F' and 'M'.
-        (_schema_with("target_column", "income"), f"dataset.csv.schema.target_column: {NAME_TOKEN}"),
-        (_schema_with("sensitive_column", "sex"), f"dataset.csv.schema.sensitive_column: {NAME_TOKEN}"),
+        (_schema_with("target_column", "income"), f"{SCHEMA_FILE}: target_column: {NAME_TOKEN}"),
+        (_schema_with("sensitive_column", "sex"), f"{SCHEMA_FILE}: sensitive_column: {NAME_TOKEN}"),
         (
             _schema_with("feature_columns", [["age", "numeric", "categorical"]]),
-            "dataset.csv.schema.feature_columns[0]: expected [name, kind], a list of two items",
+            f"{SCHEMA_FILE}: feature_columns[0]: expected [name, kind], a list of two items",
         ),
-        (_schema_with("target_column", ["income", ">50K", "<=50K"]), f"dataset.csv.schema.target_column: {NAME_TOKEN}"),
-        (_schema_with("categorical_vocab", {"sex": "FM"}), "dataset.csv.schema.categorical_vocab: expected an object of category lists"),
+        (_schema_with("target_column", ["income", ">50K", "<=50K"]), f"{SCHEMA_FILE}: target_column: {NAME_TOKEN}"),
+        (_schema_with("categorical_vocab", {"sex": "FM"}), f"{SCHEMA_FILE}: categorical_vocab: expected an object of category lists"),
         (
             _schema_with("categorical_vocab", {"sex": ["F", "M"], "sx": ["F", "M"]}),
-            "dataset.csv.schema.categorical_vocab.sx: names no categorical feature column",
+            f"{SCHEMA_FILE}: categorical_vocab.sx: names no categorical feature column",
         ),
         (
             _schema_with("categorical_vocab", {"sex": ["F", "M"], "age": ["1"]}),
-            "dataset.csv.schema.categorical_vocab.age: names no categorical feature column",
+            f"{SCHEMA_FILE}: categorical_vocab.age: names no categorical feature column",
         ),
-        (_schema_with("feature_columns", 5), "dataset.csv.schema.feature_columns: expected a nonempty list of [name, kind] pairs"),
+        (_schema_with("feature_columns", 5), f"{SCHEMA_FILE}: feature_columns: expected a nonempty list of [name, kind] pairs"),
     ],
     ids=[
         "grid-text",
@@ -1432,7 +1514,7 @@ BLOCK = ("dataset", "synthetic", "blocks", "y1_a1")
 def test_malformed_config_number_is_a_one_line_config_error(tmp_path, capsys, edit, message):
     assert main(["prepare", "--config", str(_edited_config(tmp_path, edit))]) == 2
     err = capsys.readouterr().err
-    assert err == f"config error: {message}\n"
+    assert err == f"config error: {message.replace(SCHEMA_FILE, str(tmp_path / 'schema.json'))}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -1471,7 +1553,7 @@ KEY_CASES = [
         for steps in _objects(json.loads((CONFIGS / "synthetic.json").read_text()))
     ),
     (_csv_section(schema_file=json.loads(SCHEMA_JSON), typo=9), "dataset.csv.typo: unknown key", "dataset.csv"),
-    (_schema_with("typo", 9), "dataset.csv.schema.typo: unknown key", "dataset.csv.schema"),
+    (_schema_with("typo", 9), f"{SCHEMA_FILE}: typo: unknown key", "dataset.csv.schema"),
     (_with_value(("mc_noise",), "split", "validation"), "mc_noise.split: unknown key", "mc-noise-split"),
     (_with_value(BLOCK, "vars", [9, 9]), "dataset.synthetic.blocks.y1_a1.vars: unknown key", "block-vars"),
     (
@@ -1491,7 +1573,7 @@ KEY_CASES = [
 @pytest.mark.parametrize("edit, message", [case[:2] for case in KEY_CASES], ids=[case[2] for case in KEY_CASES])
 def test_every_config_object_takes_only_its_own_keys(tmp_path, capsys, edit, message):
     assert main(["prepare", "--config", str(_edited_config(tmp_path, edit))]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert capsys.readouterr().err == f"config error: {message.replace(SCHEMA_FILE, str(tmp_path / 'schema.json'))}\n"
     assert not (tmp_path / "out").exists()
 
 

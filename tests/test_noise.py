@@ -266,10 +266,9 @@ def test_sweep_csv_round_trip(tmp_path):
         for a, b in ((0.0, 0.0), (0.2, 0.3))
     ]
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(path, records, dp_records, meta={"config_sha256": "x"})
+    write_sweep_csv(path, records, dp_records)
     with open(path) as fh:
-        lines = [l for l in fh if not l.startswith("#")]
-    rows = list(csv.DictReader(lines))
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert float(rows[1]["alpha"]) == 0.2
     assert float(rows[1]["edm_noisy"]) == records[1].edm_noisy
