@@ -1,14 +1,14 @@
 """The paper's steps 1 and 2: labeller candidates and mean-distance selection.
 
 Step 1, `labeller_predictions`, trains every labeller grid point and
-predicts the validation set at every epoch checkpoint; each checkpoint is a
-candidate. A candidate splits the validation set into rows it predicts
-correctly (pseudo attribute 1, majority proxy) and incorrectly (pseudo
-attribute 0, minority proxy). Step 2, `select_labeller`, scores the
-candidates separately within each target class by the Euclidean distance
-between the means (EDM) of the two row sets; the highest-scoring candidate
-labels that class. Features are expected to be standardized so no single
-column dominates the distance.
+predicts the validation set at every epoch checkpoint, as plain tasks of
+step 3's sweep engine; each checkpoint is a candidate. A candidate splits
+the validation set into rows it predicts correctly (pseudo attribute 1,
+majority proxy) and incorrectly (pseudo attribute 0, minority proxy). Step
+2, `select_labeller`, scores the candidates separately within each target
+class by the Euclidean distance between the means (EDM) of the two row sets;
+the highest-scoring candidate labels that class. Features are expected to be
+standardized so no single column dominates the distance.
 """
 
 from __future__ import annotations
@@ -20,7 +20,11 @@ import numpy as np
 
 from .data import TabularDataset
 from .metrics import EmptyGroupError
-from .training import HyperParams, block_stops, one_blas_thread, pool_map, predict, train_erm
+from .training import HyperParams, block_stops, check_trainable, one_blas_thread
+from .tuning import _run_tasks, _Task
+
+# Unused here, but perfbench/spans.py traces these names on this module.
+from .training import predict  # noqa: F401
 
 
 class SelectionError(RuntimeError):
@@ -36,12 +40,6 @@ def edm(correct_rows: np.ndarray, incorrect_rows: np.ndarray) -> float:
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise EmptyGroupError("EDM is undefined for an empty row set")
     return float(np.linalg.norm(a.mean(axis=0) - b.mean(axis=0)))
-
-
-def _grid_point_predictions(ctx: tuple[TabularDataset, np.ndarray], hp: HyperParams) -> np.ndarray:
-    """Validation predictions of one grid point, one row per epoch checkpoint."""
-    train, val_X = ctx
-    return np.stack([predict(m, val_X) for m in train_erm(train, hp)])
 
 
 def labeller_candidates(grid: Sequence[HyperParams]) -> list[tuple[HyperParams, int]]:
@@ -60,13 +58,16 @@ def labeller_predictions(
 
     Returns the int8 predictions, one row per candidate and one column per
     validation row, and each row's (hyper-params, epoch) as
-    `labeller_candidates` lists them. Grid points train in up to `jobs`
-    worker processes; the result does not depend on `jobs`.
+    `labeller_candidates` lists them. Each distinct grid point is one plain
+    task of `tuning._run_tasks`, which trains them longest first in up to
+    `jobs` worker processes; the result does not depend on `jobs`.
     """
     if not grid:
         raise SelectionError("empty hyper-parameter grid")
-    predictions = np.concatenate(pool_map(_grid_point_predictions, (train, validation.features), grid, jobs))
-    return predictions, labeller_candidates(grid)
+    check_trainable(train)
+    ctx = {"train_X": train.features, "train_y": train.targets.astype(np.float64), "val_X": validation.features}
+    results = _run_tasks(ctx, [_Task(hp) for hp in dict.fromkeys(grid)], jobs)
+    return np.concatenate([results[_Task(hp)].predictions for hp in grid]), labeller_candidates(grid)
 
 
 EDM_BLOCK_CANDIDATES = 64  # label sets per product: 3 MB of float64 on a 6k-row class

@@ -158,7 +158,8 @@ class CandidateRef:
 # every epoch's validation score, the confusion counts of the epochs that can
 # win and the training mistakes stage 1 asked for. The selection pass is a
 # sequential reduction in canonical grid order, so the winners never depend
-# on the degree of parallelism.
+# on the degree of parallelism. Step 1's labeller grid runs as plain tasks
+# too, whose context has no selection labels (see `_evaluate_task`).
 # ----------------------------------------------------------------------------
 
 
@@ -187,6 +188,7 @@ class _TaskResult:
     scores: tuple[tuple[float, float], ...]  # (accuracy, objective) per epoch on validation
     counts: Mapping[int, tuple[np.ndarray, np.ndarray]]  # candidate epoch -> (validation, test) counts
     mistakes: Mapping[int, tuple[int, ...]]  # epoch of mistakes_at -> positions of misclassified training rows
+    predictions: np.ndarray | None = None  # step 1: (epoch, validation row) int8 predictions
 
 
 def _bin_of(acc: float, bins: Sequence[tuple[float, float]]) -> int | None:
@@ -237,10 +239,12 @@ def _evaluate_task(ctx: dict, task: _Task) -> _TaskResult:
     epochs. Returns the validation (accuracy, objective) of every epoch, per
     candidate epoch the validation and the test confusion counts, and per
     epoch of `mistakes_at` the training rows that checkpoint misclassifies.
-    The plain run of a stage-1 point outside the stage-2 grid is no
-    candidate, so it returns its mistakes only."""
+    A run outside the stage-2 grid returns only these, and a run in a ctx
+    without selection labels (step 1's) only every epoch's predictions."""
     X, y = ctx["train_X"], ctx["train_y"]
     ckpts = _train_loop(X, y, task.stage2, upsampled_positions(X.shape[0], task.err_pos, task.lam))
+    if "val_sens" not in ctx:
+        return _TaskResult(scores=(), counts={}, mistakes={}, predictions=np.stack([predict(c, ctx["val_X"]) for c in ckpts]))
     mistakes = {t: tuple(np.flatnonzero(predict(ckpts[t - 1], X) != y).tolist()) for t in task.mistakes_at}
     if task.stage2 not in ctx["stage2_grid"]:
         return _TaskResult(scores=(), counts={}, mistakes=mistakes)
@@ -295,6 +299,14 @@ def _selection_labels(
     return val_sens
 
 
+def _parsed_at(place: str, parse, d):
+    """parse(d), with `place.` before the message of a ValueError it raises."""
+    try:
+        return parse(d)
+    except ValueError as exc:
+        raise ValueError(f"{place}.{exc}") from None
+
+
 @dataclass(frozen=True)
 class BinOutcome:
     bin: tuple[float, float]
@@ -319,8 +331,8 @@ class BinOutcome:
         """A stored to_dict()."""
         check_keys(d, cls.__dataclass_fields__, cls.__dataclass_fields__)
         lo, hi = check_pair(d["bin"], "bin", "lo, hi")
-        reports = (None if d[k] is None else FairnessReport.from_dict(d[k]) for k in ("validation", "test"))
-        winner = None if d["winner"] is None else CandidateRef.from_dict(d["winner"])
+        reports = (None if d[k] is None else _parsed_at(k, FairnessReport.from_dict, d[k]) for k in ("validation", "test"))
+        winner = None if d["winner"] is None else _parsed_at("winner", CandidateRef.from_dict, d["winner"])
         return cls((lo, hi), winner, *reports)
 
 
@@ -350,11 +362,15 @@ class TunerResult:
     @classmethod
     def from_dict(cls, d: Mapping) -> "TunerResult":
         """The result whose to_dict() is `d`; raises ValueError at the first
-        key it cannot parse."""
+        key it cannot parse, named by its place (as `bins[0].test.avg_accuracy`)."""
         check_keys(d, cls.__dataclass_fields__, cls.__dataclass_fields__)
         _check_selection_rule(d["objective"], d["sensitive_source"])
-        bins, erm_bins = (tuple(BinOutcome.from_dict(b) for b in d[key]) for key in ("bins", "erm_bins"))
-        return cls(d["objective"], d["sensitive_source"], bins, erm_bins, BinOutcome.from_dict(d["erm_baseline"]))
+        bins, erm_bins = (
+            tuple(_parsed_at(f"{key}[{i}]", BinOutcome.from_dict, b) for i, b in enumerate(d[key]))
+            for key in ("bins", "erm_bins")
+        )
+        baseline = _parsed_at("erm_baseline", BinOutcome.from_dict, d["erm_baseline"])
+        return cls(d["objective"], d["sensitive_source"], bins, erm_bins, baseline)
 
 
 def grid_search(

@@ -1,9 +1,10 @@
-"""Shared builders for planted datasets used across the suite."""
+"""Shared builders for planted datasets, and a recorder of sweep submissions, used across the suite."""
 
 from __future__ import annotations
 
 import pytest
 
+import fairtune.tuning as tuning
 from fairtune.data import (
     BlockSpec,
     SyntheticSpec,
@@ -60,3 +61,18 @@ def planted_splits(
 @pytest.fixture(scope="session")
 def planted():
     return planted_splits()
+
+
+def record_submissions(monkeypatch) -> list[list]:
+    """Record the task list of every `tuning._run_tasks` call, in submission
+    order: one list per wave of a sweep."""
+    submitted = []
+    pool_map = tuning.pool_map
+
+    def recording(fn, ctx, items, jobs):
+        if fn is tuning._evaluate_task:
+            submitted.append(list(items))
+        return pool_map(fn, ctx, items, jobs)
+
+    monkeypatch.setattr(tuning, "pool_map", recording)
+    return submitted

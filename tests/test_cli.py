@@ -19,10 +19,9 @@ import fairtune.cli
 from fairtune.cli import main, render_table
 from fairtune.config import parse_config
 from fairtune.data import MAX_SIZE
-from fairtune.labelling import _grid_point_predictions
 from fairtune.metrics import report_from_counts
 from fairtune.training import HyperParams
-from fairtune.tuning import ERM_BASELINE_BIN, CandidateRef, TunerResult
+from fairtune.tuning import ERM_BASELINE_BIN, CandidateRef, TunerResult, _evaluate_task
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -278,11 +277,26 @@ PARSE_FAULTS = {
 }
 
 
+# Faults inside an outcome, which the message names by their place in the result.
+PLACED_FAULTS = {
+    "text_accuracy_in_bin_0": (
+        lambda r: r["bins"][0].update(test={**r["erm_baseline"]["test"], "avg_accuracy": "0.5"}),
+        "bins[0].test.avg_accuracy: expected float, got str",
+    ),
+    "short_erm_bin_2": (lambda r: r["erm_bins"][2].update(bin=[0.1]), "erm_bins[2].bin: expected [lo, hi], two numbers"),
+    "unknown_baseline_kind": (
+        lambda r: r["erm_baseline"]["winner"].update(kind="bogus"),
+        "erm_baseline.winner.kind: must be 'jtt' or 'erm', got 'bogus'",
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [(RESULT_DAMAGES[name], message) for name, message in PARSE_FAULTS.items()]
-    + [(_fractional(field), f"{field}: expected int, got float") for field in ("epoch", "t", "lambda")],
-    ids=[*PARSE_FAULTS, "fractional_epoch", "fractional_t", "fractional_lambda"],
+    + [(_fractional(field), f"{field}: expected int, got float") for field in ("epoch", "t", "lambda")]
+    + list(PLACED_FAULTS.values()),
+    ids=[*PARSE_FAULTS, "fractional_epoch", "fractional_t", "fractional_lambda", *PLACED_FAULTS],
 )
 def test_result_from_dict_names_what_it_cannot_parse(pipeline, damage, message):
     _, out = pipeline
@@ -613,26 +627,32 @@ def test_a_failure_while_the_manifest_is_written_keeps_the_previous_run(tmp_path
 
 
 _TEST_PROCESS = os.getpid()
+# The commands that must have run before a training command.
+COMMANDS_BEFORE = {"train-grid": ("prepare",), "tune": ("prepare", "train-grid", "label")}
 
 
-def _die_on_the_second_grid_point(ctx, hp):
-    # A worker process only: the test process must survive to check the exit.
-    if hp.learning_rate == 0.01 and os.getpid() != _TEST_PROCESS:
+def _die_on_some_tasks(ctx, task):
+    # The second labeller point's run and the lambda-20 runs of `tune`, in a
+    # worker process only: the test process must survive to check the exit.
+    if (task.stage2.learning_rate == 0.01 or task.lam == 20) and os.getpid() != _TEST_PROCESS:
         os._exit(9)
-    return _grid_point_predictions(ctx, hp)
+    return _evaluate_task(ctx, task)
 
 
-def test_a_dead_worker_is_a_one_line_data_error(tmp_path, capsys, monkeypatch):
-    import fairtune.labelling as labelling
+@pytest.mark.parametrize("command", ["train-grid", "tune"])
+def test_a_dead_worker_is_a_one_line_data_error(tmp_path, capsys, monkeypatch, command):
+    import fairtune.tuning as tuning
 
     config, out = load_synthetic_config(tmp_path)
-    assert main(["prepare", "--config", str(config)]) == 0
-    prepared = _files(out)
+    for before in COMMANDS_BEFORE[command]:
+        assert main([before, "--config", str(config)]) == 0
+    kept = _files(out)
+    capsys.readouterr()
     # Forked workers inherit the patch.
-    monkeypatch.setattr(labelling, "_grid_point_predictions", _die_on_the_second_grid_point)
-    assert main(["train-grid", "--config", str(config), "--jobs", "2"]) == 3
+    monkeypatch.setattr(tuning, "_evaluate_task", _die_on_some_tasks)
+    assert main([command, "--config", str(config), "--jobs", "2"]) == 3
     assert capsys.readouterr().err == "data error: a worker process ended abruptly (killed, or out of memory?)\n"
-    assert _files(out) == prepared
+    assert _files(out) == kept
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -1727,11 +1747,27 @@ def _cli_process(*args):
     return _process("-W", "error", "-m", "fairtune.cli", *args)
 
 
-def test_a_diverging_stage2_point_is_a_one_line_data_error(tmp_path):
-    config = _edited_config(tmp_path, _with_value(("jtt", "stage2_grid", 0), "learning_rate", 1e300))
-    for command in ("prepare", "train-grid", "label"):
-        assert main([command, "--config", str(config)]) == 0
-    proc = _cli_process("tune", "--config", str(config))
+@pytest.mark.parametrize(
+    "point, command, jobs",
+    [
+        (("jtt", "stage2_grid", 0), "tune", "1"),
+        (("labeller_grid", 1), "train-grid", "1"),
+        (("labeller_grid", 1), "train-grid", "2"),
+    ],
+    ids=["stage2", "labeller", "labeller-jobs2"],
+)
+def test_a_diverging_stage2_point_is_a_one_line_data_error(tmp_path, point, command, jobs):
+    # A labeller point too, as step 1 trains through step 3's sweep engine.
+    # With a hidden layer the second step's product of two 1e300-scale
+    # layers overflows; a linear model's step stays finite.
+    def edit(raw):
+        _with_value(point, "learning_rate", 1e300)(raw)
+        _with_value(point, "hidden_units", 8)(raw)
+
+    config = _edited_config(tmp_path, edit)
+    for before in COMMANDS_BEFORE[command]:
+        assert main([before, "--config", str(config)]) == 0
+    proc = _cli_process(command, "--config", str(config), "--jobs", jobs)
     assert proc.returncode == 3
     assert re.fullmatch(r"data error: training diverged: non-finite parameters at epoch 0, batch \d+\n", proc.stderr)
 

@@ -14,9 +14,10 @@ from fairtune.labelling import (
 )
 from fairtune.metrics import EmptyGroupError
 from fairtune.metrics import pseudo_label_quality
-from fairtune.training import HyperParams, ModelParams, predict, train_erm
+from fairtune.training import HyperParams, ModelParams, TrainingError, predict, train_erm
+from fairtune.tuning import _Task
 
-from conftest import planted_splits
+from conftest import planted_splits, record_submissions
 
 
 def linear_model(w, b):
@@ -243,14 +244,16 @@ def test_selection_requires_both_classes_and_candidates():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_labeller_predictions_order(jobs):
+def test_labeller_predictions_order(jobs, monkeypatch):
     train, validation, _ = planted_splits(seed=12)
-    grid = [
-        HyperParams(learning_rate=0.1, epochs=3, batch_size=64, seed=0),
-        HyperParams(learning_rate=0.01, epochs=2, batch_size=64, seed=0),
-    ]
+    short = HyperParams(learning_rate=0.01, epochs=2, batch_size=64, seed=0)
+    long = HyperParams(learning_rate=0.1, epochs=3, batch_size=64, seed=0)
+    grid = [short, long, short]
+    submitted = record_submissions(monkeypatch)
     predictions, candidates = labeller_predictions(train, validation, grid, jobs=jobs)
     assert [(hp.learning_rate, epoch) for hp, epoch in candidates] == [
+        (0.01, 1),
+        (0.01, 2),
         (0.1, 1),
         (0.1, 2),
         (0.1, 3),
@@ -258,13 +261,29 @@ def test_labeller_predictions_order(jobs):
         (0.01, 2),
     ]
     assert predictions.dtype == np.int8
-    assert predictions.shape == (5, validation.n_rows)
+    assert predictions.shape == (7, validation.n_rows)
+    # One sweep: each distinct point trains once, the one with more epochs first.
+    assert submitted == [[_Task(long), _Task(short)]]
     # each row is the prediction of the matching checkpoint of a fresh run
     checkpoints = [ckpt for hp in grid for ckpt in train_erm(train, hp)]
     for row, ckpt in zip(predictions, checkpoints):
         np.testing.assert_array_equal(row, predict(ckpt, validation))
+    np.testing.assert_array_equal(predictions[5:], predictions[:2])
+    if jobs > 1:
+        np.testing.assert_array_equal(predictions, labeller_predictions(train, validation, grid, jobs=1)[0])
     with pytest.raises(SelectionError, match="empty"):
         labeller_predictions(train, validation, [], jobs=jobs)
+
+
+def test_untrainable_labeller_data_fails_before_any_training(monkeypatch):
+    train, validation, _ = planted_splits(seed=12)
+    features = train.features.copy()
+    features[3, 1] = np.nan
+    broken = TabularDataset(features=features, targets=train.targets, row_ids=train.row_ids, split=train.split)
+    submitted = record_submissions(monkeypatch)
+    with pytest.raises(TrainingError, match="non-finite"):
+        labeller_predictions(broken, validation, [HyperParams(learning_rate=0.1, epochs=2)])
+    assert submitted == []
 
 
 def test_score_labels_by_class_skips_degenerate_candidates():

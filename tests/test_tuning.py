@@ -31,7 +31,7 @@ from fairtune.tuning import (
     grid_search,
 )
 
-from conftest import planted_splits
+from conftest import planted_splits, record_submissions
 from reference import jtt_train, models_equal, stage1_error_ids
 
 
@@ -454,7 +454,7 @@ def test_non_finite_train_features_fail_before_any_training(planted, monkeypatch
     broken = TabularDataset(
         features=features, targets=train.targets, row_ids=train.row_ids, split=train.split, sensitive=train.sensitive
     )
-    submitted = _record_submissions(monkeypatch)
+    submitted = record_submissions(monkeypatch)
     with pytest.raises(TrainingError, match="non-finite"):
         grid_search(broken, validation, test, small_config())
     assert submitted == []
@@ -495,24 +495,10 @@ def test_stage1_grid_points_run_in_the_pool(planted):
         assert grid_search(train, validation, test, config, jobs=jobs).to_dict() == sequential.to_dict()
 
 
-def _record_submissions(monkeypatch):
-    """Record the task list of every wave's pool_map call."""
-    submitted = []
-    pool_map = tuning.pool_map
-
-    def recording(fn, ctx, items, jobs):
-        if fn is tuning._evaluate_task:
-            submitted.append(list(items))
-        return pool_map(fn, ctx, items, jobs)
-
-    monkeypatch.setattr(tuning, "pool_map", recording)
-    return submitted
-
-
 def test_tasks_are_submitted_longest_first(planted, monkeypatch):
     train, validation, test = planted
     config = two_stage1_config()
-    submitted = _record_submissions(monkeypatch)
+    submitted = record_submissions(monkeypatch)
     grid_search(train, validation, test, config)
     stage1, rest = submitted
     assert set(stage1) == set(map(_Task, config.stage1_grid)) and all(t.mistakes_at for t in stage1)
@@ -527,7 +513,7 @@ def test_shuffled_submission_order_gives_identical_results(planted, monkeypatch)
     train, validation, test = planted
     config = two_stage1_config()
     expected = grid_search(train, validation, test, config).to_dict()
-    submitted = _record_submissions(monkeypatch)
+    submitted = record_submissions(monkeypatch)
     rng = random.Random(7)
     monkeypatch.setattr(tuning, "_task_cost", lambda n_train, task: rng.random())
     for jobs in (1, 1, 2):
@@ -550,7 +536,7 @@ def test_a_point_in_both_grids_trains_once(planted, monkeypatch):
         accuracy_bins=((0.5, 0.9), (0.9, 1.0)),
         sensitive_source="ground_truth",
     )
-    submitted = _record_submissions(monkeypatch)
+    submitted = record_submissions(monkeypatch)
     grid_search(train, validation, test, config)
     plain, two_stage = submitted
     assert len(plain) == len(grid) and set(plain) == {_Task(hp) for hp in grid}
@@ -686,7 +672,7 @@ def test_upsampled_task_does_not_materialize_its_training_set():
         "train_X": train_X, "train_y": train_y.astype(np.float64),
         "val_X": val_X, "val_y": val_y, "val_sens": val_sens,
         "test_X": test_X, "test_y": test_y, "test_sens": test_sens, "stage2_grid": frozenset({stage2}),
-        "bins": ((0.0, 0.5), (0.5, 1.0)), "objective": "dp_gap", "source": "ground_truth",
+        "bins": ((0.0, 0.5), (0.5, 1.0)), "objective": "dp_gap",
     }
     task = _Task(stage2, err_pos, lam)
     tracemalloc.start()
