@@ -25,10 +25,8 @@ error, 4 selection failure.
 prediction, in `checkpoints/predictions.npy`: a uint8 matrix with one row
 per candidate in `labeller_candidates` order, each row packed by
 `np.packbits` in numpy's default big bit order into ceil(n_val/8) bytes.
-`checkpoints/index.json` lists each row's grid index, hyper-parameters and
-epoch. `label` takes the candidates from the config, whose hash pins the
-labeller grid, and reads the rows back with
-`np.unpackbits(..., axis=1, count=n_val)`.
+`label` takes the candidates from the config, whose hash pins the labeller
+grid, and reads the rows back with `np.unpackbits(..., axis=1, count=n_val)`.
 
 Unless numpy was loaded first, importing this module loads numpy with
 OpenBLAS on one thread, whatever the thread variables say, so no idle BLAS
@@ -93,6 +91,7 @@ from .data import (
     TabularDataset,
     apply_standardizer,
     file_digest,
+    features_path,
     fit_standardizer,
     generate_synthetic,
     load_csv,
@@ -195,7 +194,7 @@ def _read_upstream(out: Path, relpath: str, producer: str, config: ExperimentCon
     """The dataset file of the `tag` split that `producer` wrote for this
     configuration, with its features matrix."""
     path = _require_artifact(out, relpath, producer, config)
-    matrix = relpath.removesuffix(".csv") + ".features.npy"
+    matrix = features_path(Path(relpath)).as_posix()
     if (out / matrix).exists():
         _require_artifact(out, matrix, producer, config)
     data = read_dataset(path)
@@ -247,23 +246,16 @@ def cmd_train_grid(config: ExperimentConfig, args: argparse.Namespace) -> int:
     validation = _read_split(out, "validation", config)
     predictions, _ = labeller_predictions(train, validation, config.labeller_grid, args.jobs)
     packed = np.packbits(predictions, axis=1)
-    index = [
-        {"grid_index": gi, "hyperparams": hp.to_dict(), "epoch": epoch}
-        for gi, hp in enumerate(config.labeller_grid)
-        for epoch in range(1, hp.epochs + 1)
-    ]
     with _Outputs(out, "train-grid", config) as outputs:
         np.save(outputs.path("checkpoints/predictions.npy"), packed, allow_pickle=False)
-        outputs.text("checkpoints/index.json", _json_text({"candidates": index}))
-    print(f"stored validation predictions of {len(index)} candidates -> {out / 'checkpoints'}")
+    print(f"stored validation predictions of {len(packed)} candidates -> {out / 'checkpoints'}")
     return EXIT_OK
 
 
 def _load_predictions(out: Path, config: ExperimentConfig, n_validation: int) -> tuple[np.ndarray, list[tuple[HyperParams, int]]]:
     """The stored candidate predictions, unpacked to the int8 0/1 matrix
-    `labeller_predictions` returns, and each row's (hyper-params, epoch);
-    index.json, the audit table of the rows, is checked but not parsed."""
-    _require_artifact(out, "checkpoints/index.json", "train-grid", config)
+    `labeller_predictions` returns, and each row's (hyper-params, epoch),
+    which the config's labeller grid fixes."""
     matrix = _require_artifact(out, "checkpoints/predictions.npy", "train-grid", config)
     candidates = labeller_candidates(config.labeller_grid)
     packed = read_matrix(matrix, np.uint8, (len(candidates), (n_validation + 7) // 8))

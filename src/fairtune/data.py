@@ -584,27 +584,31 @@ def generate_synthetic(spec: SyntheticSpec) -> TabularDataset:
     )
 
 
+def features_path(csv_path: Path) -> Path:
+    """The float64 features matrix of a dataset CSV: `<stem>.features.npy`
+    beside it."""
+    return csv_path.with_name(csv_path.stem + ".features.npy")
+
+
 def write_dataset(data: TabularDataset, path: str | Path) -> None:
     """Write the canonical dataset CSV of the reserved columns __row_id,
     __target, __sensitive (blank when absent) and __split; with feature
-    columns, also their float64 (n, d) matrix as `<stem>.features.npy` next
-    to it, whose name and feature names the CSV records in leading
-    '#key=value' lines. read_dataset restores the features bit-exactly.
+    columns, also their float64 (n, d) matrix at `features_path(path)`, and
+    their names in a leading '#feature_names=' line of the CSV.
+    read_dataset restores the features bit-exactly.
     """
     path = Path(path)
     if not data.n_rows:
         raise DataError(f"{path}: empty dataset, not written (a dataset file holds at least one row)")
-    meta = {}
+    names_line = ""
     if data.n_features:
-        matrix = path.with_name(path.stem + ".features.npy")
-        with open(matrix, "wb") as fh:
+        with open(features_path(path), "wb") as fh:
             np.save(fh, data.features, allow_pickle=False)
         names = data.feature_names or tuple(f"x{j}" for j in range(data.n_features))
-        meta = {"feature_names": json.dumps(list(names)), "features_file": matrix.name}
+        names_line = f"#feature_names={json.dumps(list(names))}\n"
     sens = [""] * data.n_rows if data.sensitive is None else data.sensitive.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(f"#{key}={meta[key]}\n" for key in sorted(meta))
-        fh.write(",".join(_RESERVED) + "\n")
+        fh.write(names_line + ",".join(_RESERVED) + "\n")
         fh.writelines(
             f"{row_id},{target},{s},{data.split}\n"
             for row_id, target, s in zip(data.row_ids.tolist(), data.targets.tolist(), sens)
@@ -692,18 +696,20 @@ def read_matrix(path: Path, dtype, shape: tuple[int | None, ...]) -> np.ndarray:
 
 
 def read_dataset(path: str | Path) -> TabularDataset:
-    """Read canonical dataset files back; inverse of write_dataset. Each
-    error names the CSV or the matrix."""
+    """Read canonical dataset files back; inverse of write_dataset. A CSV
+    with a '#feature_names=' line has its matrix at `features_path(path)`;
+    one without has no feature columns. Each error names the CSV or the
+    matrix."""
     path = Path(path)
     meta, reserved = _scan_dataset(path)
     n = len(reserved["row_ids"])
     features, names = np.empty((n, 0)), None
-    if "features_file" in meta:
+    if "feature_names" in meta:
         try:
             names = tuple(json.loads(meta["feature_names"]))
-            matrix = path.with_name(meta["features_file"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed features metadata ({type(exc).__name__}: {exc})") from None
+        matrix = features_path(path)
         if not matrix.exists():
             raise DataError(f"{matrix}: missing, but {path.name} records it (re-run 'prepare')")
         features = read_matrix(matrix, np.float64, (None, len(names)))

@@ -18,10 +18,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+# Called through the module, so a patch of `tuning._run_tasks` sees step 1 too.
+from . import tuning
 from .data import TabularDataset
 from .metrics import EmptyGroupError
 from .training import HyperParams, block_stops, check_trainable, one_blas_thread
-from .tuning import _run_tasks, _Task
 
 # Unused here, but perfbench/spans.py traces these names on this module.
 from .training import predict  # noqa: F401
@@ -66,8 +67,8 @@ def labeller_predictions(
         raise SelectionError("empty hyper-parameter grid")
     check_trainable(train)
     ctx = {"train_X": train.features, "train_y": train.targets.astype(np.float64), "val_X": validation.features}
-    results = _run_tasks(ctx, [_Task(hp) for hp in dict.fromkeys(grid)], jobs)
-    return np.concatenate([results[_Task(hp)].predictions for hp in grid]), labeller_candidates(grid)
+    results = tuning._run_tasks(ctx, [tuning._Task(hp) for hp in dict.fromkeys(grid)], jobs)
+    return np.concatenate([results[tuning._Task(hp)].predictions for hp in grid]), labeller_candidates(grid)
 
 
 EDM_BLOCK_CANDIDATES = 64  # label sets per product: 3 MB of float64 on a 6k-row class

@@ -53,7 +53,7 @@ def test_pipeline_artifacts_exist(pipeline):
         "datasets/validation.csv",
         "datasets/test.csv",
         "standardizer.json",
-        "checkpoints/index.json",
+        "checkpoints/predictions.npy",
         "labelled_validation.csv",
         "labelling.json",
         "mc_sweep.csv",
@@ -498,9 +498,8 @@ def test_train_grid_parallel_matches_sequential(tmp_path):
     for out, jobs in zip(outs, ("1", "2")):
         assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
         assert main(["train-grid", "--config", str(config), "--out", str(out), "--jobs", jobs]) == 0
-    assert sorted(p.name for p in (outs[0] / "checkpoints").iterdir()) == ["index.json", "predictions.npy"]
-    for name in ("index.json", "predictions.npy"):
-        assert (outs[0] / "checkpoints" / name).read_bytes() == (outs[1] / "checkpoints" / name).read_bytes()
+    assert [p.name for p in (outs[0] / "checkpoints").iterdir()] == ["predictions.npy"]
+    assert (outs[0] / "checkpoints" / "predictions.npy").read_bytes() == (outs[1] / "checkpoints" / "predictions.npy").read_bytes()
 
 
 _RUN_AND_LIST_MASKED_ARRAYS = """
@@ -874,7 +873,7 @@ def test_no_collection_runs_before_run_starts(pipeline, entry):
 # (file, its producer, the command that reads it): one of each producer.
 READS = [
     ("datasets/train.csv", "prepare", "train-grid"),
-    ("checkpoints/index.json", "train-grid", "label"),
+    ("checkpoints/predictions.npy", "train-grid", "label"),
     ("labelled_validation.csv", "label", "tune"),
 ]
 
@@ -919,10 +918,9 @@ def test_a_deleted_manifest_is_refused(pipeline, tmp_path, capsys, producer, com
         ("datasets/train.features.npy", "prepare", "train-grid"),
         ("datasets/test.csv", "prepare", "tune"),
         *READS[1:],
-        ("checkpoints/predictions.npy", "train-grid", "label"),
         ("tuner_result.json", "tune", "report"),
     ],
-    ids=["features-matrix", "test-csv", "index-json", "labelled-validation", "predictions", "tuner-result"],
+    ids=["features-matrix", "test-csv", "predictions", "labelled-validation", "tuner-result"],
 )
 def test_an_output_edited_after_its_manifest_is_refused(pipeline, tmp_path, capsys, rel, producer, command):
     # One byte changed at the end of the file, where no parse would notice it.
@@ -997,14 +995,6 @@ def _npz_bytes(array):
     return buf.getvalue()
 
 
-def _damage_index(edit):
-    def damage(ckpt):
-        path = ckpt / "index.json"
-        path.write_text(edit(path.read_text()))
-
-    return damage
-
-
 def _damage_matrix(edit):
     def damage(ckpt):
         path = ckpt / "predictions.npy"
@@ -1013,27 +1003,9 @@ def _damage_matrix(edit):
     return damage
 
 
-def _shorten_index(text):
-    payload = json.loads(text)
-    payload["candidates"].pop()
-    return json.dumps(payload)
-
-
-def _fractional_epoch(text):
-    payload = json.loads(text)
-    payload["candidates"][1]["epoch"] = 2.7
-    return json.dumps(payload)
-
-
 @pytest.mark.parametrize(
     "damage",
     [
-        _damage_index(lambda t: t[: len(t) // 2]),
-        _damage_index(lambda t: ""),
-        _damage_index(lambda t: json.dumps({"x": 1})),
-        _damage_index(lambda t: json.dumps({"candidates": [{"grid_index": 0, "epoch": 1}]})),
-        _damage_index(lambda t: json.dumps({"candidates": [1, 2]})),
-        _damage_index(lambda t: json.dumps([1])),
         _damage_matrix(lambda raw, m: raw[: len(raw) // 2]),
         _damage_matrix(lambda raw, m: b""),
         _damage_matrix(lambda raw, m: b'{"x": 1}\n'),
@@ -1044,15 +1016,11 @@ def _fractional_epoch(text):
         _damage_matrix(lambda raw, m: _npz_bytes(m)),
         _damage_matrix(lambda raw, m: _npy_bytes(np.bitwise_xor(m, np.eye(*m.shape, dtype=np.uint8)))),
         _damage_matrix(lambda raw, m: _npy_bytes(np.unpackbits(m, axis=1).astype(np.int8))),
-        _damage_index(_shorten_index),
-        _damage_index(_fractional_epoch),
     ],
     ids=[
-        "index-truncated", "index-empty", "index-no-candidates", "index-entry-missing-key",
-        "index-entry-not-object", "index-not-object",
         "matrix-truncated", "matrix-empty", "matrix-not-npy", "matrix-float64",
         "matrix-short-rows", "matrix-missing-row", "matrix-1d", "npz-archive", "matrix-bits-flipped",
-        "matrix-unpacked", "index-shorter-than-matrix", "index-epoch-fractional",
+        "matrix-unpacked",
     ],
 )
 def test_label_damaged_grid_artifacts_are_data_errors(labeller_grid_run, tmp_path, capsys, damage):

@@ -15,6 +15,7 @@ from fairtune.data import (
     SyntheticSpec,
     TabularDataset,
     apply_standardizer,
+    features_path,
     fit_categorical_vocab,
     fit_standardizer,
     generate_synthetic,
@@ -481,7 +482,7 @@ def test_round_trip_bit_exact(tmp_path, planted):
     assert back.split == train.split
     assert back.feature_names == train.feature_names
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[:3] == ['#feature_names=["x0", "x1"]', "#features_file=train.features.npy", "__row_id,__target,__sensitive,__split"]
+    assert lines[:2] == ['#feature_names=["x0", "x1"]', "__row_id,__target,__sensitive,__split"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv", "train.features.npy"]
     np.testing.assert_array_equal(np.load(tmp_path / "train.features.npy"), train.features)
 
@@ -548,23 +549,22 @@ def _cut_in_row(k, meta_lines):
     return _text(corrupt)
 
 
-def _features_file(edit):
+def _features_matrix(edit):
     """A corruption of the features matrix: edit(path of the .npy)."""
-    return lambda path: edit(path.with_name(path.stem + ".features.npy"))
+    return lambda path: edit(features_path(path))
 
 
-# Line numbers: 1-2 metadata (feature_names and features_file), 3 header,
-# 4-11 the eight data rows.
+# Line numbers: 1 metadata (feature_names), 2 header, 3-10 the eight data rows.
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_cut_in_row(4, 2), r"ds\.csv:7: 2 fields, expected 4"),
-        (_cut_in_row(8, 2), r"ds\.csv:11: 2 fields, expected 4"),
+        (_cut_in_row(4, 1), r"ds\.csv:6: 2 fields, expected 4"),
+        (_cut_in_row(8, 1), r"ds\.csv:10: 2 fields, expected 4"),
         (_text(lambda text: text[:-4]), r"ds\.csv: mixed split tags \['tr', 'train'\]"),
-        (_edit_line(4, lambda ln: ln.rsplit(",", 1)[0] + "\n", 2), r"ds\.csv:7: 3 fields, expected 4"),
+        (_edit_line(4, lambda ln: ln.rsplit(",", 1)[0] + "\n", 1), r"ds\.csv:6: 3 fields, expected 4"),
         (
-            _edit_line(4, lambda ln: ln.replace(",,", ",1.2.3,"), 2),
-            r"ds\.csv:7: invalid literal for int\(\) with base 10: '1\.2\.3'",
+            _edit_line(4, lambda ln: ln.replace(",,", ",1.2.3,"), 1),
+            r"ds\.csv:6: invalid literal for int\(\) with base 10: '1\.2\.3'",
         ),
     ],
     ids=["cut-mid-row", "cut-in-last-row", "cut-in-last-tag", "short-row", "garbled-cell"],
@@ -684,11 +684,11 @@ def test_read_matches_per_cell_float_oracle(tmp_path):
 
 def _save_over(edit):
     """Replace the features matrix by np.save(edit(matrix))."""
-    return _features_file(lambda npy: np.save(npy, edit(np.load(npy))))
+    return _features_matrix(lambda npy: np.save(npy, edit(np.load(npy))))
 
 
-# Line numbers: 1-2 metadata (feature_names and features_file), 3 header,
-# 4-11 the eight data rows. A CSV with a row count the matrix does not share
+# Line numbers: 1 metadata (feature_names), 2 header, 3-10 the eight data
+# rows. A CSV with a row count the matrix does not share
 # is blamed; which rows either file holds, the manifest of the command that
 # wrote them vouches for (tests/test_cli.py).
 COUNT_MESSAGE = r"ds\.csv: (7|9) rows, but ds\.features\.npy holds 8$"
@@ -697,19 +697,19 @@ COUNT_MESSAGE = r"ds\.csv: (7|9) rows, but ds\.features\.npy holds 8$"
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_edit_line(3, lambda ln: "\n", 2), r"ds\.csv:6: 0 fields, expected 4"),
-        (_edit_line(3, lambda ln: ln[:-1] + ",\n", 2), r"ds\.csv:6: 5 fields, expected 4"),
-        (_edit_line(2, lambda ln: "1.5" + ln[1:], 2), r"ds\.csv:5: invalid literal for int\(\)"),
-        (_edit_line(2, lambda ln: ln[ln.index(","):], 2), r"ds\.csv:5: invalid literal for int\(\)"),
+        (_edit_line(3, lambda ln: "\n", 1), r"ds\.csv:5: 0 fields, expected 4"),
+        (_edit_line(3, lambda ln: ln[:-1] + ",\n", 1), r"ds\.csv:5: 5 fields, expected 4"),
+        (_edit_line(2, lambda ln: "1.5" + ln[1:], 1), r"ds\.csv:4: invalid literal for int\(\)"),
+        (_edit_line(2, lambda ln: ln[ln.index(","):], 1), r"ds\.csv:4: invalid literal for int\(\)"),
         # Row 3's id made a copy of row 1's.
-        (_edit_line(3, lambda ln: "0" + ln[ln.index(","):], 2), r"ds\.csv: row_ids must be unique$"),
+        (_edit_line(3, lambda ln: "0" + ln[ln.index(","):], 1), r"ds\.csv: row_ids must be unique$"),
         # Cut at a line end, a row added, a row duplicated: the matrix is
         # intact, and the CSV is blamed.
-        (_text(lambda text: "".join(text.splitlines(keepends=True)[:10])), COUNT_MESSAGE),
-        (_text(lambda text: "".join(text.splitlines(keepends=True)[:3])), r"ds\.csv: empty dataset file$"),
+        (_text(lambda text: "".join(text.splitlines(keepends=True)[:9])), COUNT_MESSAGE),
+        (_text(lambda text: "".join(text.splitlines(keepends=True)[:2])), r"ds\.csv: empty dataset file$"),
         (_text(lambda text: text + "8,0,1,train\n"), COUNT_MESSAGE),
-        (_edit_line(3, lambda ln: ln + ln, 2), COUNT_MESSAGE),
-        (_cut_in_row(4, 2), r"ds\.csv:7: 2 fields, expected 4"),
+        (_edit_line(3, lambda ln: ln + ln, 1), COUNT_MESSAGE),
+        (_cut_in_row(4, 1), r"ds\.csv:6: 2 fields, expected 4"),
     ],
     ids=[
         "blank-line", "trailing-comma", "float-row-id", "empty-row-id", "duplicate-row-id",
@@ -728,14 +728,14 @@ def test_reader_fault_injection(tmp_path, corrupt, message):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_features_file(lambda npy: npy.unlink()), r"ds\.features\.npy: missing, but ds\.csv records it \(re-run 'prepare'\)"),
+        (_features_matrix(lambda npy: npy.unlink()), r"ds\.features\.npy: missing, but ds\.csv records it \(re-run 'prepare'\)"),
         (
-            _features_file(lambda npy: npy.write_bytes(npy.read_bytes()[:-8])),
+            _features_matrix(lambda npy: npy.write_bytes(npy.read_bytes()[:-8])),
             r"ds\.features\.npy: not a readable \.npy file \(ValueError: ",
         ),
-        (_features_file(lambda npy: npy.write_bytes(b"")), r"ds\.features\.npy: not a readable \.npy file \(ValueError: EOF"),
+        (_features_matrix(lambda npy: npy.write_bytes(b"")), r"ds\.features\.npy: not a readable \.npy file \(ValueError: EOF"),
         (
-            _features_file(lambda npy: npy.write_text("0.25,1.25,2.25\n")),
+            _features_matrix(lambda npy: npy.write_text("0.25,1.25,2.25\n")),
             r"ds\.features\.npy: not a readable \.npy file \(ValueError: the magic string is not correct",
         ),
         (_save_over(lambda m: m.astype(np.float32)), r"ds\.features\.npy: holds float32 \(8, 1\), expected float64 \(8, 1\)"),
@@ -743,17 +743,13 @@ def test_reader_fault_injection(tmp_path, corrupt, message):
         (_save_over(lambda m: np.hstack([m, m])), r"ds\.features\.npy: holds float64 \(8, 2\), expected float64 \(8, 1\)"),
         (_save_over(lambda m: m[:, 0]), r"ds\.features\.npy: holds float64 \(8,\), expected float64 \(None, 1\)"),
         (
-            _text(lambda text: text.replace("#features_file=ds.features.npy", "#features_file=../ds.features.npy")),
-            r"ds\.csv: malformed features metadata \(ValueError: Invalid name",
-        ),
-        (
             _text(lambda text: text.replace('#feature_names=["x0"]', "#feature_names=[x0")),
             r"ds\.csv: malformed features metadata \(JSONDecodeError: ",
         ),
     ],
     ids=[
         "missing", "truncated", "empty", "not-npy", "wrong-dtype", "missing-row", "wrong-width", "one-dimensional",
-        "name-outside-directory", "malformed-names",
+        "malformed-names",
     ],
 )
 def test_features_file_faults(tmp_path, corrupt, message):
@@ -764,6 +760,31 @@ def test_features_file_faults(tmp_path, corrupt, message):
     with pytest.raises(DataError, match=message) as exc:
         read_dataset(path)
     assert len(str(exc.value).splitlines()) == 1
+
+
+def test_a_csv_without_feature_names_has_no_features(tmp_path):
+    # The '#feature_names=' line, not a matrix beside the CSV, says that a
+    # dataset has feature columns.
+    ds = make_dataset([[i + 0.25] for i in range(8)], [0, 1] * 4, sensitive=[1, 0] * 4)
+    path = tmp_path / "ds.csv"
+    write_dataset(ds, path)
+    _text(lambda text: text.split("\n", 1)[1])(path)
+    back = read_dataset(path)
+    assert features_path(path).exists()
+    assert back.features.shape == (8, 0) and back.feature_names is None
+    np.testing.assert_array_equal(back.row_ids, ds.row_ids)
+
+
+def test_a_features_file_line_of_the_earlier_layout_is_ignored(tmp_path):
+    # Earlier versions also recorded the matrix's name, which was always
+    # features_path's.
+    ds = make_dataset([[i + 0.25] for i in range(8)], [0, 1] * 4, sensitive=[1, 0] * 4)
+    path = tmp_path / "ds.csv"
+    write_dataset(ds, path)
+    _text(lambda text: text.replace("\n", "\n#features_file=ds.features.npy\n", 1))(path)
+    back = read_dataset(path)
+    np.testing.assert_array_equal(back.features.view(np.int64), ds.features.view(np.int64))
+    assert back.feature_names == ("x0",)
 
 
 HEADER_MESSAGE = r"ds\.csv: not a canonical dataset file \(its header is not __row_id,__target,__sensitive,__split\); re-run 'prepare'$"
@@ -785,7 +806,7 @@ def test_comment_lines_between_rows_are_skipped(tmp_path):
     ds = make_dataset([[i + 0.25, -i * 1e-5] for i in range(6)], [0, 1] * 3)
     path = tmp_path / "ds.csv"
     write_dataset(ds, path)
-    # Lines 1-2 metadata, 3 header, 4-9 the six data rows.
+    # Line 1 metadata, 2 header, 3-8 the six data rows.
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     lines.insert(5, "# a note\n")
     lines.append("#trailer\n")

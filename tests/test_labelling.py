@@ -275,6 +275,25 @@ def test_labeller_predictions_order(jobs, monkeypatch):
         labeller_predictions(train, validation, [], jobs=jobs)
 
 
+def test_labeller_predictions_looks_up_the_sweep_engine_on_its_module(monkeypatch):
+    # A patch of `fairtune.tuning._run_tasks` (a tracer's, say) sees step 1's sweep.
+    import fairtune.tuning as tuning
+
+    train, validation, _ = planted_splits(seed=12)
+    hp = HyperParams(learning_rate=0.1, epochs=2, batch_size=64, seed=0)
+    calls = []
+    run_tasks = tuning._run_tasks
+
+    def recording(ctx, tasks, jobs):
+        calls.append((list(tasks), jobs))
+        return run_tasks(ctx, tasks, jobs)
+
+    monkeypatch.setattr(tuning, "_run_tasks", recording)
+    predictions, _ = labeller_predictions(train, validation, [hp])
+    assert calls == [([_Task(hp)], 1)]
+    assert predictions.shape == (2, validation.n_rows)
+
+
 def test_untrainable_labeller_data_fails_before_any_training(monkeypatch):
     train, validation, _ = planted_splits(seed=12)
     features = train.features.copy()
