@@ -915,12 +915,18 @@ def test_a_deleted_manifest_is_refused(pipeline, tmp_path, capsys, producer, com
 @pytest.mark.parametrize(
     "rel, producer, command",
     [
+        READS[0],
         ("datasets/train.features.npy", "prepare", "train-grid"),
+        ("datasets/validation.csv", "prepare", "label"),
+        ("datasets/validation.features.npy", "prepare", "label"),
         ("datasets/test.csv", "prepare", "tune"),
         *READS[1:],
         ("tuner_result.json", "tune", "report"),
     ],
-    ids=["features-matrix", "test-csv", "predictions", "labelled-validation", "tuner-result"],
+    ids=[
+        "train-csv", "features-matrix", "validation-csv", "validation-features-matrix", "test-csv", "predictions",
+        "labelled-validation", "tuner-result",
+    ],
 )
 def test_an_output_edited_after_its_manifest_is_refused(pipeline, tmp_path, capsys, rel, producer, command):
     # One byte changed at the end of the file, where no parse would notice it.
@@ -1044,6 +1050,33 @@ def test_label_names_the_dtype_a_prediction_matrix_holds(labeller_grid_run, tmp_
     _vouch_for(copy, "train-grid")
     assert main(["label", "--config", str(config), "--out", str(copy)]) == 3
     assert capsys.readouterr().err == f"data error: {matrix}: holds float64 {shape}, expected uint8 {shape}\n"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: np.vstack([m, m[:1]]),
+        lambda m: m[:-1],
+        lambda m: np.hstack([m, m[:, :1]]),
+        lambda m: m[:, :-1],
+        lambda m: m[None],
+    ],
+    ids=["extra-row", "missing-row", "long-rows", "short-rows", "3d"],
+)
+def test_label_requires_one_packed_row_per_grid_candidate(labeller_grid_run, tmp_path, capsys, edit):
+    # The config's labeller grid, not a stored index, fixes the matrix's rows:
+    # a matrix its manifest vouches for is still refused at any other shape.
+    config, out = labeller_grid_run
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    matrix = copy / "checkpoints" / "predictions.npy"
+    expected = np.load(matrix).shape
+    edited = edit(np.load(matrix))
+    np.save(matrix, edited)
+    _vouch_for(copy, "train-grid")
+    assert main(["label", "--config", str(config), "--out", str(copy)]) == 3
+    assert capsys.readouterr().err == f"data error: {matrix}: holds uint8 {edited.shape}, expected uint8 {expected}\n"
+    assert not (copy / "labelled_validation.csv").exists()
 
 
 def _cut_mid_row(text):

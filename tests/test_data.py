@@ -687,6 +687,20 @@ def _save_over(edit):
     return _features_matrix(lambda npy: np.save(npy, edit(np.load(npy))))
 
 
+def _moved_and_named(name):
+    """The features matrix moved to `name`, relative to the CSV's directory,
+    and named there by a '#features_file=' line of the earlier layout: the
+    reader looks for the matrix beside the CSV only."""
+
+    def corrupt(path):
+        target = path.parent / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        features_path(path).rename(target)
+        _text(lambda text: text.replace("\n", f"\n#features_file={name}\n", 1))(path)
+
+    return corrupt
+
+
 # Line numbers: 1 metadata (feature_names), 2 header, 3-10 the eight data
 # rows. A CSV with a row count the matrix does not share
 # is blamed; which rows either file holds, the manifest of the command that
@@ -743,13 +757,17 @@ def test_reader_fault_injection(tmp_path, corrupt, message):
         (_save_over(lambda m: np.hstack([m, m])), r"ds\.features\.npy: holds float64 \(8, 2\), expected float64 \(8, 1\)"),
         (_save_over(lambda m: m[:, 0]), r"ds\.features\.npy: holds float64 \(8,\), expected float64 \(None, 1\)"),
         (
+            _moved_and_named("moved/ds.features.npy"),
+            r"ds\.features\.npy: missing, but ds\.csv records it \(re-run 'prepare'\)",
+        ),
+        (
             _text(lambda text: text.replace('#feature_names=["x0"]', "#feature_names=[x0")),
             r"ds\.csv: malformed features metadata \(JSONDecodeError: ",
         ),
     ],
     ids=[
         "missing", "truncated", "empty", "not-npy", "wrong-dtype", "missing-row", "wrong-width", "one-dimensional",
-        "malformed-names",
+        "name-outside-directory", "malformed-names",
     ],
 )
 def test_features_file_faults(tmp_path, corrupt, message):
