@@ -14,11 +14,12 @@ from fairtune import (
     SyntheticSpec,
     apply_standardizer,
     fit_standardizer,
-    full_report,
     generate_synthetic,
+    predict,
     split,
     train_erm,
 )
+from fairtune.metrics import report_from_predictions
 
 spec = SyntheticSpec(
     blocks={
@@ -40,7 +41,7 @@ print("epoch   val acc   dp gap   eo gap    wga   per-subgroup accuracy (y,a)")
 checkpoints = train_erm(train, HyperParams(learning_rate=0.1, epochs=20, batch_size=64, seed=15))
 for model in checkpoints:
     if model.trained_epochs in (1, 2, 5, 10, 20):
-        rep = full_report(model, validation)
+        rep = report_from_predictions(predict(model, validation), validation.targets, validation.sensitive)
         cells = "  ".join(
             f"{key}={rep.subgroup_accuracy[key]:.2f}" for key in sorted(rep.subgroup_accuracy)
         )
@@ -49,7 +50,7 @@ for model in checkpoints:
             f"    {rep.eo_gap:.3f}   {rep.wga:.3f}  {cells}"
         )
 
-final = full_report(checkpoints[-1], test)
+final = report_from_predictions(predict(checkpoints[-1], test), test.targets, test.sensitive)
 print()
 print(
     f"final test report: accuracy {final.avg_accuracy:.3f} but worst subgroup {final.wga:.3f} "

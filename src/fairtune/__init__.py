@@ -47,12 +47,9 @@ _EXPORTS = {
         "EmptyGroupError",
         "FairnessReport",
         "PseudoLabelQuality",
-        "accuracy",
         "dp_gap",
         "eo_gap",
-        "full_report",
         "pseudo_label_quality",
-        "subgroup_accuracies",
         "wga",
     ),
     "noise": (
@@ -68,7 +65,6 @@ _EXPORTS = {
         "TrainingError",
         "load_model",
         "predict",
-        "predict_proba",
         "save_model",
         "train_erm",
         "train_upsampled",

@@ -20,10 +20,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import Any, Mapping
 
-from .data import MAX_SIZE, DatasetSchema, SyntheticSpec, check_fractions, check_int, check_keys, check_pair
+from .data import MAX_SIZE, DatasetSchema, SyntheticSpec, check_fractions, check_int, check_keys, check_pair, placed
 from .noise import NoiseSpec
 from .training import HyperParams
 from .tuning import JttConfig
@@ -60,13 +61,7 @@ def _get(d: Mapping, path: str, key: str, kind: type, default=None):
     return value
 
 
-def _at(path: str, build, *args, **kwargs):
-    """build(*args, **kwargs), with `path` prefixed to the "<field>: <problem>"
-    ValueError of the constructor or checker it runs."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.{exc}" if path else str(exc)) from None
+_at = partial(placed, error=ConfigError)  # build(*args, **kwargs), its ValueError placed at a config path
 
 
 def _grid(raw, path: str, default_seed: int) -> tuple[HyperParams, ...]:

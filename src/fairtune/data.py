@@ -102,6 +102,16 @@ def check_keys(d: Mapping, allowed, required=(), error: type = ValueError) -> Ma
     return d
 
 
+def placed(path: str, build, *args, error: type = ValueError, **kwargs):
+    """build(*args, **kwargs), with a ValueError it raises re-raised as
+    `error` with `path.` (nothing for an empty path) before its
+    "<field>: <problem>" message."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise error(f"{path}.{exc}" if path else str(exc)) from None
+
+
 def check_fractions(fractions) -> tuple[float, float, float]:
     """The (train, validation, test) fractions of `split`: three finite
     numbers >= 0 that sum to 1."""
@@ -545,10 +555,7 @@ def _spec_object(value, path: str, keys: tuple[str, ...], build=dict):
     """build(**value) of the JSON object at `path` of a spec, which holds exactly `keys`."""
     if not isinstance(value, Mapping):
         raise DataError(f"{path}: expected an object of {', '.join(keys)}, got {type(value).__name__}")
-    try:
-        return build(**check_keys(value, keys, keys))
-    except ValueError as exc:
-        raise DataError(f"{path}.{exc}") from None
+    return placed(path, lambda: build(**check_keys(value, keys, keys)), error=DataError)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> TabularDataset:

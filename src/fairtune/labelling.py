@@ -153,7 +153,13 @@ def select_labeller(
     skipped candidate, the earliest on a tie. Each row receives the label of
     its own class's winner.
     """
-    label_sets = (np.asarray(predictions) == validation.targets).astype(np.int8)
+    predictions = np.asarray(predictions)
+    expected = (len(candidates), validation.n_rows)
+    if predictions.shape != expected:
+        raise ValueError(
+            f"predictions: expected shape {expected} (candidates, validation rows), got {predictions.shape}"
+        )
+    label_sets = (predictions == validation.targets).astype(np.int8)
     if len(label_sets) == 0:
         raise SelectionError("no candidates to select from")
     for y in (0, 1):

@@ -1,12 +1,17 @@
-"""Group fairness metrics and pseudo-label quality scores.
+"""Group fairness metrics and pseudo-label quality scores: counts in,
+`FairnessReport` out.
 
-Every group metric comes from one implementation: `confusion_counts` turns
-aligned 1-d arrays of binary predictions, targets and sensitive attributes
-into counts n[y, a, yhat], and `report_from_counts` turns those counts into a
-`FairnessReport`. `accuracy`, `dp_gap`, `eo_gap`, `wga` and
-`subgroup_accuracies` read single fields of that report. Gaps are absolute
-values. `pseudo_label_quality` reads the same counts, with pseudo labels in
-the prediction slot and ground truth in the sensitive slot.
+A candidate reaches its metrics one way: its 0/1 predictions (from
+`training.predict`) go through `confusion_counts`, which counts aligned 1-d
+arrays of predictions, targets and sensitive attributes into n[y, a, yhat],
+and `report_from_counts` turns those counts into a `FairnessReport`. Gaps
+are absolute values. `MINIMIZED` names every objective and whether the
+tuner minimizes it. `pseudo_label_quality` reads the same counts, with
+pseudo labels in the prediction slot and ground truth in the sensitive slot.
+
+`report_from_predictions`, `dp_gap`, `eo_gap` and `wga` compose the two
+steps and read single fields of the report. The pipeline does not call
+them; they stay because perfbench/spans.py traces them on `fairtune.tuning`.
 """
 
 from __future__ import annotations
@@ -16,44 +21,28 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import TabularDataset, check_binary, check_float, check_int, check_keys
-from .training import ModelParams, predict
+from .data import check_binary, check_float, check_int, check_keys, placed
 
 SUBGROUPS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-METRIC_NAMES = ("dp_gap", "eo_gap", "wga")
+# Every objective, and whether the tuner minimizes it.
+MINIMIZED = {"dp_gap": True, "eo_gap": True, "wga": False}
+METRIC_NAMES = tuple(MINIMIZED)
 
 
 class EmptyGroupError(ValueError):
     """A metric's conditioning group has no rows."""
 
 
-def _zeros_for(values) -> np.ndarray:
-    """A constant zero column standing in for an input a metric does not read."""
-    return np.zeros(np.shape(values)[:1], dtype=np.int8)
-
-
-def accuracy(predictions, targets) -> float:
-    return report_from_predictions(predictions, targets, _zeros_for(predictions), require=()).avg_accuracy
-
-
 def dp_gap(predictions, sensitive) -> float:
     """|P[pred=1 | a=1] - P[pred=1 | a=0]|, empirical frequencies."""
-    return report_from_predictions(predictions, _zeros_for(predictions), sensitive, require=("dp_gap",)).dp_gap
+    targets = np.zeros(np.shape(predictions)[:1], dtype=np.int8)  # not read by the DP gap
+    return report_from_predictions(predictions, targets, sensitive, require=("dp_gap",)).dp_gap
 
 
 def eo_gap(predictions, targets, sensitive) -> float:
     """|TPR(a=1) - TPR(a=0)| over rows with target 1."""
     return report_from_predictions(predictions, targets, sensitive, require=("eo_gap",)).eo_gap
-
-
-def subgroup_accuracies(predictions, targets, sensitive) -> dict[tuple[int, int], tuple[float, int]]:
-    """Per (y, a) cell: (accuracy, row count); empty cells are omitted."""
-    counts = confusion_counts(predictions, targets, sensitive)
-    if not counts.any():
-        return {}  # no rows, so every cell is empty
-    report = report_from_counts(counts, require=())
-    return {g: (acc, report.subgroup_counts[g]) for g, acc in report.subgroup_accuracy.items()}
 
 
 def wga(predictions, targets, sensitive) -> float:
@@ -175,10 +164,7 @@ class FairnessReport:
         cells = {f"y{y}_a{a}": (y, a) for y, a in SUBGROUPS}
 
         def table(name: str, parse) -> dict:
-            try:
-                return {cells[key]: parse(value, key) for key, value in check_keys(d[name], cells).items()}
-            except ValueError as exc:
-                raise ValueError(f"{name}.{exc}") from None
+            return placed(name, lambda: {cells[key]: parse(value, key) for key, value in check_keys(d[name], cells).items()})
 
         gaps = {name: None if d[name] is None else check_float(d[name], name) for name in METRIC_NAMES}
         return cls(
@@ -262,21 +248,3 @@ def report_from_predictions(
     """`report_from_counts` over the confusion counts of these predictions."""
     counts = confusion_counts(predictions, targets, sensitive)
     return report_from_counts(counts, require=require)
-
-
-def full_report(
-    model: ModelParams,
-    data: TabularDataset,
-    sensitive: np.ndarray | None = None,
-    require: tuple[str, ...] = METRIC_NAMES,
-) -> FairnessReport:
-    """Predict once on `data` and assemble every metric.
-
-    `sensitive` overrides the dataset's own attribute column (used to score
-    with pseudo labels).
-    """
-    sens = data.sensitive if sensitive is None else sensitive
-    if sens is None:
-        raise EmptyGroupError("dataset has no sensitive attributes and none were provided")
-    preds = predict(model, data)
-    return report_from_predictions(preds, data.targets, sens, require=require)

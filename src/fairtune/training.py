@@ -196,18 +196,11 @@ def logits(model: ModelParams, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _features_of(data) -> np.ndarray:
-    return data.features if isinstance(data, TabularDataset) else np.asarray(data)
-
-
-def predict_proba(model: ModelParams, data) -> np.ndarray:
-    """Per-row probability of the positive class."""
-    return _expit(logits(model, _features_of(data)))
-
-
 def predict(model: ModelParams, data) -> np.ndarray:
-    """Per-row label; probability ties at 0.5 resolve to label 1."""
-    return (logits(model, _features_of(data)) >= 0.0).astype(np.int8)
+    """Per-row label of a dataset's or a matrix's rows; probability ties at 0.5
+    resolve to label 1."""
+    X = data.features if isinstance(data, TabularDataset) else data
+    return (logits(model, X) >= 0.0).astype(np.int8)
 
 
 def _gradients(

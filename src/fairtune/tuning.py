@@ -26,8 +26,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import MAX_SIZE, TabularDataset, check_int, check_keys, check_pair
-from .metrics import METRIC_NAMES, EmptyGroupError, FairnessReport, confusion_counts, report_from_counts
+from .data import MAX_SIZE, TabularDataset, check_int, check_keys, check_pair, placed
+from .metrics import METRIC_NAMES, MINIMIZED, EmptyGroupError, FairnessReport, confusion_counts, report_from_counts
 from .training import HyperParams, _train_loop, check_trainable, pool_map, predict, upsampled_positions
 
 # Unused here, but perfbench/spans.py traces these names on this module.
@@ -38,8 +38,6 @@ GROUND_TRUTH = "ground_truth"
 PSEUDO = "pseudo"
 # The bin of the unconstrained plain baseline: every validation accuracy lies in it.
 ERM_BASELINE_BIN = (0.0, 1.0 + 1e-12)
-
-_MINIMIZED = {"dp_gap": True, "eo_gap": True, "wga": False}
 
 
 def _check_selection_rule(objective: str, sensitive_source: str) -> None:
@@ -256,7 +254,7 @@ def _evaluate_task(ctx: dict, task: _Task) -> _TaskResult:
             val_counts[epoch - 1],
             confusion_counts(predict(ckpts[epoch - 1], ctx["test_X"]), ctx["test_y"], ctx["test_sens"]),
         )
-        for epoch in _candidate_epochs(scores, ctx["bins"], _MINIMIZED[ctx["objective"]], plain=not task.err_pos)
+        for epoch in _candidate_epochs(scores, ctx["bins"], MINIMIZED[ctx["objective"]], plain=not task.err_pos)
     }
     return _TaskResult(scores=scores, counts=counts, mistakes=mistakes)
 
@@ -299,14 +297,6 @@ def _selection_labels(
     return val_sens
 
 
-def _parsed_at(place: str, parse, d):
-    """parse(d), with `place.` before the message of a ValueError it raises."""
-    try:
-        return parse(d)
-    except ValueError as exc:
-        raise ValueError(f"{place}.{exc}") from None
-
-
 @dataclass(frozen=True)
 class BinOutcome:
     bin: tuple[float, float]
@@ -331,8 +321,8 @@ class BinOutcome:
         """A stored to_dict()."""
         check_keys(d, cls.__dataclass_fields__, cls.__dataclass_fields__)
         lo, hi = check_pair(d["bin"], "bin", "lo, hi")
-        reports = (None if d[k] is None else _parsed_at(k, FairnessReport.from_dict, d[k]) for k in ("validation", "test"))
-        winner = None if d["winner"] is None else _parsed_at("winner", CandidateRef.from_dict, d["winner"])
+        reports = (None if d[k] is None else placed(k, FairnessReport.from_dict, d[k]) for k in ("validation", "test"))
+        winner = None if d["winner"] is None else placed("winner", CandidateRef.from_dict, d["winner"])
         return cls((lo, hi), winner, *reports)
 
 
@@ -366,10 +356,10 @@ class TunerResult:
         check_keys(d, cls.__dataclass_fields__, cls.__dataclass_fields__)
         _check_selection_rule(d["objective"], d["sensitive_source"])
         bins, erm_bins = (
-            tuple(_parsed_at(f"{key}[{i}]", BinOutcome.from_dict, b) for i, b in enumerate(d[key]))
+            tuple(placed(f"{key}[{i}]", BinOutcome.from_dict, b) for i, b in enumerate(d[key]))
             for key in ("bins", "erm_bins")
         )
-        baseline = _parsed_at("erm_baseline", BinOutcome.from_dict, d["erm_baseline"])
+        baseline = placed("erm_baseline", BinOutcome.from_dict, d["erm_baseline"])
         return cls(d["objective"], d["sensitive_source"], bins, erm_bins, baseline)
 
 
@@ -438,7 +428,7 @@ def grid_search(
             test=report_from_counts(test_counts, require=()),
         )
 
-    bins, minimize = config.accuracy_bins, _MINIMIZED[config.objective]
+    bins, minimize = config.accuracy_bins, MINIMIZED[config.objective]
     jtt_best, _ = _select(candidates(jtt_combos), bins, minimize)
     erm_best, erm_overall = _select(candidates(erm_combos), bins, minimize)
     return TunerResult(

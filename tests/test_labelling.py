@@ -243,6 +243,25 @@ def test_selection_requires_both_classes_and_candidates():
         select_by_labels([], both)
 
 
+@pytest.mark.parametrize(
+    "n_candidates, n_columns",
+    [(1, 40), (8, 40), (5, 39)],
+    ids=["fewer candidates", "more candidates", "one column short"],
+)
+def test_selection_refuses_predictions_that_do_not_match_candidates_and_rows(n_candidates, n_columns):
+    # Five prediction rows over a 40-row validation split: each mismatch is
+    # refused up front with both shapes, not an IndexError, a numpy broadcast
+    # error or winners read off the wrong candidates.
+    rng = np.random.default_rng(12)
+    validation = dataset(rng.normal(size=(40, 2)), np.array([0, 1] * 20))
+    predictions = rng.integers(0, 2, (5, n_columns)).astype(np.int8)
+    candidates = [(HyperParams(learning_rate=0.1), i + 1) for i in range(n_candidates)]
+    expected = f"predictions: expected shape ({n_candidates}, 40) (candidates, validation rows), got (5, {n_columns})"
+    with pytest.raises(ValueError) as info:
+        select_labeller(predictions, candidates, validation)
+    assert str(info.value) == expected
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_labeller_predictions_order(jobs, monkeypatch):
     train, validation, _ = planted_splits(seed=12)

@@ -8,18 +8,15 @@ from fairtune.metrics import (
     METRIC_NAMES,
     EmptyGroupError,
     FairnessReport,
-    accuracy,
     confusion_counts,
     dp_gap,
     eo_gap,
-    full_report,
     pseudo_label_quality,
     report_from_counts,
     report_from_predictions,
-    subgroup_accuracies,
     wga,
 )
-from fairtune.training import HyperParams, ModelParams
+from fairtune.training import HyperParams, ModelParams, predict
 
 import reference
 
@@ -116,8 +113,8 @@ def test_wga_trivial_cases():
     # correct everywhere except the whole (1, 0) cell
     preds = [y if not (y == 1 and a == 0) else 0 for y, a in zip(targets, sens)]
     assert wga(preds, targets, sens) == 0.0
-    accs = subgroup_accuracies(preds, targets, sens)
-    assert accs[(1, 0)][0] == 0.0
+    report = report_from_predictions(preds, targets, sens)
+    assert report.subgroup_accuracy[(1, 0)] == 0.0 and report.subgroup_counts[(1, 0)] == 2
 
 
 def test_metric_errors_name_the_group():
@@ -244,11 +241,11 @@ def test_wga_bounded_by_average_accuracy():
             w = wga(preds, targets, sens)
         except EmptyGroupError:
             continue
-        assert w <= accuracy(preds, targets) + 1e-12
+        assert w <= report_from_predictions(preds, targets, sens).avg_accuracy + 1e-12
     # equality when every subgroup accuracy coincides
     targets = np.array([0, 0, 1, 1])
     sens = np.array([0, 1, 0, 1])
-    assert wga(targets, targets, sens) == accuracy(targets, targets) == 1.0
+    assert wga(targets, targets, sens) == report_from_predictions(targets, targets, sens).avg_accuracy == 1.0
 
 
 def test_pseudo_equal_truth_metrics_coincide():
@@ -269,8 +266,7 @@ def constant_one_model(d):
     )
 
 
-def test_full_report_all_correct_model(planted):
-    _, validation, _ = planted
+def test_report_of_an_all_correct_model():
     # A model that predicts class membership exactly: targets are recoverable
     # from the planted geometry only imperfectly, so instead check the trivial
     # constant-1 predictor algebra on a crafted dataset.
@@ -287,7 +283,7 @@ def test_full_report_all_correct_model(planted):
         trained_epochs=0,
         hp=HyperParams(learning_rate=0.1),
     )
-    rep = full_report(perfect, data)
+    rep = report_from_predictions(predict(perfect, data), data.targets, data.sensitive)
     assert rep.avg_accuracy == 1.0
     assert rep.eo_gap == 0.0
     assert rep.wga == 1.0
@@ -295,15 +291,15 @@ def test_full_report_all_correct_model(planted):
     assert rep.dp_gap == pytest.approx(base_rate_gap)
 
 
-def test_full_report_consistency_with_individual_metrics(planted):
+def test_report_of_a_trained_model_consistent_with_individual_metrics(planted):
     train, validation, _ = planted
-    from fairtune.training import predict, train_erm
+    from fairtune.training import train_erm
 
     model = train_erm(train, HyperParams(learning_rate=0.1, epochs=3, batch_size=64, seed=0))[-1]
-    rep = full_report(model, validation)
     preds = predict(model, validation)
+    rep = report_from_predictions(preds, validation.targets, validation.sensitive)
+    assert rep.avg_accuracy == reference.accuracy(preds, validation.targets)
     for impl in (reference, fairtune.metrics):
-        assert rep.avg_accuracy == impl.accuracy(preds, validation.targets)
         assert rep.dp_gap == impl.dp_gap(preds, validation.sensitive)
         assert rep.eo_gap == impl.eo_gap(preds, validation.targets, validation.sensitive)
         assert rep.wga == impl.wga(preds, validation.targets, validation.sensitive)
@@ -417,23 +413,29 @@ def test_report_from_counts_equals_report_from_predictions(columns, require):
         lambda: report_from_metric_functions(preds, targets, sens, require)
     )
     for name, args in (
-        ("accuracy", (preds, targets)),
         ("dp_gap", (preds, sens)),
         ("eo_gap", (preds, targets, sens)),
         ("wga", (preds, targets, sens)),
-        ("subgroup_accuracies", (preds, targets, sens)),
     ):
         library = getattr(fairtune.metrics, name)
         assert report_or_error(lambda: library(*args)) == report_or_error(
             lambda: getattr(reference, name)(*args)
         ), name
+    # On rows, accuracy and the cells exist whatever `require` says (zero
+    # rows: test_metrics_of_zero_rows).
+    if len(preds):
+        report = report_from_predictions(preds, targets, sens, require=())
+        assert report.avg_accuracy == reference.accuracy(preds, targets)
+        cells = reference.subgroup_accuracies(preds, targets, sens)
+        assert report.subgroup_accuracy == {g: acc for g, (acc, _) in cells.items()}
+        assert report.subgroup_counts == {g: n for g, (_, n) in cells.items()}
 
 
 def test_metrics_of_zero_rows():
     empty = np.array([], dtype=np.int8)
-    assert subgroup_accuracies(empty, empty, empty) == {}
+    assert not confusion_counts(empty, empty, empty).any()
     with pytest.raises(EmptyGroupError, match="^no rows$"):
-        accuracy(empty, empty)
+        report_from_predictions(empty, empty, empty, require=())
 
 
 def test_confusion_counts_cells():

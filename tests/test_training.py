@@ -25,7 +25,6 @@ from fairtune.training import (
     logits,
     pool_map,
     predict,
-    predict_proba,
     save_model,
     train_erm,
     train_upsampled,
@@ -184,26 +183,8 @@ def test_weight_decay_shrinks_weights():
 def test_predict_zero_model_tie_rule():
     model = init_params(HyperParams(learning_rate=0.1), feature_dim=3)
     X = np.random.default_rng(0).normal(size=(5, 3))
-    np.testing.assert_array_equal(predict_proba(model, X), np.full(5, 0.5))
+    np.testing.assert_array_equal(logits(model, X), np.zeros(5))
     np.testing.assert_array_equal(predict(model, X), np.ones(5, dtype=np.int8))
-
-
-def test_predict_saturates():
-    model = ModelParams(
-        params=np.array([10.0, 0.0]),
-        feature_dim=1,
-        trained_epochs=0,
-        hp=HyperParams(learning_rate=0.1),
-    )
-    p = predict_proba(model, np.array([[1.0]]))
-    assert abs(p[0] - 1.0) < 1e-4
-
-
-def test_predict_consistent_with_proba():
-    rng = np.random.default_rng(3)
-    model = init_params(HyperParams(learning_rate=0.1, hidden_units=5, seed=2), 4)
-    X = rng.normal(size=(100, 4))
-    np.testing.assert_array_equal(predict(model, X), (predict_proba(model, X) >= 0.5).astype(np.int8))
 
 
 def test_predict_dimension_mismatch():
@@ -225,7 +206,7 @@ def _random_model(d, hidden, seed):
 
 
 def _scores(model, X):
-    return logits(model, X), predict(model, X), predict_proba(model, X), unblocked_logits(model, X)
+    return logits(model, X), predict(model, X), unblocked_logits(model, X)
 
 
 BLOCK = training.SCORE_BLOCK_ROWS
@@ -240,11 +221,10 @@ def test_blocked_scoring_equals_the_unblocked_formula_bit_for_bit(n, hidden, d):
     # where OpenBLAS splits the rows between its threads.
     model = _random_model(d, hidden, seed=n + hidden + d)
     X = np.random.default_rng(n).normal(size=(n, d))
-    [(z, labels, proba, expected)] = pool_map(_scores, model, [X], jobs=1)
+    [(z, labels, expected)] = pool_map(_scores, model, [X], jobs=1)
     assert z.shape == (n,) and z.dtype == np.float64
     assert np.array_equal(z.view(np.int64), expected.view(np.int64))
     assert np.array_equal(labels, (expected >= 0.0).astype(np.int8)) and labels.dtype == np.int8
-    assert np.array_equal(proba.view(np.int64), masked_expit(expected).view(np.int64))
 
 
 def test_expit_equals_the_masked_two_branch_formula_bit_for_bit():
@@ -832,8 +812,15 @@ print(json.dumps([numpy_loaded, len(fairtune.__all__), mismatched, set(fairtune.
 def test_importing_the_package_loads_no_numpy_and_every_name_resolves():
     numpy_loaded, names, mismatched, listed, unknown = _run_fresh(_PACKAGE_NAMES)
     assert not numpy_loaded
-    assert names >= 49 and mismatched == [] and listed
+    assert names >= 45 and mismatched == [] and listed
     assert unknown == "module 'fairtune' has no attribute 'no_such_name'"
+
+
+def test_metrics_imports_nothing_from_training():
+    # Counts in, report out: the metrics reach no model, so no import of
+    # `fairtune.metrics` may load the training module.
+    loaded = _run_fresh('import json, sys, fairtune.metrics; print(json.dumps(sorted(sys.modules)))')
+    assert "fairtune.metrics" in loaded and "fairtune.training" not in loaded
 
 
 _CLI_IMPORT = """

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import fairtune.tuning as tuning
 from fairtune.config import McNoiseSection
 from fairtune.data import BLOCK_ORDER, BlockSpec, SyntheticSpec, TabularDataset, check_fractions
-from fairtune.metrics import EmptyGroupError, dp_gap, eo_gap, full_report, wga
+from fairtune.metrics import EmptyGroupError, dp_gap, eo_gap, report_from_predictions, wga
 from fairtune.noise import NoiseSpec
 from fairtune.training import (
     HyperParams,
@@ -408,9 +408,11 @@ def test_winner_reports_equal_retrained_winners(source, lambda_grid, bins, plant
         assert any(o.winner.kind == "jtt" and not o.winner.plain_fallback for o in populated)
     for outcome in populated:
         model = rebuild_winner(train, outcome.winner)
-        validation_report = full_report(model, validation, sensitive=val_sens, require=("dp_gap",))
+        validation_report = report_from_predictions(
+            predict(model, validation), validation.targets, val_sens, require=("dp_gap",)
+        )
         assert validation_report == outcome.validation
-        assert full_report(model, test, require=()) == outcome.test
+        assert report_from_predictions(predict(model, test), test.targets, test.sensitive, require=()) == outcome.test
 
 
 def test_test_labels_feed_only_the_winners_test_reports(planted):
