@@ -12,11 +12,10 @@ from fairtune import (
     BlockSpec,
     HyperParams,
     SyntheticSpec,
-    apply_standardizer,
-    fit_standardizer,
     generate_synthetic,
     predict,
     split,
+    standardize,
     train_erm,
 )
 from fairtune.metrics import report_from_predictions
@@ -31,9 +30,7 @@ spec = SyntheticSpec(
     seed=13,
 )
 data = generate_synthetic(spec)
-train, validation, test = split(data, (0.6, 0.2, 0.2), seed=14)
-std = fit_standardizer(train)
-train, validation, test = (apply_standardizer(std, d) for d in (train, validation, test))
+train, validation, test = standardize(*split(data, (0.6, 0.2, 0.2), seed=14))
 
 print(f"{data.n_rows} rows, minority share {np.mean(data.sensitive == 0):.0%}")
 print()

@@ -22,17 +22,13 @@ _EXPORTS = {
         "BlockSpec",
         "DataError",
         "DatasetSchema",
-        "EmptySplitError",
-        "SchemaError",
-        "Standardizer",
         "SyntheticSpec",
         "TabularDataset",
-        "apply_standardizer",
-        "fit_standardizer",
         "generate_synthetic",
         "load_csv",
         "read_dataset",
         "split",
+        "standardize",
         "write_dataset",
     ),
     "labelling": (

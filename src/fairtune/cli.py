@@ -89,15 +89,14 @@ from .config import LABELLING_POLICY, MC_SPLIT, ConfigError, ExperimentConfig, l
 from .data import (
     DataError,
     TabularDataset,
-    apply_standardizer,
     file_digest,
     features_path,
-    fit_standardizer,
     generate_synthetic,
     load_csv,
     read_dataset,
     read_matrix,
     split,
+    standardize,
     write_dataset,
 )
 from .labelling import SelectionError, labeller_candidates, labeller_predictions, select_labeller
@@ -221,21 +220,10 @@ def cmd_prepare(config: ExperimentConfig, args: argparse.Namespace) -> int:
         data = generate_synthetic(config.synthetic)
     else:
         data = load_csv(config.csv_path, config.schema)
-    train, validation, test = split(data, config.split_fractions, config.split_seed)
-    std = fit_standardizer(train)
+    splits = standardize(*split(data, config.split_fractions, config.split_seed))
     with _Outputs(out, "prepare", config) as outputs:
-        for name, ds in (("train", train), ("validation", validation), ("test", test)):
-            write_dataset(apply_standardizer(std, ds), outputs.path(f"datasets/{name}.csv"))
-        outputs.text(
-            "standardizer.json",
-            _json_text(
-                {
-                    "mean": [float(v) for v in std.mean],
-                    "scale": [float(v) for v in std.scale],
-                    "apply_mask": [bool(v) for v in std.apply_mask],
-                }
-            ),
-        )
+        for ds in splits:
+            write_dataset(ds, outputs.path(f"datasets/{ds.split}.csv"))
     print(f"prepared {len(data.row_ids)} rows -> {out / 'datasets'}")
     return EXIT_OK
 

@@ -31,18 +31,13 @@ CATEGORICAL = "categorical"
 
 # Reserved columns of the canonical dataset file format.
 _RESERVED = ("__row_id", "__target", "__sensitive", "__split")
+# The first line of a canonical dataset CSV with feature columns; no other
+# line of the file starts with '#'.
+_NAMES_LINE = "#feature_names="
 
 
 class DataError(ValueError):
     """Malformed input data or a violated dataset contract."""
-
-
-class SchemaError(DataError):
-    """Invalid schema definition or schema/file mismatch."""
-
-
-class EmptySplitError(DataError):
-    """A requested split received zero rows."""
 
 
 # The largest size a config may set (rows of a block, samples, hidden units,
@@ -252,35 +247,35 @@ class DatasetSchema:
 
     def __post_init__(self) -> None:
         if not isinstance(self.feature_columns, (list, tuple)) or not self.feature_columns:
-            raise SchemaError("feature_columns: expected a nonempty list of [name, kind] pairs")
+            raise DataError("feature_columns: expected a nonempty list of [name, kind] pairs")
         cols = tuple(_column(c, f"feature_columns[{i}]", "name, kind") for i, c in enumerate(self.feature_columns))
         names = [n for n, _ in cols]
         if len(set(names)) != len(names):
-            raise SchemaError("feature_columns: duplicate column names")
+            raise DataError("feature_columns: duplicate column names")
         for i, (name, kind) in enumerate(cols):
             if kind not in (NUMERIC, CATEGORICAL):
-                raise SchemaError(f"feature_columns[{i}]: column {name!r}: unknown kind {kind!r}")
+                raise DataError(f"feature_columns[{i}]: column {name!r}: unknown kind {kind!r}")
         vocab = self.categorical_vocab
         if not isinstance(vocab, Mapping) or not all(isinstance(v, (list, tuple)) for v in vocab.values()):
-            raise SchemaError("categorical_vocab: expected an object of category lists")
+            raise DataError("categorical_vocab: expected an object of category lists")
         vocab = {str(k): tuple(str(c) for c in v) for k, v in vocab.items()}
         for name, kind in cols:
             if kind == CATEGORICAL:
                 if not vocab.get(name):
-                    raise SchemaError(f"categorical_vocab.{name}: categorical column {name!r} has no vocabulary")
+                    raise DataError(f"categorical_vocab.{name}: categorical column {name!r} has no vocabulary")
                 if len(set(vocab[name])) != len(vocab[name]):
-                    raise SchemaError(f"categorical_vocab.{name}: duplicate vocabulary entries")
+                    raise DataError(f"categorical_vocab.{name}: duplicate vocabulary entries")
         for name in vocab:
             if (name, CATEGORICAL) not in cols:
-                raise SchemaError(f"categorical_vocab.{name}: names no categorical feature column")
+                raise DataError(f"categorical_vocab.{name}: names no categorical feature column")
         target = _column(self.target_column, "target_column", "name, token")
         if target[0] in names:
-            raise SchemaError("target_column: the target column must not appear in feature_columns")
+            raise DataError("target_column: the target column must not appear in feature_columns")
         sens = self.sensitive_column
         if sens is not None:
             sens = _column(sens, "sensitive_column", "name, token")
             if sens[0] == target[0]:
-                raise SchemaError("sensitive_column: the sensitive column must differ from the target column")
+                raise DataError("sensitive_column: the sensitive column must differ from the target column")
         object.__setattr__(self, "feature_columns", cols)
         object.__setattr__(self, "target_column", target)
         object.__setattr__(self, "sensitive_column", sens)
@@ -300,13 +295,13 @@ class DatasetSchema:
     def from_dict(cls, d: Mapping) -> "DatasetSchema":
         """The schema of a to_dict()-shaped object, whose keys `check_keys`
         checks against the fields."""
-        return cls(**check_keys(d, cls.__dataclass_fields__, ("feature_columns", "target_column"), SchemaError))
+        return cls(**check_keys(d, cls.__dataclass_fields__, ("feature_columns", "target_column"), DataError))
 
 
 def _column(entry, what: str, names: str) -> tuple[str, str]:
     """A schema column entry, [name, kind] or [name, token], as two strings."""
     if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-        raise SchemaError(f"{what}: expected [{names}], a list of two items")
+        raise DataError(f"{what}: expected [{names}], a list of two items")
     return str(entry[0]), str(entry[1])
 
 
@@ -328,7 +323,7 @@ def _read_columns(path: Path, names: Sequence[str]) -> dict[str, list[str]]:
             header = [h.strip() for h in header]
             for name in names:
                 if name not in header:
-                    raise SchemaError(f"{path}: missing column {name!r}")
+                    raise DataError(f"{path}: missing column {name!r}")
             index = [header.index(name) for name in names]
             for ridx, row in enumerate(reader):
                 if len(row) != len(header):
@@ -414,40 +409,21 @@ def fit_categorical_vocab(path: str | Path, columns: Sequence[str]) -> dict[str,
     return {c: tuple(sorted(set(cells[c]))) for c in columns}
 
 
-@dataclass(frozen=True)
-class Standardizer:
-    """Per-column affine transform fitted on a training split by
-    `fit_standardizer`.
-
-    Columns are mapped to (value - mean) / stdev with the population (divide
-    by n) stdev convention; zero-variance columns map to 0; columns outside
-    `apply_mask` (one-hot indicators) pass through unchanged.
-    """
-
-    mean: np.ndarray
-    scale: np.ndarray
-    apply_mask: np.ndarray
-
-
-def fit_standardizer(data: TabularDataset) -> Standardizer:
-    if data.split != "train":
-        raise DataError(f"standardizer must be fitted on the train split, got {data.split!r}")
-    mean = data.features.mean(axis=0)
-    scale = data.features.std(axis=0)
-    mask = np.ones(data.n_features, dtype=bool) if data.numeric_mask is None else data.numeric_mask.copy()
-    # Leave one-hot columns untouched, including their mean.
-    mean = np.where(mask, mean, 0.0)
-    scale = np.where(mask, scale, 1.0)
-    return Standardizer(mean=_frozen(mean), scale=_frozen(scale), apply_mask=_frozen(mask))
-
-
-def apply_standardizer(std: Standardizer, data: TabularDataset) -> TabularDataset:
-    if std.mean.shape != (data.n_features,):
-        raise DataError(
-            f"standardizer fitted on {std.mean.shape[0]} columns, dataset has {data.n_features}"
-        )
-    denom = np.where(std.scale == 0.0, 1.0, std.scale)
-    return replace(data, features=(data.features - std.mean) / denom)
+def standardize(train: TabularDataset, *others: TabularDataset) -> tuple[TabularDataset, ...]:
+    """`train` and each of `others`, every numeric column mapped to
+    (value - mean) / stdev of that column in `train`, with the population
+    (divide by n) stdev; zero-variance columns map to 0, and columns outside
+    `train.numeric_mask` (one-hot indicators) pass through unchanged."""
+    if train.split != "train":
+        raise DataError(f"standardize: fits on the train split, got {train.split!r}")
+    mask = np.ones(train.n_features, dtype=bool) if train.numeric_mask is None else train.numeric_mask
+    mean = np.where(mask, train.features.mean(axis=0), 0.0)
+    scale = np.where(mask, train.features.std(axis=0), 1.0)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    for data in others:
+        if data.n_features != train.n_features:
+            raise DataError(f"standardize: fitted on {train.n_features} columns, dataset has {data.n_features}")
+    return tuple(replace(data, features=(data.features - mean) / scale) for data in (train, *others))
 
 
 def split(
@@ -467,7 +443,7 @@ def split(
     n_train = n - n_val - n_test
     for count, tag in ((n_train, "train"), (n_val, "validation"), (n_test, "test")):
         if count <= 0:
-            raise EmptySplitError(f"empty {tag} split (n={n}, fractions={tuple(fractions)})")
+            raise DataError(f"empty {tag} split (n={n}, fractions={tuple(fractions)})")
     perm = np.random.default_rng(seed).permutation(n)
     return (
         data.take(perm[:n_train], split="train"),
@@ -612,7 +588,7 @@ def write_dataset(data: TabularDataset, path: str | Path) -> None:
         with open(features_path(path), "wb") as fh:
             np.save(fh, data.features, allow_pickle=False)
         names = data.feature_names or tuple(f"x{j}" for j in range(data.n_features))
-        names_line = f"#feature_names={json.dumps(list(names))}\n"
+        names_line = f"{_NAMES_LINE}{json.dumps(list(names))}\n"
     sens = [""] * data.n_rows if data.sensitive is None else data.sensitive.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(names_line + ",".join(_RESERVED) + "\n")
@@ -631,32 +607,23 @@ def file_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _meta_lines(lines) -> dict[str, str]:
-    meta: dict[str, str] = {}
-    for line in lines:
-        if not line.startswith("#"):
-            break
-        key, _, value = line[1:].rstrip("\r\n").partition("=")
-        meta[key] = value
-    return meta
-
-
-def _scan_dataset(path: Path) -> tuple[dict[str, str], dict]:
-    """The line scan of a canonical dataset CSV: its metadata and its
-    reserved columns as TabularDataset keyword arguments. '#' lines are
-    skipped wherever they are; the leading ones are metadata.
-    """
+def _scan_dataset(path: Path) -> tuple[str | None, dict]:
+    """The line scan of a canonical dataset CSV, which holds what
+    write_dataset writes and nothing else: its '#feature_names=' value (None
+    without that first line) and its reserved columns as TabularDataset
+    keyword arguments."""
     with _utf8(path), open(path, newline="", encoding="utf-8") as fh:
         lines = fh.readlines()
-    rows = ((number, line) for number, line in enumerate(lines, start=1) if not line.startswith("#"))
-    header = next(rows, (0, ""))[1]  # "" in a file of '#' lines only
+    names = lines[0][len(_NAMES_LINE) :].rstrip("\r\n") if lines and lines[0].startswith(_NAMES_LINE) else None
+    start = 0 if names is None else 1
+    header = lines[start] if len(lines) > start else ""
     if header and header.rstrip("\r\n") != ",".join(_RESERVED):
         raise DataError(f"{path}: not a canonical dataset file (its header is not {','.join(_RESERVED)}); re-run 'prepare'")
     row_ids: list[int] = []
     targets: list[int] = []
     sens: list[int | None] = []
     splits: set[str] = set()
-    for number, line in rows:
+    for number, line in enumerate(lines[start + 1 :], start=start + 2):
         try:
             if line.count(",") != len(_RESERVED) - 1:
                 fields = line.count(",") + 1 if line.strip("\r\n") else 0
@@ -682,7 +649,7 @@ def _scan_dataset(path: Path) -> tuple[dict[str, str], dict]:
         "split": splits.pop(),
         "sensitive": None if blank else np.asarray(sens, dtype=np.int8),
     }
-    return _meta_lines(lines), reserved
+    return names, reserved
 
 
 def read_matrix(path: Path, dtype, shape: tuple[int | None, ...]) -> np.ndarray:
@@ -708,12 +675,12 @@ def read_dataset(path: str | Path) -> TabularDataset:
     one without has no feature columns. Each error names the CSV or the
     matrix."""
     path = Path(path)
-    meta, reserved = _scan_dataset(path)
+    names, reserved = _scan_dataset(path)
     n = len(reserved["row_ids"])
-    features, names = np.empty((n, 0)), None
-    if "feature_names" in meta:
+    features = np.empty((n, 0))
+    if names is not None:
         try:
-            names = tuple(json.loads(meta["feature_names"]))
+            names = tuple(json.loads(names))
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed features metadata ({type(exc).__name__}: {exc})") from None
         matrix = features_path(path)

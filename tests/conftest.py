@@ -9,10 +9,9 @@ from fairtune.data import (
     BlockSpec,
     SyntheticSpec,
     TabularDataset,
-    apply_standardizer,
-    fit_standardizer,
     generate_synthetic,
     split,
+    standardize,
 )
 
 
@@ -46,16 +45,9 @@ def planted_splits(
     n_per_class: int = 1000,
     minority_fraction: float = 0.1,
     seed: int = 13,
-    standardize: bool = True,
 ) -> tuple[TabularDataset, TabularDataset, TabularDataset]:
     data = generate_synthetic(planted_spec(n_per_class, minority_fraction, seed))
-    train, validation, test = split(data, (0.6, 0.2, 0.2), seed=seed + 1)
-    if standardize:
-        std = fit_standardizer(train)
-        train = apply_standardizer(std, train)
-        validation = apply_standardizer(std, validation)
-        test = apply_standardizer(std, test)
-    return train, validation, test
+    return standardize(*split(data, (0.6, 0.2, 0.2), seed=seed + 1))
 
 
 @pytest.fixture(scope="session")

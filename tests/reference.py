@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fairtune.data import NUMERIC, DataError, DatasetSchema, SchemaError, TabularDataset
+from fairtune.data import NUMERIC, DataError, DatasetSchema, TabularDataset
 from fairtune.metrics import SUBGROUPS, EmptyGroupError
 from fairtune.noise import RATIO_DENOM_FLOOR, NoiseSpec, ProportionalityRecord, mix_groups
 from fairtune.training import (
@@ -249,7 +249,7 @@ def load_csv_per_cell(path: Path, schema: DatasetSchema) -> TabularDataset:
             [schema.sensitive_column[0]] if schema.sensitive_column else []
         ):
             if name not in header:
-                raise SchemaError(f"{path}: missing column {name!r}")
+                raise DataError(f"{path}: missing column {name!r}")
             col_index[name] = header.index(name)
         rows: list[np.ndarray] = []
         targets: list[int] = []

@@ -18,11 +18,10 @@ from fairtune.cli import main
 from fairtune.config import parse_config
 from fairtune.data import (
     DatasetSchema,
-    apply_standardizer,
     fit_categorical_vocab,
-    fit_standardizer,
     load_csv,
     split,
+    standardize,
 )
 from fairtune.labelling import labeller_predictions, select_labeller
 from fairtune.metrics import dp_gap, eo_gap, pseudo_label_quality, wga
@@ -278,9 +277,7 @@ def test_criterion_9_income_benchmark_reproduction():
     )
     data = load_csv(path, schema)
     n = data.n_rows
-    train, validation, test = split(data, ADULT_FRACTIONS, seed=0)
-    std = fit_standardizer(train)
-    train, validation, test = (apply_standardizer(std, d) for d in (train, validation, test))
+    train, validation, test = standardize(*split(data, ADULT_FRACTIONS, seed=0))
 
     model_grid = adult_model_grid(seed=0)
     jobs = os.cpu_count() or 1

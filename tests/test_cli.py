@@ -46,21 +46,24 @@ def pipeline(tmp_path_factory):
     return config, out
 
 
+# The files each command writes, besides its manifest, in sorted order.
+OUTPUTS = {
+    "prepare": [f"datasets/{name}.{ext}" for name in ("test", "train", "validation") for ext in ("csv", "features.npy")],
+    "train-grid": ["checkpoints/predictions.npy"],
+    "label": ["labelled_validation.csv", "labelling.json"],
+    "mc-sweep": ["mc_sweep.csv"],
+    "tune": ["tuner_result.json"],
+}
+
+
 def test_pipeline_artifacts_exist(pipeline):
+    # Each manifest lists exactly its command's files, and every file under
+    # the output directory is a manifest or listed by exactly one.
     _, out = pipeline
-    for rel in (
-        "datasets/train.csv",
-        "datasets/validation.csv",
-        "datasets/test.csv",
-        "standardizer.json",
-        "checkpoints/predictions.npy",
-        "labelled_validation.csv",
-        "labelling.json",
-        "mc_sweep.csv",
-        "tuner_result.json",
-    ):
-        assert (out / rel).exists(), rel
-    assert list(out.rglob(".stage-*")) == []
+    for command, files in OUTPUTS.items():
+        assert sorted(json.loads((out / "manifests" / f"{command}.json").read_text())["files"]) == files, command
+    manifests = [f"manifests/{command}.json" for command in OUTPUTS]
+    assert _files(out) == sorted([*manifests, *(rel for files in OUTPUTS.values() for rel in files)])
 
 
 def test_pipeline_tuner_bins_populated(pipeline):
@@ -84,8 +87,7 @@ def test_pipeline_outputs_carry_provenance(pipeline):
     from fairtune.config import load_config
 
     config, out = pipeline
-    listed = []
-    for command in ("prepare", "train-grid", "label", "mc-sweep", "tune"):
+    for command in OUTPUTS:
         text = (out / "manifests" / f"{command}.json").read_text()
         manifest = json.loads(text)
         assert text == json.dumps(manifest, sort_keys=True, indent=2) + "\n"
@@ -95,8 +97,6 @@ def test_pipeline_outputs_carry_provenance(pipeline):
             content = (out / rel).read_bytes()
             assert hashlib.sha256(content).hexdigest() == digest, rel
             assert b"config_sha256" not in content and b"tool_version" not in content, rel
-        listed += manifest["files"]
-    assert sorted(listed) == [rel for rel in _files(out) if not rel.startswith("manifests/")]
 
 
 def _vouch_for(out, producer):
@@ -586,11 +586,7 @@ def test_failed_prepare_rerun_keeps_the_previous_run(tmp_path, monkeypatch):
     config, out = load_synthetic_config(tmp_path)
     assert main(["prepare", "--config", str(config)]) == 0
     before = {rel: (out / rel).read_bytes() for rel in _files(out)}
-    assert sorted(before) == [
-        *(f"datasets/{name}.{ext}" for name in ("test", "train", "validation") for ext in ("csv", "features.npy")),
-        "manifests/prepare.json",
-        "standardizer.json",
-    ]
+    assert sorted(before) == [*OUTPUTS["prepare"], "manifests/prepare.json"]
     real = cli.write_dataset
     names = []
 
@@ -1237,7 +1233,7 @@ def test_dataset_files_keep_the_layout_perfbench_reads(pipeline):
     # perfbench/run.py reads the sensitive column with line.split(",", 3) and
     # its micro-measures read the train split with fairtune.data.read_dataset.
     from fairtune.config import load_config
-    from fairtune.data import apply_standardizer, fit_standardizer, generate_synthetic, read_dataset, split
+    from fairtune.data import generate_synthetic, read_dataset, split, standardize
 
     config, out = pipeline
     lines = (out / "datasets" / "validation.csv").read_text().splitlines(keepends=True)
@@ -1248,8 +1244,8 @@ def test_dataset_files_keep_the_layout_perfbench_reads(pipeline):
         row_id, target, sensitive, tag = line.split(",", 3)
         assert int(row_id) >= 0 and target in ("0", "1") and sensitive in ("0", "1") and tag == "validation\n"
     cfg = load_config(config)
-    train, _, _ = split(generate_synthetic(cfg.synthetic), cfg.split_fractions, cfg.split_seed)
-    expected = apply_standardizer(fit_standardizer(train), train).features
+    train, _, _ = standardize(*split(generate_synthetic(cfg.synthetic), cfg.split_fractions, cfg.split_seed))
+    expected = train.features
     features = read_dataset(out / "datasets" / "train.csv").features
     np.testing.assert_array_equal(features.view(np.int64), expected.view(np.int64))
 
